@@ -27,10 +27,11 @@ print(f"zero model:       mean {float(pibar.mean()[0]):+.6f}, "
       f"{system.iterations} iterations")
 
 # --- quadratic interaction: scalar self-consistency in closed form --------
-quad = quadratic_preset()  # kappa = 0.5, c = 0.3
+kappa, c = 0.5, 0.3
+quad = quadratic_preset(kappa=kappa, c=c)
 system = solve_self_consistent(quad, n_particles=1)
 pibar = system.mean_measure
-mean_exact = quad.kappa * quad.c / (quad.lam + quad.kappa)
+mean_exact = kappa * c / (quad.lam + kappa)
 print(f"quadratic model:  mean {float(pibar.mean()[0]):+.6f} "
       f"(scalar fixed point: {mean_exact:+.6f}), "
       f"residual {system.residual:.2e}")

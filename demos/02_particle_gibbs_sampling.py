@@ -22,8 +22,8 @@ from mflab.sampler import (
 print(__doc__)
 
 N = 4
-model = quadratic_preset()  # kappa = 0.5, c = 0.3, sigma = lam = 1
-kappa, c, lam, sigma = model.kappa, model.c, model.lam, model.sigma
+kappa, c, lam, sigma = 0.5, 0.3, 1.0, 1.0
+model = quadratic_preset(kappa=kappa, c=c, sigma=sigma, lam=lam)
 
 mean_exact = kappa * c / (lam + kappa)
 base = sigma**2 / (2 * lam)

@@ -59,6 +59,20 @@ class BoundInputs:
             raise ValueError("d_prox must be 1 or d")
 
 
+def tilted_alpha(params, t: float | None = None) -> float:
+    """Strong convexity of the per-particle confinement of `params` (any
+    object with `lam` and `sigma`, such as a ModelSpec or BoundInputs).
+
+    2 lam / sigma^2 untilted; 2 lam / sigma^2 - 1 + 1/t under a Gaussian
+    tilt of time t, whose t -> inf limit (t = math.inf) is the profile
+    offset a = 2 lam / sigma^2 - 1.
+    """
+    base = 2.0 * params.lam / params.sigma**2
+    if t is None:
+        return base
+    return base - 1.0 + 1.0 / t
+
+
 def heatflow_lipschitz_bound(a: float, terms) -> float:
     """Lipschitz constant implied by a tilted-covariance envelope.
 

@@ -23,18 +23,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .bounds import BoundInputs, lsi_pert_bound
+from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
 from .errors import CalculatorDomainError
-from .meanfield import ProximalGibbsSystem, solve_self_consistent, target_alpha
+from .meanfield import ProximalGibbsSystem, solve_self_consistent
 from .measure import GridDensity, Measure, sample_from_grid
 from .model import (
     ModelSpec,
-    energy,
     expect_features,
-    expect_function,
     features,
-    first_variation,
-    mean_of,
+    loss_terms,
     model_constants,
 )
 from .sampler import TargetSpec, TiltSpec, mala_sample, states_to_array
@@ -44,51 +41,34 @@ Z_ESS_FLOOR = 100.0
 Z_ESS_WIDEN_FACTOR = 3.0
 
 
+def _bregman(model: ModelSpec, eh_nu: np.ndarray, pibar: GridDensity):
+    """B(nu, pibar) = F0(nu) - F0(pibar) - <dF0(pibar), nu - pibar> from
+    the expected features eh_nu of nu, one row per measure in a batch.
+
+    Linear in the features, the first-variation term is
+    (E_nu h - E_pibar h) . slope(pibar).
+    """
+    eh_bar = expect_features(model, pibar)
+    f_bar = float(loss_terms(model, eh_bar))
+    linear = (eh_nu - eh_bar) @ loss_terms(model, eh_bar, 1)
+    return loss_terms(model, eh_nu) - f_bar - linear
+
+
 def bregman_divergence(model: ModelSpec, nu: Measure, pibar: GridDensity) -> float:
-    """B(nu, pibar) = F0(nu) - F0(pibar) - <dF0(pibar), nu - pibar>.
+    """Bregman divergence of the interaction energy between nu and pibar.
 
     Nonnegative whenever F0 is convex along mixtures.
     """
-    f_nu = energy(model, nu)
-    f_bar = energy(model, pibar)
-    if model.kind == "zero":
-        return 0.0
-    pts = pibar.node_points()
-    fv_on_grid = np.asarray(first_variation(model, pibar, pts), dtype=float)
-    e_bar = float(np.sum(
-        (pibar.quad_weights() * pibar.weights).ravel() * fv_on_grid))
-    if model.kind == "quadratic_oracle":
-        e_nu = expect_function(
-            nu, lambda p: model.kappa
-            * (float(model.e @ mean_of(pibar)) - model.c) * (p @ model.e))
-    else:
-        eh_bar = expect_features(model, pibar)
-        slope = model.data_p * model.loss.d1(eh_bar, model.data_y)
-        e_nu = expect_function(nu, lambda p: features(model, p) @ slope)
-    return f_nu - f_bar - (e_nu - e_bar)
+    return float(_bregman(model, expect_features(model, nu), pibar))
 
 
 def bregman_batch(model: ModelSpec, x: np.ndarray, pibar: GridDensity) -> np.ndarray:
     """Bregman divergence of each empirical measure in a batch of states.
 
-    x has shape (S, N, d); returns (S,).  Vectorizes the same algebra as
-    :func:`bregman_divergence` for the supported interaction kinds.
+    x has shape (S, N, d); returns (S,).
     """
-    x = np.asarray(x, dtype=float)
-    if model.kind == "zero":
-        return np.zeros(x.shape[0])
-    if model.kind == "quadratic_oracle":
-        m_bar = float(model.e @ mean_of(pibar))
-        m_nu = (x @ model.e).mean(axis=1)
-        return 0.5 * model.kappa * (m_nu - m_bar) ** 2
-    eh_bar = expect_features(model, pibar)
-    slope = model.data_p * model.loss.d1(eh_bar, model.data_y)
-    h = model.activation.value(x @ model.data_x.T)
-    eh_nu = h.mean(axis=1)
-    f_nu = model.loss.value(eh_nu, model.data_y) @ model.data_p
-    f_bar = float(model.data_p @ model.loss.value(eh_bar, model.data_y))
-    linear = (eh_nu - eh_bar) @ slope
-    return f_nu - f_bar - linear
+    eh_nu = features(model, np.asarray(x, dtype=float)).mean(axis=1)
+    return _bregman(model, eh_nu, pibar)
 
 
 def poc_bound(inputs: BoundInputs, cbar_pi: float, alpha: float,
@@ -160,7 +140,7 @@ class ChaosReport:
     cbar_pi: float
     scale: float
     z_importance_ess: float
-    variance_step_rhs: float | None
+    variance_step_rhs: float
     seed: int
     mala_acceptance: float
     flags: dict[str, bool] = field(default_factory=dict)
@@ -191,27 +171,17 @@ def _batch_means_halfwidth(values: np.ndarray, n_batches: int) -> float:
     return 2.0 * se
 
 
-def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem) -> float | None:
+def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem) -> float:
     """Quadrature value of sum_j p_j (beta_ell / 2N^2) sum_i var_{pi^i}(h_j)."""
-    if model.kind == "zero":
-        return 0.0
-    if model.kind == "quadratic_oracle":
-        beta_ell = model.kappa
-        h_of = lambda pts: (pts @ model.e)[:, None]
-        p_weights = np.array([1.0])
-    else:
-        beta_ell = model.loss.beta_ell
-        h_of = lambda pts: features(model, pts)
-        p_weights = model.data_p
     n = system.n_particles
-    var_sum = np.zeros(p_weights.size)
+    var_sum = np.zeros(model.data_p.size)
     for p_i in system.per_particle:
-        h_vals = h_of(p_i.node_points())
+        h_vals = features(model, p_i.node_points())
         cw = (p_i.quad_weights() * p_i.weights).ravel()
         mean_h = h_vals.T @ cw
         second = (h_vals * h_vals).T @ cw
         var_sum += second - mean_h**2
-    return float(p_weights @ var_sum) * beta_ell / (2.0 * n * n)
+    return float(model.data_p @ var_sum) * model.loss.beta_ell / (2.0 * n * n)
 
 
 def estimate_kl(model: ModelSpec, n_particles: int,
@@ -269,7 +239,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     kl = -scale * mean_b_mu - log_z
     hw_kl = math.hypot(scale * hw_b_mu, hw_log_z)
 
-    alpha = target_alpha(eff, tilt)
+    alpha = tilted_alpha(eff, tilt.t if tilt else None)
     cbar_pi = poincare_constant_bound(eff, alpha)
     consts = replace(model_constants(eff), N=n_particles)
     bound_generic = poc_bound(consts, cbar_pi, alpha, "generic")
@@ -287,8 +257,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
         "kl_below_poc_ii": kl <= bound_nn + 2.0 * hw_kl,
         "kl_nonnegative": kl >= -hw_kl,
         "z_ess_ok": z_ess_ok,
-        "variance_step": (var_rhs is None
-                          or mean_b_pi <= var_rhs + hw_b_pi),
+        "variance_step": mean_b_pi <= var_rhs + hw_b_pi,
         "_min_bregman": min_breg,
     }
     return ChaosReport(

@@ -21,14 +21,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from . import __version__, bounds as bounds_mod
-from .chaos import McmcConfig, chaos_sweep, no_growth_in_n, sweep_to_csv
+from . import __version__, bounds as bounds_mod, chaos as chaos_mod
+from .chaos import McmcConfig, no_growth_in_n, sweep_to_csv
 from .errors import ConfigError, MflabError
 from .heatflow import (
     GibbsPotential,
@@ -40,6 +39,7 @@ from .heatflow import (
     regime_threshold,
     reverse_flow_map,
 )
+from .meanfield import default_axes
 from .measure import Axis, normalize_from_log_potential
 from .model import (
     Activation,
@@ -79,13 +79,15 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "seed": Field(int, 0, "seeds default to 0 and are echoed into the "
                               "manifest"),
         "output": Field(str, None, "output directory (or pass --out)"),
-        "workers": Field(int, 1, "bounded worker pool; aggregation order is "
-                                 "fixed so results do not depend on it"),
     },
     "model": {
         "preset": Field(str, None, "named preset; alternative to an "
                                    "explicit model block"),
-        "kind": Field(str, None, "zero | example_nn | quadratic_oracle"),
+        "kind": Field(str, None, "zero | example_nn | quadratic_oracle; "
+                                 "picks a constructor only: zero (no data) "
+                                 "and quadratic_oracle (one identity "
+                                 "feature, squared loss kappa) encode the "
+                                 "example_nn prediction-loss energy"),
         "sigma": Field(float, 1.0, "noise scale; no canonical value exists, "
                                    "1.0 keeps grids order-one"),
         "lam": Field(float, 1.0, "confinement strength; 1.0 keeps the "
@@ -97,8 +99,10 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "c": Field(float, 0.3, "quadratic-oracle target; nonzero exercises "
                                "the mean shift"),
         "clip_radius": Field(float, 10.0, "interval on which the squared "
-                                          "loss is exactly quadratic; "
-                                          "generous so closed forms apply"),
+                                          "loss is exactly quadratic (for "
+                                          "quadratic_oracle, on which L_ell "
+                                          "is taken); generous so closed "
+                                          "forms apply"),
         "activation": Field(str, "relu", "relu | tanh | identity"),
         "loss": Field(dict, None, "loss block: {type: squared, scale, "
                                   "clip_radius} or {type: logistic}"),
@@ -234,6 +238,9 @@ def validate_config(raw: dict) -> dict:
     if "model" in resolved and resolved["model"].get("preset") is None \
             and resolved["model"].get("kind") is None:
         raise ConfigError("model block needs either 'preset' or 'kind'")
+    if experiment == "chaos_sweep" and build_model(resolved["model"]).d != 1:
+        raise ConfigError("chaos_sweep draws the product measure by a 1-d "
+                          "inverse CDF; the model must have d = 1")
     return resolved
 
 
@@ -295,19 +302,11 @@ def _run_chaos_sweep(cfg: dict, out_dir: str) -> bool:
                       n_batches=mcb["n_batches"])
     n_list = list(cfg["sweep"]["n_particles"])
     seed = cfg["seed"]
-
-    from .chaos import estimate_kl
-
-    def one(idx_n):
-        idx, n = idx_n
-        return estimate_kl(model, n, mcmc=mcmc, seed=seed + idx)
-
-    workers = max(1, cfg["workers"])
-    if workers == 1:
-        reports = [one(t) for t in enumerate(n_list)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, enumerate(n_list)))
+    gb = cfg["grid"]
+    axes = default_axes(model, None, gb["n_nodes"], gb["span_sd"])
+    reports = [chaos_mod.estimate_kl(model, n, mcmc=mcmc, seed=seed + idx,
+                                     axes=axes)
+               for idx, n in enumerate(n_list)]
 
     name = cfg["model"].get("preset") or cfg["model"]["kind"]
     sweep_to_csv(reports, os.path.join(out_dir, "chaos_sweep.csv"), name)
@@ -470,7 +469,7 @@ def _run_bounds_table(cfg: dict, out_dir: str) -> bool:
     model = build_model(cfg["model"])
     inputs = model_constants(model)
     rescaled = bounds_mod.rescale_parameters(inputs)
-    alpha = 2.0 * inputs.lam / inputs.sigma**2
+    alpha = bounds_mod.tilted_alpha(inputs)
     rows = {
         "main_bound_generic": bounds_mod.main_bound(inputs, "generic"),
         "main_bound_specific": bounds_mod.main_bound(
@@ -627,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="override the worker-pool size")
 
     p_rep = sub.add_parser("report", help="render a completed run directory")
     p_rep.add_argument("result_dir")
@@ -671,8 +668,6 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     out_dir = args.out or cfg.get("output")
     if not out_dir:
         print("config error: no output directory (set 'output' or --out)",

@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from .bounds import BoundInputs, heatflow_lipschitz_bound
+from .bounds import BoundInputs, heatflow_lipschitz_bound, tilted_alpha
 from .errors import (
     IntegrationFailureError,
     TiltDomainError,
@@ -40,6 +40,7 @@ from .measure import (
     Axis,
     GridDensity,
     covariance_opnorm,
+    grid_points,
     normalize_from_log_potential,
     w2_distance_1d,
     _write_csv,
@@ -133,11 +134,6 @@ class GibbsPotential:
         return m.sigma / math.sqrt(2.0 * m.lam)
 
 
-def alpha_t(inputs: BoundInputs, t: float) -> float:
-    """Effective strong convexity of the tilted single-particle measures."""
-    return 2.0 * inputs.lam / inputs.sigma**2 - 1.0 + 1.0 / t
-
-
 def regime_threshold(inputs: BoundInputs) -> float:
     """Crossover time t* = (20 B^2/sigma^4 - 2 lam/sigma^2 + 1)^{-1}.
 
@@ -151,7 +147,7 @@ def regime_threshold(inputs: BoundInputs) -> float:
 
 def small_regime_envelope(inputs: BoundInputs, t: float, const: float = 1.0) -> float:
     """[1/sqrt(alpha_t) + const (sqrt(beta_hat d_prox)/sigma + B/sigma^2)/alpha_t]^2."""
-    a_t = alpha_t(inputs, t)
+    a_t = tilted_alpha(inputs, t)
     bump = (math.sqrt(inputs.beta_hat * inputs.d_prox) / inputs.sigma
             + inputs.B / inputs.sigma**2)
     return (1.0 / math.sqrt(a_t) + const * bump / a_t) ** 2
@@ -161,7 +157,7 @@ def large_regime_envelope(inputs: BoundInputs, t: float, const_lin: float = 1.0,
                           const_tail: float = 1.0) -> float:
     """[1/sqrt(alpha_t) + c1 B/(alpha_t sigma^2)]^2
     + c2 (beta_hat B^2 d_prox / alpha_t^3 sigma^6 + beta_hat B^4 / alpha_t^4 sigma^10)."""
-    a_t = alpha_t(inputs, t)
+    a_t = tilted_alpha(inputs, t)
     s2 = inputs.sigma**2
     head = (1.0 / math.sqrt(a_t) + const_lin * inputs.B / (a_t * s2)) ** 2
     tail = const_tail * (
@@ -298,7 +294,7 @@ def covariance_profile(mu, t_list, y_list, inputs: BoundInputs,
     c_lin = consts.get("large_lin", 1.0)
     c_tail = consts.get("large_tail", 1.0)
     t_star = regime_threshold(inputs)
-    a = 2.0 * inputs.lam / inputs.sigma**2 - 1.0
+    a = tilted_alpha(inputs, math.inf)
     rows = []
     for y in y_list:
         y_vec = np.atleast_1d(np.asarray(y, dtype=float))
@@ -316,7 +312,7 @@ def covariance_profile(mu, t_list, y_list, inputs: BoundInputs,
             _, opnorm = covariance_opnorm(tilted)
             rows.append(ProfileRow(
                 t=t, y_label=label, opnorm=float(opnorm),
-                alpha_t=alpha_t(inputs, t),
+                alpha_t=tilted_alpha(inputs, t),
                 small_regime_ref=small_regime_envelope(inputs, t, c_small),
                 large_regime_ref=large_regime_envelope(inputs, t, c_lin, c_tail),
                 regime="small" if t <= t_star else "large",
@@ -337,13 +333,13 @@ def _adapted_tilted_density(potential: GibbsPotential, t: float,
     if y.size != dim:
         raise TiltDomainError(
             f"tilt center has {y.size} coords, potential is {dim}-d")
-    a_t = alpha_t(inputs, t)
+    a_t = tilted_alpha(inputs, t)
     if a_t <= 0:
         raise TiltDomainError(f"alpha_t = {a_t:.4g} <= 0: tilt not normalizable")
     if n_nodes is None:
         n_nodes = 2048 if dim == 1 else 192
     sd_t = 1.0 / math.sqrt(a_t)
-    a = 2.0 * inputs.lam / inputs.sigma**2 - 1.0
+    a = tilted_alpha(inputs, math.inf)
     center_proxy = y / (1.0 + a * t)
     base_sd = potential.base_sd()
 
@@ -360,14 +356,14 @@ def _adapted_tilted_density(potential: GibbsPotential, t: float,
         lo = min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t)
         hi = max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t)
         coarse_axes.append(Axis(lo, hi, 801 if dim == 1 else 121))
-    coarse_pts = _grid_points(coarse_axes)
+    coarse_pts = grid_points(coarse_axes)
     mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts)))]
 
     half_width = 14.0 * sd_t
     for _ in range(3):
         axes = tuple(Axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
                      for j in range(dim))
-        pts = _grid_points(axes)
+        pts = grid_points(axes)
         log_u = tilted_log(pts).reshape(tuple(ax.n for ax in axes))
         _check_interior_peak(log_u)
         out = normalize_from_log_potential(log_u, axes)
@@ -377,14 +373,6 @@ def _adapted_tilted_density(potential: GibbsPotential, t: float,
         half_width *= 2.0
     raise TiltDomainError(
         f"could not cover the tilted measure at t={t:g} within 3 widenings")
-
-
-def _grid_points(axes) -> np.ndarray:
-    axes = tuple(axes)
-    if len(axes) == 1:
-        return axes[0].nodes()[:, None]
-    x, yy = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")
-    return np.column_stack([x.ravel(), yy.ravel()])
 
 
 # -- Ornstein-Uhlenbeck evolution --------------------------------------------
@@ -433,7 +421,7 @@ def _ou_kernel_matrix(ax: Axis, decay: float, bw: float) -> np.ndarray:
 def standard_gaussian_grid(axes) -> GridDensity:
     """gamma restricted to the grid (unit-mass renormalized)."""
     axes = (axes,) if isinstance(axes, Axis) else tuple(axes)
-    pts = _grid_points(axes)
+    pts = grid_points(axes)
     log_u = -0.5 * np.sum(pts * pts, axis=1)
     return normalize_from_log_potential(
         log_u.reshape(tuple(ax.n for ax in axes)), axes)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import tilted_alpha
 from .errors import InvalidTargetError, NonconvergenceError
 from .measure import Axis, GridDensity, normalize_from_log_potential
 from .model import ModelSpec, first_variation
@@ -73,14 +74,6 @@ class ProximalGibbsSystem:
             fh.write("\n")
 
 
-def target_alpha(model: ModelSpec, tilt: TiltSpec | None) -> float:
-    """Effective per-particle strong convexity, 2 lam/sigma^2 (- 1 + 1/t)."""
-    base = 2.0 * model.lam / model.sigma**2
-    if tilt is None:
-        return base
-    return base - 1.0 + 1.0 / tilt.t
-
-
 def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
                  n_nodes: int | None = None, span_sd: float = 10.0,
                  ) -> tuple[Axis, ...]:
@@ -89,7 +82,7 @@ def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
     Proxy variance 1/alpha; with tilts the proxy means y^i/(t alpha_t)
     must all be covered.  Coverage is re-validated after the solve.
     """
-    alpha = target_alpha(model, tilt)
+    alpha = tilted_alpha(model, tilt.t if tilt else None)
     if alpha <= 0:
         raise InvalidTargetError(f"alpha = {alpha:.4g} <= 0: tilt not normalizable")
     sd = 1.0 / math.sqrt(alpha)
@@ -164,7 +157,7 @@ def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
         raise InvalidTargetError(
             f"tilt centers shape {tilt.y.shape} != ({n_particles}, {model.d})"
         )
-    alpha = target_alpha(model, tilt)
+    alpha = tilted_alpha(model, tilt.t if tilt else None)
     if alpha <= 0:
         raise InvalidTargetError(f"alpha = {alpha:.4g} <= 0: tilt not normalizable")
     if axes is None:
@@ -189,35 +182,25 @@ def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
             theta = max(theta / 2.0, 1.0 / 64.0)
         trace.append(residual)
         if residual < tol:
-            mean_measure = target
             final_parts = rebuild_particle_densities(
-                model, mean_measure, tilt, n_particles)
-            sys_residual = _system_residual(model, final_parts, tilt)
-            if sys_residual < tol:
-                return ProximalGibbsSystem(
-                    per_particle=final_parts,
-                    mean_measure=_mean_density(final_parts),
-                    residual=sys_residual,
-                    iterations=iteration,
-                    alpha=alpha,
-                    tilt=tilt,
-                    residual_trace=trace,
-                )
+                model, target, tilt, n_particles)
+            system = ProximalGibbsSystem(
+                per_particle=final_parts,
+                mean_measure=_mean_density(final_parts),
+                residual=math.nan,
+                iterations=iteration,
+                alpha=alpha,
+                tilt=tilt,
+                residual_trace=trace,
+            )
+            system.residual = proximal_residual(system, model)
+            if system.residual < tol:
+                return system
         w = (1.0 - theta) * pibar.weights + theta * target.weights
         with np.errstate(divide="ignore"):
             logw = np.log(w)
         pibar = GridDensity(pibar.axes, w, logw)
     raise NonconvergenceError(trace)
-
-
-def _system_residual(model: ModelSpec, parts: list[GridDensity],
-                     tilt: TiltSpec | None) -> float:
-    pibar = _mean_density(parts)
-    rebuilt = rebuild_particle_densities(model, pibar, tilt, len(parts))
-    return max(
-        float(np.max(np.abs(a.weights - b.weights)))
-        for a, b in zip(parts, rebuilt)
-    )
 
 
 def proximal_residual(system: ProximalGibbsSystem, model: ModelSpec,

@@ -112,10 +112,7 @@ class GridDensity:
 
     def node_points(self) -> np.ndarray:
         """All grid nodes as an (M, dim) array in C order."""
-        if self.dim == 1:
-            return self.nodes()[:, None]
-        x, y = np.meshgrid(self.nodes(0), self.nodes(1), indexing="ij")
-        return np.column_stack([x.ravel(), y.ravel()])
+        return grid_points(self.axes)
 
     def quad_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, same shape as `weights`."""
@@ -160,7 +157,7 @@ class GridDensity:
         axes = _as_axes(axes)
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        pts = _node_points(axes)
+        pts = grid_points(axes)
         diff = pts - mean
         prec = np.linalg.inv(cov)
         log_u = -0.5 * np.einsum("ij,jk,ik->i", diff, prec, diff)
@@ -269,7 +266,9 @@ class EmpiricalMeasure:
 Measure = GridDensity | GaussianMeasure | EmpiricalMeasure
 
 
-def _node_points(axes: tuple[Axis, ...]) -> np.ndarray:
+def grid_points(axes) -> np.ndarray:
+    """All nodes of a 1-d or 2-d grid as an (M, dim) array in C order."""
+    axes = _as_axes(axes)
     if len(axes) == 1:
         return axes[0].nodes()[:, None]
     x, y = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")

@@ -1,16 +1,24 @@
-"""Mean-field energy functionals, their variations, and derived constants.
+"""Mean-field energies, their variations, and derived constants.
 
-Three interaction energies are supported:
+Every interaction energy is the prediction loss of a two-layer network
+read as a measure over neurons,
 
-* ``Zero`` -- no interaction; the confinement acts alone.
-* ``ExampleNN`` -- prediction-loss energy of a two-layer network read as a
-  measure over neurons: F0(nu) = sum_j p_j * loss(E_nu h(., z_j), y_j)
-  with h a pointwise activation of an inner product.
-* ``QuadraticOracle`` -- F0(nu) = (kappa/2) (<e, mean(nu)> - c)^2, the
-  closed-form special case used as an algebra oracle throughout the tests.
+    F0(nu) = sum_j p_j * loss(E_nu h(., x_j), y_j),
+    h(theta, x_j) = act(<theta, x_j>),
 
-Every operation is a pure function of an immutable spec, safe to call
-concurrently.
+over a weighted dataset (x_j, y_j, p_j).  The closed-form models are data
+of this one energy, not separate kinds:
+
+* :func:`zero_model` -- the empty dataset, so F0 = 0 and the confinement
+  acts alone.
+* :func:`example_nn` -- a dataset with a pointwise activation and a loss.
+* :func:`quadratic_oracle` -- the single datum (e, c) with weight 1,
+  identity activation and an unclipped squared loss of scale kappa, so
+  F0(nu) = (kappa/2) (<e, mean(nu)> - c)^2; the algebra oracle of the tests.
+
+Every variation evaluates the loss through one kernel, :func:`loss_terms`,
+at the expected features.  Every operation is a pure function of an
+immutable spec, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -74,6 +82,29 @@ class SquaredLoss:
     def d2(self, yhat, y):
         r = np.asarray(yhat, dtype=float) - y
         return np.where(np.abs(r) <= self.clip_radius, self.scale, 0.0)
+
+
+@dataclass(frozen=True)
+class UnclippedSquaredLoss(SquaredLoss):
+    """(scale/2) r^2 everywhere, scale >= 0.
+
+    `clip_radius` does not alter the loss; it only sets the interval
+    |r| <= clip_radius on which the reported L_ell is taken.
+    """
+
+    def __post_init__(self):
+        if self.scale < 0 or self.clip_radius <= 0:
+            raise ValueError("scale must be nonnegative, clip_radius positive")
+
+    def value(self, yhat, y):
+        r = np.asarray(yhat, dtype=float) - y
+        return 0.5 * self.scale * r * r
+
+    def d1(self, yhat, y):
+        return self.scale * (np.asarray(yhat, dtype=float) - y)
+
+    def d2(self, yhat, y):
+        return np.full_like(np.asarray(yhat, dtype=float) - y, self.scale)
 
 
 @dataclass(frozen=True)
@@ -147,23 +178,22 @@ class ModelSpec:
     """Immutable description of a confined mean-field energy.
 
     The full energy is F(nu) = F0(nu) + (lam/2) E_nu ||.||^2 with noise
-    scale `sigma`.  Construct through :func:`zero_model`,
+    scale `sigma`, and F0 is the prediction loss of the weighted dataset
+    (`data_x`, `data_y`, `data_p`) under `activation` and `loss`.  The
+    zero model and the quadratic oracle are encodings of that energy (an
+    empty dataset; one identity feature), so every operation treats all
+    models alike.  Construct through :func:`zero_model`,
     :func:`example_nn`, or :func:`quadratic_oracle`.
     """
 
-    kind: str
     sigma: float
     lam: float
     d: int
-    data_x: np.ndarray | None = None
-    data_y: np.ndarray | None = None
-    data_p: np.ndarray | None = None
-    loss: SquaredLoss | LogisticLoss | None = None
-    activation: Activation | None = None
-    kappa: float = 0.0
-    c: float = 0.0
-    e: np.ndarray | None = None
-    clip_radius: float = 10.0
+    data_x: np.ndarray
+    data_y: np.ndarray
+    data_p: np.ndarray
+    loss: SquaredLoss | LogisticLoss
+    activation: Activation
     rescaled: bool = False
 
     def __post_init__(self):
@@ -171,41 +201,32 @@ class ModelSpec:
             raise ValueError("sigma and lam must be positive")
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.kind not in ("zero", "example_nn", "quadratic_oracle"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "example_nn":
-            x = np.atleast_2d(np.asarray(self.data_x, dtype=float))
-            y = np.atleast_1d(np.asarray(self.data_y, dtype=float))
-            p = np.atleast_1d(np.asarray(self.data_p, dtype=float))
-            if x.shape[1] != self.d:
-                raise DimensionMismatchError("data covariates must have d columns")
-            if y.shape[0] != x.shape[0] or p.shape[0] != x.shape[0]:
-                raise ValueError("data arrays must share the leading length")
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError("data must be finite")
-            if np.any(p < 0) or abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
-                raise ValueError("data weights must be >= 0 and sum to 1 (1e-12)")
-            if isinstance(self.loss, LogisticLoss) and not np.all(np.abs(y) == 1.0):
-                raise ValueError("logistic labels must be +-1")
-            if self.loss is None or self.activation is None:
-                raise ValueError("example_nn needs loss and activation")
-            object.__setattr__(self, "data_x", x)
-            object.__setattr__(self, "data_y", y)
-            object.__setattr__(self, "data_p", p)
-        if self.kind == "quadratic_oracle":
-            e = np.atleast_1d(np.asarray(self.e, dtype=float))
-            if e.shape[0] != self.d:
-                raise DimensionMismatchError("direction e must live in R^d")
-            if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-                raise ValueError("direction e must be a unit vector")
-            if self.kappa < 0:
-                raise ValueError("kappa must be nonnegative")
-            object.__setattr__(self, "e", e)
+        x = np.atleast_2d(np.asarray(self.data_x, dtype=float))
+        y = np.atleast_1d(np.asarray(self.data_y, dtype=float))
+        p = np.atleast_1d(np.asarray(self.data_p, dtype=float))
+        if x.shape[1] != self.d:
+            raise DimensionMismatchError("data covariates must have d columns")
+        if y.shape[0] != x.shape[0] or p.shape[0] != x.shape[0]:
+            raise ValueError("data arrays must share the leading length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("data must be finite")
+        if np.any(p < 0) or (p.size and abs(p.sum() - 1.0) > WEIGHT_SUM_TOL):
+            raise ValueError("data weights must be >= 0 and sum to 1 (1e-12)")
+        if isinstance(self.loss, LogisticLoss) and not np.all(np.abs(y) == 1.0):
+            raise ValueError("logistic labels must be +-1")
+        if self.loss is None or self.activation is None:
+            raise ValueError("a model needs a loss and an activation")
+        object.__setattr__(self, "data_x", x)
+        object.__setattr__(self, "data_y", y)
+        object.__setattr__(self, "data_p", p)
 
 
 def zero_model(sigma: float, lam: float, d: int = 1) -> ModelSpec:
-    """Pure confinement: F0 = 0."""
-    return ModelSpec(kind="zero", sigma=sigma, lam=lam, d=d)
+    """Pure confinement: the empty dataset, so F0 = 0."""
+    return ModelSpec(sigma=sigma, lam=lam, d=d, data_x=np.zeros((0, d)),
+                     data_y=np.zeros(0), data_p=np.zeros(0),
+                     loss=UnclippedSquaredLoss(scale=0.0),
+                     activation=IDENTITY)
 
 
 def example_nn(sigma: float, lam: float, data_x, data_y, weights=None,
@@ -219,7 +240,7 @@ def example_nn(sigma: float, lam: float, data_x, data_y, weights=None,
     if loss is None:
         loss = SquaredLoss()
     return ModelSpec(
-        kind="example_nn", sigma=sigma, lam=lam, d=data_x.shape[1],
+        sigma=sigma, lam=lam, d=data_x.shape[1],
         data_x=data_x, data_y=data_y, data_p=np.asarray(weights, dtype=float),
         loss=loss, activation=activation,
     )
@@ -229,62 +250,50 @@ def quadratic_oracle(sigma: float, lam: float, kappa: float, c: float = 0.0,
                      e=None, d: int = 1, clip_radius: float = 10.0) -> ModelSpec:
     """F0(nu) = (kappa/2) (<e, mean(nu)> - c)^2, exactly quadratic.
 
-    The clip radius does not alter the functional; it only sets the
-    interval on which the reported Lipschitz constant L_ell is taken.
+    Encoded as the datum (e, c) with weight 1, identity activation and an
+    unclipped squared loss of scale kappa.  The clip radius does not alter
+    the functional; it only sets the interval on which the reported
+    Lipschitz constant L_ell = kappa * clip_radius is taken.
     """
     if e is None:
         e = np.zeros(d)
         e[0] = 1.0
+    e = np.atleast_1d(np.asarray(e, dtype=float))
+    if e.shape[0] != d:
+        raise DimensionMismatchError("direction e must live in R^d")
+    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+        raise ValueError("direction e must be a unit vector")
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
     return ModelSpec(
-        kind="quadratic_oracle", sigma=sigma, lam=lam, d=d,
-        kappa=kappa, c=c, e=np.asarray(e, dtype=float), clip_radius=clip_radius,
+        sigma=sigma, lam=lam, d=d, data_x=e[None, :], data_y=[c],
+        data_p=[1.0], activation=IDENTITY,
+        loss=UnclippedSquaredLoss(scale=kappa, clip_radius=clip_radius),
     )
-
-
-def quadratic_as_example_nn(model: ModelSpec) -> ModelSpec:
-    """The ExampleNN encoding of a quadratic oracle: identity features on
-    the single covariate e with label c and squared loss."""
-    if model.kind != "quadratic_oracle":
-        raise ValueError("expects a quadratic_oracle model")
-    nn = example_nn(
-        sigma=model.sigma, lam=model.lam,
-        data_x=model.e[None, :], data_y=[model.c], weights=[1.0],
-        loss=SquaredLoss(scale=model.kappa, clip_radius=model.clip_radius),
-        activation=IDENTITY,
-    )
-    return replace(nn, rescaled=model.rescaled)
 
 
 # -- measure plumbing ------------------------------------------------------
 
 
-def _measure_dim(nu: Measure) -> int:
-    return nu.dim
-
-
-def _check_dim(model: ModelSpec, nu: Measure):
-    if _measure_dim(nu) != model.d:
-        raise DimensionMismatchError(
-            f"measure dimension {_measure_dim(nu)} != model dimension {model.d}"
-        )
-
-
 def features(model: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    """Feature values h(theta, z_j) for a batch of parameters.
+    """Feature values h(theta, x_j) for a batch of parameters.
 
-    theta: (M, d) array; returns (M, n_data).
+    theta: (..., d) array; returns (..., n_data).
     """
     pre = np.asarray(theta, dtype=float) @ model.data_x.T
     return model.activation.value(pre)
 
 
 def expect_features(model: ModelSpec, nu: Measure) -> np.ndarray:
-    """E_nu h(., z_j) per datum, by the quadrature matched to the measure.
+    """E_nu h(., x_j) per datum, by the quadrature matched to the measure.
 
     Grid densities integrate with their trapezoid rule, particle clouds
     average exactly, Gaussians use 64-node Gauss-Hermite per axis.
     """
-    _check_dim(model, nu)
+    if nu.dim != model.d:
+        raise DimensionMismatchError(
+            f"measure dimension {nu.dim} != model dimension {model.d}"
+        )
     if isinstance(nu, GridDensity):
         h = features(model, nu.node_points())
         cw = (nu.quad_weights() * nu.weights).ravel()
@@ -310,95 +319,63 @@ def _gauss_hermite_points(nu: GaussianMeasure):
     return pts, w
 
 
-def mean_of(nu: Measure) -> np.ndarray:
-    if isinstance(nu, (GridDensity, EmpiricalMeasure)):
-        return nu.mean()
-    if isinstance(nu, GaussianMeasure):
-        return nu.mean
-    raise TypeError(f"unsupported measure type {type(nu)!r}")
-
-
-def expect_function(nu: Measure, f) -> float:
-    """E_nu f for a vectorized callable f((M, d)) -> (M,)."""
-    if isinstance(nu, GridDensity):
-        vals = np.asarray(f(nu.node_points()), dtype=float)
-        return float(np.sum((nu.quad_weights() * nu.weights).ravel() * vals))
-    if isinstance(nu, EmpiricalMeasure):
-        return float(np.mean(f(nu.points)))
-    if isinstance(nu, GaussianMeasure):
-        pts, w = _gauss_hermite_points(nu)
-        return float(np.asarray(f(pts), dtype=float) @ w)
-    raise TypeError(f"unsupported measure type {type(nu)!r}")
+def _points(model: ModelSpec, x) -> tuple[np.ndarray, bool]:
+    """x as an (M, d) batch, and whether it came in as a single point."""
+    x = np.asarray(x, dtype=float)
+    xb = x[None, :] if x.ndim == 1 else x
+    if xb.shape[1] != model.d:
+        raise DimensionMismatchError("x must have d coordinates")
+    return xb, x.ndim == 1
 
 
 # -- energy and variations -------------------------------------------------
 
 
+def loss_terms(model: ModelSpec, eh: np.ndarray, order: int = 0):
+    """The interaction kernel, evaluated at expected features eh (..., n_data).
+
+    order 0 gives the energy sum_j p_j loss(eh_j, y_j); order 1 the
+    slopes p_j loss'(eh_j, y_j) and order 2 the curvatures
+    p_j loss''(eh_j, y_j), one per datum.  Only the requested term is
+    computed.
+    """
+    if order == 0:
+        return model.loss.value(eh, model.data_y) @ model.data_p
+    if order == 1:
+        return model.data_p * model.loss.d1(eh, model.data_y)
+    if order == 2:
+        return model.data_p * model.loss.d2(eh, model.data_y)
+    raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+
+
 def energy(model: ModelSpec, nu: Measure) -> float:
     """Interaction energy F0(nu)."""
-    _check_dim(model, nu)
-    if model.kind == "zero":
-        return 0.0
-    if model.kind == "quadratic_oracle":
-        proj = float(model.e @ mean_of(nu))
-        return 0.5 * model.kappa * (proj - model.c) ** 2
-    eh = expect_features(model, nu)
-    return float(model.data_p @ model.loss.value(eh, model.data_y))
+    return float(loss_terms(model, expect_features(model, nu)))
 
 
 def first_variation(model: ModelSpec, nu: Measure, x: np.ndarray):
     """First variation dF0(nu, x); x may be (d,) or a batch (M, d)."""
-    _check_dim(model, nu)
-    x = np.asarray(x, dtype=float)
-    scalar_in = x.ndim == 1
-    xb = x[None, :] if scalar_in else x
-    if xb.shape[1] != model.d:
-        raise DimensionMismatchError("x must have d coordinates")
-    if model.kind == "zero":
-        out = np.zeros(xb.shape[0])
-    elif model.kind == "quadratic_oracle":
-        proj = float(model.e @ mean_of(nu))
-        out = model.kappa * (proj - model.c) * (xb @ model.e)
-    else:
-        eh = expect_features(model, nu)
-        slope = model.data_p * model.loss.d1(eh, model.data_y)
-        out = features(model, xb) @ slope
+    xb, scalar_in = _points(model, x)
+    slope = loss_terms(model, expect_features(model, nu), 1)
+    out = features(model, xb) @ slope
     return float(out[0]) if scalar_in else out
 
 
 def wasserstein_gradient(model: ModelSpec, nu: Measure, x: np.ndarray) -> np.ndarray:
     """Gradient in x of the first variation; rows bounded by B = L_h L_ell."""
-    _check_dim(model, nu)
-    x = np.asarray(x, dtype=float)
-    scalar_in = x.ndim == 1
-    xb = x[None, :] if scalar_in else x
-    if xb.shape[1] != model.d:
-        raise DimensionMismatchError("x must have d coordinates")
-    if model.kind == "zero":
-        out = np.zeros_like(xb)
-    elif model.kind == "quadratic_oracle":
-        proj = float(model.e @ mean_of(nu))
-        out = np.tile(model.kappa * (proj - model.c) * model.e, (xb.shape[0], 1))
-    else:
-        eh = expect_features(model, nu)
-        slope = model.data_p * model.loss.d1(eh, model.data_y)
-        act_prime = model.activation.deriv(xb @ model.data_x.T)
-        out = (act_prime * slope) @ model.data_x
+    xb, scalar_in = _points(model, x)
+    slope = loss_terms(model, expect_features(model, nu), 1)
+    act_prime = model.activation.deriv(xb @ model.data_x.T)
+    out = (act_prime * slope) @ model.data_x
     return out[0] if scalar_in else out
 
 
 def second_variation(model: ModelSpec, nu: Measure, x: np.ndarray,
                      y: np.ndarray) -> float:
     """Second variation d2F0(nu, x, y); symmetric in (x, y)."""
-    _check_dim(model, nu)
+    curv = loss_terms(model, expect_features(model, nu), 2)
     x = np.asarray(x, dtype=float).reshape(model.d)
     y = np.asarray(y, dtype=float).reshape(model.d)
-    if model.kind == "zero":
-        return 0.0
-    if model.kind == "quadratic_oracle":
-        return float(model.kappa * (x @ model.e) * (y @ model.e))
-    eh = expect_features(model, nu)
-    curv = model.data_p * model.loss.d2(eh, model.data_y)
     hx = features(model, x[None, :])[0]
     hy = features(model, y[None, :])[0]
     return float(np.sum(curv * hx * hy))
@@ -407,23 +384,11 @@ def second_variation(model: ModelSpec, nu: Measure, x: np.ndarray,
 def model_constants(model: ModelSpec) -> BoundInputs:
     """Smoothness constants (sigma, lam, beta_hat, B, L_h, L_ell, beta_ell, d).
 
-    For feature models L_h = max_j ||X_j|| (the activations are
-    1-Lipschitz) and beta_hat = L_h^2 beta_ell, B = L_h L_ell.
+    L_h = max_j ||x_j|| (0 without data; the activations are
+    1-Lipschitz), beta_hat = L_h^2 beta_ell and B = L_h L_ell.
     """
-    if model.kind == "zero":
-        return BoundInputs(sigma=model.sigma, lam=model.lam, beta_hat=0.0,
-                           B=0.0, d=model.d, rescaled=model.rescaled)
-    if model.kind == "quadratic_oracle":
-        loss = SquaredLoss(scale=model.kappa, clip_radius=model.clip_radius) \
-            if model.kappa > 0 else None
-        beta_ell = model.kappa
-        l_ell = model.kappa * model.clip_radius
-        l_h = float(np.linalg.norm(model.e))
-    else:
-        loss = model.loss
-        beta_ell = loss.beta_ell
-        l_ell = loss.L_ell
-        l_h = float(np.max(np.linalg.norm(model.data_x, axis=1)))
+    l_h = float(np.max(np.linalg.norm(model.data_x, axis=1), initial=0.0))
+    beta_ell, l_ell = model.loss.beta_ell, model.loss.L_ell
     return BoundInputs(
         sigma=model.sigma, lam=model.lam,
         beta_hat=l_h * l_h * beta_ell, B=l_h * l_ell,
@@ -436,18 +401,12 @@ def rescale_model(model: ModelSpec) -> ModelSpec:
     """Pushforward of the model under x -> (sqrt(lam)/sigma) x.
 
     After rescaling the confinement satisfies 2 lam / sigma^2 = 2, which
-    makes every Gaussian tilt with t > 0 normalizable.  Rescaling twice
-    is refused.
+    makes every Gaussian tilt with t > 0 normalizable.  Only the data
+    scales (x_j -> x_j / eta); the loss is unchanged.  Rescaling twice is
+    refused.
     """
     if model.rescaled:
         raise AlreadyRescaledError("model is already rescaled")
     eta = math.sqrt(model.lam) / model.sigma
-    s2 = model.sigma**2
-    if model.kind == "zero":
-        return replace(model, lam=s2, rescaled=True)
-    if model.kind == "example_nn":
-        return replace(model, lam=s2, data_x=model.data_x / eta, rescaled=True)
-    return replace(
-        model, lam=s2, kappa=model.kappa / eta**2, c=model.c * eta,
-        clip_radius=model.clip_radius * eta, rescaled=True,
-    )
+    return replace(model, lam=model.sigma**2, data_x=model.data_x / eta,
+                   rescaled=True)

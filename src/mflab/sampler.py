@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
-from .model import ModelSpec, rescale_model
+from .model import ModelSpec, loss_terms, rescale_model
 from .measure import _write_csv
 
 MALA_TARGET_ACCEPTANCE = 0.574
@@ -95,23 +96,15 @@ class TargetSpec:
                     f"tilt centers shape {y.shape} != (N, d) = "
                     f"({self.n_particles}, {eff.d})"
                 )
-            if self.alpha() <= 0:
+            alpha = tilted_alpha(eff, self.tilt.t)
+            if alpha <= 0:
                 raise InvalidTargetError(
-                    f"tilted target is not normalizable: alpha_t = {self.alpha():.4g} <= 0"
+                    f"tilted target is not normalizable: alpha_t = {alpha:.4g} <= 0"
                 )
 
     @property
     def effective_model(self) -> ModelSpec:
         return self._effective_model
-
-    def alpha(self) -> float:
-        """Strong convexity of the per-particle confinement:
-        2 lam / sigma^2 untilted, 2 lam / sigma^2 - 1 + 1/t with a tilt."""
-        m = self.effective_model
-        base = 2.0 * m.lam / m.sigma**2
-        if self.tilt is None:
-            return base
-        return base - 1.0 + 1.0 / self.tilt.t
 
 
 def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
@@ -125,33 +118,13 @@ def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
     return xb, single
 
 
-def _interaction_energy(model: ModelSpec, xb: np.ndarray) -> np.ndarray:
-    """F0(rho_x) for a batch of states xb of shape (S, N, d)."""
-    if model.kind == "zero":
-        return np.zeros(xb.shape[0])
-    if model.kind == "quadratic_oracle":
-        proj = xb @ model.e
-        m = proj.mean(axis=1)
-        return 0.5 * model.kappa * (m - model.c) ** 2
-    h = model.activation.value(xb @ model.data_x.T)
-    eh = h.mean(axis=1)
-    return model.loss.value(eh, model.data_y) @ model.data_p
-
-
-def _interaction_gradient(model: ModelSpec, xb: np.ndarray) -> np.ndarray:
-    """Rows grad_{x^i} [N F0(rho_x)] = Wasserstein gradient at x^i."""
-    if model.kind == "zero":
-        return np.zeros_like(xb)
-    if model.kind == "quadratic_oracle":
-        proj = xb @ model.e
-        m = proj.mean(axis=1)
-        coef = model.kappa * (m - model.c)
-        return coef[:, None, None] * model.e[None, None, :]
+def _wgrad_rows(model: ModelSpec, xb: np.ndarray) -> np.ndarray:
+    """Rows grad_{x^i} [N F0(rho_x)] = Wasserstein gradient at x^i of each
+    state's empirical measure, for states xb of shape (S, N, d)."""
     pre = xb @ model.data_x.T
     eh = model.activation.value(pre).mean(axis=1)
-    slope = model.loss.d1(eh, model.data_y) * model.data_p
-    return np.einsum("snj,sj,jk->snk", model.activation.deriv(pre), slope,
-                     model.data_x)
+    return np.einsum("snj,sj,jk->snk", model.activation.deriv(pre),
+                     loss_terms(model, eh, 1), model.data_x)
 
 
 def n_particle_log_density(target: TargetSpec, x: np.ndarray):
@@ -160,7 +133,8 @@ def n_particle_log_density(target: TargetSpec, x: np.ndarray):
     xb, single = _batch(x, target.n_particles, m.d)
     sq = np.sum(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
-    out -= (2.0 * target.n_particles / m.sigma**2) * _interaction_energy(m, xb)
+    eh = m.activation.value(xb @ m.data_x.T).mean(axis=1)
+    out -= (2.0 * target.n_particles / m.sigma**2) * loss_terms(m, eh)
     if target.tilt is not None:
         diff = xb - target.tilt.y[None]
         out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
@@ -173,7 +147,7 @@ def n_particle_log_density_grad(target: TargetSpec, state) -> np.ndarray:
     x = state.x if isinstance(state, ParticleState) else state
     m = target.effective_model
     xb, single = _batch(x, target.n_particles, m.d)
-    grad = -(2.0 / m.sigma**2) * (m.lam * xb + _interaction_gradient(m, xb))
+    grad = -(2.0 / m.sigma**2) * (m.lam * xb + _wgrad_rows(m, xb))
     if target.tilt is not None:
         grad += -(xb - target.tilt.y[None]) / target.tilt.t + xb
     return grad[0] if single else grad
@@ -183,7 +157,7 @@ def interaction_gradient(target: TargetSpec, x: np.ndarray) -> np.ndarray:
     """The -(2/sigma^2) * Wasserstein-gradient rows alone (bound <= 2B/sigma^2)."""
     m = target.effective_model
     xb, single = _batch(x, target.n_particles, m.d)
-    rows = -(2.0 / m.sigma**2) * _interaction_gradient(m, xb)
+    rows = -(2.0 / m.sigma**2) * _wgrad_rows(m, xb)
     return rows[0] if single else rows
 
 
@@ -272,7 +246,7 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
     sd0 = m.sigma / math.sqrt(2.0 * m.lam)
     x = sd0 * rng.standard_normal((n, d))
     if target.tilt is not None:
-        a = target.alpha()
+        a = tilted_alpha(m, target.tilt.t)
         x = target.tilt.y / (target.tilt.t * a) + rng.standard_normal((n, d)) / math.sqrt(a)
 
     log_tau = math.log(step_size)
@@ -347,7 +321,7 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
     traj = [ParticleState(x.copy(), step_count=0, rng_stream_id=chain_id)]
     noise_scale = model.sigma * math.sqrt(step)
     for k in range(n_steps):
-        drift = model.lam * x + _interaction_gradient(model, x[None])[0]
+        drift = model.lam * x + _wgrad_rows(model, x[None])[0]
         x = x - step * drift + noise_scale * rng.standard_normal(x.shape)
         worst = float(np.max(np.abs(x)))
         if worst > DIVERGENCE_GUARD:

@@ -51,6 +51,18 @@ class TestConfigValidation:
         assert cfg["grid"]["n_nodes"] == 2048
         assert cfg["seed"] == 0
 
+    def test_chaos_sweep_rejects_d_not_1(self):
+        with pytest.raises(ConfigError, match="d = 1"):
+            validate_config({"experiment": "chaos_sweep",
+                             "model": {"kind": "zero", "d": 2}})
+
+    def test_chaos_sweep_d2_exits_2(self, tmp_path):
+        cfg = dict(MINI_CHAOS)
+        cfg["model"] = {"kind": "quadratic_oracle", "d": 2}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out",
+                     str(tmp_path / "x")]) == 2
+
     def test_type_checking(self):
         bad = dict(MINI_CHAOS)
         bad["mcmc"] = {"n_samples": "many"}
@@ -61,7 +73,8 @@ class TestConfigValidation:
 class TestBuildModel:
     def test_preset(self):
         model = build_model({"preset": "relu3"})
-        assert model.kind == "example_nn"
+        assert model.activation.name == "relu"
+        assert model.data_x.shape == (3, 1)
 
     def test_explicit_quadratic(self):
         cfg = validate_config({
@@ -69,7 +82,8 @@ class TestBuildModel:
             "model": {"kind": "quadratic_oracle", "kappa": 0.7, "c": 0.1},
         })
         model = build_model(cfg["model"])
-        assert model.kappa == 0.7
+        assert model.loss.scale == 0.7
+        assert model.data_y[0] == 0.1
 
     def test_explicit_nn_with_inline_data(self):
         cfg = validate_config({
@@ -200,17 +214,42 @@ class TestRunCommand:
         report = json.loads((out / "report_N002.json").read_text())
         assert report["kl_estimate"] == 0.0
 
-    def test_worker_pool_does_not_change_bytes(self, tmp_path):
+    def test_sweep_rerun_gives_identical_artifacts(self, tmp_path):
         cfg = dict(MINI_CHAOS)
         cfg["sweep"] = {"n_particles": [2, 4]}
         cfg_path = write_config(tmp_path, cfg)
-        out1 = tmp_path / "w1"
-        out2 = tmp_path / "w2"
-        assert main(["run", "--config", cfg_path, "--out", str(out1)]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(out2),
-                     "--workers", "2"]) == 0
-        assert ((out1 / "chaos_sweep.csv").read_bytes()
-                == (out2 / "chaos_sweep.csv").read_bytes())
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            a, b = ((out / name).read_bytes() for out in outs)
+            if name == "manifest.json":
+                a, b = (json.loads(m) for m in (a, b))
+                del a["wall_time_s"], b["wall_time_s"]
+            assert a == b, name
+
+    def test_grid_section_reaches_the_solver(self, tmp_path, monkeypatch):
+        import mflab.chaos
+
+        seen = []
+        solve = mflab.chaos.solve_self_consistent
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("axes"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mflab.chaos, "solve_self_consistent", spy)
+        cfg = dict(MINI_CHAOS)
+        cfg["grid"] = {"n_nodes": 513, "span_sd": 9.0}
+        cfg_path = write_config(tmp_path, cfg)
+        main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert len(seen) == 1 and seen[0] is not None
+        (axis,) = seen[0]
+        assert axis.n == 513
+        # The quadratic preset has variance 1/alpha = 1/2 at lam = sigma = 1.
+        assert axis.hi == pytest.approx(9.0 / 2.0**0.5, rel=1e-15)
 
 
 class TestReportCommand:

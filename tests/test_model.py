@@ -23,14 +23,13 @@ from mflab.model import (
     example_nn,
     first_variation,
     model_constants,
-    quadratic_as_example_nn,
     quadratic_oracle,
     rescale_model,
     second_variation,
     wasserstein_gradient,
     zero_model,
 )
-from mflab.presets import logistic_preset, relu_preset, tanh_preset
+from mflab.presets import PRESETS, logistic_preset, relu_preset, tanh_preset
 
 from _oracles import expected_relu_gaussian
 
@@ -151,7 +150,7 @@ class TestWassersteinGradient:
             while checked < 20:
                 nu = random_grid_measure(rng)
                 x = rng.uniform(-2.0, 2.0, size=(1,))
-                if model.kind == "example_nn" and model.activation is RELU:
+                if model.activation is RELU:
                     # stay away from the subgradient kinks <x, x_j> = 0
                     pre = x @ model.data_x.T
                     if np.min(np.abs(pre)) < 1e-2:
@@ -219,6 +218,57 @@ class TestModelConstants:
         assert consts.L_ell == 1.0
         assert consts.L_h == 1.0
 
+    # (beta_hat, B, L_h, L_ell, beta_ell) of every preset and of the
+    # kappa = 0 oracle, as reported before the zero and quadratic models
+    # were encoded as prediction-loss data.
+    PINNED = {
+        "standard_zero": (0.0, 0.0, 0.0, 0.0, 0.0),
+        "unit_zero": (0.0, 0.0, 0.0, 0.0, 0.0),
+        "quadratic": (0.5, 5.0, 1.0, 5.0, 0.5),
+        "relu3": (1.0, 1.0, 1.0, 1.0, 1.0),
+        "tanh2": (0.81, 1.8, 0.9, 2.0, 1.0),
+        "logistic2": (0.25, 1.0, 1.0, 1.0, 0.25),
+        "kappa0": (0.0, 0.0, 1.0, 0.0, 0.0),
+    }
+    # (beta_hat, B) after rescaling the presets built at sigma 1.3, lam 3.
+    PINNED_RESCALED = {
+        "standard_zero": (0.0, 0.0),
+        "unit_zero": (0.0, 0.0),
+        "quadratic": (0.2816666666666667, 3.752776749732568),
+        "relu3": (0.5633333333333334, 0.7505553499465135),
+        "tanh2": (0.45630000000000004, 1.3509996299037244),
+        "logistic2": (0.14083333333333334, 0.7505553499465135),
+        "kappa0": (0.0, 0.0),
+    }
+
+    @staticmethod
+    def _build(name, **kw):
+        if name == "kappa0":
+            return quadratic_oracle(kw.get("sigma", 1.0), kw.get("lam", 1.0),
+                                    kappa=0.0)
+        return PRESETS[name](**kw)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_constants_pinned(self, name):
+        model = self._build(name)
+        consts = model_constants(model)
+        got = (consts.beta_hat, consts.B, consts.L_h, consts.L_ell,
+               consts.beta_ell)
+        assert got == self.PINNED[name]
+        assert (consts.sigma, consts.lam, consts.d, consts.N,
+                consts.d_prox, consts.rescaled) == (
+                    model.sigma, model.lam, 1, 1, 1, False)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RESCALED))
+    def test_rescaled_constants_pinned(self, name):
+        consts = model_constants(rescale_model(
+            self._build(name, sigma=1.3, lam=3.0)))
+        want = self.PINNED_RESCALED[name]
+        # The quadratic now scales its datum instead of kappa, c and the
+        # clip radius, which may move the last bit.
+        assert consts.beta_hat == pytest.approx(want[0], rel=1e-15, abs=0.0)
+        assert consts.B == pytest.approx(want[1], rel=1e-15, abs=0.0)
+
 
 class TestStructuralProperties:
     def test_linear_convexity(self):
@@ -244,17 +294,40 @@ class TestStructuralProperties:
                 pibar = random_grid_measure(rng)
                 assert bregman_divergence(model, nu, pibar) >= -1e-10
 
-    def test_quadratic_agrees_with_example_nn_encoding(self):
+    def test_quadratic_matches_closed_form(self):
+        # F0 = (kappa/2)(m - c)^2, dF0(nu, x) = kappa (m - c) x and
+        # grad = kappa (m - c), with m the mean of nu, written out by hand.
         rng = np.random.default_rng(6)
-        quad = quadratic_oracle(1.0, 1.0, kappa=0.9, c=0.4)
-        nn = quadratic_as_example_nn(quad)
+        kappa, c = 0.9, 0.4
+        quad = quadratic_oracle(1.0, 1.0, kappa=kappa, c=c)
         for _ in range(30):
             nu = random_grid_measure(rng)
+            cw = nu.quad_weights() * nu.weights
+            m = float(np.sum(cw * AX.nodes()))
             x = rng.uniform(-3.0, 3.0, size=(8, 1))
-            fv_q = first_variation(quad, nu, x)
-            fv_n = first_variation(nn, nu, x)
-            np.testing.assert_allclose(fv_q, fv_n, atol=1e-10)
-            assert abs(energy(quad, nu) - energy(nn, nu)) < 1e-10
+            np.testing.assert_allclose(first_variation(quad, nu, x),
+                                       kappa * (m - c) * x[:, 0], atol=1e-10)
+            np.testing.assert_allclose(wasserstein_gradient(quad, nu, x),
+                                       np.full((8, 1), kappa * (m - c)),
+                                       atol=1e-10)
+            assert abs(energy(quad, nu) - 0.5 * kappa * (m - c) ** 2) < 1e-10
+
+    def test_quadratic_stays_quadratic_beyond_clip_radius(self):
+        # Residual m - c = 5 is five clip radii out, where a clipped loss
+        # would turn linear; the oracle promises the functional ignores it.
+        kappa, c, clip = 0.8, 0.3, 1.0
+        quad = quadratic_oracle(1.0, 1.0, kappa=kappa, c=c, clip_radius=clip)
+        m = c + 5.0
+        nu = EmpiricalMeasure(np.array([[m - 1.0], [m + 1.0]]))
+        x = np.array([[2.0], [-1.5]])
+        assert energy(quad, nu) == pytest.approx(0.5 * kappa * 25.0, rel=1e-14)
+        np.testing.assert_allclose(first_variation(quad, nu, x),
+                                   kappa * 5.0 * x[:, 0], rtol=1e-14)
+        np.testing.assert_allclose(wasserstein_gradient(quad, nu, x),
+                                   np.full((2, 1), kappa * 5.0), rtol=1e-14)
+        assert second_variation(quad, nu, [2.0], [-1.5]) == pytest.approx(
+            kappa * 2.0 * -1.5, rel=1e-14)
+        assert model_constants(quad).L_ell == kappa * clip
 
 
 class TestLosses:

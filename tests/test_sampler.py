@@ -7,7 +7,7 @@ import pytest
 
 from mflab.errors import InvalidTargetError, SimulationDivergedError
 from mflab.measure import Axis, kl_divergence, normalize_from_log_potential
-from mflab.model import quadratic_oracle, zero_model
+from mflab.model import RELU, quadratic_oracle, zero_model
 from mflab.presets import relu_preset
 from mflab.sampler import (
     TargetSpec,
@@ -47,7 +47,7 @@ class TestLogDensityGrad:
             n, d = target.n_particles, target.effective_model.d
             for _ in range(20):
                 x = rng.uniform(-1.5, 1.5, size=(n, d))
-                if target.model.kind == "example_nn":
+                if target.model.activation is RELU:
                     # keep clear of relu kinks so the derivative exists
                     pre = x @ target.effective_model.data_x.T
                     if np.min(np.abs(pre)) < 1e-2:
