@@ -12,12 +12,15 @@ envelopes; the unspecified universal constants in those envelopes are
 fitted from the data and only their boundedness and stability are ever
 asserted.
 
-The transport map itself is built by integrating the flow
+The transport map is the reverse heat flow of Kim and Milman reduced to
+one dimension: the flow
 
     d/dt S_t(x) = -grad log (d mu_t / d gamma)(S_t(x)),
 
-where mu_t is the exact Ornstein-Uhlenbeck evolution of mu, and then
-inverting the monotone 1-d map S_{t_max}.
+with mu_t the exact Ornstein-Uhlenbeck evolution of mu, carries mu to
+mu_t monotonically, and in 1-d the monotone map is unique, so
+S_t = Q_{mu_t} o F_mu in closed form.  The map from gamma is the inverse
+of S_{t_max}.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
@@ -41,6 +43,7 @@ from .measure import (
     GridDensity,
     covariance_opnorm,
     grid_points,
+    monotone_images,
     normalize_from_log_potential,
     w2_distance_1d,
     _write_csv,
@@ -48,7 +51,6 @@ from .measure import (
 from .sampler import TargetSpec, n_particle_log_density
 
 MIN_COVERAGE_SD = 8.0
-DEFAULT_FLOW_DT = 1e-3
 DEFAULT_FLOW_T_MAX = 8.0
 FLOW_GAMMA_W2_TOL = 1e-4
 LIPSCHITZ_WINDOW_SD = 6.0
@@ -470,130 +472,60 @@ class FlowMap:
     """Monotone 1-d transport map from the standard Gaussian.
 
     `source` are gamma-side evaluation points, `mapped` their images
-    T(source).  `forward_points`/`forward_images` keep the integrated
-    pairs x -> S_{t_max}(x) used to build T by inversion.
+    T(source).  `forward_points`/`forward_images` keep the pairs
+    x -> S_{t_max}(x) that T inverts, and `gamma_w2` is the W2 distance
+    from mu_{t_max} to gamma that the horizon check accepted.
     """
 
     source: np.ndarray
     mapped: np.ndarray
-    dt: float
+    gamma_w2: float
     t_max: float
     forward_points: np.ndarray
     forward_images: np.ndarray
 
 
 def reverse_flow_map(mu: GridDensity, t_max: float = DEFAULT_FLOW_T_MAX,
-                     dt: float = DEFAULT_FLOW_DT,
                      n_eval: int = 2048) -> FlowMap:
-    """Integrate the score flow to the Gaussian and invert it.
+    """The monotone coupling of mu to its exact OU evolution, inverted.
 
-    Classical 4th-order Runge-Kutta in t; the density along the way is
-    advanced with a precomputed half-step Ornstein-Uhlenbeck kernel (the
-    exact semigroup, so composition introduces no stepping error), and
-    scores come from central differences of the log density.  Fails
-    loudly if the integrated map loses monotonicity or the final density
-    has not reached the Gaussian.
+    S_{t_max} = Q_{mu_{t_max}} o F_mu is the 1-d reverse heat flow of Kim
+    and Milman at time t_max, evaluated on the nodes within 8 sd of the
+    mean.  Fails loudly if mu_{t_max} has not reached the Gaussian or the
+    forward map is not strictly increasing (mu has a gap in its mass).
     """
     if mu.dim != 1:
         raise UnsupportedDimensionError("flow maps are built in 1-d only")
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
-    ax = mu.axes[0]
-    x = ax.nodes()
-    interior = mu.weights[1:-1]
-    if np.any(interior <= 0):
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    x = mu.axes[0].nodes()
+    if np.any(mu.weights[1:-1] <= 0):
         raise ValueError("mu must be strictly positive on the grid interior")
+
+    final = ou_evolve(mu, t_max)
+    gamma_w2 = w2_distance_1d(final, standard_gaussian_grid(mu.axes))
+    if gamma_w2 >= FLOW_GAMMA_W2_TOL:
+        raise IntegrationFailureError(
+            f"final density is W2 = {gamma_w2:.3g} from the Gaussian; "
+            f"increase t_max"
+        )
 
     mean = float(mu.mean()[0])
     sd = math.sqrt(float(mu.covariance()[0, 0]))
-    lo = mean - 8.0 * sd
-    hi = mean + 8.0 * sd
-    mask = (x >= lo) & (x <= hi)
+    mask = (x >= mean - 8.0 * sd) & (x <= mean + 8.0 * sd)
     pts = x[mask]
-    s = pts.copy()
-
-    n_steps = int(round(t_max / dt))
-    half_kernel = _sparse_half_kernel(ax, dt / 2.0)
-    rho = mu.weights.copy()
-    score_now = _score_field(rho, x, ax.spacing)
-    for _ in range(n_steps):
-        rho_half = _apply_kernel(half_kernel, rho, ax)
-        rho_next = _apply_kernel(half_kernel, rho_half, ax)
-        score_half = _score_field(rho_half, x, ax.spacing)
-        score_next = _score_field(rho_next, x, ax.spacing)
-
-        k1 = -_interp_linear(s, x, score_now)
-        k2 = -_interp_linear(s + 0.5 * dt * k1, x, score_half)
-        k3 = -_interp_linear(s + 0.5 * dt * k2, x, score_half)
-        k4 = -_interp_linear(s + dt * k3, x, score_next)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        rho = rho_next
-        score_now = score_next
-
+    s = monotone_images(mu, final)[mask]
     if np.any(np.diff(s) <= 0):
-        raise IntegrationFailureError(
-            "integrated flow is not strictly increasing; reduce dt"
-        )
-    with np.errstate(divide="ignore"):
-        final = GridDensity(mu.axes, rho, np.log(np.clip(rho, 1e-300, None)))
-    gamma = standard_gaussian_grid(mu.axes)
-    w2_gap = w2_distance_1d(final, gamma)
-    if w2_gap >= FLOW_GAMMA_W2_TOL:
-        raise IntegrationFailureError(
-            f"final density is W2 = {w2_gap:.3g} from the Gaussian; "
-            f"increase t_max"
-        )
+        raise IntegrationFailureError("forward map is not strictly increasing")
 
     inv = PchipInterpolator(s, pts, extrapolate=False)
     src_lo = max(float(s[0]), -8.0)
     src_hi = min(float(s[-1]), 8.0)
     source = np.linspace(src_lo, src_hi, n_eval)
     mapped = inv(source)
-    return FlowMap(source=source, mapped=np.asarray(mapped), dt=dt,
-                   t_max=t_max, forward_points=pts, forward_images=s)
-
-
-def _sparse_half_kernel(ax: Axis, tau: float) -> sparse.csr_matrix:
-    decay = math.exp(-tau)
-    bw = math.sqrt(-math.expm1(-2.0 * tau))
-    # Trapezoid quadrature of a Gaussian kernel is spectrally accurate:
-    # the aliasing error is ~2 exp(-2 pi^2 (bw/dx)^2), below 1e-19 already
-    # at 1.5 nodes per bandwidth.
-    if bw < 1.5 * ax.spacing:
-        raise IntegrationFailureError(
-            f"flow step dt too small for this grid: kernel width {bw:.3g} vs "
-            f"spacing {ax.spacing:.3g}"
-        )
-    dense = _ou_kernel_matrix(ax, decay, bw)
-    dense[dense < 1e-40] = 0.0
-    return sparse.csr_matrix(dense)
-
-
-def _apply_kernel(kernel: sparse.csr_matrix, rho: np.ndarray, ax: Axis) -> np.ndarray:
-    out = kernel @ rho
-    mass = float(np.sum(ax.quad_weights() * out))
-    return out / mass
-
-
-def _score_field(rho: np.ndarray, x: np.ndarray, dx: float) -> np.ndarray:
-    """grad log (rho / gamma) = grad log rho + x on the grid."""
-    log_rho = np.log(np.clip(rho, 1e-300, None))
-    return np.gradient(log_rho, dx) + x
-
-
-def _interp_linear(pos: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Linear interpolation with linear extrapolation from the end slopes."""
-    out = np.interp(pos, x, values)
-    left_slope = (values[1] - values[0]) / (x[1] - x[0])
-    right_slope = (values[-1] - values[-2]) / (x[-1] - x[-2])
-    below = pos < x[0]
-    above = pos > x[-1]
-    if np.any(below):
-        out[below] = values[0] + left_slope * (pos[below] - x[0])
-    if np.any(above):
-        out[above] = values[-1] + right_slope * (pos[above] - x[-1])
-    return out
+    return FlowMap(source=source, mapped=np.asarray(mapped),
+                   gamma_w2=gamma_w2, t_max=t_max, forward_points=pts,
+                   forward_images=s)
 
 
 def lipschitz_estimate(flow: FlowMap) -> float:

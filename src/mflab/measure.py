@@ -403,6 +403,46 @@ def _quantile_interpolator(p: GridDensity):
     return quantile
 
 
+def _logit_cdf(p: GridDensity) -> np.ndarray:
+    """log F - log(1 - F) at the nodes of a 1-d grid density.
+
+    F is summed from the left end and 1 - F from the right end, each with
+    the h^2/12 endpoint correction of :func:`_corrected_cdf`, so neither
+    tail is lost to cancellation against 1.  The ends read -inf and +inf.
+    """
+    f = p.weights
+    h = p.axes[0].spacing
+    fp = np.gradient(f, h)
+    seg = (f[1:] + f[:-1]) * 0.5 * h
+    corr = h * h / 12.0
+    left = np.concatenate([[0.0], np.cumsum(seg)]) - corr * (fp - fp[0])
+    right = (np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+             - corr * (fp[-1] - fp))
+    left = np.maximum.accumulate(np.clip(left, 0.0, None))
+    right = np.maximum.accumulate(np.clip(right, 0.0, None)[::-1])[::-1]
+    with np.errstate(divide="ignore"):
+        return np.log(left) - np.log(right)
+
+
+def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
+    """The monotone coupling Q_q(F_p(x)) of p to q, at the nodes of p.
+
+    F_p and F_q are matched in the logit coordinate of :func:`_logit_cdf`
+    and q's nodes are interpolated monotonically (PCHIP) in it; images
+    beyond the range q resolves are clamped to its end nodes.
+    """
+    if p.dim != 1 or q.dim != 1:
+        raise UnsupportedDimensionError("monotone_images needs 1-d densities")
+    u_q = _logit_cdf(q)
+    x = q.nodes()
+    finite = np.isfinite(u_q)
+    u_q, x = u_q[finite], x[finite]
+    keep = np.concatenate([[True], np.diff(u_q) > 0])
+    u_q, x = u_q[keep], x[keep]
+    interp = PchipInterpolator(u_q, x)
+    return interp(np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
+
+
 def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
     """Quantile-coupling 2-Wasserstein distance between 1-d grid densities.
 
@@ -413,10 +453,7 @@ def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
         raise UnsupportedDimensionError("w2_distance_1d needs 1-d densities")
     if p.same_grid(q) and np.array_equal(p.weights, q.weights):
         return 0.0
-    f_p = _corrected_cdf(p)
-    q_q = _quantile_interpolator(q)
-    x = p.nodes()
-    displacement = x - q_q(f_p)
+    displacement = p.nodes() - monotone_images(p, q)
     w2sq = float(
         np.sum(p.quad_weights() * p.weights * displacement**2)
     )

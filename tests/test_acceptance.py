@@ -121,13 +121,13 @@ class TestCriterion1GaussianExactness:
 
         # reverse flow map: identity and linear cases
         gamma = grid_gaussian(0.0, 1.0, ax)
-        fm_id = reverse_flow_map(gamma, t_max=6.0, dt=2e-3)
+        fm_id = reverse_flow_map(gamma, t_max=6.0)
         err_id = float(np.max(np.abs(fm_id.mapped - fm_id.source)))
         if err_id > 1e-6:
             failures.append(f"identity flow error {err_id:.2e}")
         s = 0.8
         fm_lin = reverse_flow_map(grid_gaussian(0.0, s * s, ax),
-                                  t_max=6.0, dt=2e-3)
+                                  t_max=6.0)
         window = np.abs(fm_lin.source) <= 4.0
         err_lin = float(np.max(np.abs(fm_lin.mapped[window]
                                       - s * fm_lin.source[window])))
@@ -278,7 +278,7 @@ class TestCriterion7TransportMap:
         ax = Axis(-9.0, 9.0, 2048)
         log_u = n_particle_log_density(target, ax.nodes()[:, None, None])
         mu = normalize_from_log_potential(log_u, (ax,))
-        flow = reverse_flow_map(mu, t_max=8.0, dt=1e-3)
+        flow = reverse_flow_map(mu, t_max=8.0)
 
         w2 = pushforward_w2(flow, mu)
         if w2 >= 1e-3:
@@ -362,7 +362,7 @@ class TestCriterion9Determinism:
             "seed": 3,
             "model": {"preset": "relu3"},
             "grid": {"n_nodes": 1024},
-            "flow": {"dt": 0.002, "t_max": 7.0},
+            "flow": {"t_max": 7.0},
         }
         for label, cfg, artifact in (
                 ("chaos_sweep", chaos_cfg, "chaos_sweep.csv"),

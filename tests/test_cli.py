@@ -63,6 +63,14 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg_path, "--out",
                      str(tmp_path / "x")]) == 2
 
+    def test_flow_dt_rejected_exit_2(self, tmp_path):
+        cfg = {"experiment": "transport_map", "model": {"preset": "relu3"},
+               "flow": {"dt": 1e-3, "t_max": 8.0}}
+        with pytest.raises(ConfigError, match="flow.dt"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_type_checking(self):
         bad = dict(MINI_CHAOS)
         bad["mcmc"] = {"n_samples": "many"}
@@ -156,13 +164,25 @@ class TestRunCommand:
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg = {
             "experiment": "transport_map",
-            "model": {"preset": "unit_zero"},
+            "model": {"preset": "relu3"},
             "grid": {"n_nodes": 256},
-            "flow": {"dt": 1e-5, "t_max": 1.0},
+            "flow": {"t_max": 1.0},
         }
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out",
                      str(tmp_path / "x")]) == 3
+
+    def test_transport_map_on_shipped_grid(self, tmp_path):
+        # The default grid: span_sd 10, so half-width 8.5 for relu3.
+        cfg = {"experiment": "transport_map", "model": {"preset": "relu3"}}
+        out = tmp_path / "out"
+        main(["run", "--config", write_config(tmp_path, cfg),
+              "--out", str(out)])
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["monotone"]
+        assert metrics["pushforward_w2"] < 1e-3
+        assert metrics["gamma_w2"] < 1e-4
+        assert "W2(mu_t, gamma)" in (out / "summary.txt").read_text()
 
     def test_mfld_run(self, tmp_path):
         cfg = {

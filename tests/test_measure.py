@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mflab.errors import (
     DimensionMismatchError,
@@ -19,6 +20,7 @@ from mflab.measure import (
     covariance_opnorm,
     gaussian_kl,
     kl_divergence,
+    monotone_images,
     normalize_from_log_potential,
     sample_from_grid,
     w2_distance_1d,
@@ -264,3 +266,41 @@ class TestGaussianKLOracle:
         exact = gaussian_kl(GaussianMeasure([0.3], [[0.81]]),
                             GaussianMeasure([-0.1], [[1.21]]))
         assert abs(kl_divergence(p, q) - exact) < 1e-6
+
+
+# (mean, variance) of a Gaussian well inside AX.
+GAUSSIANS = st.tuples(st.floats(-1.0, 1.0), st.floats(0.25, 1.5))
+PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
+
+
+class TestMonotoneImages:
+    @PROPERTY
+    @given(GAUSSIANS, GAUSSIANS)
+    def test_gaussian_pair_map_is_affine(self, a, b):
+        (m_p, v_p), (m_q, v_q) = a, b
+        p = grid_gaussian_1d(m_p, math.sqrt(v_p))
+        q = grid_gaussian_1d(m_q, math.sqrt(v_q))
+        x = AX.nodes()
+        inside = np.abs(x - m_p) <= 5.0 * math.sqrt(v_p)
+        exact = m_q + math.sqrt(v_q / v_p) * (x[inside] - m_p)
+        assert np.max(np.abs(monotone_images(p, q)[inside] - exact)) < 1e-6
+
+    @PROPERTY
+    @given(GAUSSIANS, GAUSSIANS)
+    def test_round_trip_is_identity(self, a, b):
+        (m_p, v_p), (m_q, v_q) = a, b
+        p = grid_gaussian_1d(m_p, math.sqrt(v_p))
+        q = grid_gaussian_1d(m_q, math.sqrt(v_q))
+        x = AX.nodes()
+        inside = np.abs(x - m_p) <= 5.0 * math.sqrt(v_p)
+        there = monotone_images(p, q)[inside]
+        back = np.interp(there, x, monotone_images(q, p))
+        assert np.max(np.abs(back - x[inside])) < 1e-7
+
+    @PROPERTY
+    @given(GAUSSIANS, GAUSSIANS)
+    def test_images_non_decreasing(self, a, b):
+        (m_p, v_p), (m_q, v_q) = a, b
+        p = grid_gaussian_1d(m_p, math.sqrt(v_p))
+        q = grid_gaussian_1d(m_q, math.sqrt(v_q))
+        assert np.all(np.diff(monotone_images(p, q)) >= 0)
