@@ -12,12 +12,7 @@ shared empirical mean, computable by hand.
 import numpy as np
 
 from mflab.presets import quadratic_preset
-from mflab.sampler import (
-    TargetSpec,
-    mala_sample,
-    mfld_simulate,
-    states_to_array,
-)
+from mflab.sampler import TargetSpec, mala_sample, mfld_simulate
 
 print(__doc__)
 
@@ -30,9 +25,9 @@ base = sigma**2 / (2 * lam)
 cov_exact = base * (np.eye(N) - kappa / (N * (lam + kappa)) * np.ones((N, N)))
 
 target = TargetSpec(model, n_particles=N)
-states, diag = mala_sample(target, n_samples=20000, n_burnin=2000,
-                           step_size=0.5, seed=0)
-x = states_to_array(states)[:, :, 0]
+samples, diag = mala_sample(target, n_samples=20000, n_burnin=2000,
+                            step_size=0.5, seed=0)
+x = samples[:, :, 0]
 print(f"MALA: acceptance {diag.acceptance_rate:.3f} "
       f"(tuned step {diag.step_size:.3f}), "
       f"min ESS {min(diag.ess.values()):.0f}")
@@ -41,8 +36,8 @@ print(f"  variance        {np.cov(x.T)[0, 0]:.4f}    exact {cov_exact[0, 0]:.4f}
 print(f"  cross-covariance {np.cov(x.T)[0, 1]:+.4f}  exact {cov_exact[0, 1]:+.4f}")
 
 traj = mfld_simulate(model, n_particles=4096, horizon=12.0, step=1e-3, seed=1)
-terminal = traj[-1].x[:, 0]
+terminal = traj[-1, :, 0]
 print(f"\ndynamics at T=12: particle mean {terminal.mean():+.4f} "
       f"(stationary {mean_exact:+.4f}), variance {terminal.var():.4f} "
       f"(stationary {base:.4f})")
-print(f"trajectory stored as {len(traj)} particle states")
+print(f"trajectory stored as one (steps + 1, N, d) = {traj.shape} array")

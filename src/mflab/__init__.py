@@ -65,7 +65,6 @@ from .model import (
     zero_model,
 )
 from .sampler import (
-    ParticleState,
     TargetSpec,
     TiltSpec,
     mala_sample,

@@ -34,7 +34,7 @@ from .model import (
     loss_terms,
     model_constants,
 )
-from .sampler import TargetSpec, TiltSpec, mala_sample, states_to_array
+from .sampler import TargetSpec, TiltSpec, mala_sample
 
 BREGMAN_FLOOR = -1e-10
 Z_ESS_FLOOR = 100.0
@@ -203,9 +203,8 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     pibar = system.mean_measure
     scale = 2.0 * n_particles / eff.sigma**2
 
-    states, diag = mala_sample(target, mcmc.n_samples, mcmc.n_burnin,
-                               mcmc.step_size0, seed, chain_id=0)
-    x_mu = states_to_array(states)
+    x_mu, diag = mala_sample(target, mcmc.n_samples, mcmc.n_burnin,
+                             mcmc.step_size0, seed, chain_id=0)
     b_mu = bregman_batch(eff, x_mu, pibar)
     mean_b_mu = float(b_mu.mean())
     hw_b_mu = _batch_means_halfwidth(b_mu, mcmc.n_batches)
@@ -275,10 +274,11 @@ def estimate_kl(model: ModelSpec, n_particles: int,
 
 
 def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
-                seed: int = 0, rescaled: bool = False) -> list[ChaosReport]:
-    """One KL report per particle count, all from the same master seed."""
+                seed: int = 0, axes=None) -> list[ChaosReport]:
+    """One KL report per particle count, the i-th from seed + i, each
+    solving the self-consistent system on `axes` (its default if None)."""
     return [
-        estimate_kl(model, n, mcmc=mcmc, seed=seed + i, rescaled=rescaled)
+        estimate_kl(model, n, mcmc=mcmc, seed=seed + i, axes=axes)
         for i, n in enumerate(n_list)
     ]
 

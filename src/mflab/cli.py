@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import __version__, bounds as bounds_mod, chaos as chaos_mod
-from .chaos import McmcConfig, no_growth_in_n, sweep_to_csv
+from . import __version__, bounds as bounds_mod
+from .chaos import McmcConfig, chaos_sweep, no_growth_in_n, sweep_to_csv
 from .errors import ConfigError, MflabError
 from .heatflow import (
     FLOW_GAMMA_W2_TOL,
@@ -299,13 +299,11 @@ def _run_chaos_sweep(cfg: dict, out_dir: str) -> bool:
                       n_pi_samples=mcb["n_pi_samples"],
                       n_bootstrap=mcb["n_bootstrap"],
                       n_batches=mcb["n_batches"])
-    n_list = list(cfg["sweep"]["n_particles"])
     seed = cfg["seed"]
     gb = cfg["grid"]
     axes = default_axes(model, None, gb["n_nodes"], gb["span_sd"])
-    reports = [chaos_mod.estimate_kl(model, n, mcmc=mcmc, seed=seed + idx,
-                                     axes=axes)
-               for idx, n in enumerate(n_list)]
+    reports = chaos_sweep(model, cfg["sweep"]["n_particles"], mcmc=mcmc,
+                          seed=seed, axes=axes)
 
     name = cfg["model"].get("preset") or cfg["model"]["kind"]
     sweep_to_csv(reports, os.path.join(out_dir, "chaos_sweep.csv"), name)
@@ -444,9 +442,9 @@ def _run_mfld(cfg: dict, out_dir: str) -> bool:
     traj = mfld_simulate(model, mb["n_particles"], mb["horizon"], mb["step"],
                          seed=cfg["seed"])
     stride = max(1, len(traj) // 512)
-    trajectory_to_csv(traj[::stride],
+    trajectory_to_csv(traj[::stride], np.arange(0, len(traj), stride),
                       os.path.join(out_dir, "trajectory.csv"))
-    terminal = traj[-1].x
+    terminal = traj[-1]
     diag = {
         "n_particles": mb["n_particles"],
         "horizon": mb["horizon"],

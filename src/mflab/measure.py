@@ -26,10 +26,6 @@ from .errors import (
 # Grid nodes with density below this threshold contribute nothing to KL sums.
 KL_SUPPORT_FLOOR = 1e-300
 
-DEFAULT_NODES_1D = 2048
-DEFAULT_NODES_2D = 256
-DEFAULT_SPAN_SD = 10.0
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -275,12 +271,6 @@ def grid_points(axes) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel()])
 
 
-def default_axis(mean: float = 0.0, sd: float = 1.0, n: int = DEFAULT_NODES_1D,
-                 span_sd: float = DEFAULT_SPAN_SD) -> Axis:
-    """Axis centered on a Gaussian proxy, extending `span_sd` deviations."""
-    return Axis(mean - span_sd * sd, mean + span_sd * sd, n)
-
-
 def normalize_from_log_potential(log_u, axes) -> GridDensity:
     """Build the grid density proportional to exp(log_u).
 
@@ -488,4 +478,4 @@ def _write_csv(path, header: str, columns):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -45,29 +45,6 @@ class TiltSpec:
         object.__setattr__(self, "y", y)
 
 
-@dataclass
-class ParticleState:
-    """Positions of N particles in R^d plus bookkeeping."""
-
-    x: np.ndarray
-    step_count: int = 0
-    rng_stream_id: int = 0
-
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("particle coordinates must be finite")
-        self.x = x
-
-    @property
-    def n_particles(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """The Gibbs measure a chain targets.
@@ -142,9 +119,8 @@ def n_particle_log_density(target: TargetSpec, x: np.ndarray):
     return float(out[0]) if single else out
 
 
-def n_particle_log_density_grad(target: TargetSpec, state) -> np.ndarray:
+def n_particle_log_density_grad(target: TargetSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the unnormalized log density, one (N, d) row per particle."""
-    x = state.x if isinstance(state, ParticleState) else state
     m = target.effective_model
     xb, single = _batch(x, target.n_particles, m.d)
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + _wgrad_rows(m, xb))
@@ -227,13 +203,16 @@ def _stream(seed: int, chain_id: int) -> np.random.Generator:
 
 def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
                 step_size: float, seed: int, chain_id: int = 0,
-                ) -> tuple[list[ParticleState], MalaDiagnostics]:
+                ) -> tuple[np.ndarray, MalaDiagnostics]:
     """Metropolis-adjusted Langevin chain targeting the exact density.
 
     The proposal is x' = x + tau * grad log p(x) + sqrt(2 tau) xi.  During
     burn-in, tau adapts on a log scale toward 57.4% acceptance by
     stochastic approximation and then freezes, so the returned samples
     come from a fixed Markov kernel.  Deterministic given (seed, chain_id).
+
+    Returns the samples as an (n_samples, N, d) array, sample i being the
+    state after chain step n_burnin + i + 1, and the diagnostics.
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")
@@ -291,61 +270,47 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
         n_samples=n_samples, n_burnin=n_burnin, seed=seed, chain_id=chain_id,
         acceptance_ok=ok, warnings=warnings,
     )
-    states = [ParticleState(out[i], step_count=n_burnin + i + 1,
-                            rng_stream_id=chain_id)
-              for i in range(n_samples)]
-    return states, diag
-
-
-def states_to_array(states: list[ParticleState]) -> np.ndarray:
-    """Stack a list of particle states into an (S, N, d) array."""
-    return np.stack([s.x for s in states])
+    return out, diag
 
 
 def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
                   step: float, seed: int, x0: np.ndarray | None = None,
-                  chain_id: int = 0) -> list[ParticleState]:
+                  chain_id: int = 0) -> np.ndarray:
     """Euler-Maruyama discretization of the interacting-particle dynamics.
 
     Each particle moves by -(lam x^i + wgrad(rho_x, x^i)) h + sigma sqrt(h) xi.
-    Aborts with a diagnostic if any coordinate passes 1e6.
+    Returns every state as an (n_steps + 1, N, d) array, row k the state
+    after k steps and row 0 the start x0 (zeros by default), with
+    n_steps = round(horizon / step).  Aborts with a diagnostic if any
+    coordinate passes 1e6.
     """
     if step <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
     rng = _stream(seed, chain_id)
     n_steps = int(round(horizon / step))
-    if x0 is None:
-        x = np.zeros((n_particles, model.d))
-    else:
-        x = np.array(x0, dtype=float).reshape(n_particles, model.d)
-    traj = [ParticleState(x.copy(), step_count=0, rng_stream_id=chain_id)]
+    traj = np.empty((n_steps + 1, n_particles, model.d))
+    traj[0] = 0.0 if x0 is None else np.reshape(x0, (n_particles, model.d))
+    if not np.all(np.isfinite(traj[0])):
+        raise ValueError("particle coordinates must be finite")
     noise_scale = model.sigma * math.sqrt(step)
     for k in range(n_steps):
+        x = traj[k]
         drift = model.lam * x + _wgrad_rows(model, x[None])[0]
-        x = x - step * drift + noise_scale * rng.standard_normal(x.shape)
-        worst = float(np.max(np.abs(x)))
+        traj[k + 1] = (x - step * drift
+                       + noise_scale * rng.standard_normal(x.shape))
+        worst = float(np.max(np.abs(traj[k + 1])))
         if worst > DIVERGENCE_GUARD:
             raise SimulationDivergedError(k + 1, worst)
-        traj.append(ParticleState(x.copy(), step_count=k + 1,
-                                  rng_stream_id=chain_id))
     return traj
 
 
-def trajectory_to_csv(states: list[ParticleState], path, chain_id: int = 0):
-    """CSV rows (chain, step, particle, x_1[, x_2]) for states or samples."""
-    d = states[0].d
-    rows_chain, rows_step, rows_particle = [], [], []
-    coord_cols = [[] for _ in range(d)]
-    for s in states:
-        for i in range(s.n_particles):
-            rows_chain.append(chain_id)
-            rows_step.append(s.step_count)
-            rows_particle.append(i)
-            for j in range(d):
-                coord_cols[j].append(s.x[i, j])
+def trajectory_to_csv(x: np.ndarray, steps, path, chain_id: int = 0):
+    """CSV rows (chain, step, particle, x_1[, x_2]) for an (S, N, d) array
+    of states or samples, state s labelled with step number steps[s]."""
+    s, n, d = x.shape
     header = "chain,step,particle," + ",".join(f"x{j + 1}" for j in range(d))
     _write_csv(path, header,
-               [np.asarray(rows_chain, dtype=float),
-                np.asarray(rows_step, dtype=float),
-                np.asarray(rows_particle, dtype=float)]
-               + [np.asarray(c) for c in coord_cols])
+               [np.full(s * n, float(chain_id)),
+                np.repeat(np.asarray(steps, dtype=float), n),
+                np.tile(np.arange(n, dtype=float), s),
+                *x.reshape(s * n, d).T])

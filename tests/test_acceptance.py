@@ -42,7 +42,6 @@ from mflab.sampler import (
     TargetSpec,
     mala_sample,
     n_particle_log_density,
-    states_to_array,
 )
 
 from _oracles import ou_moment_map, quadratic_kl_exact, quadratic_pi_moments
@@ -91,8 +90,7 @@ class TestCriterion1GaussianExactness:
 
         # particle Gibbs measure via MALA moments
         target = TargetSpec(model, 4)
-        states, _ = mala_sample(target, 8000, 1500, 0.5, seed=1000)
-        x = states_to_array(states)
+        x, _ = mala_sample(target, 8000, 1500, 0.5, seed=1000)
         if abs(x.var() - 1.0) > 0.05:
             failures.append(f"MALA variance off by {abs(x.var() - 1.0):.3f}")
         if abs(x.mean()) > 0.05:

@@ -18,7 +18,6 @@ from mflab.sampler import (
     mfld_simulate,
     n_particle_log_density,
     n_particle_log_density_grad,
-    states_to_array,
 )
 from mflab.model import model_constants
 
@@ -96,9 +95,8 @@ class TestMala:
         # sigma^2/(2 lam) = 1, so the target is N(0, I) over particles.
         model = zero_model(sigma=1.0, lam=0.5)
         target = TargetSpec(model, n_particles=4)
-        states, diag = mala_sample(target, n_samples=8000, n_burnin=1500,
-                                   step_size=0.5, seed=7)
-        x = states_to_array(states)
+        x, diag = mala_sample(target, n_samples=8000, n_burnin=1500,
+                              step_size=0.5, seed=7)
         ess = min(diag.ess.values())
         mean = x.mean()
         sd_mean = x.std() / math.sqrt(ess * x.shape[1])
@@ -110,9 +108,9 @@ class TestMala:
         kappa, c, lam, sigma, n = 0.5, 0.3, 1.0, 1.0, 4
         model = quadratic_oracle(sigma, lam, kappa=kappa, c=c)
         target = TargetSpec(model, n_particles=n)
-        states, _ = mala_sample(target, n_samples=30000, n_burnin=2000,
-                                step_size=0.5, seed=11)
-        x = states_to_array(states)[:, :, 0]
+        samples, _ = mala_sample(target, n_samples=30000, n_burnin=2000,
+                                 step_size=0.5, seed=11)
+        x = samples[:, :, 0]
         mean_oracle, cov_oracle = quadratic_mu_gaussian(kappa, c, lam, sigma, n)
         cov_hat = np.cov(x.T)
         np.testing.assert_allclose(x.mean(axis=0), mean_oracle, atol=0.02)
@@ -125,9 +123,9 @@ class TestMala:
         target = TargetSpec(model, 1, tilt=TiltSpec(t, y), rescaled=True)
         mean_exact, var_exact = zero_model_tilted_moments(
             target.effective_model.lam, 1.0, t, 0.8)
-        states, _ = mala_sample(target, n_samples=20000, n_burnin=2000,
-                                step_size=0.3, seed=3)
-        x = states_to_array(states).ravel()
+        samples, _ = mala_sample(target, n_samples=20000, n_burnin=2000,
+                                 step_size=0.3, seed=3)
+        x = samples.ravel()
         assert abs(x.mean() - mean_exact) < 0.02
         assert abs(x.var() - var_exact) < 0.05 * var_exact
 
@@ -136,9 +134,9 @@ class TestMala:
         s1, d1 = mala_sample(target, 500, 100, 0.4, seed=5)
         s2, d2 = mala_sample(target, 500, 100, 0.4, seed=5)
         s3, _ = mala_sample(target, 500, 100, 0.4, seed=6)
-        np.testing.assert_array_equal(states_to_array(s1), states_to_array(s2))
+        np.testing.assert_array_equal(s1, s2)
         assert d1.acceptance_rate == d2.acceptance_rate
-        assert not np.array_equal(states_to_array(s1), states_to_array(s3))
+        assert not np.array_equal(s1, s3)
 
     def test_histogram_matches_grid_density(self):
         # d = 1, N = 1: the binned long-run histogram agrees with the
@@ -148,8 +146,8 @@ class TestMala:
         ax = Axis(-6.0, 6.0, 2048)
         log_u = n_particle_log_density(target, ax.nodes()[:, None, None])
         grid = normalize_from_log_potential(log_u, (ax,))
-        states, _ = mala_sample(target, 40000, 3000, 0.5, seed=13)
-        x = states_to_array(states).ravel()
+        samples, _ = mala_sample(target, 40000, 3000, 0.5, seed=13)
+        x = samples.ravel()
         edges = np.linspace(-4.0, 4.0, 41)
         counts, _ = np.histogram(x, bins=edges)
         p_hat = counts / counts.sum()
@@ -165,8 +163,8 @@ class TestMala:
 
     def test_exchangeability_of_summaries(self):
         target = TargetSpec(relu_preset(), 4)
-        states, diag = mala_sample(target, 20000, 2000, 0.5, seed=17)
-        x = states_to_array(states)[:, :, 0]
+        samples, diag = mala_sample(target, 20000, 2000, 0.5, seed=17)
+        x = samples[:, :, 0]
         ess = min(diag.ess.values())
         for i in range(1, 4):
             se = math.sqrt(x[:, 0].var() / ess + x[:, i].var() / ess)
@@ -176,8 +174,8 @@ class TestMala:
         model = relu_preset()
         target = TargetSpec(model, 3)
         bound = 2.0 * model_constants(model).B / model.sigma**2
-        states, _ = mala_sample(target, 2000, 500, 0.5, seed=19)
-        rows = interaction_gradient(target, states_to_array(states))
+        samples, _ = mala_sample(target, 2000, 500, 0.5, seed=19)
+        rows = interaction_gradient(target, samples)
         norms = np.linalg.norm(rows, axis=2)
         assert float(norms.max()) <= bound + 1e-12
 
@@ -189,14 +187,18 @@ class TestSerialization:
         from mflab.sampler import trajectory_to_csv
 
         target = TargetSpec(relu_preset(), 2)
-        states, diag = mala_sample(target, 50, 20, 0.4, seed=5)
+        samples, diag = mala_sample(target, 50, 20, 0.4, seed=5)
         csv = tmp_path / "samples.csv"
         sidecar = tmp_path / "samples.json"
-        trajectory_to_csv(states, csv)
+        trajectory_to_csv(samples, np.arange(21, 71), csv)
         diag.to_json(sidecar)
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "chain,step,particle,x1"
         assert len(lines) == 1 + 50 * 2
+        table = np.loadtxt(csv, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 1], np.repeat(np.arange(21, 71), 2))
+        np.testing.assert_array_equal(table[:, 2], np.tile([0, 1], 50))
+        np.testing.assert_array_equal(table[:, 3], samples.ravel())
         payload = json.loads(sidecar.read_text())
         assert payload["seed"] == 5
         assert 0.0 <= payload["acceptance_rate"] <= 1.0
@@ -226,7 +228,7 @@ class TestMfldSimulate:
         model = zero_model(sigma=1.0, lam=1.0)
         traj = mfld_simulate(model, n_particles=8192, horizon=20.0,
                              step=1e-3, seed=31)
-        terminal = traj[-1].x
+        terminal = traj[-1]
         assert abs(terminal.var() - 0.5) < 0.05 * 0.5
 
     def test_quadratic_terminal_mean(self):
@@ -234,7 +236,7 @@ class TestMfldSimulate:
         model = quadratic_oracle(1.0, 1.0, kappa=kappa, c=c)
         traj = mfld_simulate(model, n_particles=4096, horizon=12.0,
                              step=1e-3, seed=37)
-        terminal = traj[-1].x[:, 0]
+        terminal = traj[-1, :, 0]
         mean_exact = kappa * c / (1.0 + kappa)
         se = terminal.std() / math.sqrt(terminal.size)
         # interacting particles are correlated through the common mean;
@@ -249,7 +251,9 @@ class TestMfldSimulate:
         h = 1e-3
         horizon = 3.0
         traj = mfld_simulate(model, 1, horizon, h, seed=41, x0=x0)
-        got = traj[-1].x[0, 0]
+        assert traj.shape == (3001, 1, 1)
+        np.testing.assert_array_equal(traj[0], x0)
+        got = traj[-1, 0, 0]
         exact = 2.0 * math.exp(-1.0 * horizon)
         assert abs(got - exact) < 10.0 * h
 
@@ -258,8 +262,15 @@ class TestMfldSimulate:
         with pytest.raises(SimulationDivergedError):
             mfld_simulate(model, 4, horizon=300.0, step=3.0, seed=43)
 
+    def test_rejects_bad_start(self):
+        model = zero_model(sigma=1.0, lam=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            mfld_simulate(model, 1, 1.0, 1e-2, seed=53, x0=[[np.nan]])
+        with pytest.raises(ValueError):
+            mfld_simulate(model, 2, 1.0, 1e-2, seed=53, x0=[[0.0]])
+
     def test_determinism(self):
         model = zero_model(sigma=1.0, lam=1.0)
         t1 = mfld_simulate(model, 8, 1.0, 1e-2, seed=47)
         t2 = mfld_simulate(model, 8, 1.0, 1e-2, seed=47)
-        np.testing.assert_array_equal(t1[-1].x, t2[-1].x)
+        np.testing.assert_array_equal(t1, t2)
