@@ -2,8 +2,8 @@
 
 All functions are pure and total on their stated domains.  Asymptotic
 estimates that carry unspecified universal constants are evaluated with
-implied constant 1; that choice is recorded in the outputs of the
-experiment runner so it stays visible as a knob rather than a hidden
+implied constant 1, a fixed choice that the experiment runner records in
+its outputs (`implied_constants: 1.0`) so it is never a hidden
 assumption.
 """
 

@@ -16,7 +16,6 @@ are evaluated exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +25,13 @@ from scipy.special import logsumexp
 from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
 from .errors import CalculatorDomainError
 from .meanfield import ProximalGibbsSystem, solve_self_consistent
-from .measure import GridDensity, Measure, sample_from_grid
+from .measure import (
+    GridDensity,
+    Measure,
+    _write_csv,
+    _write_json,
+    sample_from_grid,
+)
 from .model import (
     ModelSpec,
     expect_features,
@@ -156,9 +161,7 @@ class ChaosReport:
         return out
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
+        _write_json(path, self.to_dict(), default=float)
 
 
 def _batch_means_halfwidth(values: np.ndarray, n_batches: int) -> float:
@@ -187,7 +190,6 @@ def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem) -> float:
 def estimate_kl(model: ModelSpec, n_particles: int,
                 mcmc: McmcConfig | None = None, seed: int = 0,
                 tilt: TiltSpec | None = None, rescaled: bool = False,
-                system: ProximalGibbsSystem | None = None,
                 axes=None) -> ChaosReport:
     """Monte-Carlo estimate of KL(mu^{1:N} || pi^{1:N}) with closed-form bounds.
 
@@ -197,9 +199,8 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     mcmc = mcmc or McmcConfig()
     target = TargetSpec(model, n_particles, tilt=tilt, rescaled=rescaled)
     eff = target.effective_model
-    if system is None:
-        system = solve_self_consistent(eff, n_particles=n_particles,
-                                       tilt=tilt, axes=axes)
+    system = solve_self_consistent(eff, n_particles=n_particles, tilt=tilt,
+                                   axes=axes)
     pibar = system.mean_measure
     scale = 2.0 * n_particles / eff.sigma**2
 
@@ -295,22 +296,9 @@ def no_growth_in_n(reports: list[ChaosReport]) -> bool:
 
 def sweep_to_csv(reports: list[ChaosReport], path, model_name: str):
     """One CSV row per (model, N, seed) with estimates, CIs, and bounds."""
-    cols = {
-        "n_particles": [r.n_particles for r in reports],
-        "seed": [r.seed for r in reports],
-        "kl_estimate": [r.kl_estimate for r in reports],
-        "kl_halfwidth": [r.kl_halfwidth for r in reports],
-        "bound_poc": [r.bound_poc for r in reports],
-        "bound_poc_ii": [r.bound_poc_ii for r in reports],
-        "log_z": [r.log_z for r in reports],
-        "bregman_mean_under_mu": [r.bregman_mean_under_mu for r in reports],
-        "bregman_mean_under_pi": [r.bregman_mean_under_pi for r in reports],
-        "mala_acceptance": [r.mala_acceptance for r in reports],
-    }
-    header = "model," + ",".join(cols)
-    rows = np.column_stack([np.asarray(v, dtype=float) for v in cols.values()])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(model_name + "," + ",".join(repr(float(v)) for v in row)
-                     + "\n")
+    names = ("n_particles", "seed", "kl_estimate", "kl_halfwidth", "bound_poc",
+             "bound_poc_ii", "log_z", "bregman_mean_under_mu",
+             "bregman_mean_under_pi", "mala_acceptance")
+    _write_csv(path, "model," + ",".join(names),
+               [[model_name] * len(reports)]
+               + [[getattr(r, k) for r in reports] for k in names])

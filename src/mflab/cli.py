@@ -41,7 +41,12 @@ from .heatflow import (
     reverse_flow_map,
 )
 from .meanfield import default_axes
-from .measure import Axis, normalize_from_log_potential
+from .measure import (
+    Axis,
+    _write_csv,
+    _write_json,
+    normalize_from_log_potential,
+)
 from .model import (
     Activation,
     LogisticLoss,
@@ -161,11 +166,6 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "step": Field(float, 1e-3, "Euler-Maruyama step; the dynamics "
                                    "itself is the object, bias is O(step)"),
     },
-    "bounds_table": {
-        "implied_constant": Field(float, 1.0, "value substituted for the "
-                                              "unspecified universal "
-                                              "constants; a visible knob"),
-    },
 }
 
 SECTIONS_BY_EXPERIMENT = {
@@ -173,7 +173,7 @@ SECTIONS_BY_EXPERIMENT = {
     "tilt_profile": ("model", "profile"),
     "transport_map": ("model", "flow", "grid"),
     "mfld_run": ("model", "mfld"),
-    "bounds_table": ("model", "bounds_table"),
+    "bounds_table": ("model",),
 }
 
 
@@ -415,9 +415,7 @@ def _run_transport_map(cfg: dict, out_dir: str) -> bool:
         "monotone": bool(np.all(np.diff(flow.mapped) > 0)),
         "implied_constants": 1.0,
     }
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
     ok = (w2 < 1e-3 and metrics["monotone"] and lip <= fitted_bound
           and lip <= bound_gen)
     lines = [
@@ -445,17 +443,14 @@ def _run_mfld(cfg: dict, out_dir: str) -> bool:
     trajectory_to_csv(traj[::stride], np.arange(0, len(traj), stride),
                       os.path.join(out_dir, "trajectory.csv"))
     terminal = traj[-1]
-    diag = {
+    _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "n_particles": mb["n_particles"],
         "horizon": mb["horizon"],
         "step": mb["step"],
         "terminal_mean": terminal.mean(axis=0).tolist(),
         "terminal_variance": terminal.var(axis=0).tolist(),
         "store_stride": stride,
-    }
-    with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     _write_summary(out_dir, [
         f"dynamics run: N = {mb['n_particles']}, horizon = {mb['horizon']}, "
         f"step = {mb['step']}",
@@ -486,13 +481,9 @@ def _run_bounds_table(cfg: dict, out_dir: str) -> bool:
         "rescaled_lam": rescaled.lam,
         "implied_constants": 1.0,
     }
-    with open(os.path.join(out_dir, "bounds.json"), "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "bounds.csv"), "w") as fh:
-        fh.write("quantity,value\n")
-        for k, v in rows.items():
-            fh.write(f"{k},{v!r}\n")
+    _write_json(os.path.join(out_dir, "bounds.json"), rows)
+    _write_csv(os.path.join(out_dir, "bounds.csv"), "quantity,value",
+               [list(rows), list(rows.values())])
     _write_summary(out_dir, ["bounds table written"] +
                    [f"  {k} = {v!r}" for k, v in rows.items()])
     return True
@@ -516,7 +507,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     ok = RUNNERS[cfg["experiment"]](cfg, out_dir)
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "experiment": cfg["experiment"],
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest(),
@@ -530,10 +521,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                                   "constant 1.0",
         "wall_time_s": time.time() - started,
         "invariants_passed": bool(ok),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    }, default=str)
     return 0 if ok else 1
 
 

@@ -59,7 +59,8 @@ class NonconvergenceError(MflabError):
 
 
 class IntegrationFailureError(MflabError):
-    """Flow-map integration produced a non-monotone map (step size too large)."""
+    """The transport map failed: mu_{t_max} is not yet Gaussian (horizon
+    too short) or the forward map is not strictly increasing."""
 
 
 class CalculatorDomainError(MflabError):

@@ -26,7 +26,7 @@ of S_{t_max}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -147,25 +147,24 @@ def regime_threshold(inputs: BoundInputs) -> float:
     return 1.0 / denom if denom > 0 else math.inf
 
 
-def small_regime_envelope(inputs: BoundInputs, t: float, const: float = 1.0) -> float:
-    """[1/sqrt(alpha_t) + const (sqrt(beta_hat d_prox)/sigma + B/sigma^2)/alpha_t]^2."""
+def small_regime_envelope(inputs: BoundInputs, t: float) -> float:
+    """[1/sqrt(alpha_t) + (sqrt(beta_hat d_prox)/sigma + B/sigma^2)/alpha_t]^2,
+    the small-time envelope with its universal constant set to 1."""
     a_t = tilted_alpha(inputs, t)
     bump = (math.sqrt(inputs.beta_hat * inputs.d_prox) / inputs.sigma
             + inputs.B / inputs.sigma**2)
-    return (1.0 / math.sqrt(a_t) + const * bump / a_t) ** 2
+    return (1.0 / math.sqrt(a_t) + bump / a_t) ** 2
 
 
-def large_regime_envelope(inputs: BoundInputs, t: float, const_lin: float = 1.0,
-                          const_tail: float = 1.0) -> float:
-    """[1/sqrt(alpha_t) + c1 B/(alpha_t sigma^2)]^2
-    + c2 (beta_hat B^2 d_prox / alpha_t^3 sigma^6 + beta_hat B^4 / alpha_t^4 sigma^10)."""
+def large_regime_envelope(inputs: BoundInputs, t: float) -> float:
+    """[1/sqrt(alpha_t) + B/(alpha_t sigma^2)]^2
+    + beta_hat B^2 d_prox / alpha_t^3 sigma^6 + beta_hat B^4 / alpha_t^4 sigma^10,
+    the large-time envelope with both universal constants set to 1."""
     a_t = tilted_alpha(inputs, t)
     s2 = inputs.sigma**2
-    head = (1.0 / math.sqrt(a_t) + const_lin * inputs.B / (a_t * s2)) ** 2
-    tail = const_tail * (
-        inputs.beta_hat * inputs.B**2 * inputs.d_prox / (a_t**3 * s2**3)
-        + inputs.beta_hat * inputs.B**4 / (a_t**4 * s2**5)
-    )
+    head = (1.0 / math.sqrt(a_t) + inputs.B / (a_t * s2)) ** 2
+    tail = (inputs.beta_hat * inputs.B**2 * inputs.d_prox / (a_t**3 * s2**3)
+            + inputs.beta_hat * inputs.B**4 / (a_t**4 * s2**5))
     return head + tail
 
 
@@ -188,8 +187,6 @@ class CovarianceProfile:
     t_star: float
     a: float
     inputs: BoundInputs
-    envelope_constants: dict[str, float] = field(
-        default_factory=lambda: {"small": 1.0, "large_lin": 1.0, "large_tail": 1.0})
 
     def ts(self, y_label: str | None = None) -> np.ndarray:
         return np.array([r.t for r in self._rows(y_label)])
@@ -239,14 +236,11 @@ class CovarianceProfile:
         )
 
     def to_csv(self, path):
-        header = "t,y,opnorm,alpha_t,small_regime_ref,large_regime_ref,regime"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.t!r},{r.y_label},{r.opnorm!r},{r.alpha_t!r},"
-                    f"{r.small_regime_ref!r},{r.large_regime_ref!r},{r.regime}\n"
-                )
+        names = ("t", "y_label", "opnorm", "alpha_t", "small_regime_ref",
+                 "large_regime_ref", "regime")
+        _write_csv(
+            path, "t,y,opnorm,alpha_t,small_regime_ref,large_regime_ref,regime",
+            [[getattr(r, k) for r in self.rows] for k in names])
 
     def plot_data(self, path, y_label: str | None = None):
         """(t, opnorm, envelopes) triples ready for external plotting."""
@@ -282,19 +276,14 @@ def default_profile_times(inputs: BoundInputs, n: int = 40,
     return np.geomspace(lo, hi, n)
 
 
-def covariance_profile(mu, t_list, y_list, inputs: BoundInputs,
-                       envelope_constants: dict | None = None,
-                       n_nodes: int | None = None) -> CovarianceProfile:
+def covariance_profile(mu, t_list, y_list,
+                       inputs: BoundInputs) -> CovarianceProfile:
     """Operator norms of tilted covariances against both reference envelopes.
 
     `mu` may be a :class:`GridDensity` (tilts evaluated on its own grid)
     or a :class:`GibbsPotential` (each (t, y) gets a grid adapted to the
     tilt width, which small-t asymptotics require).
     """
-    consts = envelope_constants or {}
-    c_small = consts.get("small", 1.0)
-    c_lin = consts.get("large_lin", 1.0)
-    c_tail = consts.get("large_tail", 1.0)
     t_star = regime_threshold(inputs)
     a = tilted_alpha(inputs, math.inf)
     rows = []
@@ -306,7 +295,7 @@ def covariance_profile(mu, t_list, y_list, inputs: BoundInputs,
             if isinstance(mu, GridDensity):
                 tilted = tilted_measure(mu, t, y_vec)
             elif isinstance(mu, GibbsPotential):
-                tilted = _adapted_tilted_density(mu, t, y_vec, inputs, n_nodes)
+                tilted = _adapted_tilted_density(mu, t, y_vec, inputs)
             else:
                 raise TypeError(
                     "mu must be a GridDensity or GibbsPotential, "
@@ -315,20 +304,15 @@ def covariance_profile(mu, t_list, y_list, inputs: BoundInputs,
             rows.append(ProfileRow(
                 t=t, y_label=label, opnorm=float(opnorm),
                 alpha_t=tilted_alpha(inputs, t),
-                small_regime_ref=small_regime_envelope(inputs, t, c_small),
-                large_regime_ref=large_regime_envelope(inputs, t, c_lin, c_tail),
+                small_regime_ref=small_regime_envelope(inputs, t),
+                large_regime_ref=large_regime_envelope(inputs, t),
                 regime="small" if t <= t_star else "large",
             ))
-    return CovarianceProfile(
-        rows=rows, t_star=t_star, a=a, inputs=inputs,
-        envelope_constants={"small": c_small, "large_lin": c_lin,
-                            "large_tail": c_tail},
-    )
+    return CovarianceProfile(rows=rows, t_star=t_star, a=a, inputs=inputs)
 
 
 def _adapted_tilted_density(potential: GibbsPotential, t: float,
-                            y: np.ndarray, inputs: BoundInputs,
-                            n_nodes: int | None) -> GridDensity:
+                            y: np.ndarray, inputs: BoundInputs) -> GridDensity:
     """Tilted density on a grid centered at the tilted mode with width
     set by 1/sqrt(alpha_t)."""
     dim = potential.total_dim
@@ -338,8 +322,7 @@ def _adapted_tilted_density(potential: GibbsPotential, t: float,
     a_t = tilted_alpha(inputs, t)
     if a_t <= 0:
         raise TiltDomainError(f"alpha_t = {a_t:.4g} <= 0: tilt not normalizable")
-    if n_nodes is None:
-        n_nodes = 2048 if dim == 1 else 192
+    n_nodes = 2048 if dim == 1 else 192
     sd_t = 1.0 / math.sqrt(a_t)
     a = tilted_alpha(inputs, math.inf)
     center_proxy = y / (1.0 + a * t)
@@ -485,14 +468,15 @@ class FlowMap:
     forward_images: np.ndarray
 
 
-def reverse_flow_map(mu: GridDensity, t_max: float = DEFAULT_FLOW_T_MAX,
-                     n_eval: int = 2048) -> FlowMap:
+def reverse_flow_map(mu: GridDensity,
+                     t_max: float = DEFAULT_FLOW_T_MAX) -> FlowMap:
     """The monotone coupling of mu to its exact OU evolution, inverted.
 
     S_{t_max} = Q_{mu_{t_max}} o F_mu is the 1-d reverse heat flow of Kim
     and Milman at time t_max, evaluated on the nodes within 8 sd of the
-    mean.  Fails loudly if mu_{t_max} has not reached the Gaussian or the
-    forward map is not strictly increasing (mu has a gap in its mass).
+    mean and inverted at 2048 gamma-side points.  Fails loudly if
+    mu_{t_max} has not reached the Gaussian or the forward map is not
+    strictly increasing (mu has a gap in its mass).
     """
     if mu.dim != 1:
         raise UnsupportedDimensionError("flow maps are built in 1-d only")
@@ -521,7 +505,7 @@ def reverse_flow_map(mu: GridDensity, t_max: float = DEFAULT_FLOW_T_MAX,
     inv = PchipInterpolator(s, pts, extrapolate=False)
     src_lo = max(float(s[0]), -8.0)
     src_hi = min(float(s[-1]), 8.0)
-    source = np.linspace(src_lo, src_hi, n_eval)
+    source = np.linspace(src_lo, src_hi, 2048)
     mapped = inv(source)
     return FlowMap(source=source, mapped=np.asarray(mapped),
                    gamma_w2=gamma_w2, t_max=t_max, forward_points=pts,
@@ -571,15 +555,14 @@ def fit_envelope_constant(ts, opnorms, a: float, k: float) -> float:
     return float(max(0.0, gaps.max()))
 
 
-def fitted_lipschitz_bound(ts, opnorms, a: float,
-                           k_grid=(1.5, 2.0, 3.0, 4.0)) -> tuple[float, float, float]:
-    """Best single-term envelope bound over a grid of exponents.
+def fitted_lipschitz_bound(ts, opnorms, a: float) -> tuple[float, float, float]:
+    """Best single-term envelope bound over the exponents 1.5, 2, 3 and 4.
 
     Returns (bound, C, k) for the exponent whose fitted envelope gives the
     smallest Lipschitz estimate.
     """
     best = None
-    for k in k_grid:
+    for k in (1.5, 2.0, 3.0, 4.0):
         c = fit_envelope_constant(ts, opnorms, a, k)
         bound = heatflow_lipschitz_bound(a, [(c, k)])
         if best is None or bound < best[0]:
@@ -595,9 +578,10 @@ def flow_map_to_csv(flow: FlowMap, path):
                [flow.source, flow.mapped])
 
 
-def write_svg_lines(path, xs, series: dict, width: int = 640, height: int = 420,
-                    x_label: str = "", y_label: str = ""):
-    """Minimal static SVG line chart; one polyline per named series."""
+def write_svg_lines(path, xs, series: dict, x_label: str = "",
+                    y_label: str = ""):
+    """Minimal 640x420 static SVG line chart; one polyline per named series."""
+    width, height = 640, 420
     xs = np.asarray(xs, dtype=float)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     x0, x1 = float(xs.min()), float(xs.max())

@@ -16,7 +16,6 @@ nonconvergence is detected and reported rather than assumed away.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -25,11 +24,17 @@ import numpy as np
 
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, NonconvergenceError
-from .measure import Axis, GridDensity, normalize_from_log_potential
+from .measure import (
+    Axis,
+    GridDensity,
+    _write_json,
+    normalize_from_log_potential,
+)
 from .model import ModelSpec, first_variation
 from .sampler import TiltSpec
 
-DEFAULT_DAMPING = 0.5
+# Initial fixed-point damping theta; halved whenever the residual grows.
+DAMPING = 0.5
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 400
 
@@ -58,7 +63,7 @@ class ProximalGibbsSystem:
             os.path.join(out_dir, "mean_measure.csv"),
             os.path.join(out_dir, "grid.json"),
         )
-        manifest = {
+        _write_json(os.path.join(out_dir, "manifest.json"), {
             "n_particles": self.n_particles,
             "residual": self.residual,
             "iterations": self.iterations,
@@ -68,10 +73,7 @@ class ProximalGibbsSystem:
                 "t": self.tilt.t,
                 "y": self.tilt.y.tolist(),
             },
-        }
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
@@ -140,7 +142,6 @@ def _mean_density(parts: list[GridDensity]) -> GridDensity:
 
 def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
                           tilt: TiltSpec | None = None, axes=None,
-                          damping: float = DEFAULT_DAMPING,
                           tol: float = DEFAULT_TOL,
                           max_iter: int = DEFAULT_MAX_ITER,
                           ) -> ProximalGibbsSystem:
@@ -151,8 +152,6 @@ def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
     `tol`, halving theta whenever the residual increases.  Raises
     :class:`NonconvergenceError` with the residual trace on failure.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     if tilt is not None and tilt.y.shape != (n_particles, model.d):
         raise InvalidTargetError(
             f"tilt centers shape {tilt.y.shape} != ({n_particles}, {model.d})"
@@ -172,7 +171,7 @@ def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
         zero_like(model), _uniform_seed(axes), tilt, n_particles)
     pibar = _mean_density(start_parts)
 
-    theta = damping
+    theta = DAMPING
     trace: list[float] = []
     for iteration in range(1, max_iter + 1):
         parts = rebuild_particle_densities(model, pibar, tilt, n_particles)

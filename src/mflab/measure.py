@@ -25,6 +25,8 @@ from .errors import (
 
 # Grid nodes with density below this threshold contribute nothing to KL sums.
 KL_SUPPORT_FLOOR = 1e-300
+# Rows formatted per write by _write_csv; bounds its string buffer.
+CSV_CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -185,15 +187,11 @@ class GridDensity:
         header = ",".join([f"x{i + 1}" for i in range(self.dim)] + ["weight"])
         _write_csv(csv_path, header, cols)
         if json_path is not None:
-            meta = {
+            _write_json(json_path, {
                 "dim": self.dim,
-                "axes": [
-                    {"lo": ax.lo, "hi": ax.hi, "n": ax.n} for ax in self.axes
-                ],
-            }
-            with open(json_path, "w") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                "axes": [{"lo": ax.lo, "hi": ax.hi, "n": ax.n}
+                         for ax in self.axes],
+            })
 
     @classmethod
     def from_csv(cls, csv_path, json_path) -> "GridDensity":
@@ -319,13 +317,11 @@ def kl_divergence(p: GridDensity, q: GridDensity) -> float:
     return float(np.sum(quad[support] * pw[support] * ratio))
 
 
-def covariance_opnorm(p: Measure, rel_tol: float = 1e-10,
-                      max_iter: int = 100_000) -> tuple[np.ndarray, float]:
-    """Covariance matrix and its largest eigenvalue by power iteration.
+def covariance_opnorm(p: Measure) -> tuple[np.ndarray, float]:
+    """Covariance matrix and its operator norm, the largest eigenvalue.
 
-    The start vector is a fixed, slightly tilted all-ones direction so
-    runs are deterministic and the iteration cannot start orthogonal to
-    the leading eigenvector for the 2x2 matrices seen here.
+    The eigenvalue comes from the symmetric eigensolver, which returns
+    the entry itself for a 1x1 matrix.
     """
     if isinstance(p, GridDensity):
         cov = p.covariance()
@@ -337,24 +333,7 @@ def covariance_opnorm(p: Measure, rel_tol: float = 1e-10,
         cov = centered.T @ centered / pts.shape[0]
     else:
         raise TypeError(f"unsupported measure type {type(p)!r}")
-
-    d = cov.shape[0]
-    if d == 1:
-        return cov, float(cov[0, 0])
-    v = np.ones(d) + 1e-3 * np.arange(d)
-    v /= np.linalg.norm(v)
-    lam = float(v @ cov @ v)
-    for _ in range(max_iter):
-        w = cov @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return cov, 0.0
-        v = w / nw
-        lam_new = float(v @ cov @ v)
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return cov, lam_new
-        lam = lam_new
-    return cov, lam
+    return cov, float(np.linalg.eigvalsh(cov)[-1])
 
 
 def _corrected_cdf(p: GridDensity) -> np.ndarray:
@@ -474,8 +453,24 @@ def gaussian_kl(a: GaussianMeasure, b: GaussianMeasure) -> float:
 
 
 def _write_csv(path, header: str, columns):
-    rows = np.column_stack(columns)
+    """CSV with one column per sequence: string columns are written as
+    given, numeric ones as repr(float).  Rows are formatted and written
+    CSV_CHUNK_ROWS at a time."""
+    cols = [c if c.dtype.kind in "US" else c.astype(float, copy=False)
+            for c in map(np.asarray, columns)]
+    n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise DimensionMismatchError("CSV columns differ in length")
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            cells = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
+            cells = [v if c.dtype.kind in "US" else map(repr, v)
+                     for c, v in zip(cols, cells)]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _write_json(path, payload, default=None):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
+        fh.write("\n")

@@ -12,16 +12,15 @@ scheduling.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
 from .model import ModelSpec, loss_terms, rescale_model
-from .measure import _write_csv
+from .measure import _write_csv, _write_json
 
 MALA_TARGET_ACCEPTANCE = 0.574
 ACCEPTANCE_OK_RANGE = (0.2, 0.8)
@@ -179,20 +178,7 @@ class MalaDiagnostics:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self, path):
-        payload = {
-            "acceptance_rate": self.acceptance_rate,
-            "step_size": self.step_size,
-            "ess": self.ess,
-            "n_samples": self.n_samples,
-            "n_burnin": self.n_burnin,
-            "seed": self.seed,
-            "chain_id": self.chain_id,
-            "acceptance_ok": self.acceptance_ok,
-            "warnings": self.warnings,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
 
 def _stream(seed: int, chain_id: int) -> np.random.Generator:

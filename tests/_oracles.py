@@ -101,3 +101,10 @@ def zero_model_tilted_moments(lam, sigma, t, y):
     precision alpha_t = 2 lam/sigma^2 - 1 + 1/t, mean y/(t alpha_t)."""
     alpha = 2.0 * lam / sigma**2 - 1.0 + 1.0 / t
     return y / (t * alpha), 1.0 / alpha
+
+
+def largest_eigenvalue_2x2(c):
+    """Largest eigenvalue of a symmetric 2x2 matrix [[a, b], [b, d]]:
+    (a + d)/2 + hypot((a - d)/2, b)."""
+    a, b, d = c[0][0], c[0][1], c[1][1]
+    return 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)

@@ -71,6 +71,14 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_bounds_table_section_rejected_exit_2(self, tmp_path):
+        cfg = {"experiment": "bounds_table", "model": {"preset": "relu3"},
+               "bounds_table": {"implied_constant": 2.0}}
+        with pytest.raises(ConfigError, match="bounds_table"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_type_checking(self):
         bad = dict(MINI_CHAOS)
         bad["mcmc"] = {"n_samples": "many"}

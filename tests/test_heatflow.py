@@ -14,6 +14,7 @@ from mflab.errors import (
 from mflab.heatflow import (
     FlowMap,
     GibbsPotential,
+    _adapted_tilted_density,
     covariance_profile,
     default_profile_times,
     fitted_lipschitz_bound,
@@ -36,7 +37,11 @@ from mflab.model import model_constants, rescale_model, zero_model
 from mflab.presets import relu_preset
 from mflab.sampler import TargetSpec, n_particle_log_density
 
-from _oracles import ou_moment_map, tilted_gaussian_variance
+from _oracles import (
+    largest_eigenvalue_2x2,
+    ou_moment_map,
+    tilted_gaussian_variance,
+)
 
 AX = Axis(-10.0, 10.0, 2048)
 
@@ -178,6 +183,20 @@ class TestCovarianceProfile:
         for row in prof.rows:
             assert row.opnorm <= row.small_regime_ref
             assert row.opnorm > 0
+
+    def test_two_particle_opnorm_is_largest_eigenvalue(self):
+        # At y = 0 the two particles are exchangeable and, at small t,
+        # negatively correlated, so (1, 1) spans the smaller eigenvalue.
+        pot = GibbsPotential(TargetSpec(rescale_model(relu_preset()), 2))
+        inputs = dataclasses.replace(
+            model_constants(pot.target.model), d_prox=1, N=2)
+        y = np.zeros(2)
+        prof = covariance_profile(pot, default_profile_times(inputs, n=8),
+                                  [y], inputs)
+        for row in prof.rows:
+            exact = largest_eigenvalue_2x2(
+                _adapted_tilted_density(pot, row.t, y, inputs).covariance())
+            assert abs(row.opnorm - exact) < 1e-12 * exact
 
     def test_grid_backed_matches_potential_backed(self):
         mu, model = relu_gibbs_density()

@@ -1,5 +1,6 @@
 """Grid measures, divergences, and transport distances against closed forms."""
 
+import csv
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from mflab.measure import (
     GridDensity,
     covariance_opnorm,
     gaussian_kl,
+    _write_csv,
     kl_divergence,
     monotone_images,
     normalize_from_log_potential,
@@ -26,7 +28,7 @@ from mflab.measure import (
     w2_distance_1d,
 )
 
-from _oracles import gaussian_kl_1d, gaussian_w2_1d
+from _oracles import gaussian_kl_1d, gaussian_w2_1d, largest_eigenvalue_2x2
 
 
 AX = Axis(-10.0, 10.0, 2048)
@@ -145,14 +147,22 @@ class TestCovarianceOpnorm:
         _, opnorm = covariance_opnorm(emp)
         assert abs(opnorm - 1.0) < 1e-12
 
-    def test_power_iteration_matches_eigvalsh(self):
+    def test_matches_2x2_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             a = rng.normal(size=(2, 2))
             cov = a @ a.T + 0.05 * np.eye(2)
-            g = GaussianMeasure(np.zeros(2), cov)
-            _, opnorm = covariance_opnorm(g)
-            assert abs(opnorm - np.linalg.eigvalsh(cov)[-1]) < 1e-8 * opnorm
+            for sign in (1.0, -1.0):
+                c = cov * np.array([[1.0, sign], [sign, 1.0]])
+                _, opnorm = covariance_opnorm(GaussianMeasure(np.zeros(2), c))
+                exact = largest_eigenvalue_2x2(c)
+                assert abs(opnorm - exact) < 1e-12 * exact
+
+    def test_weak_negative_correlation(self):
+        # The leading eigenvector is (1, -1); (1, 1) belongs to 0.999.
+        cov = np.array([[1.0, -1e-3], [-1e-3, 1.0]])
+        _, opnorm = covariance_opnorm(GaussianMeasure(np.zeros(2), cov))
+        assert abs(opnorm - 1.001) < 1e-12
 
     def test_negatively_correlated_leading_direction(self):
         cov = np.array([[1.0, -0.9], [-0.9, 1.0]])
@@ -251,6 +261,46 @@ class TestSerialization:
     def test_coverage_reported(self):
         g = grid_gaussian_1d()
         assert g.coverage_in_sd() >= 8.0
+
+    def test_csv_matches_per_row_reference(self, tmp_path):
+        # 70,000 rows cross the 65,536-row chunk boundary.
+        rng = np.random.default_rng(3)
+        n = 70_000
+        labels = [f"s{i % 7}" for i in range(n)]
+        nums = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
+                np.arange(n, dtype=float)]
+        _write_csv(tmp_path / "t.csv", "label,a,b", [labels, *nums])
+        expected = ["label,a,b"] + [
+            label + "," + ",".join(map(repr, row.tolist()))
+            for label, row in zip(labels, np.column_stack(nums))]
+        text = (tmp_path / "t.csv").read_text()
+        assert text.endswith("\n")
+        assert text.split("\n")[:-1] == expected
+
+    def test_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(DimensionMismatchError):
+            _write_csv(tmp_path / "t.csv", "a,b", [[1.0, 2.0], [1.0]])
+
+    # The writer does no quoting, so string cells hold no comma, quote or
+    # line break.
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.text(st.characters(min_codepoint=32, max_codepoint=0x2FFF,
+                              blacklist_characters=',"')),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310,
+                                   1.7e308, -1.7e308])))))
+    def test_csv_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        labels = [r[0] for r in rows]
+        values = np.array([r[1] for r in rows], dtype=float)
+        _write_csv(path, "label,value", [labels, values])
+        with open(path, newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back[0] == ["label", "value"]
+        assert [r[0] for r in back[1:]] == labels
+        got = np.array([float(r[1]) for r in back[1:]], dtype=float)
+        assert got.tobytes() == values.tobytes()
 
 
 class TestGaussianKLOracle:
