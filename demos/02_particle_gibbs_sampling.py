@@ -29,7 +29,7 @@ samples, diag = mala_sample(target, n_samples=20000, n_burnin=2000,
                             step_size=0.5, seed=0)
 x = samples[:, :, 0]
 print(f"MALA: acceptance {diag.acceptance_rate:.3f} "
-      f"(tuned step {diag.step_size:.3f}), "
+      f"(tuned step {diag.step_size_range[0]:.3f}), "
       f"min ESS {min(diag.ess.values()):.0f}")
 print(f"  particle mean   {x.mean():+.4f}   exact {mean_exact:+.4f}")
 print(f"  variance        {np.cov(x.T)[0, 0]:.4f}    exact {cov_exact[0, 0]:.4f}")

@@ -7,7 +7,7 @@ Bregman-divergence factor exp(-(2N/sigma^2) B), so
 
     KL = -(2N/sigma^2) E_mu[B] - log E_pi[exp(-(2N/sigma^2) B)].
 
-The first expectation comes from a MALA chain, the second from i.i.d.
+The first expectation comes from MALA chains, the second from i.i.d.
 product draws.  The table compares the estimates with both chaos bounds:
 the estimates stay flat in N (with the quadratic model's exact value
 independent of N), far below either bound.

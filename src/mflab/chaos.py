@@ -7,23 +7,23 @@ The estimator uses the exact identity
 
 where B is the Bregman divergence of the interaction energy between the
 empirical measure of the particles and the mixture pibar of the
-self-consistent system.  E_mu[B] comes from MALA samples of the particle
-Gibbs measure (batch-means confidence interval); Z comes from i.i.d.
-product-measure draws via a log-sum-exp estimator (bootstrap confidence
-interval).  The closed-form upper bounds the estimate is compared against
-are evaluated exactly.
+self-consistent system.  E_mu[B] comes from lockstep MALA chains on the
+particle Gibbs measure (between-chain confidence interval); Z comes from
+i.i.d. product-measure draws via a log-sum-exp estimator (bootstrap
+confidence interval).  The closed-form upper bounds the estimate is
+compared against are evaluated exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
-from .errors import CalculatorDomainError
+from .errors import CalculatorDomainError, ConfigError
 from .meanfield import ProximalGibbsSystem, solve_self_consistent
 from .measure import (
     GridDensity,
@@ -39,7 +39,7 @@ from .model import (
     loss_terms,
     model_constants,
 )
-from .sampler import TargetSpec, TiltSpec, mala_sample
+from .sampler import MalaDiagnostics, TargetSpec, TiltSpec, mala_sample
 
 BREGMAN_FLOOR = -1e-10
 Z_ESS_FLOOR = 100.0
@@ -116,14 +116,21 @@ def poincare_constant_bound(model: ModelSpec, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampling effort knobs for one KL estimate."""
+    """Sampling effort knobs for one KL estimate: n_chains >= 2 MALA chains
+    each adapt over n_burnin steps, then keep ceil(n_samples / n_chains)
+    samples; the spread of their means gives the CI of E_mu[B]."""
 
     n_samples: int = 16384
     n_burnin: int = 2048
     step_size0: float = 0.3
     n_pi_samples: int = 32768
     n_bootstrap: int = 256
-    n_batches: int = 32
+    n_chains: int = 32
+
+    def __post_init__(self):
+        if self.n_chains < 2:
+            raise ConfigError("mcmc.n_chains must be at least 2: the "
+                              "confidence interval comes from chain means")
 
 
 @dataclass
@@ -148,6 +155,7 @@ class ChaosReport:
     variance_step_rhs: float
     seed: int
     mala_acceptance: float
+    sampler: MalaDiagnostics
     flags: dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -156,22 +164,13 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         out = {k: v for k, v in self.__dict__.items() if k != "flags"}
+        out["sampler"] = asdict(self.sampler)
         out["flags"] = {k: v for k, v in self.flags.items()
                         if not k.startswith("_")}
         return out
 
     def to_json(self, path):
         _write_json(path, self.to_dict(), default=float)
-
-
-def _batch_means_halfwidth(values: np.ndarray, n_batches: int) -> float:
-    """95%-style half-width (2 se) for a correlated chain via batch means."""
-    n = values.size
-    n_batches = max(2, min(n_batches, n // 2))
-    usable = (n // n_batches) * n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    se = float(batches.std(ddof=1)) / math.sqrt(n_batches)
-    return 2.0 * se
 
 
 def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem) -> float:
@@ -204,11 +203,13 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     pibar = system.mean_measure
     scale = 2.0 * n_particles / eff.sigma**2
 
-    x_mu, diag = mala_sample(target, mcmc.n_samples, mcmc.n_burnin,
-                             mcmc.step_size0, seed, chain_id=0)
+    per_chain = -(-mcmc.n_samples // mcmc.n_chains)
+    x_mu, diag = mala_sample(target, per_chain, mcmc.n_burnin,
+                             mcmc.step_size0, seed, n_chains=mcmc.n_chains)
     b_mu = bregman_batch(eff, x_mu, pibar)
     mean_b_mu = float(b_mu.mean())
-    hw_b_mu = _batch_means_halfwidth(b_mu, mcmc.n_batches)
+    chain_means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
+    hw_b_mu = 2.0 * float(chain_means.std(ddof=1)) / math.sqrt(mcmc.n_chains)
 
     rng_pi = np.random.Generator(np.random.Philox(
         key=np.array([np.uint64(seed), np.uint64(1)])))
@@ -269,7 +270,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
         bound_poc=bound_generic, bound_poc_ii=bound_nn,
         alpha=alpha, cbar_pi=cbar_pi, scale=scale,
         z_importance_ess=z_ess, variance_step_rhs=var_rhs,
-        seed=seed, mala_acceptance=diag.acceptance_rate,
+        seed=seed, mala_acceptance=diag.acceptance_rate, sampler=diag,
         flags=flags,
     )
 

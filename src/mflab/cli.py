@@ -132,8 +132,9 @@ SCHEMA: dict[str, dict[str, Field]] = {
                                           "normalizer estimate"),
         "n_bootstrap": Field(int, 256, "bootstrap replicates for the log-Z "
                                        "confidence interval"),
-        "n_batches": Field(int, 32, "batch-means batches; long enough "
-                                    "batches at the default sample count"),
+        "n_chains": Field(int, 32, "lockstep MALA chains (>= 2) whose 32 "
+                                   "means give the CI; 32 chains step at "
+                                   "about the cost of a few"),
     },
     "grid": {
         "n_nodes": Field(int, 2048, "1-d grid resolution; trapezoid error "
@@ -237,9 +238,11 @@ def validate_config(raw: dict) -> dict:
     if "model" in resolved and resolved["model"].get("preset") is None \
             and resolved["model"].get("kind") is None:
         raise ConfigError("model block needs either 'preset' or 'kind'")
-    if experiment == "chaos_sweep" and build_model(resolved["model"]).d != 1:
-        raise ConfigError("chaos_sweep draws the product measure by a 1-d "
-                          "inverse CDF; the model must have d = 1")
+    if experiment == "chaos_sweep":
+        if build_model(resolved["model"]).d != 1:
+            raise ConfigError("chaos_sweep draws the product measure by a "
+                              "1-d inverse CDF; the model must have d = 1")
+        McmcConfig(**resolved["mcmc"])
     return resolved
 
 
@@ -293,12 +296,7 @@ def build_model(block: dict) -> ModelSpec:
 
 def _run_chaos_sweep(cfg: dict, out_dir: str) -> bool:
     model = build_model(cfg["model"])
-    mcb = cfg["mcmc"]
-    mcmc = McmcConfig(n_samples=mcb["n_samples"], n_burnin=mcb["n_burnin"],
-                      step_size0=mcb["step_size0"],
-                      n_pi_samples=mcb["n_pi_samples"],
-                      n_bootstrap=mcb["n_bootstrap"],
-                      n_batches=mcb["n_batches"])
+    mcmc = McmcConfig(**cfg["mcmc"])
     seed = cfg["seed"]
     gb = cfg["grid"]
     axes = default_axes(model, None, gb["n_nodes"], gb["span_sd"])
@@ -325,6 +323,8 @@ def _run_chaos_sweep(cfg: dict, out_dir: str) -> bool:
             f"{r.kl_halfwidth:<13.4g} {r.bound_poc:<12.4g} "
             f"{r.bound_poc_ii:<14.4g} {'yes' if ok else 'NO'}")
     lines.append(f"no CI-significant growth in N: {'yes' if growth_ok else 'NO'}")
+    lines += [f"warning: N={r.n_particles}: {w}"
+              for r in reports for w in r.sampler.warnings]
     _write_summary(out_dir, lines)
     return all_ok
 
@@ -437,10 +437,12 @@ def _run_transport_map(cfg: dict, out_dir: str) -> bool:
 def _run_mfld(cfg: dict, out_dir: str) -> bool:
     model = build_model(cfg["model"])
     mb = cfg["mfld"]
+    n_steps = int(round(mb["horizon"] / mb["step"]))
+    stride = max(1, (n_steps + 1) // 512)
     traj = mfld_simulate(model, mb["n_particles"], mb["horizon"], mb["step"],
-                         seed=cfg["seed"])
-    stride = max(1, len(traj) // 512)
-    trajectory_to_csv(traj[::stride], np.arange(0, len(traj), stride),
+                         seed=cfg["seed"], record_every=stride)
+    steps = np.arange(0, n_steps + 1, stride)
+    trajectory_to_csv(traj[:len(steps)], steps,
                       os.path.join(out_dir, "trajectory.csv"))
     terminal = traj[-1]
     _write_json(os.path.join(out_dir, "diagnostics.json"), {

@@ -16,15 +16,19 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
-from .model import ModelSpec, loss_terms, rescale_model
+from .model import ModelSpec, features, loss_terms, rescale_model
 from .measure import _write_csv, _write_json
 
 MALA_TARGET_ACCEPTANCE = 0.574
 ACCEPTANCE_OK_RANGE = (0.2, 0.8)
 DIVERGENCE_GUARD = 1e6
+RHAT_WARN = 1.01
+MALA_KEY_BASE = 1 << 32
+NOISE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -94,37 +98,45 @@ def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
     return xb, single
 
 
-def _wgrad_rows(model: ModelSpec, xb: np.ndarray) -> np.ndarray:
-    """Rows grad_{x^i} [N F0(rho_x)] = Wasserstein gradient at x^i of each
-    state's empirical measure, for states xb of shape (S, N, d)."""
+def _interaction_terms(model: ModelSpec, xb: np.ndarray):
+    """For states xb (S, N, d), from one product xb @ data_x.T: expected
+    features eh (S, n_data) and Wasserstein-gradient rows (S, N, d)."""
     pre = xb @ model.data_x.T
     eh = model.activation.value(pre).mean(axis=1)
-    return np.einsum("snj,sj,jk->snk", model.activation.deriv(pre),
-                     loss_terms(model, eh, 1), model.data_x)
+    return eh, np.einsum("snj,sj,jk->snk", model.activation.deriv(pre),
+                         loss_terms(model, eh, 1), model.data_x)
 
 
-def n_particle_log_density(target: TargetSpec, x: np.ndarray):
-    """Unnormalized log density of the target at one state or a batch."""
+def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
+    """Unnormalized log density (S,) of states xb (S, N, d) and, if
+    with_grad, its gradient (S, N, d) from the same pre-activations."""
     m = target.effective_model
-    xb, single = _batch(x, target.n_particles, m.d)
+    eh, rows = (_interaction_terms(m, xb) if with_grad
+                else (features(m, xb).mean(axis=1), None))
+    grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
     sq = np.sum(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
-    eh = m.activation.value(xb @ m.data_x.T).mean(axis=1)
     out -= (2.0 * target.n_particles / m.sigma**2) * loss_terms(m, eh)
     if target.tilt is not None:
         diff = xb - target.tilt.y[None]
         out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
         out += 0.5 * sq
+        if with_grad:
+            grad += -diff / target.tilt.t + xb
+    return out, grad
+
+
+def n_particle_log_density(target: TargetSpec, x: np.ndarray):
+    """Unnormalized log density of the target at one state or a batch."""
+    xb, single = _batch(x, target.n_particles, target.effective_model.d)
+    out = _log_density(target, xb, with_grad=False)[0]
     return float(out[0]) if single else out
 
 
 def n_particle_log_density_grad(target: TargetSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the unnormalized log density, one (N, d) row per particle."""
-    m = target.effective_model
-    xb, single = _batch(x, target.n_particles, m.d)
-    grad = -(2.0 / m.sigma**2) * (m.lam * xb + _wgrad_rows(m, xb))
-    if target.tilt is not None:
-        grad += -(xb - target.tilt.y[None]) / target.tilt.t + xb
+    xb, single = _batch(x, target.n_particles, target.effective_model.d)
+    grad = _log_density(target, xb, with_grad=True)[1]
     return grad[0] if single else grad
 
 
@@ -132,7 +144,7 @@ def interaction_gradient(target: TargetSpec, x: np.ndarray) -> np.ndarray:
     """The -(2/sigma^2) * Wasserstein-gradient rows alone (bound <= 2B/sigma^2)."""
     m = target.effective_model
     xb, single = _batch(x, target.n_particles, m.d)
-    rows = -(2.0 / m.sigma**2) * _wgrad_rows(m, xb)
+    rows = -(2.0 / m.sigma**2) * _interaction_terms(m, xb)[1]
     return rows[0] if single else rows
 
 
@@ -165,15 +177,41 @@ def effective_sample_size(series: np.ndarray) -> float:
     return float(n / tau)
 
 
+def split_rhat(chains: np.ndarray) -> float:
+    """Rank-normalized split-R-hat (Vehtari et al. 2021) of draws shaped
+    (chains, draws), the larger of the bulk and folded values; ties (a
+    rejected MALA step repeats a state) share their mean rank.  NaN with
+    fewer than 2 draws per half chain, inf when no half chain moves."""
+    half = chains.shape[1] // 2
+    if half < 2:
+        return math.nan
+    split = np.concatenate([chains[:, :half], chains[:, -half:]])
+    rhat = []
+    for theta in (split, np.abs(split - np.median(split))):
+        _, inv, counts = np.unique(theta, return_inverse=True, return_counts=True)
+        rank = (np.cumsum(counts) - 0.5 * (counts - 1))[inv].reshape(theta.shape)
+        z = ndtri((rank - 0.375) / (theta.size + 0.25))
+        within = z.var(axis=1, ddof=1).mean()
+        rhat.append(math.sqrt((half - 1) / half + z.mean(axis=1).var(ddof=1)
+                              / within) if within > 0 else math.inf)
+    return max(rhat)
+
+
 @dataclass
 class MalaDiagnostics:
+    """Health of one :func:`mala_sample` call: pooled acceptance, per-chain
+    [min, max] of acceptance and final step size, and per summary series
+    the ESS summed over chains and the split-R-hat across them."""
+
     acceptance_rate: float
-    step_size: float
+    acceptance_range: list[float]
+    step_size_range: list[float]
     ess: dict[str, float]
+    rhat: dict[str, float]
+    n_chains: int
     n_samples: int
     n_burnin: int
     seed: int
-    chain_id: int
     acceptance_ok: bool
     warnings: list[str] = field(default_factory=list)
 
@@ -188,105 +226,124 @@ def _stream(seed: int, chain_id: int) -> np.random.Generator:
 
 
 def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
-                step_size: float, seed: int, chain_id: int = 0,
+                step_size: float, seed: int, n_chains: int = 1,
                 ) -> tuple[np.ndarray, MalaDiagnostics]:
-    """Metropolis-adjusted Langevin chain targeting the exact density.
+    """Metropolis-adjusted Langevin chains targeting the exact density,
+    run in lockstep on one (n_chains, N, d) state.
 
     The proposal is x' = x + tau * grad log p(x) + sqrt(2 tau) xi.  During
-    burn-in, tau adapts on a log scale toward 57.4% acceptance by
-    stochastic approximation and then freezes, so the returned samples
-    come from a fixed Markov kernel.  Deterministic given (seed, chain_id).
-
-    Returns the samples as an (n_samples, N, d) array, sample i being the
-    state after chain step n_burnin + i + 1, and the diagnostics.
+    burn-in each chain adapts its own tau on a log scale toward 57.4%
+    acceptance by stochastic approximation, then freezes it.  Chain c
+    draws its start, then per chunk of NOISE_CHUNK steps its noise and
+    uniforms, from the Philox stream (seed, 2**32 + c): its samples do not
+    depend on n_chains, memory does not grow with the run, and the keys
+    never meet the (seed, 0..2) streams of the dynamics and of
+    :mod:`mflab.chaos`.  Returns (samples, diagnostics), the samples an
+    (n_chains * n_samples, N, d) array whose row c * n_samples + i is
+    chain c's state after step n_burnin + i + 1.
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = _stream(seed, chain_id)
-    n, d = target.n_particles, target.effective_model.d
+    if n_samples < 1 or n_chains < 1:
+        raise ValueError("need at least one sample and one chain")
     m = target.effective_model
+    n, d = target.n_particles, m.d
+    rngs = [_stream(seed, MALA_KEY_BASE + c) for c in range(n_chains)]
 
-    sd0 = m.sigma / math.sqrt(2.0 * m.lam)
-    x = sd0 * rng.standard_normal((n, d))
-    if target.tilt is not None:
+    z = np.stack([g.standard_normal((n, d)) for g in rngs])
+    if target.tilt is None:
+        x = m.sigma / math.sqrt(2.0 * m.lam) * z
+    else:
         a = tilted_alpha(m, target.tilt.t)
-        x = target.tilt.y / (target.tilt.t * a) + rng.standard_normal((n, d)) / math.sqrt(a)
-
-    log_tau = math.log(step_size)
-    logp = n_particle_log_density(target, x)
-    grad = n_particle_log_density_grad(target, x)
+        x = target.tilt.y / (target.tilt.t * a) + z / math.sqrt(a)
+    logp, grad = _log_density(target, x, with_grad=True)
+    log_tau = np.full(n_chains, math.log(step_size))
 
     total = n_burnin + n_samples
-    out = np.empty((n_samples, n, d))
-    accepted_main = 0
+    out = np.empty((n_chains, n_samples, n, d))
+    noise = np.empty((n_chains, NOISE_CHUNK, n, d))
+    log_u = np.empty((n_chains, NOISE_CHUNK))
+    accepted = np.zeros(n_chains)
     for step in range(total):
-        tau = math.exp(log_tau)
-        noise = rng.standard_normal((n, d))
-        prop = x + tau * grad + math.sqrt(2.0 * tau) * noise
-        logp_prop = n_particle_log_density(target, prop)
-        grad_prop = n_particle_log_density_grad(target, prop)
-        fwd = prop - x - tau * grad
-        bwd = x - prop - tau * grad_prop
-        log_accept = (logp_prop - logp
-                      + (np.sum(fwd * fwd) - np.sum(bwd * bwd)) / (4.0 * tau))
-        accept = math.log(rng.random()) < log_accept
-        if accept:
-            x, logp, grad = prop, logp_prop, grad_prop
+        k = step % NOISE_CHUNK
+        if k == 0:
+            size = min(NOISE_CHUNK, total - step)
+            for c, g in enumerate(rngs):
+                g.standard_normal(out=noise[c, :size])
+                g.random(out=log_u[c, :size])
+            np.log(log_u[:, :size], out=log_u[:, :size])
+        tau = np.exp(log_tau)
+        xi, t3 = noise[:, k], tau[:, None, None]
+        prop = x + t3 * grad + np.sqrt(2.0 * t3) * xi
+        logp_prop, grad_prop = _log_density(target, prop, with_grad=True)
+        bwd = x - prop - t3 * grad_prop
+        log_accept = (logp_prop - logp + 0.5 * np.sum(xi * xi, axis=(1, 2))
+                      - np.sum(bwd * bwd, axis=(1, 2)) / (4.0 * tau))
+        acc = log_u[:, k] < log_accept
+        x[acc], logp[acc], grad[acc] = prop[acc], logp_prop[acc], grad_prop[acc]
         if step < n_burnin:
-            gain = (step + 1) ** -0.6
-            log_tau += gain * ((1.0 if accept else 0.0) - MALA_TARGET_ACCEPTANCE)
+            log_tau += (step + 1) ** -0.6 * (acc - MALA_TARGET_ACCEPTANCE)
         else:
-            idx = step - n_burnin
-            out[idx] = x
-            accepted_main += int(accept)
+            out[:, step - n_burnin] = x
+            accepted += acc
 
-    acc_rate = accepted_main / n_samples
-    ess = {
-        "mean_coordinate": effective_sample_size(out.mean(axis=(1, 2))),
-        "mean_square": effective_sample_size((out * out).mean(axis=(1, 2))),
-    }
-    ok = ACCEPTANCE_OK_RANGE[0] <= acc_rate <= ACCEPTANCE_OK_RANGE[1]
-    warnings = [] if ok else [
-        f"acceptance rate {acc_rate:.3f} outside {ACCEPTANCE_OK_RANGE}"
-    ]
+    rate = accepted / n_samples
+    series = {"mean_coordinate": out.mean(axis=(2, 3)),
+              "mean_square": (out * out).mean(axis=(2, 3))}
+    rhat = {k: split_rhat(v) for k, v in series.items()}
+    ok = bool(ACCEPTANCE_OK_RANGE[0] <= rate.min()
+              and rate.max() <= ACCEPTANCE_OK_RANGE[1])
+    warnings = [] if ok else [f"chain acceptance rates [{rate.min():.3f}, "
+                              f"{rate.max():.3f}] outside {ACCEPTANCE_OK_RANGE}"]
+    warnings += [f"split R-hat of {k} {v:.4f} > {RHAT_WARN}"
+                 for k, v in rhat.items() if v > RHAT_WARN]
     diag = MalaDiagnostics(
-        acceptance_rate=acc_rate, step_size=math.exp(log_tau), ess=ess,
-        n_samples=n_samples, n_burnin=n_burnin, seed=seed, chain_id=chain_id,
-        acceptance_ok=ok, warnings=warnings,
-    )
-    return out, diag
+        acceptance_rate=float(rate.mean()),
+        acceptance_range=[float(rate.min()), float(rate.max())],
+        step_size_range=[float(np.exp(log_tau.min())),
+                         float(np.exp(log_tau.max()))],
+        ess={k: float(sum(map(effective_sample_size, v)))
+             for k, v in series.items()}, rhat=rhat, n_chains=n_chains,
+        n_samples=n_samples, n_burnin=n_burnin, seed=seed, acceptance_ok=ok,
+        warnings=warnings)
+    return out.reshape(n_chains * n_samples, n, d), diag
 
 
 def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
                   step: float, seed: int, x0: np.ndarray | None = None,
-                  chain_id: int = 0) -> np.ndarray:
+                  chain_id: int = 0, record_every: int = 1) -> np.ndarray:
     """Euler-Maruyama discretization of the interacting-particle dynamics.
 
-    Each particle moves by -(lam x^i + wgrad(rho_x, x^i)) h + sigma sqrt(h) xi.
-    Returns every state as an (n_steps + 1, N, d) array, row k the state
-    after k steps and row 0 the start x0 (zeros by default), with
-    n_steps = round(horizon / step).  Aborts with a diagnostic if any
-    coordinate passes 1e6.
+    Each particle moves by -(lam x^i + wgrad(rho_x, x^i)) h + sigma sqrt(h) xi,
+    xi one (N, d) draw per step from the Philox stream (seed, chain_id).
+    Of the n_steps = round(horizon / step) steps, keeps the states after
+    j * record_every steps as rows j = 0 .. n_steps // record_every (row 0
+    is x0, zeros by default), plus the terminal state as one more row if
+    record_every does not divide n_steps: the last row is always terminal.
+    Aborts with a diagnostic if any coordinate passes 1e6.
     """
     if step <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     rng = _stream(seed, chain_id)
     n_steps = int(round(horizon / step))
-    traj = np.empty((n_steps + 1, n_particles, model.d))
-    traj[0] = 0.0 if x0 is None else np.reshape(x0, (n_particles, model.d))
-    if not np.all(np.isfinite(traj[0])):
+    n_rows = n_steps // record_every + 1 + (n_steps % record_every > 0)
+    traj = np.empty((n_rows, n_particles, model.d))
+    x = traj[0]
+    x[...] = 0.0 if x0 is None else np.reshape(x0, (n_particles, model.d))
+    if not np.all(np.isfinite(x)):
         raise ValueError("particle coordinates must be finite")
     noise_scale = model.sigma * math.sqrt(step)
-    for k in range(n_steps):
-        x = traj[k]
-        drift = model.lam * x + _wgrad_rows(model, x[None])[0]
-        traj[k + 1] = (x - step * drift
-                       + noise_scale * rng.standard_normal(x.shape))
-        worst = float(np.max(np.abs(traj[k + 1])))
+    for k in range(1, n_steps + 1):
+        drift = model.lam * x + _interaction_terms(model, x[None])[1][0]
+        x = x - step * drift + noise_scale * rng.standard_normal(x.shape)
+        worst = float(np.max(np.abs(x)))
         if worst > DIVERGENCE_GUARD:
-            raise SimulationDivergedError(k + 1, worst)
+            raise SimulationDivergedError(k, worst)
+        if k % record_every == 0:
+            traj[k // record_every] = x
+    traj[-1] = x
     return traj
 
 

@@ -1,6 +1,7 @@
 """KL estimator against the Gaussian oracle, plus the chaos bound calculators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mflab.chaos import (
     poc_bound,
     sweep_to_csv,
 )
-from mflab.errors import CalculatorDomainError
+from mflab.errors import CalculatorDomainError, ConfigError
 from mflab.meanfield import solve_self_consistent
 from mflab.measure import Axis, EmpiricalMeasure, normalize_from_log_potential
 from mflab.model import quadratic_oracle, zero_model
@@ -114,6 +115,29 @@ class TestEstimateKlQuadratic:
         exact = quadratic_kl_exact(0.5, 1.0, 4)
         assert abs(report.kl_estimate - exact) <= 2.0 * report.kl_halfwidth
 
+    def test_between_chain_ci_is_calibrated(self):
+        # 16 seeds at reduced effort, with enough product draws that the
+        # E_mu[B] part dominates the half-width.  The half-width is 2
+        # standard errors, that part from 32 chain means (a t law with 31
+        # degrees of freedom), so for a calibrated interval:
+        # - a miss of 2 half-widths has probability 3.7e-4 per seed, and
+        #   some seed misses with probability 0.6 %;
+        # - a seed is covered by one half-width with probability 0.946 to
+        #   0.954 (t or normal law), and at most 12 of 16 are covered with
+        #   probability under 1 %.
+        # An interval half as wide as it should be covers about 68 %, and
+        # then at most 12 of 16 are covered with probability 0.8.
+        effort = McmcConfig(n_samples=2048, n_burnin=256,
+                            n_pi_samples=32768, n_bootstrap=32)
+        exact = quadratic_kl_exact(0.5, 1.0, 4)
+        errors = []
+        for seed in range(16):
+            r = estimate_kl(quadratic_preset(), 4, mcmc=effort, seed=seed)
+            errors.append(abs(r.kl_estimate - exact) / r.kl_halfwidth)
+        errors = np.array(errors)
+        assert np.all(errors <= 2.0), errors
+        assert np.sum(errors <= 1.0) >= 13, errors
+
     def test_oracle_formula_cross_check(self):
         # The compact formula agrees with the longhand multivariate KL.
         for n in (2, 4, 8):
@@ -145,6 +169,26 @@ class TestEstimateKlQuadratic:
         r1 = estimate_kl(quadratic_preset(), 2, mcmc=small, seed=9)
         r2 = estimate_kl(quadratic_preset(), 2, mcmc=small, seed=9)
         assert r1.to_dict() == r2.to_dict()
+
+
+class TestChains:
+    def test_pi_side_does_not_depend_on_n_chains(self):
+        small = McmcConfig(n_samples=400, n_burnin=100, n_pi_samples=1000,
+                           n_bootstrap=20, n_chains=2)
+        r2 = estimate_kl(relu_preset(), 2, mcmc=small, seed=9)
+        r5 = estimate_kl(relu_preset(), 2, mcmc=replace(small, n_chains=5),
+                         seed=9)
+        for name in ("bregman_mean_under_pi", "bregman_pi_halfwidth", "log_z",
+                     "log_z_halfwidth", "z_importance_ess",
+                     "variance_step_rhs"):
+            assert getattr(r2, name) == getattr(r5, name), name
+        assert r2.bregman_mean_under_mu != r5.bregman_mean_under_mu
+        assert (r2.sampler.n_chains, r2.sampler.n_samples) == (2, 200)
+        assert (r5.sampler.n_chains, r5.sampler.n_samples) == (5, 80)
+
+    def test_one_chain_rejected(self):
+        with pytest.raises(ConfigError, match="n_chains"):
+            McmcConfig(n_chains=1)
 
 
 class TestEstimateKlRelu:

@@ -47,9 +47,16 @@ class TestConfigValidation:
 
     def test_defaults_filled(self):
         cfg = validate_config(MINI_CHAOS)
-        assert cfg["mcmc"]["n_batches"] == 32
+        assert cfg["mcmc"]["n_chains"] == 32
         assert cfg["grid"]["n_nodes"] == 2048
         assert cfg["seed"] == 0
+
+    def test_chaos_sweep_needs_two_chains_exit_2(self, tmp_path):
+        cfg = dict(MINI_CHAOS, mcmc=dict(MINI_CHAOS["mcmc"], n_chains=1))
+        with pytest.raises(ConfigError, match="n_chains"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_chaos_sweep_rejects_d_not_1(self):
         with pytest.raises(ConfigError, match="d = 1"):
@@ -288,6 +295,26 @@ class TestReportCommand:
         assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert "chaos sweep" in captured.out
+
+    def test_report_prints_sampler_warnings(self, tmp_path, capsys):
+        # A step far too large for a 1-step burn-in leaves every chain
+        # rejecting almost every proposal.
+        cfg = dict(MINI_CHAOS, mcmc=dict(MINI_CHAOS["mcmc"], n_burnin=1,
+                                         step_size0=50.0))
+        out = tmp_path / "out"
+        main(["run", "--config", write_config(tmp_path, cfg), "--out",
+              str(out)])
+        report = json.loads((out / "report_N002.json").read_text())
+        assert report["sampler"]["n_chains"] == 32
+        assert report["sampler"]["acceptance_ok"] is False
+        warnings = report["sampler"]["warnings"]
+        assert warnings[0].startswith("chain acceptance rates")
+        assert "sampler" not in report["flags"]
+        capsys.readouterr()
+        main(["report", str(out)])
+        printed = capsys.readouterr().out
+        for w in warnings:
+            assert f"warning: N=2: {w}" in printed
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2

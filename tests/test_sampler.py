@@ -18,6 +18,7 @@ from mflab.sampler import (
     mfld_simulate,
     n_particle_log_density,
     n_particle_log_density_grad,
+    split_rhat,
 )
 from mflab.model import model_constants
 
@@ -138,6 +139,45 @@ class TestMala:
         assert d1.acceptance_rate == d2.acceptance_rate
         assert not np.array_equal(s1, s3)
 
+    def test_chain_does_not_depend_on_chains_beside_it(self):
+        # Each chain has its own Philox stream and its own step size, and
+        # the lockstep arithmetic is elementwise per chain, so chain 0 is
+        # bit-identical whether it runs alone or beside three others.
+        targets = [
+            TargetSpec(relu_preset(), 4),
+            TargetSpec(quadratic_oracle(1.0, 1.0, kappa=0.5, d=2,
+                                        e=[0.6, 0.8]), 3),
+            TargetSpec(relu_preset(), 2,
+                       tilt=TiltSpec(0.5, np.array([[0.3], [-0.2]])),
+                       rescaled=True),
+        ]
+        for target in targets:
+            alone, d1 = mala_sample(target, 300, 300, 0.3, seed=3)
+            beside, d4 = mala_sample(target, 300, 300, 0.3, seed=3,
+                                     n_chains=4)
+            assert beside.shape == (4 * 300,) + alone.shape[1:]
+            np.testing.assert_array_equal(alone, beside[:300])
+            assert d4.n_chains == 4 and d4.n_samples == 300
+            assert d4.acceptance_range[0] <= d1.acceptance_rate \
+                <= d4.acceptance_range[1]
+            assert d4.step_size_range[0] <= d1.step_size_range[0] \
+                <= d4.step_size_range[1]
+
+    def test_chains_differ_and_diagnostics_summarize_them(self):
+        target = TargetSpec(relu_preset(), 2)
+        x, diag = mala_sample(target, 400, 300, 0.4, seed=5, n_chains=3)
+        chains = x.reshape(3, 400, 2, 1)
+        assert not np.array_equal(chains[0], chains[1])
+        means = chains.mean(axis=(2, 3))
+        assert diag.ess["mean_coordinate"] == pytest.approx(
+            sum(effective_sample_size(m) for m in means), rel=1e-12)
+        assert diag.rhat["mean_coordinate"] == split_rhat(means)
+        assert diag.acceptance_ok
+        assert len(diag.warnings) == sum(v > 1.01 for v in diag.rhat.values())
+        _, stuck = mala_sample(target, 200, 0, 50.0, seed=5, n_chains=2)
+        assert not stuck.acceptance_ok
+        assert stuck.warnings[0].startswith("chain acceptance rates")
+
     def test_histogram_matches_grid_density(self):
         # d = 1, N = 1: the binned long-run histogram agrees with the
         # grid density built from the same log potential.
@@ -223,6 +263,44 @@ class TestEffectiveSampleSize:
         assert ess < n / 15
 
 
+class TestSplitRhat:
+    @staticmethod
+    def reference(chains):
+        # Vehtari et al. (2021), eqs. 3-4 and the rank normalization of
+        # section 3, written out with scipy's average ranks.
+        from scipy.stats import norm, rankdata
+
+        half = chains.shape[1] // 2
+        split = np.vstack([chains[:, :half], chains[:, -half:]])
+
+        def rhat(theta):
+            r = rankdata(theta, axis=None).reshape(theta.shape)
+            z = norm.ppf((r - 3.0 / 8.0) / (theta.size + 1.0 / 4.0))
+            n = z.shape[1]
+            w = np.mean([np.var(row, ddof=1) for row in z])
+            b = n * np.var(z.mean(axis=1), ddof=1)
+            return math.sqrt(((n - 1) / n * w + b / n) / w)
+
+        return max(rhat(split), rhat(np.abs(split - np.median(split))))
+
+    def test_matches_reference_with_ties(self):
+        rng = np.random.default_rng(3)
+        for shape in ((4, 100), (8, 51), (1, 40)):
+            chains = np.round(rng.normal(size=shape), 1)  # many ties
+            assert split_rhat(chains) == pytest.approx(
+                self.reference(chains), rel=1e-12)
+
+    def test_separates_agreeing_from_shifted_chains(self):
+        rng = np.random.default_rng(4)
+        chains = rng.normal(size=(8, 500))
+        assert split_rhat(chains) < 1.01
+        chains[0] += 1.0
+        assert split_rhat(chains) > 1.05
+
+    def test_too_short_is_nan(self):
+        assert math.isnan(split_rhat(np.zeros((4, 3))))
+
+
 class TestMfldSimulate:
     def test_zero_model_terminal_variance(self):
         model = zero_model(sigma=1.0, lam=1.0)
@@ -274,3 +352,17 @@ class TestMfldSimulate:
         t1 = mfld_simulate(model, 8, 1.0, 1e-2, seed=47)
         t2 = mfld_simulate(model, 8, 1.0, 1e-2, seed=47)
         np.testing.assert_array_equal(t1, t2)
+
+    def test_record_every_keeps_strided_rows_and_terminal(self):
+        model = relu_preset()
+        full = mfld_simulate(model, 8, 1.0, 1e-2, seed=47)
+        assert full.shape == (101, 8, 1)
+        for r in (1, 4, 7, 100, 150):
+            kept = mfld_simulate(model, 8, 1.0, 1e-2, seed=47,
+                                 record_every=r)
+            rows = 100 // r + 1
+            assert len(kept) == rows + (100 % r > 0)
+            np.testing.assert_array_equal(kept[:rows], full[::r])
+            np.testing.assert_array_equal(kept[-1], full[-1])
+        with pytest.raises(ValueError, match="record_every"):
+            mfld_simulate(model, 8, 1.0, 1e-2, seed=47, record_every=0)
