@@ -8,10 +8,11 @@ The estimator uses the exact identity
 where B is the Bregman divergence of the interaction energy between the
 empirical measure of the particles and the mixture pibar of the
 self-consistent system.  E_mu[B] comes from lockstep MALA chains on the
-particle Gibbs measure (between-chain confidence interval); Z comes from
-i.i.d. product-measure draws via a log-sum-exp estimator (bootstrap
-confidence interval).  The closed-form upper bounds the estimate is
-compared against are evaluated exactly.
+particle Gibbs measure (between-chain confidence interval); Z = E[w] comes
+from n i.i.d. product draws of w = exp(-(2N/sigma^2) B), with the CI of
+log mean(w) from the importance ESS (sum w)^2/sum w^2 by the delta method,
+Var ~ (mean(w^2)/mean(w)^2 - 1)/n = 1/ESS - 1/n.  The closed-form upper
+bounds the estimate is compared against are evaluated exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import (
     loss_terms,
     model_constants,
 )
-from .sampler import MalaDiagnostics, TargetSpec, TiltSpec, mala_sample
+from .sampler import MalaDiagnostics, TargetSpec, TiltSpec, _stream, mala_sample
 
 BREGMAN_FLOOR = -1e-10
 Z_ESS_FLOOR = 100.0
@@ -74,6 +75,16 @@ def bregman_batch(model: ModelSpec, x: np.ndarray, pibar: GridDensity) -> np.nda
     """
     eh_nu = features(model, np.asarray(x, dtype=float)).mean(axis=1)
     return _bregman(model, eh_nu, pibar)
+
+
+def log_mean_exp(log_w: np.ndarray) -> tuple[float, float, float]:
+    """log mean(w) from log-weights, with the importance ESS and the
+    delta-method half-width 2 sqrt(1/ESS - 1/n) of log mean(w)."""
+    w = np.exp(log_w - log_w.max())
+    ess = float(w.sum() ** 2 / (w @ w))
+    # Rounding can put the ESS of near-constant weights above n.
+    hw = 2.0 * math.sqrt(max(0.0, 1.0 / ess - 1.0 / log_w.size))
+    return float(logsumexp(log_w) - math.log(log_w.size)), ess, hw
 
 
 def poc_bound(inputs: BoundInputs, cbar_pi: float, alpha: float,
@@ -118,13 +129,13 @@ def poincare_constant_bound(model: ModelSpec, alpha: float) -> float:
 class McmcConfig:
     """Sampling effort knobs for one KL estimate: n_chains >= 2 MALA chains
     each adapt over n_burnin steps, then keep ceil(n_samples / n_chains)
-    samples; the spread of their means gives the CI of E_mu[B]."""
+    samples; the spread of their means gives the CI of E_mu[B], and the
+    importance ESS of n_pi_samples draws that of log Z (delta method)."""
 
     n_samples: int = 16384
     n_burnin: int = 2048
     step_size0: float = 0.3
     n_pi_samples: int = 32768
-    n_bootstrap: int = 256
     n_chains: int = 32
 
     def __post_init__(self):
@@ -135,7 +146,8 @@ class McmcConfig:
 
 @dataclass
 class ChaosReport:
-    """Everything measured for one (model, N) chaos run."""
+    """Everything measured for one (model, N) chaos run; log_z_halfwidth
+    is the delta method 2 sqrt(1/ESS - 1/n) from the importance ESS."""
 
     n_particles: int
     kl_estimate: float
@@ -153,20 +165,17 @@ class ChaosReport:
     scale: float
     z_importance_ess: float
     variance_step_rhs: float
+    solver_iterations: int
+    solver_residual: float
     seed: int
     mala_acceptance: float
     sampler: MalaDiagnostics
     flags: dict[str, bool] = field(default_factory=dict)
 
-    @property
-    def min_bregman(self) -> float:
-        return self.flags.get("_min_bregman", 0.0)
-
     def to_dict(self) -> dict:
         out = {k: v for k, v in self.__dict__.items() if k != "flags"}
         out["sampler"] = asdict(self.sampler)
-        out["flags"] = {k: v for k, v in self.flags.items()
-                        if not k.startswith("_")}
+        out["flags"] = dict(self.flags)
         return out
 
     def to_json(self, path):
@@ -211,8 +220,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     chain_means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
     hw_b_mu = 2.0 * float(chain_means.std(ddof=1)) / math.sqrt(mcmc.n_chains)
 
-    rng_pi = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(1)])))
+    rng_pi = _stream(seed, 1)
     cols = []
     for p_i in system.per_particle:
         cols.append(sample_from_grid(p_i, mcmc.n_pi_samples, rng_pi))
@@ -221,18 +229,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     mean_b_pi = float(b_pi.mean())
     hw_b_pi = 2.0 * float(b_pi.std(ddof=1)) / math.sqrt(b_pi.size)
 
-    log_w = -scale * b_pi
-    log_z = float(logsumexp(log_w) - math.log(b_pi.size))
-    w_shift = np.exp(log_w - log_w.max())
-    z_ess = float(w_shift.sum() ** 2 / (w_shift @ w_shift))
-
-    rng_boot = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(2)])))
-    boot = np.empty(mcmc.n_bootstrap)
-    for b in range(mcmc.n_bootstrap):
-        idx = rng_boot.integers(0, b_pi.size, b_pi.size)
-        boot[b] = logsumexp(log_w[idx]) - math.log(b_pi.size)
-    hw_log_z = 2.0 * float(boot.std(ddof=1))
+    log_z, z_ess, hw_log_z = log_mean_exp(-scale * b_pi)
     z_ess_ok = z_ess >= Z_ESS_FLOOR
     if not z_ess_ok:
         hw_log_z *= Z_ESS_WIDEN_FACTOR
@@ -259,7 +256,6 @@ def estimate_kl(model: ModelSpec, n_particles: int,
         "kl_nonnegative": kl >= -hw_kl,
         "z_ess_ok": z_ess_ok,
         "variance_step": mean_b_pi <= var_rhs + hw_b_pi,
-        "_min_bregman": min_breg,
     }
     return ChaosReport(
         n_particles=n_particles,
@@ -270,6 +266,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
         bound_poc=bound_generic, bound_poc_ii=bound_nn,
         alpha=alpha, cbar_pi=cbar_pi, scale=scale,
         z_importance_ess=z_ess, variance_step_rhs=var_rhs,
+        solver_iterations=system.iterations, solver_residual=system.residual,
         seed=seed, mala_acceptance=diag.acceptance_rate, sampler=diag,
         flags=flags,
     )

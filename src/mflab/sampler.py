@@ -237,10 +237,10 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
     draws its start, then per chunk of NOISE_CHUNK steps its noise and
     uniforms, from the Philox stream (seed, 2**32 + c): its samples do not
     depend on n_chains, memory does not grow with the run, and the keys
-    never meet the (seed, 0..2) streams of the dynamics and of
-    :mod:`mflab.chaos`.  Returns (samples, diagnostics), the samples an
-    (n_chains * n_samples, N, d) array whose row c * n_samples + i is
-    chain c's state after step n_burnin + i + 1.
+    never meet the (seed, 0..1) streams of the dynamics and of
+    :mod:`mflab.chaos` (key (seed, 2) is retired).  Returns (samples,
+    diagnostics), the samples an (n_chains * n_samples, N, d) array whose
+    row c * n_samples + i is chain c's state after step n_burnin + i + 1.
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")

@@ -8,6 +8,7 @@ test.
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 
@@ -108,3 +109,14 @@ def largest_eigenvalue_2x2(c):
     (a + d)/2 + hypot((a - d)/2, b)."""
     a, b, d = c[0][0], c[0][1], c[1][1]
     return 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+
+
+def bootstrap_log_mean_sd(log_w, n_boot, rng):
+    """Standard deviation of log mean(w) over n_boot resamples of the
+    log-weights with replacement, one logsumexp per replicate."""
+    n = log_w.size
+    boot = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = rng.integers(0, n, n)
+        boot[b] = logsumexp(log_w[idx]) - math.log(n)
+    return float(boot.std(ddof=1))

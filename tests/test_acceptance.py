@@ -353,7 +353,7 @@ class TestCriterion9Determinism:
             "model": {"preset": "quadratic"},
             "sweep": {"n_particles": [2, 4]},
             "mcmc": {"n_samples": 2000, "n_burnin": 500,
-                     "n_pi_samples": 4000, "n_bootstrap": 64},
+                     "n_pi_samples": 4000},
         }
         transport_cfg = {
             "experiment": "transport_map",

@@ -5,30 +5,35 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import norm
 
 from mflab.bounds import BoundInputs
 from mflab.chaos import (
+    BREGMAN_FLOOR,
+    Z_ESS_WIDEN_FACTOR,
     McmcConfig,
     bregman_divergence,
     bregman_batch,
     chaos_sweep,
     estimate_kl,
+    log_mean_exp,
     no_growth_in_n,
     poc_bound,
     sweep_to_csv,
 )
 from mflab.errors import CalculatorDomainError, ConfigError
-from mflab.meanfield import solve_self_consistent
+from mflab.meanfield import DEFAULT_TOL, solve_self_consistent
 from mflab.measure import Axis, EmpiricalMeasure, normalize_from_log_potential
 from mflab.model import quadratic_oracle, zero_model
 from mflab.presets import quadratic_preset, relu_preset
 
 from _oracles import quadratic_kl_exact, quadratic_mu_gaussian
-from _oracles import gaussian_kl_full
+from _oracles import bootstrap_log_mean_sd, gaussian_kl_full
 
 
-FAST = McmcConfig(n_samples=6000, n_burnin=1500, n_pi_samples=20000,
-                  n_bootstrap=200)
+FAST = McmcConfig(n_samples=6000, n_burnin=1500, n_pi_samples=20000)
 
 
 def gaussian_grid(mean, var):
@@ -68,6 +73,37 @@ class TestBregman:
             scalar = bregman_divergence(model, EmpiricalMeasure(x[i]), pibar)
             assert abs(batch[i] - scalar) < 1e-12
 
+    # F0 is convex along mixtures, so B >= 0 for every empirical measure
+    # and every pibar, up to rounding.
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.sampled_from([relu_preset, quadratic_preset]),
+           st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 2.0)),
+           arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 16),
+                                   st.just(1)),
+                  elements=st.floats(-6.0, 6.0)))
+    def test_batch_is_nonnegative(self, preset, pibar_moments, x):
+        pibar = gaussian_grid(*pibar_moments)
+        assert np.all(bregman_batch(preset(), x, pibar) >= BREGMAN_FLOOR)
+
+
+class TestLogMeanExp:
+    def test_matches_bootstrap_and_lognormal_formula(self):
+        # log w = s z at the n normal quantiles: for lognormal w the
+        # delta-method variance of log mean(w) is (e^{s^2} - 1)/n.
+        s, n = 0.5, 32768
+        log_w = s * norm.ppf((np.arange(n) + 0.5) / n)
+        _, _, hw = log_mean_exp(log_w)
+        boot = bootstrap_log_mean_sd(log_w, 2000, np.random.default_rng(0))
+        assert hw / 2.0 == pytest.approx(boot, rel=0.05)
+        assert hw / 2.0 == pytest.approx(
+            math.sqrt((math.exp(s * s) - 1.0) / n), rel=0.05)
+
+    def test_near_constant_weights_give_zero(self):
+        log_w = np.array([0.0, -1.1e-16, -1.1e-16])
+        _, ess, hw = log_mean_exp(log_w)
+        assert ess > log_w.size
+        assert hw == 0.0
+
 
 class TestPocBound:
     def test_zero_beta_hat(self):
@@ -92,10 +128,10 @@ class TestEstimateKlZeroModel:
     def test_exact_zero(self):
         report = estimate_kl(zero_model(sigma=1.0, lam=0.5), 3,
                              mcmc=McmcConfig(n_samples=800, n_burnin=200,
-                                             n_pi_samples=2000,
-                                             n_bootstrap=50), seed=0)
+                                             n_pi_samples=2000), seed=0)
         assert report.kl_estimate == 0.0
         assert report.kl_halfwidth == 0.0
+        assert report.log_z_halfwidth == 0.0
         assert report.flags["bregman_nonnegative"]
         assert report.flags["kl_below_poc"]
 
@@ -128,7 +164,7 @@ class TestEstimateKlQuadratic:
         # An interval half as wide as it should be covers about 68 %, and
         # then at most 12 of 16 are covered with probability 0.8.
         effort = McmcConfig(n_samples=2048, n_burnin=256,
-                            n_pi_samples=32768, n_bootstrap=32)
+                            n_pi_samples=32768)
         exact = quadratic_kl_exact(0.5, 1.0, 4)
         errors = []
         for seed in range(16):
@@ -164,8 +200,7 @@ class TestEstimateKlQuadratic:
             <= report.bregman_pi_halfwidth
 
     def test_determinism(self):
-        small = McmcConfig(n_samples=400, n_burnin=100, n_pi_samples=1000,
-                           n_bootstrap=20)
+        small = McmcConfig(n_samples=400, n_burnin=100, n_pi_samples=1000)
         r1 = estimate_kl(quadratic_preset(), 2, mcmc=small, seed=9)
         r2 = estimate_kl(quadratic_preset(), 2, mcmc=small, seed=9)
         assert r1.to_dict() == r2.to_dict()
@@ -174,7 +209,7 @@ class TestEstimateKlQuadratic:
 class TestChains:
     def test_pi_side_does_not_depend_on_n_chains(self):
         small = McmcConfig(n_samples=400, n_burnin=100, n_pi_samples=1000,
-                           n_bootstrap=20, n_chains=2)
+                           n_chains=2)
         r2 = estimate_kl(relu_preset(), 2, mcmc=small, seed=9)
         r5 = estimate_kl(relu_preset(), 2, mcmc=replace(small, n_chains=5),
                          seed=9)
@@ -192,6 +227,24 @@ class TestChains:
 
 
 class TestEstimateKlRelu:
+    def test_low_ess_widens_log_z_halfwidth(self):
+        # 64 product draws cannot reach the ESS floor of 100.
+        small = McmcConfig(n_samples=400, n_burnin=100, n_pi_samples=64,
+                           n_chains=2)
+        r = estimate_kl(relu_preset(), 2, mcmc=small, seed=1)
+        assert not r.flags["z_ess_ok"]
+        closed = 2.0 * math.sqrt(1.0 / r.z_importance_ess - 1.0 / 64)
+        assert r.log_z_halfwidth == pytest.approx(
+            Z_ESS_WIDEN_FACTOR * closed, rel=1e-12)
+
+    def test_reports_solver_health(self):
+        small = McmcConfig(n_samples=400, n_burnin=100, n_pi_samples=1000,
+                           n_chains=2)
+        r = estimate_kl(relu_preset(), 2, mcmc=small, seed=1)
+        assert r.solver_iterations >= 1
+        assert r.solver_residual < DEFAULT_TOL
+        assert r.to_dict()["solver_residual"] == r.solver_residual
+
     def test_bounds_and_flags(self):
         report = estimate_kl(relu_preset(), 2, mcmc=FAST, seed=3)
         assert report.flags["kl_below_poc"]
@@ -220,8 +273,7 @@ class TestTiltedEstimate:
         tilt = TiltSpec(0.5, np.array([[0.4], [-0.2]]))
         report = estimate_kl(zero_model(sigma=1.0, lam=1.0), 2,
                              mcmc=McmcConfig(n_samples=500, n_burnin=200,
-                                             n_pi_samples=1000,
-                                             n_bootstrap=20),
+                                             n_pi_samples=1000),
                              seed=4, tilt=tilt, rescaled=True)
         assert report.kl_estimate == 0.0
         assert report.alpha == pytest.approx(1.0 + 1.0 / 0.5)

@@ -20,8 +20,7 @@ MINI_CHAOS = {
     "seed": 0,
     "model": {"preset": "quadratic"},
     "sweep": {"n_particles": [2]},
-    "mcmc": {"n_samples": 800, "n_burnin": 200, "n_pi_samples": 2000,
-             "n_bootstrap": 50},
+    "mcmc": {"n_samples": 800, "n_burnin": 200, "n_pi_samples": 2000},
 }
 
 
@@ -74,6 +73,13 @@ class TestConfigValidation:
         cfg = {"experiment": "transport_map", "model": {"preset": "relu3"},
                "flow": {"dt": 1e-3, "t_max": 8.0}}
         with pytest.raises(ConfigError, match="flow.dt"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_n_bootstrap_rejected_exit_2(self, tmp_path):
+        cfg = dict(MINI_CHAOS, mcmc=dict(MINI_CHAOS["mcmc"], n_bootstrap=256))
+        with pytest.raises(ConfigError, match="mcmc.n_bootstrap"):
             validate_config(cfg)
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
@@ -148,6 +154,14 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["invariants_passed"] is True
         assert manifest["seed"] == 0
+
+    def test_manifest_records_peak_rss(self, tmp_path):
+        cfg = {"experiment": "bounds_table", "model": {"preset": "relu3"}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0.0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, MINI_CHAOS)
