@@ -5,8 +5,9 @@ Tilting a measure by exp(-|x - y|^2/2t + |x|^2/2) concentrates it near y
 at scale sqrt(t) for small t and removes a unit of convexity for large t.
 Uniform-in-y control of the tilted covariance operator norm is the
 certificate behind Lipschitz transport maps, so this demo profiles it
-over five decades of t around the small/large regime threshold and
-overlays both reference envelopes.  Outputs land in demos/output/.
+over four decades of t around the small/large regime threshold against
+both reference envelopes.  The profile and the (t, opnorm, envelopes)
+plot data for y = 0 land as CSV in demos/output/.
 """
 
 import dataclasses
@@ -50,5 +51,4 @@ for y in prof.y_labels():
 
 prof.to_csv(os.path.join(out_dir, "tilt_profile.csv"))
 prof.plot_data(os.path.join(out_dir, "tilt_profile_y0.csv"), y_label="y=0")
-prof.to_svg(os.path.join(out_dir, "tilt_profile_y0.svg"), y_label="y=0")
-print(f"\nwrote profile CSV, plot data, and SVG chart to {out_dir}")
+print(f"\nwrote profile CSV and plot data CSV to {out_dir}")

@@ -151,7 +151,6 @@ SCHEMA: dict[str, dict[str, Field]] = {
                                                       "y-uniformity"),
         "n_particles": Field(int, 1, "particles in the profiled Gibbs "
                                      "measure; total dimension <= 2"),
-        "svg": Field(bool, True, "also emit a static SVG line chart"),
     },
     "flow": {
         "t_max": Field(float, 8.0, "OU horizon of the closed-form flow; "
@@ -166,6 +165,17 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "step": Field(float, 1e-3, "Euler-Maruyama step; the dynamics "
                                    "itself is the object, bias is O(step)"),
     },
+}
+
+# The model keys build_model reads for each kind; a preset reads only its
+# name.  Any other key given in the model block is rejected; an unknown
+# kind is left to build_model's own error.
+MODEL_KEYS = {
+    "zero": {"kind", "sigma", "lam", "d"},
+    "quadratic_oracle": {"kind", "sigma", "lam", "d", "kappa", "c",
+                         "clip_radius"},
+    "example_nn": {"kind", "sigma", "lam", "clip_radius", "activation",
+                   "loss", "data", "data_csv"},
 }
 
 SECTIONS_BY_EXPERIMENT = {
@@ -234,14 +244,26 @@ def validate_config(raw: dict) -> dict:
                         f"{section}.{key} must be {f.type.__name__}")
             out[key] = val
         resolved[section] = out
-    if "model" in resolved and resolved["model"].get("preset") is None \
-            and resolved["model"].get("kind") is None:
+    given = raw.get("model") or {}
+    if given.get("preset") is not None:
+        allowed = {"preset"}
+    elif given.get("kind") is not None:
+        allowed = MODEL_KEYS.get(given["kind"], set(given))
+    else:
         raise ConfigError("model block needs either 'preset' or 'kind'")
+    ignored = sorted(set(given) - allowed)
+    if ignored:
+        raise ConfigError(f"model keys {ignored} are ignored by this model")
+    d = build_model(resolved["model"]).d
     if experiment == "chaos_sweep":
-        if build_model(resolved["model"]).d != 1:
+        if d != 1:
             raise ConfigError("chaos_sweep draws the product measure by a "
                               "1-d inverse CDF; the model must have d = 1")
         McmcConfig(**resolved["mcmc"])
+    if experiment == "tilt_profile" \
+            and resolved["profile"]["n_particles"] * d > 2:
+        raise ConfigError("profile total dimension n_particles * d must "
+                          "be <= 2")
     return resolved
 
 
@@ -334,10 +356,7 @@ def _run_tilt_profile(cfg: dict, out_dir: str) -> bool:
     n_particles = pb["n_particles"]
     inputs = dataclasses.replace(model_constants(model), d_prox=1,
                                  N=n_particles)
-    target = TargetSpec(model, n_particles)
-    pot = GibbsPotential(target)
-    if n_particles * model.d > 2:
-        raise ConfigError("profile total dimension must be <= 2")
+    pot = GibbsPotential(TargetSpec(model, n_particles))
     ts = default_profile_times(inputs, n=pb["n_times"],
                                decades_around=pb["decades_around"])
     dim = n_particles * model.d
@@ -348,9 +367,6 @@ def _run_tilt_profile(cfg: dict, out_dir: str) -> bool:
         safe = label.replace("=", "_").replace("/", "_").replace("-", "m")
         prof.plot_data(os.path.join(out_dir, f"plot_data_{safe}.csv"),
                        y_label=label)
-        if pb["svg"]:
-            prof.to_svg(os.path.join(out_dir, f"profile_{safe}.svg"),
-                        y_label=label)
 
     t_star = regime_threshold(inputs)
     envelopes_ok = all(

@@ -20,7 +20,8 @@ one dimension: the flow
 with mu_t the exact Ornstein-Uhlenbeck evolution of mu, carries mu to
 mu_t monotonically, and in 1-d the monotone map is unique, so
 S_t = Q_{mu_t} o F_mu in closed form.  The map from gamma is the inverse
-of S_{t_max}.
+of S_{t_max}, and its accuracy W2(T_# gamma, mu) is its L^2(gamma)
+distance from the exact monotone map Q_mu o Phi.
 """
 
 from __future__ import annotations
@@ -253,17 +254,6 @@ class CovarianceProfile:
              np.array([r.large_regime_ref for r in rows])],
         )
 
-    def to_svg(self, path, y_label: str | None = None):
-        rows = self._rows(y_label)
-        xs = np.log10([r.t for r in rows])
-        series = {
-            "opnorm": np.log10([r.opnorm for r in rows]),
-            "small_ref": np.log10([r.small_regime_ref for r in rows]),
-            "large_ref": np.log10([r.large_regime_ref for r in rows]),
-        }
-        write_svg_lines(path, xs, series,
-                        x_label="log10 t", y_label="log10 opnorm")
-
 
 def default_profile_times(inputs: BoundInputs, n: int = 40,
                           decades_around: float = 2.0) -> np.ndarray:
@@ -454,9 +444,8 @@ def log_term_integral_quadrature(alpha: float) -> float:
 class FlowMap:
     """Monotone 1-d transport map from the standard Gaussian.
 
-    `source` are gamma-side evaluation points, `mapped` their images
-    T(source).  `forward_points`/`forward_images` keep the pairs
-    x -> S_{t_max}(x) that T inverts, and `gamma_w2` is the W2 distance
+    `source` are gamma-side evaluation points on a uniform grid,
+    `mapped` their images T(source), and `gamma_w2` is the W2 distance
     from mu_{t_max} to gamma that the horizon check accepted.
     """
 
@@ -464,8 +453,6 @@ class FlowMap:
     mapped: np.ndarray
     gamma_w2: float
     t_max: float
-    forward_points: np.ndarray
-    forward_images: np.ndarray
 
 
 def reverse_flow_map(mu: GridDensity,
@@ -508,8 +495,7 @@ def reverse_flow_map(mu: GridDensity,
     source = np.linspace(src_lo, src_hi, 2048)
     mapped = inv(source)
     return FlowMap(source=source, mapped=np.asarray(mapped),
-                   gamma_w2=gamma_w2, t_max=t_max, forward_points=pts,
-                   forward_images=s)
+                   gamma_w2=gamma_w2, t_max=t_max)
 
 
 def lipschitz_estimate(flow: FlowMap) -> float:
@@ -524,26 +510,19 @@ def lipschitz_estimate(flow: FlowMap) -> float:
     return float(np.max(np.diff(m) / np.diff(s)))
 
 
-def pushforward_density(flow: FlowMap) -> GridDensity:
-    """T_# gamma as a grid density on the forward integration points.
-
-    Change of variables through the forward map: the density of T_# gamma
-    at x is phi(S(x)) S'(x).
-    """
-    x = flow.forward_points
-    s = flow.forward_images
-    ds_dx = np.gradient(s, x)
-    vals = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi) * ds_dx
-    ax = Axis(float(x[0]), float(x[-1]), x.size)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(np.clip(vals, 1e-300, None))
-    return normalize_from_log_potential(log_u, (ax,))
-
-
 def pushforward_w2(flow: FlowMap, mu: GridDensity) -> float:
-    """W2 distance between T_# gamma and mu (both as 1-d grid densities)."""
-    push = pushforward_density(flow)
-    return w2_distance_1d(push, mu)
+    """W2 distance between T_# gamma and mu.
+
+    For a monotone T this is ||T - Q_mu o Phi||_{L^2(gamma)} exactly: both
+    maps push gamma forward monotonically, so their gamma-weighted RMS gap
+    on the map's own gamma-side grid is the quantile-coupling distance.
+    """
+    src = flow.source
+    gamma = standard_gaussian_grid(Axis(float(src[0]), float(src[-1]),
+                                        src.size))
+    gap = flow.mapped - monotone_images(gamma, mu)
+    return float(np.sqrt(np.sum(gamma.quad_weights() * gamma.weights
+                                * gap * gap)))
 
 
 def fit_envelope_constant(ts, opnorms, a: float, k: float) -> float:
@@ -576,49 +555,3 @@ def fitted_lipschitz_bound(ts, opnorms, a: float) -> tuple[float, float, float]:
 def flow_map_to_csv(flow: FlowMap, path):
     _write_csv(path, "source,mapped",
                [flow.source, flow.mapped])
-
-
-def write_svg_lines(path, xs, series: dict, x_label: str = "",
-                    y_label: str = ""):
-    """Minimal 640x420 static SVG line chart; one polyline per named series."""
-    width, height = 640, 420
-    xs = np.asarray(xs, dtype=float)
-    all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(all_y.min()), float(all_y.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-    pad = 50
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-
-    def sx(v):
-        return pad + (v - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def sy(v):
-        return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 10}" text-anchor="middle" '
-        f'font-size="12">{x_label}</text>',
-        f'<text x="15" y="{height / 2:.0f}" text-anchor="middle" '
-        f'font-size="12" transform="rotate(-90 15 {height / 2:.0f})">'
-        f'{y_label}</text>',
-    ]
-    for i, (name, ys) in enumerate(series.items()):
-        ys = np.asarray(ys, dtype=float)
-        points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, ys))
-        color = colors[i % len(colors)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>')
-        parts.append(
-            f'<text x="{width - pad + 4}" y="{pad + 16 * i}" font-size="11" '
-            f'fill="{color}">{name}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")

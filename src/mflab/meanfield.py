@@ -17,7 +17,6 @@ nonconvergence is detected and reported rather than assumed away.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import InvalidTargetError, NonconvergenceError
 from .measure import (
     Axis,
     GridDensity,
-    _write_json,
     normalize_from_log_potential,
 )
 from .model import ModelSpec, first_variation
@@ -54,26 +52,6 @@ class ProximalGibbsSystem:
     @property
     def n_particles(self) -> int:
         return len(self.per_particle)
-
-    def to_dir(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        for i, p in enumerate(self.per_particle):
-            p.to_csv(os.path.join(out_dir, f"particle_{i:03d}.csv"))
-        self.mean_measure.to_csv(
-            os.path.join(out_dir, "mean_measure.csv"),
-            os.path.join(out_dir, "grid.json"),
-        )
-        _write_json(os.path.join(out_dir, "manifest.json"), {
-            "n_particles": self.n_particles,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "alpha": self.alpha,
-            "residual_trace": self.residual_trace,
-            "tilt": None if self.tilt is None else {
-                "t": self.tilt.t,
-                "y": self.tilt.y.tolist(),
-            },
-        })
 
 
 def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,

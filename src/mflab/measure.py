@@ -123,15 +123,6 @@ class GridDensity:
     def mass(self) -> float:
         return float(np.sum(self.quad_weights() * self.weights))
 
-    def expect(self, values: np.ndarray) -> float:
-        """Integrate a function given by its values on the grid nodes."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise DimensionMismatchError(
-                f"values shape {values.shape} != grid shape {self.weights.shape}"
-            )
-        return float(np.sum(self.quad_weights() * self.weights * values))
-
     def mean(self) -> np.ndarray:
         pts = self.node_points()
         cw = (self.quad_weights() * self.weights).ravel()
@@ -177,32 +168,6 @@ class GridDensity:
             margins.append((m[i] - ax.lo) / sd[i])
             margins.append((ax.hi - m[i]) / sd[i])
         return float(min(margins))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_csv(self, csv_path, json_path=None):
-        """Write (node, weight) rows plus a JSON header with axes metadata."""
-        pts = self.node_points()
-        cols = [pts[:, i] for i in range(self.dim)] + [self.weights.ravel()]
-        header = ",".join([f"x{i + 1}" for i in range(self.dim)] + ["weight"])
-        _write_csv(csv_path, header, cols)
-        if json_path is not None:
-            _write_json(json_path, {
-                "dim": self.dim,
-                "axes": [{"lo": ax.lo, "hi": ax.hi, "n": ax.n}
-                         for ax in self.axes],
-            })
-
-    @classmethod
-    def from_csv(cls, csv_path, json_path) -> "GridDensity":
-        with open(json_path) as fh:
-            meta = json.load(fh)
-        axes = tuple(Axis(a["lo"], a["hi"], a["n"]) for a in meta["axes"])
-        raw = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        w = raw[:, -1].reshape(tuple(ax.n for ax in axes))
-        with np.errstate(divide="ignore"):
-            logw = np.log(w)
-        return cls(axes, w, logw)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
 from .model import ModelSpec, features, loss_terms, rescale_model
-from .measure import _write_csv, _write_json
+from .measure import _write_csv
 
 MALA_TARGET_ACCEPTANCE = 0.574
 ACCEPTANCE_OK_RANGE = (0.2, 0.8)
@@ -215,9 +215,6 @@ class MalaDiagnostics:
     acceptance_ok: bool
     warnings: list[str] = field(default_factory=list)
 
-    def to_json(self, path):
-        _write_json(path, asdict(self))
-
 
 def _stream(seed: int, chain_id: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
@@ -311,11 +308,11 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
 
 def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
                   step: float, seed: int, x0: np.ndarray | None = None,
-                  chain_id: int = 0, record_every: int = 1) -> np.ndarray:
+                  record_every: int = 1) -> np.ndarray:
     """Euler-Maruyama discretization of the interacting-particle dynamics.
 
     Each particle moves by -(lam x^i + wgrad(rho_x, x^i)) h + sigma sqrt(h) xi,
-    xi one (N, d) draw per step from the Philox stream (seed, chain_id).
+    xi one (N, d) draw per step from the Philox stream (seed, 0).
     Of the n_steps = round(horizon / step) steps, keeps the states after
     j * record_every steps as rows j = 0 .. n_steps // record_every (row 0
     is x0, zeros by default), plus the terminal state as one more row if
@@ -326,7 +323,7 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
         raise ValueError("horizon and step must be positive")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    rng = _stream(seed, chain_id)
+    rng = _stream(seed, 0)
     n_steps = int(round(horizon / step))
     n_rows = n_steps // record_every + 1 + (n_steps % record_every > 0)
     traj = np.empty((n_rows, n_particles, model.d))
@@ -347,13 +344,12 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
     return traj
 
 
-def trajectory_to_csv(x: np.ndarray, steps, path, chain_id: int = 0):
-    """CSV rows (chain, step, particle, x_1[, x_2]) for an (S, N, d) array
-    of states or samples, state s labelled with step number steps[s]."""
+def trajectory_to_csv(x: np.ndarray, steps, path):
+    """CSV rows (step, particle, x_1[, x_2]) for an (S, N, d) array of
+    states or samples, state s labelled with step number steps[s]."""
     s, n, d = x.shape
-    header = "chain,step,particle," + ",".join(f"x{j + 1}" for j in range(d))
+    header = "step,particle," + ",".join(f"x{j + 1}" for j in range(d))
     _write_csv(path, header,
-               [np.full(s * n, float(chain_id)),
-                np.repeat(np.asarray(steps, dtype=float), n),
+               [np.repeat(np.asarray(steps, dtype=float), n),
                 np.tile(np.arange(n, dtype=float), s),
                 *x.reshape(s * n, d).T])

@@ -92,6 +92,39 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_profile_svg_rejected_exit_2(self, tmp_path):
+        cfg = {"experiment": "tilt_profile", "model": {"preset": "relu3"},
+               "profile": {"svg": False}}
+        with pytest.raises(ConfigError, match="profile.svg"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_tilt_profile_over_two_dims_rejected_before_run(self, tmp_path):
+        cfg = {"experiment": "tilt_profile", "model": {"preset": "relu3"},
+               "profile": {"n_particles": 3}}
+        with pytest.raises(ConfigError, match="total dimension"):
+            validate_config(cfg)
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"preset": "relu3", "sigma": 5.0},
+        {"preset": "quadratic", "kind": "zero"},
+        {"kind": "zero", "kappa": 9, "activation": "tanh"},
+        {"kind": "quadratic_oracle", "activation": "tanh"},
+        {"kind": "example_nn", "d": 2,
+         "data": {"x": [[1.0], [-0.5]], "y": [0.2, -0.1]}},
+    ])
+    def test_model_keys_the_constructor_ignores_exit_2(self, tmp_path, model):
+        cfg = {"experiment": "bounds_table", "model": model}
+        with pytest.raises(ConfigError, match="ignored"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_type_checking(self):
         bad = dict(MINI_CHAOS)
         bad["mcmc"] = {"n_samples": "many"}
@@ -229,7 +262,7 @@ class TestRunCommand:
         cfg = {
             "experiment": "tilt_profile",
             "model": {"preset": "relu3"},
-            "profile": {"n_times": 10, "svg": False},
+            "profile": {"n_times": 10},
         }
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"

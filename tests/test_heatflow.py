@@ -212,9 +212,7 @@ class TestCovarianceProfile:
         prof, _ = relu_profile
         prof.to_csv(tmp_path / "profile.csv")
         prof.plot_data(tmp_path / "plot.csv", y_label=prof.y_labels()[0])
-        prof.to_svg(tmp_path / "profile.svg", y_label=prof.y_labels()[0])
         assert (tmp_path / "profile.csv").read_text().startswith("t,y,opnorm")
-        assert "<svg" in (tmp_path / "profile.svg").read_text()
 
 
 class TestOuEvolve:
@@ -318,21 +316,42 @@ class TestReverseFlowMap:
 class TestLipschitzEstimate:
     def test_identity_map(self):
         src = np.linspace(-7.0, 7.0, 512)
-        fm = FlowMap(source=src, mapped=src.copy(), gamma_w2=0.0, t_max=8.0,
-                     forward_points=src, forward_images=src)
+        fm = FlowMap(source=src, mapped=src.copy(), gamma_w2=0.0, t_max=8.0)
         assert lipschitz_estimate(fm) == pytest.approx(1.0)
 
     def test_linear_map(self):
         src = np.linspace(-7.0, 7.0, 512)
         s = 0.37
-        fm = FlowMap(source=src, mapped=s * src, gamma_w2=0.0, t_max=8.0,
-                     forward_points=src, forward_images=src)
+        fm = FlowMap(source=src, mapped=s * src, gamma_w2=0.0, t_max=8.0)
         assert abs(lipschitz_estimate(fm) - s) < 1e-6
 
     def test_window_excludes_far_tails(self):
         src = np.linspace(-7.0, 7.0, 1401)
         mapped = src.copy()
         mapped[-1] += 5.0  # steep jump outside the +-6 window
-        fm = FlowMap(source=src, mapped=mapped, gamma_w2=0.0, t_max=8.0,
-                     forward_points=src, forward_images=src)
+        fm = FlowMap(source=src, mapped=mapped, gamma_w2=0.0, t_max=8.0)
         assert lipschitz_estimate(fm) == pytest.approx(1.0)
+
+
+class TestPushforwardW2:
+    # mu is gamma on the map's own axis, so Q_mu o Phi is the identity and
+    # W2(T#gamma, mu) is the gamma-weighted RMS of mapped - source.
+    SRC = np.linspace(-8.0, 8.0, 2048)
+
+    def gamma(self):
+        return standard_gaussian_grid(Axis(-8.0, 8.0, 2048))
+
+    def test_identity_map_is_zero(self):
+        fm = FlowMap(source=self.SRC, mapped=self.SRC.copy(), gamma_w2=0.0,
+                     t_max=8.0)
+        assert pushforward_w2(fm, self.gamma()) < 1e-7
+
+    def test_scaled_map_matches_closed_form(self):
+        # E z^2 under gamma truncated to [-8, 8]: 1 - 2 a phi(a) / (2 Phi(a) - 1).
+        a = 8.0
+        phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+        second_moment = 1.0 - 2.0 * a * phi / math.erf(a / math.sqrt(2.0))
+        fm = FlowMap(source=self.SRC, mapped=1.1 * self.SRC, gamma_w2=0.0,
+                     t_max=8.0)
+        assert abs(pushforward_w2(fm, self.gamma())
+                   - 0.1 * math.sqrt(second_moment)) < 1e-9

