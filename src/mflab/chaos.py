@@ -39,6 +39,7 @@ from .model import (
     features,
     loss_terms,
     model_constants,
+    particle_features,
 )
 from .sampler import MalaDiagnostics, TargetSpec, TiltSpec, _stream, mala_sample
 
@@ -73,7 +74,7 @@ def bregman_batch(model: ModelSpec, x: np.ndarray, pibar: GridDensity) -> np.nda
 
     x has shape (S, N, d); returns (S,).
     """
-    eh_nu = features(model, np.asarray(x, dtype=float)).mean(axis=1)
+    eh_nu = particle_features(model, np.asarray(x, dtype=float))[1]
     return _bregman(model, eh_nu, pibar)
 
 

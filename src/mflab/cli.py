@@ -167,9 +167,9 @@ SCHEMA: dict[str, dict[str, Field]] = {
     },
 }
 
-# The model keys build_model reads for each kind; a preset reads only its
-# name.  Any other key given in the model block is rejected; an unknown
-# kind is left to build_model's own error.
+# The model keys build_model reads for each kind (no clip_radius under a
+# logistic loss); a preset reads only its name.  Any other key given in the
+# model block is rejected; an unknown kind is left to build_model's error.
 MODEL_KEYS = {
     "zero": {"kind", "sigma", "lam", "d"},
     "quadratic_oracle": {"kind", "sigma", "lam", "d", "kappa", "c",
@@ -177,6 +177,7 @@ MODEL_KEYS = {
     "example_nn": {"kind", "sigma", "lam", "clip_radius", "activation",
                    "loss", "data", "data_csv"},
 }
+LOSS_KEYS = {"squared": {"type", "scale", "clip_radius"}, "logistic": {"type"}}
 
 SECTIONS_BY_EXPERIMENT = {
     "chaos_sweep": ("model", "sweep", "mcmc", "grid"),
@@ -235,7 +236,7 @@ def validate_config(raw: dict) -> dict:
         out = {}
         for key, f in SCHEMA[section].items():
             val = block.get(key, f.default)
-            if val is not None and f.type in (int, float, str, bool) \
+            if val is not None and f.type in (int, float, str, bool, dict) \
                     and not isinstance(val, f.type):
                 if f.type is float and isinstance(val, int):
                     val = float(val)
@@ -249,6 +250,8 @@ def validate_config(raw: dict) -> dict:
         allowed = {"preset"}
     elif given.get("kind") is not None:
         allowed = MODEL_KEYS.get(given["kind"], set(given))
+        if (given.get("loss") or {}).get("type") == "logistic":
+            allowed = allowed - {"clip_radius"}
     else:
         raise ConfigError("model block needs either 'preset' or 'kind'")
     ignored = sorted(set(given) - allowed)
@@ -283,16 +286,18 @@ def build_model(block: dict) -> ModelSpec:
                                 c=block["c"], d=block["d"],
                                 clip_radius=block["clip_radius"])
     if kind == "example_nn":
-        loss_block = block.get("loss") or {"type": "squared", "scale": 1.0,
-                                           "clip_radius": block["clip_radius"]}
-        if loss_block.get("type") == "logistic":
-            loss = LogisticLoss()
-        elif loss_block.get("type") == "squared":
-            loss = SquaredLoss(scale=loss_block.get("scale", 1.0),
-                               clip_radius=loss_block.get(
-                                   "clip_radius", block["clip_radius"]))
-        else:
-            raise ConfigError(f"unknown loss type {loss_block.get('type')!r}")
+        loss_block = block.get("loss") or {"type": "squared"}
+        loss_type = loss_block.get("type")
+        if loss_type not in LOSS_KEYS:
+            raise ConfigError(f"unknown loss type {loss_type!r}")
+        ignored = sorted(set(loss_block) - LOSS_KEYS[loss_type])
+        if ignored:
+            raise ConfigError(f"loss keys {ignored} are ignored by this loss")
+        loss = LogisticLoss() if loss_type == "logistic" else SquaredLoss(
+            scale=loss_block.get("scale", 1.0),
+            clip_radius=loss_block.get("clip_radius", block["clip_radius"]))
+        if block.get("data") is not None and block.get("data_csv") is not None:
+            raise ConfigError("give 'data' or 'data_csv', not both")
         if block.get("data_csv"):
             raw = np.loadtxt(block["data_csv"], delimiter=",", skiprows=1,
                              ndmin=2)

@@ -418,10 +418,10 @@ def gaussian_kl(a: GaussianMeasure, b: GaussianMeasure) -> float:
 
 
 def _write_csv(path, header: str, columns):
-    """CSV with one column per sequence: string columns are written as
-    given, numeric ones as repr(float).  Rows are formatted and written
-    CSV_CHUNK_ROWS at a time."""
-    cols = [c if c.dtype.kind in "US" else c.astype(float, copy=False)
+    """CSV with one column per sequence: string columns (or object ones
+    of str) are written as given, numeric ones as repr(float).  Rows are
+    formatted and written CSV_CHUNK_ROWS at a time."""
+    cols = [c if c.dtype.kind in "USO" else c.astype(float, copy=False)
             for c in map(np.asarray, columns)]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
@@ -430,9 +430,9 @@ def _write_csv(path, header: str, columns):
         fh.write(header + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
             cells = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
-            cells = [v if c.dtype.kind in "US" else map(repr, v)
+            cells = [v if c.dtype.kind in "USO" else map(repr, v)
                      for c, v in zip(cols, cells)]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path, payload, default=None):

@@ -284,6 +284,13 @@ def features(model: ModelSpec, theta: np.ndarray) -> np.ndarray:
     return model.activation.value(pre)
 
 
+def particle_features(model: ModelSpec, x: np.ndarray):
+    """Pre-activations (S, n_data, N) of states x (S, N, d), particle-major,
+    and the particle means E_{rho_x} h(., x_j), (S, n_data), of features."""
+    pre = model.data_x @ np.swapaxes(x, 1, 2)
+    return pre, model.activation.value(pre).mean(axis=2)
+
+
 def expect_features(model: ModelSpec, nu: Measure) -> np.ndarray:
     """E_nu h(., x_j) per datum, by the quadrature matched to the measure.
 

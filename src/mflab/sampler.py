@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
-from .model import ModelSpec, features, loss_terms, rescale_model
+from .model import ModelSpec, loss_terms, particle_features, rescale_model
 from .measure import _write_csv
 
 MALA_TARGET_ACCEPTANCE = 0.574
@@ -99,12 +99,11 @@ def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
 
 
 def _interaction_terms(model: ModelSpec, xb: np.ndarray):
-    """For states xb (S, N, d), from one product xb @ data_x.T: expected
-    features eh (S, n_data) and Wasserstein-gradient rows (S, N, d)."""
-    pre = xb @ model.data_x.T
-    eh = model.activation.value(pre).mean(axis=1)
-    return eh, np.einsum("snj,sj,jk->snk", model.activation.deriv(pre),
-                         loss_terms(model, eh, 1), model.data_x)
+    """Expected features eh (S, n_data) of states xb (S, N, d) and their
+    Wasserstein-gradient rows, an (S, N, d) view of one (S, d, N) product."""
+    pre, eh = particle_features(model, xb)
+    w = np.swapaxes(loss_terms(model, eh, 1)[..., None] * model.data_x, 1, 2)
+    return eh, np.swapaxes(w @ model.activation.deriv(pre), 1, 2)
 
 
 def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
@@ -112,7 +111,7 @@ def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
     with_grad, its gradient (S, N, d) from the same pre-activations."""
     m = target.effective_model
     eh, rows = (_interaction_terms(m, xb) if with_grad
-                else (features(m, xb).mean(axis=1), None))
+                else (particle_features(m, xb)[1], None))
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
     sq = np.sum(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
@@ -346,10 +345,13 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
 
 def trajectory_to_csv(x: np.ndarray, steps, path):
     """CSV rows (step, particle, x_1[, x_2]) for an (S, N, d) array of
-    states or samples, state s labelled with step number steps[s]."""
+    states or samples, state s labelled with step number steps[s]; each
+    distinct label is formatted once."""
     s, n, d = x.shape
     header = "step,particle," + ",".join(f"x{j + 1}" for j in range(d))
-    _write_csv(path, header,
-               [np.repeat(np.asarray(steps, dtype=float), n),
-                np.tile(np.arange(n, dtype=float), s),
-                *x.reshape(s * n, d).T])
+    step_labels, particle_labels = (
+        np.array([repr(v) for v in np.asarray(a, dtype=float).tolist()],
+                 dtype=object) for a in (steps, range(n)))
+    _write_csv(path, header, [np.repeat(step_labels, n),
+                              np.tile(particle_labels, s),
+                              *x.reshape(s * n, d).T])

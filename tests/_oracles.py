@@ -120,3 +120,16 @@ def bootstrap_log_mean_sd(log_w, n_boot, rng):
         idx = rng.integers(0, n, n)
         boot[b] = logsumexp(log_w[idx]) - math.log(n)
     return float(boot.std(ddof=1))
+
+
+def interaction_terms_reference(model, xb):
+    """Expected features and Wasserstein-gradient rows of states xb
+    (S, N, d) from the particle-last (S, N, n_data) pre-activations:
+    eh_j = mean_i act(<x^i, x_j>) and
+    row^i = sum_j p_j loss'(eh_j, y_j) act'(<x^i, x_j>) x_j."""
+    pre = np.einsum("snk,jk->snj", xb, model.data_x)
+    eh = model.activation.value(pre).mean(axis=1)
+    slopes = model.data_p * model.loss.d1(eh, model.data_y)
+    rows = np.einsum("snj,sj,jk->snk", model.activation.deriv(pre), slopes,
+                     model.data_x)
+    return eh, rows

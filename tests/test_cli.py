@@ -125,11 +125,54 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def _rejected_before_run(self, tmp_path, model, match):
+        cfg = {"experiment": "bounds_table", "model": model}
+        with pytest.raises(ConfigError, match=match):
+            validate_config(cfg)
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_loss_key_exit_2(self, tmp_path):
+        self._rejected_before_run(tmp_path, {
+            "kind": "example_nn", "loss": {"type": "squared", "bogus": 1},
+            "data": {"x": [[1.0], [-0.5]], "y": [0.2, -0.1]}},
+            r"loss keys \['bogus'\]")
+
+    def test_clip_radius_with_logistic_loss_exit_2(self, tmp_path):
+        self._rejected_before_run(tmp_path, {
+            "kind": "example_nn", "clip_radius": 5.0,
+            "loss": {"type": "logistic"},
+            "data": {"x": [[1.0], [-0.5]], "y": [1.0, -1.0]}},
+            r"model keys \['clip_radius'\]")
+
+    def test_data_with_data_csv_exit_2(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x_1,y\n1.0,0.5\n-0.8,-0.3\n")
+        self._rejected_before_run(tmp_path, {
+            "kind": "example_nn", "data_csv": str(csv),
+            "data": {"x": [[1.0], [-0.5]], "y": [0.2, -0.1]}},
+            "not both")
+
+    def test_logistic_and_squared_loss_keys_accepted(self):
+        data = {"x": [[1.0], [-0.5]], "y": [1.0, -1.0]}
+        for loss in ({"type": "logistic"},
+                     {"type": "squared", "scale": 2.0, "clip_radius": 3.0}):
+            cfg = validate_config({"experiment": "bounds_table", "model": {
+                "kind": "example_nn", "loss": loss, "data": data}})
+            assert build_model(cfg["model"]).loss.L_ell == (
+                1.0 if loss["type"] == "logistic" else 6.0)
+
     def test_type_checking(self):
         bad = dict(MINI_CHAOS)
         bad["mcmc"] = {"n_samples": "many"}
         with pytest.raises(ConfigError, match="n_samples"):
             validate_config(bad)
+        with pytest.raises(ConfigError, match="model.loss must be dict"):
+            validate_config({"experiment": "bounds_table", "model": {
+                "kind": "example_nn", "loss": "logistic",
+                "data": {"x": [[1.0]], "y": [1.0]}}})
 
 
 class TestBuildModel:

@@ -7,11 +7,13 @@ import pytest
 
 from mflab.errors import InvalidTargetError, SimulationDivergedError
 from mflab.measure import Axis, kl_divergence, normalize_from_log_potential
-from mflab.model import RELU, quadratic_oracle, zero_model
-from mflab.presets import relu_preset
+from mflab.model import RELU, example_nn, quadratic_oracle, zero_model
+from mflab.presets import logistic_preset, relu_preset, tanh_preset
 from mflab.sampler import (
     TargetSpec,
     TiltSpec,
+    _interaction_terms,
+    _log_density,
     effective_sample_size,
     interaction_gradient,
     mala_sample,
@@ -19,10 +21,15 @@ from mflab.sampler import (
     n_particle_log_density,
     n_particle_log_density_grad,
     split_rhat,
+    trajectory_to_csv,
 )
 from mflab.model import model_constants
 
-from _oracles import quadratic_mu_gaussian, zero_model_tilted_moments
+from _oracles import (
+    interaction_terms_reference,
+    quadratic_mu_gaussian,
+    zero_model_tilted_moments,
+)
 
 
 class TestLogDensityGrad:
@@ -220,6 +227,48 @@ class TestMala:
         assert float(norms.max()) <= bound + 1e-12
 
 
+
+KERNEL_MODELS = {
+    "relu3": relu_preset(),
+    "tanh2": tanh_preset(),
+    "logistic2": logistic_preset(),
+    "quadratic": quadratic_oracle(1.0, 1.0, kappa=0.7, c=0.2),
+    "relu_d2": example_nn(1.0, 1.0, data_x=[[1.0, 0.5], [-0.3, 0.8],
+                                             [0.6, -1.2]],
+                          data_y=[0.2, -0.1, 0.4], activation=RELU),
+}
+
+
+class TestInteractionKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("s", [1, 32])
+    @pytest.mark.parametrize("n", [1, 2, 16, 2048])
+    def test_matches_particle_last_reference(self, name, s, n):
+        model = KERNEL_MODELS[name]
+        xb = np.random.default_rng(n + s).normal(size=(s, n, model.d))
+        eh, rows = _interaction_terms(model, xb)
+        eh_ref, rows_ref = interaction_terms_reference(model, xb)
+        assert rows.shape == (s, n, model.d)
+        # Relative to each array's scale: a row can be a near-cancelling sum.
+        for got, ref in ((eh, eh_ref), (rows, rows_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-13,
+                                       atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_public_log_density_equals_fused_kernel_bitwise(self, name):
+        model = KERNEL_MODELS[name]
+        n = 16
+        rng = np.random.default_rng(3)
+        tilt = TiltSpec(0.5, rng.normal(size=(n, model.d)))
+        xb = rng.normal(size=(32, n, model.d))
+        for target in (TargetSpec(model, n),
+                       TargetSpec(model, n, tilt=tilt, rescaled=True)):
+            fused = _log_density(target, xb, with_grad=True)[0]
+            np.testing.assert_array_equal(n_particle_log_density(target, xb),
+                                          fused)
+            assert n_particle_log_density(target, xb[5]) == fused[5]
+
+
 class TestSerialization:
     def test_samples_to_csv_with_diagnostics_sidecar(self, tmp_path):
         from mflab.sampler import trajectory_to_csv
@@ -237,6 +286,24 @@ class TestSerialization:
         np.testing.assert_array_equal(table[:, 2], samples.ravel())
         assert diag.seed == 5
         assert 0.0 <= diag.acceptance_rate <= 1.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_trajectory_csv_bytes_match_per_row_repr(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(5, 3, d)) * 10.0 ** rng.integers(-8, 8, (5, 3, d))
+        x.flat[:6] = [-0.0, 1e-5, 1.5e16, 5e-324, -2.5e-300, -7.0]
+        steps = np.array([0.0, 3.0, 1e16, 2.5, -1e-5, 7.0,
+                          1e22, 0.1, 9.0, 11.0])[::2]
+        assert not steps.flags.c_contiguous
+        csv = tmp_path / "traj.csv"
+        trajectory_to_csv(x, steps, csv)
+        lines = csv.read_text().split("\n")
+        expected = [",".join(map(repr, (float(step), float(p),
+                                        *x[k, p].tolist())))
+                    for k, step in enumerate(steps) for p in range(3)]
+        assert lines[0] == "step,particle," + ",".join(
+            f"x{j + 1}" for j in range(d))
+        assert lines[1:] == expected + [""]
 
 
 class TestEffectiveSampleSize:
@@ -361,3 +428,11 @@ class TestMfldSimulate:
             np.testing.assert_array_equal(kept[-1], full[-1])
         with pytest.raises(ValueError, match="record_every"):
             mfld_simulate(model, 8, 1.0, 1e-2, seed=47, record_every=0)
+
+    def test_record_every_does_not_change_the_path(self):
+        model = relu_preset()
+        full = mfld_simulate(model, 64, 0.2, 1e-3, seed=59)
+        kept = mfld_simulate(model, 64, 0.2, 1e-3, seed=59, record_every=7)
+        assert full.shape == (201, 64, 1) and kept.shape == (30, 64, 1)
+        np.testing.assert_array_equal(kept[:-1], full[::7])
+        np.testing.assert_array_equal(kept[-1], full[-1])
