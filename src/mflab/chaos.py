@@ -205,21 +205,49 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     Chains and i.i.d. draws use separate Philox streams of the same master
     seed, so the whole report is deterministic given (model, N, mcmc, seed).
     """
-    mcmc = mcmc or McmcConfig()
     target = TargetSpec(model, n_particles, tilt=tilt, rescaled=rescaled)
-    eff = target.effective_model
-    system = solve_self_consistent(eff, n_particles=n_particles, tilt=tilt,
-                                   axes=axes)
+    return _kl_reports([target], [seed], mcmc or McmcConfig(), axes)[0]
+
+
+def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
+                seed: int = 0, axes=None) -> list[ChaosReport]:
+    """One KL report per particle count, the i-th from seed + i, each
+    solving the self-consistent system on `axes` (its default if None).
+    The chains of every N run in one :func:`mala_sample` loop."""
+    targets = [TargetSpec(model, n) for n in n_list]
+    return _kl_reports(targets, [seed + i for i in range(len(targets))],
+                       mcmc or McmcConfig(), axes)
+
+
+def _kl_reports(targets, seeds, mcmc: McmcConfig, axes) -> list[ChaosReport]:
+    """The report of :func:`estimate_kl` for each target and seed, all from
+    one MALA call."""
+    systems = [solve_self_consistent(t.effective_model, t.n_particles,
+                                     tilt=t.tilt, axes=axes) for t in targets]
+    per_chain = -(-mcmc.n_samples // mcmc.n_chains)
+    sampled = mala_sample(targets, per_chain, mcmc.n_burnin, mcmc.step_size0,
+                          seeds, n_chains=mcmc.n_chains)
+    mu_sides = []
+    for target, system in zip(targets, systems):
+        # Each N's samples are dropped once reduced, before any product draw.
+        b_mu = bregman_batch(target.effective_model, sampled[0][0],
+                             system.mean_measure)
+        chain_means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
+        hw = 2.0 * float(chain_means.std(ddof=1)) / math.sqrt(mcmc.n_chains)
+        mu_sides.append((float(b_mu.mean()), hw, float(b_mu.min()),
+                         sampled.pop(0)[1]))
+    return [_report(*args, mcmc)
+            for args in zip(targets, systems, seeds, mu_sides)]
+
+
+def _report(target: TargetSpec, system: ProximalGibbsSystem, seed: int,
+            mu_side, mcmc: McmcConfig) -> ChaosReport:
+    """The product side, the bounds and the flags of one report."""
+    mean_b_mu, hw_b_mu, min_b_mu, diag = mu_side
+    eff, tilt, n_particles = (target.effective_model, target.tilt,
+                              target.n_particles)
     pibar = system.mean_measure
     scale = 2.0 * n_particles / eff.sigma**2
-
-    per_chain = -(-mcmc.n_samples // mcmc.n_chains)
-    x_mu, diag = mala_sample(target, per_chain, mcmc.n_burnin,
-                             mcmc.step_size0, seed, n_chains=mcmc.n_chains)
-    b_mu = bregman_batch(eff, x_mu, pibar)
-    mean_b_mu = float(b_mu.mean())
-    chain_means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
-    hw_b_mu = 2.0 * float(chain_means.std(ddof=1)) / math.sqrt(mcmc.n_chains)
 
     rng_pi = _stream(seed, 1)
     cols = []
@@ -247,7 +275,7 @@ def estimate_kl(model: ModelSpec, n_particles: int,
 
     chain_rhs = scale * mean_b_pi
     chain_slack = scale * hw_b_pi
-    min_breg = float(min(b_mu.min(), b_pi.min()))
+    min_breg = min(min_b_mu, float(b_pi.min()))
     flags = {
         "bregman_nonnegative": min_breg >= BREGMAN_FLOOR,
         "jensen_log_z": -log_z <= chain_rhs + chain_slack + hw_log_z,
@@ -271,16 +299,6 @@ def estimate_kl(model: ModelSpec, n_particles: int,
         seed=seed, mala_acceptance=diag.acceptance_rate, sampler=diag,
         flags=flags,
     )
-
-
-def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
-                seed: int = 0, axes=None) -> list[ChaosReport]:
-    """One KL report per particle count, the i-th from seed + i, each
-    solving the self-consistent system on `axes` (its default if None)."""
-    return [
-        estimate_kl(model, n, mcmc=mcmc, seed=seed + i, axes=axes)
-        for i, n in enumerate(n_list)
-    ]
 
 
 def no_growth_in_n(reports: list[ChaosReport]) -> bool:

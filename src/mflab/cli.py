@@ -299,8 +299,12 @@ def build_model(block: dict) -> ModelSpec:
         if block.get("data") is not None and block.get("data_csv") is not None:
             raise ConfigError("give 'data' or 'data_csv', not both")
         if block.get("data_csv"):
-            raw = np.loadtxt(block["data_csv"], delimiter=",", skiprows=1,
-                             ndmin=2)
+            try:
+                raw = np.loadtxt(block["data_csv"], delimiter=",",
+                                 skiprows=1, ndmin=2)
+            except (OSError, ValueError) as err:
+                raise ConfigError(f"cannot read data_csv "
+                                  f"{block['data_csv']!r}: {err}") from err
             x, y = raw[:, :-1], raw[:, -1]
             weights = None
         elif block.get("data"):

@@ -1,6 +1,7 @@
 """KL estimator against the Gaussian oracle, plus the chaos bound calculators."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestPocBound:
         inputs = BoundInputs(sigma=1.0, lam=1.0, beta_hat=1.0, B=0.0, d=1)
         with pytest.raises(CalculatorDomainError):
             poc_bound(inputs, 1.0, -1.0, "generic")
+
+
+def _leaves(tree, path=""):
+    """(path, value) of every leaf of nested dicts and lists."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return [(path, tree)]
+    return [leaf for k, v in items for leaf in _leaves(v, f"{path}.{k}")]
 
 
 class TestEstimateKlZeroModel:
@@ -264,6 +276,42 @@ class TestSweep:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("model,n_particles,seed,kl_estimate")
+
+    def test_each_report_is_the_single_n_estimate(self, reports):
+        # The sweep steps the chains of every N in one loop; each report
+        # still equals estimate_kl at its own seed, up to the order of
+        # sums over the padded particle slots.
+        for i, (n, swept) in enumerate(zip([2, 4], reports)):
+            alone = estimate_kl(quadratic_preset(), n, mcmc=FAST, seed=5 + i)
+            got = dict(_leaves(swept.to_dict()))
+            want = dict(_leaves(alone.to_dict()))
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, (bool, str)):
+                    assert got[key] == value, key
+                else:
+                    assert got[key] == pytest.approx(value, rel=1e-12), key
+
+    def test_samples_are_reduced_before_the_product_draws(self):
+        # The MALA samples of every N are reduced to their Bregman
+        # statistics before any product draw, so the sweep's peak is set
+        # by the product side of its largest N, as for that N alone.
+        effort = McmcConfig(n_samples=8192, n_burnin=64, n_pi_samples=8192,
+                            n_chains=4)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        model = relu_preset()
+        single = peak(lambda: estimate_kl(model, 16, mcmc=effort, seed=0))
+        sweep = peak(lambda: chaos_sweep(model, [2, 4, 8, 16], mcmc=effort,
+                                         seed=0))
+        assert sweep <= 1.1 * single, (sweep, single)
 
 
 class TestTiltedEstimate:

@@ -1,6 +1,7 @@
 """Config validation, experiment runner, and artifact reproducibility."""
 
 import json
+import re
 
 import pytest
 import yaml
@@ -154,6 +155,19 @@ class TestConfigValidation:
             "kind": "example_nn", "data_csv": str(csv),
             "data": {"x": [[1.0], [-0.5]], "y": [0.2, -0.1]}},
             "not both")
+
+    def test_missing_data_csv_exit_2(self, tmp_path):
+        missing = tmp_path / "none.csv"
+        self._rejected_before_run(tmp_path, {
+            "kind": "example_nn", "data_csv": str(missing)},
+            re.escape(f"cannot read data_csv '{missing}'"))
+
+    def test_unparsable_data_csv_exit_2(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x_1,y\n1.0,0.5\nzz,-0.3\n")
+        self._rejected_before_run(tmp_path, {
+            "kind": "example_nn", "data_csv": str(csv)},
+            re.escape(f"cannot read data_csv '{csv}'"))
 
     def test_logistic_and_squared_loss_keys_accepted(self):
         data = {"x": [[1.0], [-0.5]], "y": [1.0, -1.0]}
