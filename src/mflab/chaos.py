@@ -1,18 +1,14 @@
 """KL between the N-particle Gibbs measure and its mean-field product.
 
-The estimator uses the exact identity
-
-    KL(mu || pi_prod) = -(2N/sigma^2) E_mu[B] - log Z,
-    Z = E_pi_prod[exp(-(2N/sigma^2) B)],
-
-where B is the Bregman divergence of the interaction energy between the
-empirical measure of the particles and the mixture pibar of the
-self-consistent system.  E_mu[B] comes from lockstep MALA chains on the
-particle Gibbs measure (between-chain confidence interval); Z = E[w] comes
-from n i.i.d. product draws of w = exp(-(2N/sigma^2) B), with the CI of
-log mean(w) from the importance ESS (sum w)^2/sum w^2 by the delta method,
-Var ~ (mean(w^2)/mean(w)^2 - 1)/n = 1/ESS - 1/n.  The closed-form upper
-bounds the estimate is compared against are evaluated exactly.
+The N-particle measure differs from the product of its mean-field
+marginals exactly by the weight w = exp(-(2N/sigma^2) B), where B is the
+Bregman divergence of the interaction energy between the empirical measure
+of the particles and the mixture pibar of the self-consistent system:
+d mu / d pi_prod = w / E_pi_prod[w].  So i.i.d. product draws give the
+whole KL by self-normalized importance sampling (IS), with delta-method
+confidence intervals (:func:`importance_kl`).  MALA chains give an
+independent E_mu[B] at one N to cross-check the IS value against.  The
+closed-form upper bounds the estimate is compared against are exact.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ from .sampler import MalaDiagnostics, TargetSpec, TiltSpec, _stream, mala_sample
 BREGMAN_FLOOR = -1e-10
 Z_ESS_FLOOR = 100.0
 Z_ESS_WIDEN_FACTOR = 3.0
+MALA_AGREE_SE = 3.0
 
 
 def _bregman(model: ModelSpec, eh_nu: np.ndarray, pibar: GridDensity):
@@ -88,6 +85,34 @@ def log_mean_exp(log_w: np.ndarray) -> tuple[float, float, float]:
     return float(logsumexp(log_w) - math.log(log_w.size)), ess, hw
 
 
+def importance_kl(b: np.ndarray, scale: float) -> dict[str, float]:
+    """KL(mu || pi_prod), E_mu[B] and log Z with their half-widths, keyed
+    as in :class:`ChaosReport`, from Bregman values b of i.i.d. product
+    draws by self-normalized IS with log-weights log w = -scale * b.
+
+    With wt = w / sum(w) and m = sum wt_i log w_i, KL = m - log mean(w) has
+    the delta-method influence terms wt_i (log w_i - m - 1) + 1/n (the
+    ratio, then log mean(w)) and E_mu[B] = sum wt_i b_i the terms
+    wt_i (b_i - E_mu[B]); log mean(w) is :func:`log_mean_exp`'s.  Each
+    half-width is 2 standard errors, widened by Z_ESS_WIDEN_FACTOR below
+    the ESS floor.  Up to rounding, 0 <= KL <= scale * mean(b) (the KL of
+    wt from uniform; Jensen) and min b <= E_mu[B] <= max b.
+    """
+    log_w = -scale * b
+    log_z, ess, hw_log_z = log_mean_exp(log_w)
+    wt = np.exp(log_w - log_w.max())
+    wt /= wt.sum()
+    mean_b = float(wt @ b)
+    m = -scale * mean_b
+    hw_kl = 2.0 * math.sqrt(np.sum((wt * (log_w - m - 1.0) + 1.0 / b.size)**2))
+    hw_b = 2.0 * math.sqrt(np.sum((wt * (b - mean_b))**2))
+    widen = 1.0 if ess >= Z_ESS_FLOOR else Z_ESS_WIDEN_FACTOR
+    return {"kl_estimate": m - log_z, "kl_halfwidth": widen * hw_kl,
+            "bregman_mean_under_mu": mean_b,
+            "bregman_mu_halfwidth": widen * hw_b, "log_z": log_z,
+            "log_z_halfwidth": widen * hw_log_z, "z_importance_ess": ess}
+
+
 def poc_bound(inputs: BoundInputs, cbar_pi: float, alpha: float,
               variant: str = "generic") -> float:
     """Closed-form chaos bound on KL(mu^{1:N} || pi^{1:N}).
@@ -128,10 +153,11 @@ def poincare_constant_bound(model: ModelSpec, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampling effort knobs for one KL estimate: n_chains >= 2 MALA chains
-    each adapt over n_burnin steps, then keep ceil(n_samples / n_chains)
-    samples; the spread of their means gives the CI of E_mu[B], and the
-    importance ESS of n_pi_samples draws that of log Z (delta method)."""
+    """Sampling effort knobs for one KL estimate: n_pi_samples product
+    draws give the KL by importance sampling; for the MALA cross-check,
+    n_chains >= 2 chains each adapt over n_burnin steps, then keep
+    ceil(n_samples / n_chains) samples, and the spread of their means gives
+    the CI of the MALA E_mu[B]."""
 
     n_samples: int = 16384
     n_burnin: int = 2048
@@ -147,8 +173,9 @@ class McmcConfig:
 
 @dataclass
 class ChaosReport:
-    """Everything measured for one (model, N) chaos run; log_z_halfwidth
-    is the delta method 2 sqrt(1/ESS - 1/n) from the importance ESS."""
+    """Everything measured for one (model, N) chaos run; the KL, E_mu[B]
+    and log Z with their half-widths come from :func:`importance_kl`.  The
+    MALA fields and `sampler` are None where no cross-check ran."""
 
     n_particles: int
     kl_estimate: float
@@ -169,15 +196,13 @@ class ChaosReport:
     solver_iterations: int
     solver_residual: float
     seed: int
-    mala_acceptance: float
-    sampler: MalaDiagnostics
+    mala_bregman_mean: float | None = None
+    mala_bregman_halfwidth: float | None = None
+    sampler: MalaDiagnostics | None = None
     flags: dict[str, bool] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "flags"}
-        out["sampler"] = asdict(self.sampler)
-        out["flags"] = dict(self.flags)
-        return out
+        return asdict(self)
 
     def to_json(self, path):
         _write_json(path, self.to_dict(), default=float)
@@ -200,71 +225,62 @@ def estimate_kl(model: ModelSpec, n_particles: int,
                 mcmc: McmcConfig | None = None, seed: int = 0,
                 tilt: TiltSpec | None = None, rescaled: bool = False,
                 axes=None) -> ChaosReport:
-    """Monte-Carlo estimate of KL(mu^{1:N} || pi^{1:N}) with closed-form bounds.
+    """Monte-Carlo estimate of KL(mu^{1:N} || pi^{1:N}) with closed-form
+    bounds.  Flag `mala_agrees`: E_mu[B] from MALA chains and from IS agree
+    within 3 combined standard errors, a nominal two-sided false-alarm rate
+    of 0.27 %; on relu3 at N = 2 with the default effort, 1 of 400 seeds
+    (seed 53, at 3.67 se) fails it, and 22 lie beyond 2 se.
 
     Chains and i.i.d. draws use separate Philox streams of the same master
     seed, so the whole report is deterministic given (model, N, mcmc, seed).
     """
     target = TargetSpec(model, n_particles, tilt=tilt, rescaled=rescaled)
-    return _kl_reports([target], [seed], mcmc or McmcConfig(), axes)[0]
+    return _estimate(target, seed, mcmc or McmcConfig(), axes,
+                     cross_check=True)
 
 
 def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
                 seed: int = 0, axes=None) -> list[ChaosReport]:
     """One KL report per particle count, the i-th from seed + i, each
     solving the self-consistent system on `axes` (its default if None).
-    The chains of every N run in one :func:`mala_sample` loop."""
-    targets = [TargetSpec(model, n) for n in n_list]
-    return _kl_reports(targets, [seed + i for i in range(len(targets))],
-                       mcmc or McmcConfig(), axes)
+    The report of the (first) smallest N is :func:`estimate_kl`'s; the
+    others carry the product side alone, with no MALA cross-check."""
+    mcmc = mcmc or McmcConfig()
+    first = min(range(len(n_list)), key=lambda i: n_list[i], default=-1)
+    return [_estimate(TargetSpec(model, n), seed + i, mcmc, axes,
+                      cross_check=i == first) for i, n in enumerate(n_list)]
 
 
-def _kl_reports(targets, seeds, mcmc: McmcConfig, axes) -> list[ChaosReport]:
-    """The report of :func:`estimate_kl` for each target and seed, all from
-    one MALA call."""
-    systems = [solve_self_consistent(t.effective_model, t.n_particles,
-                                     tilt=t.tilt, axes=axes) for t in targets]
-    per_chain = -(-mcmc.n_samples // mcmc.n_chains)
-    sampled = mala_sample(targets, per_chain, mcmc.n_burnin, mcmc.step_size0,
-                          seeds, n_chains=mcmc.n_chains)
-    mu_sides = []
-    for target, system in zip(targets, systems):
-        # Each N's samples are dropped once reduced, before any product draw.
-        b_mu = bregman_batch(target.effective_model, sampled[0][0],
-                             system.mean_measure)
-        chain_means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
-        hw = 2.0 * float(chain_means.std(ddof=1)) / math.sqrt(mcmc.n_chains)
-        mu_sides.append((float(b_mu.mean()), hw, float(b_mu.min()),
-                         sampled.pop(0)[1]))
-    return [_report(*args, mcmc)
-            for args in zip(targets, systems, seeds, mu_sides)]
-
-
-def _report(target: TargetSpec, system: ProximalGibbsSystem, seed: int,
-            mu_side, mcmc: McmcConfig) -> ChaosReport:
-    """The product side, the bounds and the flags of one report."""
-    mean_b_mu, hw_b_mu, min_b_mu, diag = mu_side
+def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
+              cross_check: bool) -> ChaosReport:
+    """The report of one target; MALA runs only if cross_check, and its
+    samples are reduced before any product draw."""
     eff, tilt, n_particles = (target.effective_model, target.tilt,
                               target.n_particles)
-    pibar = system.mean_measure
+    system = solve_self_consistent(eff, n_particles, tilt=tilt, axes=axes)
     scale = 2.0 * n_particles / eff.sigma**2
 
+    mala, min_b_mu = {}, math.inf
+    if cross_check:
+        per_chain = -(-mcmc.n_samples // mcmc.n_chains)
+        x_mu, diag = mala_sample(target, per_chain, mcmc.n_burnin,
+                                 mcmc.step_size0, seed,
+                                 n_chains=mcmc.n_chains)
+        b_mu = bregman_batch(eff, x_mu, system.mean_measure)
+        del x_mu
+        means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
+        mala = {"mala_bregman_mean": float(b_mu.mean()), "sampler": diag,
+                "mala_bregman_halfwidth": 2.0 * float(means.std(ddof=1))
+                / math.sqrt(mcmc.n_chains)}
+        min_b_mu = float(b_mu.min())
+
     rng_pi = _stream(seed, 1)
-    cols = []
-    for p_i in system.per_particle:
-        cols.append(sample_from_grid(p_i, mcmc.n_pi_samples, rng_pi))
-    x_pi = np.stack(cols, axis=1)  # (S, N, d=1)
-    b_pi = bregman_batch(eff, x_pi, pibar)
+    x_pi = np.stack([sample_from_grid(p_i, mcmc.n_pi_samples, rng_pi)
+                     for p_i in system.per_particle], axis=1)  # (S, N, d=1)
+    b_pi = bregman_batch(eff, x_pi, system.mean_measure)
     mean_b_pi = float(b_pi.mean())
     hw_b_pi = 2.0 * float(b_pi.std(ddof=1)) / math.sqrt(b_pi.size)
-
-    log_z, z_ess, hw_log_z = log_mean_exp(-scale * b_pi)
-    z_ess_ok = z_ess >= Z_ESS_FLOOR
-    if not z_ess_ok:
-        hw_log_z *= Z_ESS_WIDEN_FACTOR
-
-    kl = -scale * mean_b_mu - log_z
-    hw_kl = math.hypot(scale * hw_b_mu, hw_log_z)
+    est = importance_kl(b_pi, scale)
 
     alpha = tilted_alpha(eff, tilt.t if tilt else None)
     cbar_pi = poincare_constant_bound(eff, alpha)
@@ -273,31 +289,26 @@ def _report(target: TargetSpec, system: ProximalGibbsSystem, seed: int,
     bound_nn = poc_bound(consts, cbar_pi, alpha, "example_nn")
     var_rhs = _variance_step_rhs(eff, system)
 
-    chain_rhs = scale * mean_b_pi
-    chain_slack = scale * hw_b_pi
-    min_breg = min(min_b_mu, float(b_pi.min()))
+    kl, hw_kl = est["kl_estimate"], est["kl_halfwidth"]
     flags = {
-        "bregman_nonnegative": min_breg >= BREGMAN_FLOOR,
-        "jensen_log_z": -log_z <= chain_rhs + chain_slack + hw_log_z,
-        "proof_chain": kl <= chain_rhs + chain_slack + hw_kl,
+        "bregman_nonnegative": min(min_b_mu, float(b_pi.min()))
+        >= BREGMAN_FLOOR,
         "kl_below_poc": kl <= bound_generic + 2.0 * hw_kl,
         "kl_below_poc_ii": kl <= bound_nn + 2.0 * hw_kl,
-        "kl_nonnegative": kl >= -hw_kl,
-        "z_ess_ok": z_ess_ok,
+        "z_ess_ok": est["z_importance_ess"] >= Z_ESS_FLOOR,
         "variance_step": mean_b_pi <= var_rhs + hw_b_pi,
     }
+    if mala:  # false-alarm rate in estimate_kl's docstring
+        gap = abs(mala["mala_bregman_mean"] - est["bregman_mean_under_mu"])
+        flags["mala_agrees"] = gap <= MALA_AGREE_SE / 2.0 * math.hypot(
+            mala["mala_bregman_halfwidth"], est["bregman_mu_halfwidth"])
     return ChaosReport(
         n_particles=n_particles,
-        kl_estimate=kl, kl_halfwidth=hw_kl,
-        bregman_mean_under_mu=mean_b_mu, bregman_mu_halfwidth=hw_b_mu,
         bregman_mean_under_pi=mean_b_pi, bregman_pi_halfwidth=hw_b_pi,
-        log_z=log_z, log_z_halfwidth=hw_log_z,
         bound_poc=bound_generic, bound_poc_ii=bound_nn,
-        alpha=alpha, cbar_pi=cbar_pi, scale=scale,
-        z_importance_ess=z_ess, variance_step_rhs=var_rhs,
+        alpha=alpha, cbar_pi=cbar_pi, scale=scale, variance_step_rhs=var_rhs,
         solver_iterations=system.iterations, solver_residual=system.residual,
-        seed=seed, mala_acceptance=diag.acceptance_rate, sampler=diag,
-        flags=flags,
+        seed=seed, flags=flags, **est, **mala,
     )
 
 
@@ -315,7 +326,7 @@ def sweep_to_csv(reports: list[ChaosReport], path, model_name: str):
     """One CSV row per (model, N, seed) with estimates, CIs, and bounds."""
     names = ("n_particles", "seed", "kl_estimate", "kl_halfwidth", "bound_poc",
              "bound_poc_ii", "log_z", "bregman_mean_under_mu",
-             "bregman_mean_under_pi", "mala_acceptance")
+             "bregman_mean_under_pi")
     _write_csv(path, "model," + ",".join(names),
                [[model_name] * len(reports)]
                + [[getattr(r, k) for r in reports] for k in names])

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .bounds import BoundInputs, heatflow_lipschitz_bound, tilted_alpha
@@ -227,15 +226,6 @@ class CovarianceProfile:
         tilt centers expresses tilt stability."""
         return max(r.opnorm * r.alpha_t for r in self._rows(y_label))
 
-    def fitted_small_t_remainder(self, y_label: str | None = None,
-                                 skip_smallest: int = 0) -> float:
-        """Smallest C with |opnorm(t)/t - 1| <= C sqrt(t) over the fitted rows."""
-        rows = sorted(self._rows(y_label), key=lambda r: r.t)
-        rows = rows[skip_smallest:]
-        return max(
-            abs(r.opnorm / r.t - 1.0) / math.sqrt(r.t) for r in rows
-        )
-
     def to_csv(self, path):
         names = ("t", "y_label", "opnorm", "alpha_t", "small_regime_ref",
                  "large_regime_ref", "regime")
@@ -400,41 +390,6 @@ def standard_gaussian_grid(axes) -> GridDensity:
     log_u = -0.5 * np.sum(pts * pts, axis=1)
     return normalize_from_log_potential(
         log_u.reshape(tuple(ax.n for ax in axes)), axes)
-
-
-# -- heat-flow integral identities -------------------------------------------
-
-
-def heat_flow_integral_quadrature(alpha: float, k: float) -> float:
-    """Numerical value of int_0^inf e^{2t}(e^{2t}-1)^{k-2}/(alpha(e^{2t}-1)+1)^k dt.
-
-    Uses the substitution tau = e^{2t} - 1, which maps the integrand to
-    tau^{k-2} / (2 (alpha tau + 1)^k); the closed form is
-    1/(2 (k-1) alpha^{k-1}).
-    """
-    if alpha <= 0 or k <= 1:
-        raise ValueError("need alpha > 0 and k > 1")
-
-    def integrand(tau):
-        return tau ** (k - 2.0) / (2.0 * (alpha * tau + 1.0) ** k)
-
-    head, _ = quad(integrand, 0.0, 1.0, limit=200)
-    tail, _ = quad(integrand, 1.0, np.inf, limit=200)
-    return head + tail
-
-
-def log_term_integral_quadrature(alpha: float) -> float:
-    """Numerical value of int_0^inf (1-alpha)/(alpha(e^{2t}-1)+1) dt,
-    whose closed form is -(1/2) log alpha."""
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
-
-    def integrand(tau):
-        return (1.0 - alpha) / ((alpha * tau + 1.0) * 2.0 * (tau + 1.0))
-
-    head, _ = quad(integrand, 0.0, 1.0, limit=200)
-    tail, _ = quad(integrand, 1.0, np.inf, limit=200)
-    return head + tail
 
 
 # -- reverse flow map ---------------------------------------------------------

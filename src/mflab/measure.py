@@ -138,22 +138,6 @@ class GridDensity:
     def same_grid(self, other: "GridDensity") -> bool:
         return self.axes == other.axes
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def gaussian(cls, axes, mean, cov) -> "GridDensity":
-        """Grid restriction of a Gaussian density, renormalized to mass 1."""
-        axes = _as_axes(axes)
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        pts = grid_points(axes)
-        diff = pts - mean
-        prec = np.linalg.inv(cov)
-        log_u = -0.5 * np.einsum("ij,jk,ik->i", diff, prec, diff)
-        return normalize_from_log_potential(
-            log_u.reshape(tuple(ax.n for ax in axes)), axes
-        )
-
     # -- coverage sanity --------------------------------------------------
 
     def coverage_in_sd(self) -> float:
@@ -403,25 +387,11 @@ def sample_from_grid(p: GridDensity, n: int, rng: np.random.Generator) -> np.nda
     return np.asarray(quantile(u))[:, None]
 
 
-def gaussian_kl(a: GaussianMeasure, b: GaussianMeasure) -> float:
-    """Closed-form KL(a || b) between Gaussians; used as a test oracle."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("Gaussian KL needs equal dimensions")
-    d = a.dim
-    prec_b = np.linalg.inv(b.cov)
-    dm = b.mean - a.mean
-    trace = float(np.trace(prec_b @ a.cov))
-    quad = float(dm @ prec_b @ dm)
-    _, logdet_a = np.linalg.slogdet(a.cov)
-    _, logdet_b = np.linalg.slogdet(b.cov)
-    return 0.5 * (trace + quad - d + logdet_b - logdet_a)
-
-
 def _write_csv(path, header: str, columns):
-    """CSV with one column per sequence: string columns (or object ones
-    of str) are written as given, numeric ones as repr(float).  Rows are
-    formatted and written CSV_CHUNK_ROWS at a time."""
-    cols = [c if c.dtype.kind in "USO" else c.astype(float, copy=False)
+    """CSV with one column per sequence: string columns are written as
+    given, numeric ones as repr(float).  Rows are formatted and written
+    CSV_CHUNK_ROWS at a time."""
+    cols = [c if c.dtype.kind in "US" else c.astype(float, copy=False)
             for c in map(np.asarray, columns)]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
@@ -430,7 +400,7 @@ def _write_csv(path, header: str, columns):
         fh.write(header + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
             cells = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
-            cells = [v if c.dtype.kind in "USO" else map(repr, v)
+            cells = [v if c.dtype.kind in "US" else map(repr, v)
                      for c, v in zip(cols, cells)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 

@@ -284,15 +284,11 @@ def features(model: ModelSpec, theta: np.ndarray) -> np.ndarray:
     return model.activation.value(pre)
 
 
-def particle_features(model: ModelSpec, x: np.ndarray, n=None):
+def particle_features(model: ModelSpec, x: np.ndarray):
     """Pre-activations (S, n_data, N) of states x (S, N, d), particle-major,
-    and the particle means E_{rho_x} h(., x_j), (S, n_data), of features.
-    A state zero-padded beyond its first n particles (n an (S, 1) array)
-    is averaged over those alone: every activation vanishes at 0."""
+    and the particle means E_{rho_x} h(., x_j), (S, n_data), of features."""
     pre = model.data_x @ np.swapaxes(x, 1, 2)
-    eh = model.activation.value(pre).sum(axis=2)
-    eh /= x.shape[1] if n is None else n
-    return pre, eh
+    return pre, model.activation.value(pre).mean(axis=2)
 
 
 def expect_features(model: ModelSpec, nu: Measure) -> np.ndarray:

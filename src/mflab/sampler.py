@@ -21,7 +21,6 @@ from scipy.special import ndtri
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
 from .model import ModelSpec, loss_terms, particle_features, rescale_model
-from .measure import _write_csv
 
 MALA_TARGET_ACCEPTANCE = 0.574
 ACCEPTANCE_OK_RANGE = (0.2, 0.8)
@@ -81,7 +80,6 @@ class TargetSpec:
                 raise InvalidTargetError(
                     f"tilted target is not normalizable: alpha_t = {alpha:.4g} <= 0"
                 )
-        object.__setattr__(self, "_alone", _lanes([self]))
 
     @property
     def effective_model(self) -> ModelSpec:
@@ -99,79 +97,45 @@ def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
     return xb, single
 
 
-def _interaction_terms(model: ModelSpec, xb: np.ndarray, n=None):
+def _interaction_terms(model: ModelSpec, xb: np.ndarray):
     """Expected features eh (S, n_data) of states xb (S, N, d) and their
-    Wasserstein-gradient rows, an (S, N, d) view of one (S, d, N) product;
-    n as in :func:`particle_features`."""
-    pre, eh = particle_features(model, xb, n)
+    Wasserstein-gradient rows, an (S, N, d) view of one (S, d, N) product."""
+    pre, eh = particle_features(model, xb)
     w = np.swapaxes(loss_terms(model, eh, 1)[..., None] * model.data_x, 1, 2)
     return eh, np.swapaxes(w @ model.activation.deriv(pre), 1, 2)
 
 
-def _lanes(targets, n_chains: int = 1):
-    """Per-chain constants of targets sampled together on one (chains,
-    N_max, d) state zero-padded beyond each N: the model, the particle
-    counts (chains, 1), the energy scales 2N/sigma^2, a 0/1 mask (chains,
-    N_max, 1) of the slots in use, and the tilt times and padded tilt
-    centres (None untilted)."""
-    first = targets[0]
-    if any(tg.model is not first.model or tg.rescaled != first.rescaled
-           or (tg.tilt is None) != (first.tilt is None) for tg in targets):
-        raise InvalidTargetError("targets sampled together must share one "
-                                 "model and be all tilted or all untilted")
-    m = first.effective_model
-    lane = [tg for tg in targets for _ in range(n_chains)]
-    n = np.array([[tg.n_particles] for tg in lane])
-    used = np.arange(n.max()) < n
-    t = y = None
-    if first.tilt is not None:
-        t = np.array([tg.tilt.t for tg in lane])
-        y = np.zeros(used.shape + (m.d,))
-        y[used] = np.concatenate([tg.tilt.y for tg in lane])
-    return m, n, 2.0 * n[:, 0] / m.sigma**2, used[..., None] * 1.0, t, y
-
-
-def _log_density(lanes, xb: np.ndarray, with_grad: bool):
+def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
     """Unnormalized log density (S,) of states xb (S, N, d) and, if
-    with_grad, its gradient (S, N, d), zero on padding, from the same
-    pre-activations."""
-    m, n, scale, mask, t, y = lanes
-    eh, rows = (_interaction_terms(m, xb, n) if with_grad
-                else (particle_features(m, xb, n)[1], None))
-    grad = (-(2.0 / m.sigma**2) * (m.lam * xb + rows * mask) if with_grad
-            else None)
+    with_grad, its gradient (S, N, d) from the same pre-activations."""
+    m = target.effective_model
+    eh, rows = (_interaction_terms(m, xb) if with_grad
+                else (particle_features(m, xb)[1], None))
+    grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
     sq = np.sum(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
-    out -= scale * loss_terms(m, eh)
-    if t is not None:
-        diff = xb - y
-        out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * t)
+    out -= (2.0 * target.n_particles / m.sigma**2) * loss_terms(m, eh)
+    if target.tilt is not None:
+        diff = xb - target.tilt.y
+        out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
         out += 0.5 * sq
         if with_grad:
-            grad += -diff / t[:, None, None] + xb
+            grad += -diff / target.tilt.t + xb
     return out, grad
 
 
 def n_particle_log_density(target: TargetSpec, x: np.ndarray):
     """Unnormalized log density of the target at one state or a batch."""
     xb, single = _batch(x, target.n_particles, target.effective_model.d)
-    out = _log_density(target._alone, xb, with_grad=False)[0]
+    out = _log_density(target, xb, with_grad=False)[0]
     return float(out[0]) if single else out
 
 
 def n_particle_log_density_grad(target: TargetSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the unnormalized log density, one (N, d) row per particle."""
     xb, single = _batch(x, target.n_particles, target.effective_model.d)
-    grad = _log_density(target._alone, xb, with_grad=True)[1]
+    grad = _log_density(target, xb, with_grad=True)[1]
     return grad[0] if single else grad
-
-
-def interaction_gradient(target: TargetSpec, x: np.ndarray) -> np.ndarray:
-    """The -(2/sigma^2) * Wasserstein-gradient rows alone (bound <= 2B/sigma^2)."""
-    m = target.effective_model
-    xb, single = _batch(x, target.n_particles, m.d)
-    rows = -(2.0 / m.sigma**2) * _interaction_terms(m, xb)[1]
-    return rows[0] if single else rows
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -264,53 +228,35 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
     :mod:`mflab.chaos` (key (seed, 2) is retired).  Returns (samples,
     diagnostics), the samples an (n_chains * n_samples, N, d) array whose
     row c * n_samples + i is chain c's state after step n_burnin + i + 1.
-
-    Given sequences of targets (one model object, all tilted or all
-    untilted) and seeds, the chains of all targets run in this loop on a
-    state zero-padded to the largest N, with zero noise and gradient on
-    the padding; returns the list of the (samples, diagnostics) pairs each
-    target gives alone, up to the order of sums over the padded slots.
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")
     if n_samples < 1 or n_chains < 1:
         raise ValueError("need at least one sample and one chain")
-    many = not isinstance(target, TargetSpec)
-    targets, seeds = (list(target), list(seed)) if many else ([target], [seed])
-    if not targets:
-        return []
-    lanes = _lanes(targets, n_chains)
-    m, n, *_, t, y = lanes
-    rngs = [_stream(s, MALA_KEY_BASE + c)
-            for _, s in zip(targets, seeds, strict=True)
-            for c in range(n_chains)]
-    shape = (len(rngs), int(n.max()), m.d)
+    m = target.effective_model
+    n, d = target.n_particles, m.d
+    rngs = [_stream(seed, MALA_KEY_BASE + c) for c in range(n_chains)]
 
-    z = np.zeros(shape)
-    for c, g in enumerate(rngs):
-        z[c, :n[c, 0]] = g.standard_normal((n[c, 0], m.d))
-    if t is None:
+    z = np.stack([g.standard_normal((n, d)) for g in rngs])
+    if target.tilt is None:
         x = m.sigma / math.sqrt(2.0 * m.lam) * z
     else:
-        a = tilted_alpha(m, t)[:, None, None]
-        x = y / (t[:, None, None] * a) + z / np.sqrt(a)
-    logp, grad = _log_density(lanes, x, with_grad=True)
-    log_tau = np.full(len(rngs), math.log(step_size))
+        a = tilted_alpha(m, target.tilt.t)
+        x = target.tilt.y / (target.tilt.t * a) + z / math.sqrt(a)
+    logp, grad = _log_density(target, x, with_grad=True)
+    log_tau = np.full(n_chains, math.log(step_size))
 
     total = n_burnin + n_samples
-    owns = [slice(i * n_chains, (i + 1) * n_chains) for i in range(len(seeds))]
-    outs = [np.empty((n_chains, n_samples, tg.n_particles, m.d))
-            for tg in targets]
-    noise = np.zeros((len(rngs), NOISE_CHUNK) + shape[1:])
-    log_u = np.empty((len(rngs), NOISE_CHUNK))
-    accepted = np.zeros(len(rngs))
+    out = np.empty((n_chains, n_samples, n, d))
+    noise = np.zeros((n_chains, NOISE_CHUNK, n, d))
+    log_u = np.empty((n_chains, NOISE_CHUNK))
+    accepted = np.zeros(n_chains)
     for step in range(total):
         k = step % NOISE_CHUNK
         if k == 0:
             size = min(NOISE_CHUNK, total - step)
             for c, g in enumerate(rngs):
-                noise[c, :size, :n[c, 0]] = g.standard_normal(
-                    (size, n[c, 0], m.d))
+                g.standard_normal(out=noise[c, :size])
                 g.random(out=log_u[c, :size])
             np.log(log_u[:, :size], out=log_u[:, :size])
             half_xi2 = 0.5 * np.sum(noise * noise, axis=(2, 3))
@@ -319,7 +265,7 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
             t3 = tau[:, None, None]
             sd, tau4 = np.sqrt(2.0 * t3), 4.0 * tau
         prop = x + t3 * grad + sd * noise[:, k]
-        logp_prop, grad_prop = _log_density(lanes, prop, with_grad=True)
+        logp_prop, grad_prop = _log_density(target, prop, with_grad=True)
         bwd = x - prop - t3 * grad_prop
         log_accept = (logp_prop - logp + half_xi2[:, k]
                       - np.sum(bwd * bwd, axis=(1, 2)) / tau4)
@@ -330,34 +276,29 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
         if step < n_burnin:
             log_tau += (step + 1) ** -0.6 * (acc - MALA_TARGET_ACCEPTANCE)
         else:
-            for own, out in zip(owns, outs):
-                out[:, step - n_burnin] = x[own, :out.shape[2]]
+            out[:, step - n_burnin] = x
             accepted += acc
 
-    results = []
-    for own, chains, s in zip(owns, outs, seeds):
-        rate = accepted[own] / n_samples
-        series = {"mean_coordinate": chains.mean(axis=(2, 3)),
-                  "mean_square": (chains * chains).mean(axis=(2, 3))}
-        rhat = {k: split_rhat(v) for k, v in series.items()}
-        ok = bool(ACCEPTANCE_OK_RANGE[0] <= rate.min()
-                  and rate.max() <= ACCEPTANCE_OK_RANGE[1])
-        warnings = [] if ok else [
-            f"chain acceptance rates [{rate.min():.3f}, {rate.max():.3f}] "
-            f"outside {ACCEPTANCE_OK_RANGE}"]
-        warnings += [f"split R-hat of {k} {v:.4f} > {RHAT_WARN}"
-                     for k, v in rhat.items() if v > RHAT_WARN]
-        diag = MalaDiagnostics(
-            acceptance_rate=float(rate.mean()),
-            acceptance_range=[float(rate.min()), float(rate.max())],
-            step_size_range=[float(np.exp(log_tau[own].min())),
-                             float(np.exp(log_tau[own].max()))],
-            ess={k: float(sum(map(effective_sample_size, v)))
-                 for k, v in series.items()}, rhat=rhat, n_chains=n_chains,
-            n_samples=n_samples, n_burnin=n_burnin, seed=s, acceptance_ok=ok,
-            warnings=warnings)
-        results.append((chains.reshape(-1, *chains.shape[2:]), diag))
-    return results if many else results[0]
+    rate = accepted / n_samples
+    series = {"mean_coordinate": out.mean(axis=(2, 3)),
+              "mean_square": (out * out).mean(axis=(2, 3))}
+    rhat = {k: split_rhat(v) for k, v in series.items()}
+    ok = bool(ACCEPTANCE_OK_RANGE[0] <= rate.min()
+              and rate.max() <= ACCEPTANCE_OK_RANGE[1])
+    warnings = [] if ok else [f"chain acceptance rates [{rate.min():.3f}, "
+                              f"{rate.max():.3f}] outside {ACCEPTANCE_OK_RANGE}"]
+    warnings += [f"split R-hat of {k} {v:.4f} > {RHAT_WARN}"
+                 for k, v in rhat.items() if v > RHAT_WARN]
+    diag = MalaDiagnostics(
+        acceptance_rate=float(rate.mean()),
+        acceptance_range=[float(rate.min()), float(rate.max())],
+        step_size_range=[float(np.exp(log_tau.min())),
+                         float(np.exp(log_tau.max()))],
+        ess={k: float(sum(map(effective_sample_size, v)))
+             for k, v in series.items()}, rhat=rhat, n_chains=n_chains,
+        n_samples=n_samples, n_burnin=n_burnin, seed=seed, acceptance_ok=ok,
+        warnings=warnings)
+    return out.reshape(n_chains * n_samples, n, d), diag
 
 
 def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
@@ -400,13 +341,15 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
 
 def trajectory_to_csv(x: np.ndarray, steps, path):
     """CSV rows (step, particle, x_1[, x_2]) for an (S, N, d) array of
-    states or samples, state s labelled with step number steps[s]; each
-    distinct label is formatted once."""
-    s, n, d = x.shape
-    header = "step,particle," + ",".join(f"x{j + 1}" for j in range(d))
-    step_labels, particle_labels = (
-        np.array([repr(v) for v in np.asarray(a, dtype=float).tolist()],
-                 dtype=object) for a in (steps, range(n)))
-    _write_csv(path, header, [np.repeat(step_labels, n),
-                              np.tile(particle_labels, s),
-                              *x.reshape(s * n, d).T])
+    states or samples, state s labelled with step number steps[s].  Written
+    one state at a time; each label is formatted once."""
+    _, n, d = x.shape
+    particles = [repr(float(i)) for i in range(n)]
+    with open(path, "w") as fh:
+        fh.write("step,particle," + ",".join(f"x{j + 1}" for j in range(d))
+                 + "\n")
+        for step, state in zip(np.asarray(steps, dtype=float).tolist(), x,
+                               strict=True):
+            rows = zip([repr(step)] * n, particles,
+                       *(map(repr, c) for c in state.T.tolist()))
+            fh.write("\n".join(map(",".join, rows)) + "\n")

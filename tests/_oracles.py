@@ -1,13 +1,15 @@
 """Independent closed-form oracles the tests check the library against.
 
 Everything here is derived by hand (Gaussian algebra, OU moment maps,
-scalar fixed points) and deliberately avoids calling the code paths under
-test.
+scalar fixed points, one-dimensional quadrature) and deliberately avoids
+calling the code paths under test; `gaussian_on_grid` alone builds a library
+object, through normalize_from_log_potential.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -61,6 +63,14 @@ def quadratic_kl_exact(kappa, lam, n):
     """KL(mu^{1:N} || pi^{x N}) for the quadratic model, independent of N
     and of the offset c: (1/2)[log(1 + kappa/lam) - kappa/(lam + kappa)]."""
     return 0.5 * (math.log(1.0 + kappa / lam) - kappa / (lam + kappa))
+
+
+def quadratic_bregman_mean_exact(kappa, lam, sigma, n):
+    """E_mu[B] for the quadratic model, B = (kappa/2)(mean x - mean pi)^2:
+    under mu^{1:N} the particle mean has variance
+    1^T cov 1 / N^2 = sigma^2 / (2 N (lam + kappa)) (see
+    quadratic_mu_gaussian), so E_mu[B] = kappa sigma^2 / (4 N (lam + kappa))."""
+    return kappa * sigma**2 / (4.0 * n * (lam + kappa))
 
 
 def gaussian_kl_full(m0, c0, m1, c1):
@@ -133,3 +143,59 @@ def interaction_terms_reference(model, xb):
     rows = np.einsum("snj,sj,jk->snk", model.activation.deriv(pre), slopes,
                      model.data_x)
     return eh, rows
+
+
+def gaussian_on_grid(axes, mean, cov):
+    """Grid restriction of a Gaussian density on 1 or 2 axes, renormalized
+    to mass 1 by the library's normalize_from_log_potential."""
+    from mflab.measure import normalize_from_log_potential
+
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    prec = np.linalg.inv(np.atleast_2d(np.asarray(cov, dtype=float)))
+    grids = np.meshgrid(*(ax.nodes() for ax in axes), indexing="ij")
+    diff = np.stack([g.ravel() for g in grids], axis=1) - mean
+    log_u = -0.5 * np.einsum("ij,jk,ik->i", diff, prec, diff)
+    return normalize_from_log_potential(
+        log_u.reshape(tuple(ax.n for ax in axes)), tuple(axes))
+
+
+def heat_flow_integral_quadrature(alpha, k):
+    """Numerical value of int_0^inf e^{2t}(e^{2t}-1)^{k-2}/(alpha(e^{2t}-1)+1)^k dt.
+
+    Uses the substitution tau = e^{2t} - 1, which maps the integrand to
+    tau^{k-2} / (2 (alpha tau + 1)^k); the closed form is
+    1/(2 (k-1) alpha^{k-1}).
+    """
+    if alpha <= 0 or k <= 1:
+        raise ValueError("need alpha > 0 and k > 1")
+
+    def integrand(tau):
+        return tau ** (k - 2.0) / (2.0 * (alpha * tau + 1.0) ** k)
+
+    head, _ = quad(integrand, 0.0, 1.0, limit=200)
+    tail, _ = quad(integrand, 1.0, np.inf, limit=200)
+    return head + tail
+
+
+def log_term_integral_quadrature(alpha):
+    """Numerical value of int_0^inf (1-alpha)/(alpha(e^{2t}-1)+1) dt,
+    whose closed form is -(1/2) log alpha."""
+    if alpha <= 0:
+        raise ValueError("need alpha > 0")
+
+    def integrand(tau):
+        return (1.0 - alpha) / ((alpha * tau + 1.0) * 2.0 * (tau + 1.0))
+
+    head, _ = quad(integrand, 0.0, 1.0, limit=200)
+    tail, _ = quad(integrand, 1.0, np.inf, limit=200)
+    return head + tail
+
+
+def fitted_small_t_remainder(profile, y_label=None, skip_smallest=0):
+    """Smallest C with |opnorm(t)/t - 1| <= C sqrt(t) over the rows of a
+    covariance profile (those of one tilt centre if y_label is given),
+    leaving out the skip_smallest smallest times."""
+    rows = sorted((r for r in profile.rows
+                   if y_label is None or r.y_label == y_label),
+                  key=lambda r: r.t)[skip_smallest:]
+    return max(abs(r.opnorm / r.t - 1.0) / math.sqrt(r.t) for r in rows)

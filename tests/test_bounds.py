@@ -17,10 +17,8 @@ from mflab.bounds import (
     winf_bound,
 )
 from mflab.errors import AlreadyRescaledError, CalculatorDomainError
-from mflab.heatflow import (
-    heat_flow_integral_quadrature,
-    log_term_integral_quadrature,
-)
+
+from _oracles import heat_flow_integral_quadrature, log_term_integral_quadrature
 
 REL = 1e-12
 

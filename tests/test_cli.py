@@ -245,6 +245,26 @@ class TestRunCommand:
         assert manifest["invariants_passed"] is True
         assert manifest["seed"] == 0
 
+    def test_every_flag_counts_in_the_exit_status(self, tmp_path):
+        # 64 product draws cannot reach the importance-ESS floor of 100,
+        # so z_ess_ok is false in every report and the run exits 1.
+        cfg = {"experiment": "chaos_sweep", "seed": 0,
+               "model": {"preset": "relu3"},
+               "mcmc": {"n_pi_samples": 64, "n_chains": 2, "n_samples": 400,
+                        "n_burnin": 100}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["invariants_passed"] is False
+        smallest, larger = (json.loads((out / f"report_N00{n}.json")
+                                       .read_text()) for n in (2, 4))
+        assert smallest["flags"]["z_ess_ok"] is False
+        assert smallest["sampler"]["n_chains"] == 2
+        assert "mala_agrees" in smallest["flags"]
+        assert larger["sampler"] is None
+        assert "mala_agrees" not in larger["flags"]
+
     def test_manifest_records_peak_rss(self, tmp_path):
         cfg = {"experiment": "bounds_table", "model": {"preset": "relu3"}}
         out = tmp_path / "out"

@@ -2,8 +2,8 @@
 
 Each demo is copied into a temporary directory and run from there, so
 whatever it writes to its ``output/`` directory lands beside the copy,
-not in the repository.  Demos 02 and 03 are left out: they run MALA for
-3-5 s each, and test_sampler and test_chaos cover those paths.
+not in the repository.  Demo 02 is left out: it runs MALA for 3-5 s,
+and test_sampler covers that path.
 """
 
 import os
@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name", [
     "01_mean_field_fixed_point.py",
+    "03_propagation_of_chaos.py",
     "04_tilt_covariance_profile.py",
     "05_reverse_flow_transport.py",
     "06_closed_form_calculators.py",

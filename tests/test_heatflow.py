@@ -29,7 +29,6 @@ from mflab.heatflow import (
 from mflab.bounds import main_bound
 from mflab.measure import (
     Axis,
-    GridDensity,
     covariance_opnorm,
     normalize_from_log_potential,
 )
@@ -38,6 +37,8 @@ from mflab.presets import relu_preset
 from mflab.sampler import TargetSpec, n_particle_log_density
 
 from _oracles import (
+    fitted_small_t_remainder,
+    gaussian_on_grid,
     largest_eigenvalue_2x2,
     ou_moment_map,
     tilted_gaussian_variance,
@@ -156,7 +157,7 @@ class TestCovarianceProfile:
         # then verify the smallest times obey the same envelope.
         prof, _ = relu_profile
         for y in prof.y_labels():
-            c_fit = prof.fitted_small_t_remainder(y, skip_smallest=10)
+            c_fit = fitted_small_t_remainder(prof, y, skip_smallest=10)
             rows = sorted(prof._rows(y), key=lambda r: r.t)[:10]
             for r in rows:
                 assert abs(r.opnorm / r.t - 1.0) <= max(c_fit, 1e-3) \
@@ -248,7 +249,7 @@ class TestOuEvolve:
     def test_2d_moment_map(self):
         ax = Axis(-8.0, 8.0, 256)
         cov = np.array([[1.3, 0.2], [0.2, 0.6]])
-        mu = GridDensity.gaussian((ax, ax), [0.5, -0.3], cov)
+        mu = gaussian_on_grid((ax, ax), [0.5, -0.3], cov)
         t = 0.5
         out = ou_evolve(mu, t)
         decay = math.exp(-t)
@@ -308,7 +309,7 @@ class TestReverseFlowMap:
 
     def test_2d_rejected(self):
         ax = Axis(-8.0, 8.0, 64)
-        mu = GridDensity.gaussian((ax, ax), [0.0, 0.0], 0.25 * np.eye(2))
+        mu = gaussian_on_grid((ax, ax), [0.0, 0.0], 0.25 * np.eye(2))
         with pytest.raises(UnsupportedDimensionError):
             reverse_flow_map(mu)
 

@@ -19,7 +19,6 @@ from mflab.measure import (
     GaussianMeasure,
     GridDensity,
     covariance_opnorm,
-    gaussian_kl,
     _write_csv,
     kl_divergence,
     monotone_images,
@@ -28,7 +27,13 @@ from mflab.measure import (
     w2_distance_1d,
 )
 
-from _oracles import gaussian_kl_1d, gaussian_w2_1d, largest_eigenvalue_2x2
+from _oracles import (
+    gaussian_kl_1d,
+    gaussian_kl_full,
+    gaussian_w2_1d,
+    gaussian_on_grid,
+    largest_eigenvalue_2x2,
+)
 
 
 AX = Axis(-10.0, 10.0, 2048)
@@ -67,7 +72,7 @@ class TestNormalization:
 
     def test_2d_gaussian_mass_and_moments(self):
         ax = Axis(-8.0, 8.0, 256)
-        g = GridDensity.gaussian((ax, ax), [0.3, -0.2],
+        g = gaussian_on_grid((ax, ax), [0.3, -0.2],
                                  [[1.0, 0.3], [0.3, 0.7]])
         assert abs(g.mass() - 1.0) < 1e-8
         np.testing.assert_allclose(g.mean(), [0.3, -0.2], atol=1e-9)
@@ -173,7 +178,7 @@ class TestCovarianceOpnorm:
     def test_product_opnorm_is_max_factor_variance(self):
         ax = Axis(-8.0, 8.0, 256)
         v1, v2 = 0.5, 1.4
-        g = GridDensity.gaussian((ax, ax), [0.0, 0.0], np.diag([v1, v2]))
+        g = gaussian_on_grid((ax, ax), [0.0, 0.0], np.diag([v1, v2]))
         _, opnorm = covariance_opnorm(g)
         assert abs(opnorm - max(v1, v2)) < 1e-6
 
@@ -220,7 +225,7 @@ class TestW2:
 
     def test_2d_rejected(self):
         ax = Axis(-8.0, 8.0, 64)
-        g = GridDensity.gaussian((ax, ax), [0.0, 0.0], np.eye(2))
+        g = gaussian_on_grid((ax, ax), [0.0, 0.0], np.eye(2))
         with pytest.raises(UnsupportedDimensionError):
             w2_distance_1d(g, g)
 
@@ -285,16 +290,14 @@ class TestSerialization:
 
 class TestGaussianKLOracle:
     def test_matches_scalar_formula(self):
-        a = GaussianMeasure([0.3], [[0.8]])
-        b = GaussianMeasure([-0.1], [[1.2]])
         exact = gaussian_kl_1d(0.3, 0.8, -0.1, 1.2)
-        assert abs(gaussian_kl(a, b) - exact) < 1e-12
+        assert abs(gaussian_kl_full([0.3], [[0.8]], [-0.1], [[1.2]])
+                   - exact) < 1e-12
 
     def test_grid_kl_matches_gaussian_kl(self):
         p = grid_gaussian_1d(mean=0.3, sd=0.9)
         q = grid_gaussian_1d(mean=-0.1, sd=1.1)
-        exact = gaussian_kl(GaussianMeasure([0.3], [[0.81]]),
-                            GaussianMeasure([-0.1], [[1.21]]))
+        exact = gaussian_kl_full([0.3], [[0.81]], [-0.1], [[1.21]])
         assert abs(kl_divergence(p, q) - exact) < 1e-6
 
 

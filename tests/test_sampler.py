@@ -13,10 +13,8 @@ from mflab.sampler import (
     TargetSpec,
     TiltSpec,
     _interaction_terms,
-    _lanes,
     _log_density,
     effective_sample_size,
-    interaction_gradient,
     mala_sample,
     mfld_simulate,
     n_particle_log_density,
@@ -223,68 +221,9 @@ class TestMala:
         target = TargetSpec(model, 3)
         bound = 2.0 * model_constants(model).B / model.sigma**2
         samples, _ = mala_sample(target, 2000, 500, 0.5, seed=19)
-        rows = interaction_gradient(target, samples)
+        rows = -(2.0 / model.sigma**2) * _interaction_terms(model, samples)[1]
         norms = np.linalg.norm(rows, axis=2)
         assert float(norms.max()) <= bound + 1e-12
-
-
-def _assert_same_up_to_rounding(got, ref):
-    """(samples, diagnostics) pairs equal within 1e-12 relative."""
-    (x, diag), (x_ref, diag_ref) = got, ref
-    np.testing.assert_allclose(x, x_ref, rtol=1e-12,
-                               atol=1e-12 * np.abs(x_ref).max())
-    for name, want in vars(diag_ref).items():
-        exact = isinstance(want, (int, str)) or name == "warnings"
-        assert getattr(diag, name) == (
-            want if exact else pytest.approx(want, rel=1e-12)), name
-
-
-class TestLockstepTargets:
-    # Chains of several targets step together on a state zero-padded to
-    # the largest N.  The padding adds exact zeros, so only the order of
-    # the sums over the padded slots can move the last bits: with the
-    # 16 slots of N = 16, numpy's pairwise sums meet the same partial
-    # sums at N = 1, 2 and 8, and a smooth activation can round its small
-    # matrix products differently.
-    @staticmethod
-    def _together_and_alone(targets):
-        seeds = [10 + i for i in range(len(targets))]
-        together = mala_sample(targets, 200, 200, 0.3, seeds, n_chains=2)
-        alone = [mala_sample(t, 200, 200, 0.3, s, n_chains=2)
-                 for t, s in zip(targets, seeds)]
-        return zip(targets, together, alone)
-
-    def test_relu3_matches_one_call_per_target(self):
-        relu = relu_preset()
-        targets = [TargetSpec(relu, n) for n in (1, 2, 3, 4, 8, 16)]
-        for target, got, ref in self._together_and_alone(targets):
-            if target.n_particles in (3, 4):
-                _assert_same_up_to_rounding(got, ref)
-            else:
-                np.testing.assert_array_equal(got[0], ref[0])
-                assert got[1] == ref[1]
-
-    def test_tanh2_matches_up_to_rounding(self):
-        tanh = tanh_preset()
-        targets = [TargetSpec(tanh, n) for n in (1, 2, 3, 4)]
-        for _, got, ref in self._together_and_alone(targets):
-            _assert_same_up_to_rounding(got, ref)
-
-    def test_tilts_of_different_time_match_up_to_rounding(self):
-        rng, relu = np.random.default_rng(2), relu_preset()
-        targets = [TargetSpec(relu, n, rescaled=True,
-                              tilt=TiltSpec(t, rng.normal(size=(n, 1))))
-                   for n, t in ((2, 0.5), (3, 2.0))]
-        for _, got, ref in self._together_and_alone(targets):
-            _assert_same_up_to_rounding(got, ref)
-
-    def test_mixed_models_or_tilts_rejected(self):
-        relu, tilt = relu_preset(), TiltSpec(0.5, np.array([[0.3], [-0.2]]))
-        for pair in ([TargetSpec(relu, 2), TargetSpec(tanh_preset(), 2)],
-                     [TargetSpec(relu, 2, rescaled=True),
-                      TargetSpec(relu, 2, tilt=tilt, rescaled=True)]):
-            with pytest.raises(InvalidTargetError, match="one model"):
-                mala_sample(pair, 10, 10, 0.3, [0, 1])
 
 
 KERNEL_MODELS = {
@@ -322,7 +261,7 @@ class TestInteractionKernel:
         xb = rng.normal(size=(32, n, model.d))
         for target in (TargetSpec(model, n),
                        TargetSpec(model, n, tilt=tilt, rescaled=True)):
-            fused = _log_density(_lanes([target]), xb, with_grad=True)[0]
+            fused = _log_density(target, xb, with_grad=True)[0]
             np.testing.assert_array_equal(n_particle_log_density(target, xb),
                                           fused)
             assert n_particle_log_density(target, xb[5]) == fused[5]
