@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
 from .errors import CalculatorDomainError, ConfigError
@@ -82,7 +81,7 @@ def log_mean_exp(log_w: np.ndarray) -> tuple[float, float, float]:
     ess = float(w.sum() ** 2 / (w @ w))
     # Rounding can put the ESS of near-constant weights above n.
     hw = 2.0 * math.sqrt(max(0.0, 1.0 / ess - 1.0 / log_w.size))
-    return float(logsumexp(log_w) - math.log(log_w.size)), ess, hw
+    return float(log_w.max() + math.log(w.sum()) - math.log(log_w.size)), ess, hw
 
 
 def importance_kl(b: np.ndarray, scale: float) -> dict[str, float]:
@@ -102,7 +101,8 @@ def importance_kl(b: np.ndarray, scale: float) -> dict[str, float]:
     log_z, ess, hw_log_z = log_mean_exp(log_w)
     wt = np.exp(log_w - log_w.max())
     wt /= wt.sum()
-    mean_b = float(wt @ b)
+    # The weighted mean of subnormal b can round below min b.
+    mean_b = float(np.clip(wt @ b, b.min(), b.max()))
     m = -scale * mean_b
     hw_kl = 2.0 * math.sqrt(np.sum((wt * (log_w - m - 1.0) + 1.0 / b.size)**2))
     hw_b = 2.0 * math.sqrt(np.sum((wt * (b - mean_b))**2))

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .bounds import BoundInputs, heatflow_lipschitz_bound, tilted_alpha
 from .errors import (
@@ -45,6 +44,7 @@ from .measure import (
     grid_points,
     monotone_images,
     normalize_from_log_potential,
+    pchip,
     w2_distance_1d,
     _write_csv,
 )
@@ -416,9 +416,9 @@ def reverse_flow_map(mu: GridDensity,
 
     S_{t_max} = Q_{mu_{t_max}} o F_mu is the 1-d reverse heat flow of Kim
     and Milman at time t_max, evaluated on the nodes within 8 sd of the
-    mean and inverted at 2048 gamma-side points.  Fails loudly if
-    mu_{t_max} has not reached the Gaussian or the forward map is not
-    strictly increasing (mu has a gap in its mass).
+    mean and inverted by :func:`~mflab.measure.pchip` at 2048 gamma-side
+    points.  Fails loudly if mu_{t_max} has not reached the Gaussian or the
+    forward map is not strictly increasing (mu has a gap in its mass).
     """
     if mu.dim != 1:
         raise UnsupportedDimensionError("flow maps are built in 1-d only")
@@ -444,12 +444,10 @@ def reverse_flow_map(mu: GridDensity,
     if np.any(np.diff(s) <= 0):
         raise IntegrationFailureError("forward map is not strictly increasing")
 
-    inv = PchipInterpolator(s, pts, extrapolate=False)
     src_lo = max(float(s[0]), -8.0)
     src_hi = min(float(s[-1]), 8.0)
     source = np.linspace(src_lo, src_hi, 2048)
-    mapped = inv(source)
-    return FlowMap(source=source, mapped=np.asarray(mapped),
+    return FlowMap(source=source, mapped=pchip(s, pts, source),
                    gamma_w2=gamma_w2, t_max=t_max)
 
 

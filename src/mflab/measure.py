@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DimensionMismatchError,
@@ -301,24 +300,32 @@ def _corrected_cdf(p: GridDensity) -> np.ndarray:
     return cdf / total
 
 
-def _quantile_interpolator(p: GridDensity):
-    """Monotone (PCHIP) interpolation of the inverse CDF on the grid."""
-    cdf = _corrected_cdf(p)
-    x = p.nodes()
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
-    cdf_k, x_k = cdf[keep], x[keep]
-    interp = PchipInterpolator(cdf_k, x_k, extrapolate=False)
-    lo_u, hi_u = cdf_k[0], cdf_k[-1]
-    lo_x, hi_x = x_k[0], x_k[-1]
-
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        out = interp(np.clip(u, lo_u, hi_u))
-        out = np.where(u <= lo_u, lo_x, out)
-        out = np.where(u >= hi_u, hi_x, out)
-        return out
-
-    return quantile
+def pchip(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The monotone piecewise-cubic Hermite (PCHIP) interpolant of y over
+    strictly increasing knots x, at queries q inside [x[0], x[-1]]: the
+    slopes (Fritsch-Butland inside, Moler's shape-preserving one-sided rule
+    at the ends) and the evaluation order are scipy's PchipInterpolator's,
+    so values agree with it bit for bit."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(y.shape, m[0])
+    if x.size > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        smooth = np.sign(m[1:]) * np.sign(m[:-1]) > 0
+        # The reciprocal of the harmonic mean, rounded as scipy rounds it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(smooth, 1.0 / whmean, 0.0)
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(clamp, 3.0 * m0, end))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+    s = q - x[i]
+    return y[i] + d[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
 
 
 def _logit_cdf(p: GridDensity) -> np.ndarray:
@@ -346,7 +353,7 @@ def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
     """The monotone coupling Q_q(F_p(x)) of p to q, at the nodes of p.
 
     F_p and F_q are matched in the logit coordinate of :func:`_logit_cdf`
-    and q's nodes are interpolated monotonically (PCHIP) in it; images
+    and q's nodes are interpolated monotonically (:func:`pchip`) in it; images
     beyond the range q resolves are clamped to its end nodes.
     """
     if p.dim != 1 or q.dim != 1:
@@ -357,8 +364,7 @@ def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
     u_q, x = u_q[finite], x[finite]
     keep = np.concatenate([[True], np.diff(u_q) > 0])
     u_q, x = u_q[keep], x[keep]
-    interp = PchipInterpolator(u_q, x)
-    return interp(np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
+    return pchip(u_q, x, np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
 
 
 def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
@@ -379,12 +385,16 @@ def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
 
 
 def sample_from_grid(p: GridDensity, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF i.i.d. draws from a 1-d grid density, shape (n, 1)."""
+    """Inverse-CDF i.i.d. draws from a 1-d grid density, shape (n, 1); the
+    inverse CDF is the :func:`pchip` interpolant of the nodes over the CDF."""
     if p.dim != 1:
         raise UnsupportedDimensionError("grid sampling implemented in 1-d only")
-    quantile = _quantile_interpolator(p)
-    u = rng.random(n)
-    return np.asarray(quantile(u))[:, None]
+    cdf = _corrected_cdf(p)
+    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    cdf_k, x_k = cdf[keep], p.nodes()[keep]
+    # pchip returns x_k[0] exactly at cdf_k[0]; pin the top end too.
+    u = np.clip(rng.random(n), cdf_k[0], cdf_k[-1])
+    return np.where(u == cdf_k[-1], x_k[-1], pchip(cdf_k, x_k, u))[:, None]
 
 
 def _write_csv(path, header: str, columns):

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .bounds import BoundInputs
 from .errors import AlreadyRescaledError, DimensionMismatchError
@@ -105,6 +104,12 @@ class UnclippedSquaredLoss(SquaredLoss):
 
     def d2(self, yhat, y):
         return np.full_like(np.asarray(yhat, dtype=float) - y, self.scale)
+
+
+def expit(z):
+    """Logistic sigmoid 1 / (1 + exp(-z)), without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

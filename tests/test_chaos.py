@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from mflab.bounds import BoundInputs
@@ -106,6 +107,12 @@ class TestLogMeanExp:
         assert hw / 2.0 == pytest.approx(
             math.sqrt((math.exp(s * s) - 1.0) / n), rel=0.05)
 
+    def test_log_mean_matches_logsumexp(self):
+        log_w = np.random.default_rng(1).normal(scale=30.0, size=4096)
+        log_mean, _, _ = log_mean_exp(log_w)
+        assert log_mean == pytest.approx(
+            logsumexp(log_w) - math.log(log_w.size), rel=1e-15)
+
     def test_near_constant_weights_give_zero(self):
         log_w = np.array([0.0, -1.1e-16, -1.1e-16])
         _, ess, hw = log_mean_exp(log_w)
@@ -121,6 +128,7 @@ class TestImportanceKl:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrays(float, st.integers(1, 64), elements=st.floats(0.0, 50.0)),
            st.floats(1e-3, 1e3))
+    @example(np.full(36, 5e-324), 1.0)  # the weighted mean underflowed to 0
     def test_estimates_stay_in_their_ranges(self, b, scale):
         est = importance_kl(b, scale)
         kl, mean_b = est["kl_estimate"], est["bregman_mean_under_mu"]

@@ -1,7 +1,11 @@
 """Config validation, experiment runner, and artifact reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -475,3 +479,17 @@ class TestBoundsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"]["beta_hat"] == pytest.approx(0.25)
         assert payload["value"]["B"] == pytest.approx(0.5)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only: importing it would more than double the
+    # setup time of every run.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, mflab, mflab.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
+
+import mflab.heatflow
+import mflab.measure
 
 from mflab.errors import (
     IntegrationFailureError,
@@ -31,6 +35,8 @@ from mflab.measure import (
     Axis,
     covariance_opnorm,
     normalize_from_log_potential,
+    pchip,
+    sample_from_grid,
 )
 from mflab.model import model_constants, rescale_model, zero_model
 from mflab.presets import relu_preset
@@ -312,6 +318,28 @@ class TestReverseFlowMap:
         mu = gaussian_on_grid((ax, ax), [0.0, 0.0], 0.25 * np.eye(2))
         with pytest.raises(UnsupportedDimensionError):
             reverse_flow_map(mu)
+
+
+    def test_interpolation_knots_match_scipy(self, monkeypatch):
+        # Every knot set and query the quantile sampler, the monotone
+        # coupling and the inverse flow map pass on the relu density: the
+        # in-house PCHIP equals scipy's bit for bit on each.
+        calls = []
+
+        def recording(x, y, q):
+            calls.append((x, y, q))
+            return pchip(x, y, q)
+
+        monkeypatch.setattr(mflab.measure, "pchip", recording)
+        monkeypatch.setattr(mflab.heatflow, "pchip", recording)
+        mu, _ = relu_gibbs_density()
+        sample_from_grid(mu, 16, np.random.default_rng(0))
+        reverse_flow_map(mu, t_max=8.0)
+        assert len(calls) == 4
+        for x, y, q in calls:
+            q = np.concatenate([q, x, np.linspace(x[0], x[-1], 4097)])
+            np.testing.assert_array_equal(pchip(x, y, q),
+                                          PchipInterpolator(x, y)(q))
 
 
 class TestLipschitzEstimate:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from mflab.errors import (
     DimensionMismatchError,
@@ -23,6 +24,7 @@ from mflab.measure import (
     kl_divergence,
     monotone_images,
     normalize_from_log_potential,
+    pchip,
     sample_from_grid,
     w2_distance_1d,
 )
@@ -337,3 +339,34 @@ class TestMonotoneImages:
         p = grid_gaussian_1d(m_p, math.sqrt(v_p))
         q = grid_gaussian_1d(m_q, math.sqrt(v_q))
         assert np.all(np.diff(monotone_images(p, q)) >= 0)
+
+
+def assert_pchip_matches_scipy(x, y):
+    mid = 0.5 * (x[1:] + x[:-1])
+    q = np.sort(np.concatenate([x, mid, np.linspace(x[0], x[-1], 257)]))
+    np.testing.assert_array_equal(pchip(x, y, q), PchipInterpolator(x, y)(q))
+
+
+class TestPchip:
+    # scipy's PchipInterpolator is the reference, bit for bit.
+    @pytest.mark.parametrize("y, end_slope", [
+        ([0.0, 1.0, 6.0, 7.0], 0.0),  # one-sided slope against m0's sign
+        ([1.0, 1.0, 2.0, 2.5], 0.0),  # flat first segment
+        ([0.0, 1.0, -4.0, -3.0], 3.0),  # clamped to 3 m0
+    ])
+    def test_edge_branches_match_scipy(self, y, end_slope):
+        x, y = np.arange(4.0), np.array(y)
+        assert PchipInterpolator(x, y).derivative()(0.0) == end_slope
+        assert_pchip_matches_scipy(x, y)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(1e-3, 10.0),
+                              st.one_of(st.floats(-10.0, 10.0),
+                                        st.sampled_from([0.0, 1.0]))),
+                    min_size=1, max_size=24),
+           st.floats(-10.0, 10.0))
+    def test_random_knots_match_scipy(self, steps, y0):
+        gaps, values = np.array(steps).T
+        x = np.concatenate([[0.0], np.cumsum(gaps)])
+        with np.errstate(over="ignore"):  # slopes near the float range
+            assert_pchip_matches_scipy(x, np.concatenate([[y0], values]))

@@ -1,9 +1,11 @@
 """Energy functionals, variations, and smoothness constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mflab.bounds import rescale_parameters
 from mflab.errors import AlreadyRescaledError, DimensionMismatchError
@@ -21,6 +23,7 @@ from mflab.model import (
     SquaredLoss,
     energy,
     example_nn,
+    expit,
     first_variation,
     model_constants,
     quadratic_oracle,
@@ -348,12 +351,25 @@ class TestLosses:
         assert np.all(np.abs(loss.d1(yhat, 1.0)) <= 1.0)
         assert np.all(loss.d2(yhat, 1.0) <= 0.25 + 1e-15)
 
+    def test_expit_matches_scipy_without_overflow(self):
+        from scipy.special import expit as reference
+
+        z = np.linspace(-700.0, 700.0, 100_001)
+        np.testing.assert_allclose(expit(z), reference(z),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(expit(np.array([-1e3, 1e3])),
+                                          [0.0, 1.0])
+
 
 class TestRescaleModel:
-    def test_double_rescale_refused(self):
-        model = relu_preset(sigma=1.0, lam=2.0)
-        with pytest.raises(AlreadyRescaledError):
-            rescale_model(rescale_model(model))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2))
+    def test_double_rescale_refused(self, sigma, lam):
+        for preset in PRESETS.values():
+            with pytest.raises(AlreadyRescaledError):
+                rescale_model(rescale_model(preset(sigma=sigma, lam=lam)))
 
     def test_constants_match_parameter_rescaling(self):
         for model in (relu_preset(sigma=1.0, lam=4.0),

@@ -19,6 +19,7 @@ from mflab.sampler import (
     mfld_simulate,
     n_particle_log_density,
     n_particle_log_density_grad,
+    ndtri,
     split_rhat,
     trajectory_to_csv,
 )
@@ -359,6 +360,20 @@ class TestSplitRhat:
 
     def test_too_short_is_nan(self):
         assert math.isnan(split_rhat(np.zeros((4, 3))))
+
+
+class TestNdtri:
+    def test_matches_scipy(self):
+        # Both tails, the centre, and each side of the AS241 branch
+        # boundaries |p - 1/2| = 0.425 and p = e^-25.
+        from scipy.special import ndtri as reference
+
+        tail = np.geomspace(1e-300, 1e-3, 2001)
+        p = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 200_001), tail,
+                            1.0 - tail[tail > 1e-16],
+                            [1e-300, math.exp(-25.0), 0.075, 0.5,
+                             1.0 - 2.0**-53]])
+        np.testing.assert_allclose(ndtri(p), reference(p), rtol=2e-15, atol=0)
 
 
 class TestMfldSimulate:
