@@ -22,6 +22,7 @@ from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
 from .errors import CalculatorDomainError, ConfigError
 from .meanfield import ProximalGibbsSystem, solve_self_consistent
 from .measure import (
+    BLOCK_ELEMENTS,
     GridDensity,
     Measure,
     _write_csv,
@@ -68,9 +69,12 @@ def bregman_divergence(model: ModelSpec, nu: Measure, pibar: GridDensity) -> flo
 def bregman_batch(model: ModelSpec, x: np.ndarray, pibar: GridDensity) -> np.ndarray:
     """Bregman divergence of each empirical measure in a batch of states.
 
-    x has shape (S, N, d); returns (S,).
+    x has shape (S, N, d); returns (S,); features are taken in row chunks.
     """
-    eh_nu = particle_features(model, np.asarray(x, dtype=float))[1]
+    x = np.asarray(x, dtype=float)
+    rows = max(1, BLOCK_ELEMENTS // (x.shape[1] * max(1, len(model.data_x))))
+    eh_nu = np.concatenate([particle_features(model, x[lo:lo + rows])[1]
+                            for lo in range(0, len(x) or 1, rows)])
     return _bregman(model, eh_nu, pibar)
 
 
@@ -275,8 +279,9 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
         min_b_mu = float(b_mu.min())
 
     rng_pi = _stream(seed, 1)
-    x_pi = np.stack([sample_from_grid(p_i, mcmc.n_pi_samples, rng_pi)
-                     for p_i in system.per_particle], axis=1)  # (S, N, d=1)
+    x_pi = np.empty((mcmc.n_pi_samples, n_particles, 1))  # (S, N, d=1)
+    for i, p_i in enumerate(system.per_particle):
+        x_pi[:, i] = sample_from_grid(p_i, mcmc.n_pi_samples, rng_pi)
     b_pi = bregman_batch(eff, x_pi, system.mean_measure)
     mean_b_pi = float(b_pi.mean())
     hw_b_pi = 2.0 * float(b_pi.std(ddof=1)) / math.sqrt(b_pi.size)

@@ -565,6 +565,9 @@ def report(result_dir: str, stream=None) -> int:
     print(f"seed: {manifest['seed']}  mflab {manifest['versions']['mflab']}",
           file=stream)
     print(f"invariants passed: {manifest['invariants_passed']}", file=stream)
+    for key in ("wall_time_s", "peak_rss_mb"):
+        if key in manifest:
+            print(f"{key}: {manifest[key]:.4g}", file=stream)
     summary = os.path.join(result_dir, "summary.txt")
     if os.path.exists(summary):
         with open(summary) as fh:

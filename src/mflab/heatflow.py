@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .measure import (
+    BLOCK_ELEMENTS,
     Axis,
     GridDensity,
     covariance_opnorm,
@@ -348,7 +349,7 @@ def ou_evolve(mu: GridDensity, t: float) -> GridDensity:
 
     The Gaussian kernel is applied by quadrature along each axis (the
     kernel factorizes), which realizes the exact semigroup action with no
-    time stepping.
+    time stepping; the axis-0 kernel is built and applied in row blocks.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -362,23 +363,26 @@ def ou_evolve(mu: GridDensity, t: float) -> GridDensity:
                 f"OU kernel width {bw:.3g} under-resolved by grid spacing "
                 f"{ax.spacing:.3g}; use a finer grid or larger t"
             )
-    mats = [_ou_kernel_matrix(ax, decay, bw) for ax in mu.axes]
-    if mu.dim == 1:
-        w = mats[0] @ mu.weights
-    else:
-        w = mats[0] @ mu.weights @ mats[1].T
+    # Blocks of 8k rows, a remainder of 8 rows or fewer joining the last: BLAS
+    # groups rows by 4 and 8 and treats 1 or 2 apart, so rows sum as in K @ W.
+    n = mu.axes[0].n
+    rows = max(8, BLOCK_ELEMENTS // n // 8 * 8)
+    edges = [*range(0, max(n - 8, 1), rows), n]
+    w = np.concatenate([_ou_kernel_matrix(mu.axes[0], decay, bw, lo, hi)
+                        @ mu.weights for lo, hi in zip(edges, edges[1:])])
+    if mu.dim == 2:
+        w = w @ _ou_kernel_matrix(mu.axes[1], decay, bw).T
     w = np.clip(w, 0.0, None)
+    w /= np.sum(mu.quad_weights() * w)
     with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    out = GridDensity(mu.axes, w, logw)
-    z = out.mass()
-    with np.errstate(divide="ignore"):
-        return GridDensity(mu.axes, out.weights / z, np.log(out.weights / z))
+        return GridDensity(mu.axes, w, np.log(w))
 
 
-def _ou_kernel_matrix(ax: Axis, decay: float, bw: float) -> np.ndarray:
+def _ou_kernel_matrix(ax: Axis, decay: float, bw: float, lo: int = 0,
+                      hi: int | None = None) -> np.ndarray:
+    """Rows lo:hi of the quadrature-weighted OU kernel on one axis."""
     x = ax.nodes()
-    z = (x[:, None] - decay * x[None, :]) / bw
+    z = (x[lo:hi, None] - decay * x[None, :]) / bw
     kern = np.exp(-0.5 * z * z) / (bw * math.sqrt(2.0 * math.pi))
     return kern * ax.quad_weights()[None, :]
 

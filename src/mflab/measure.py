@@ -26,6 +26,9 @@ from .errors import (
 KL_SUPPORT_FLOOR = 1e-300
 # Rows formatted per write by _write_csv; bounds its string buffer.
 CSV_CHUNK_ROWS = 65_536
+# Elements per block of the grid-squared and S*N*n_data temporaries; at
+# 128 KiB each they are reused from the heap, not mapped and faulted anew.
+BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)

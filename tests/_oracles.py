@@ -3,7 +3,9 @@
 Everything here is derived by hand (Gaussian algebra, OU moment maps,
 scalar fixed points, one-dimensional quadrature) and deliberately avoids
 calling the code paths under test; `gaussian_on_grid` alone builds a library
-object, through normalize_from_log_potential.
+object, through normalize_from_log_potential, and `bregman_rows_reference`
+alone reduces through the library's `_bregman`, downstream of the chunking
+it checks.
 """
 
 import math
@@ -143,6 +145,37 @@ def interaction_terms_reference(model, xb):
     rows = np.einsum("snj,sj,jk->snk", model.activation.deriv(pre), slopes,
                      model.data_x)
     return eh, rows
+
+
+def bregman_rows_reference(model, x, pibar):
+    """Bregman divergence of each row of states x (S, N, d), its expected
+    features eh_j = mean_i act(<x^i, x_j>) taken one row at a time and
+    reduced by the library's _bregman."""
+    from mflab.chaos import _bregman
+
+    eh = np.array([model.activation.value(model.data_x @ xi.T).mean(axis=1)
+                   for xi in x]).reshape(len(x), len(model.data_x))
+    return _bregman(model, eh, pibar)
+
+
+def ou_evolve_dense(mu, t):
+    """Weights of the OU evolution of a grid density mu over time t > 0,
+    with the whole quadrature-weighted kernel of each axis built at once:
+    K0 W (1-d) or K0 W K1^T (2-d), clipped at 0 and divided by its
+    trapezoid mass."""
+    bw = math.sqrt(-math.expm1(-2.0 * t))
+    decay = math.exp(-t)
+    mats = []
+    for ax in mu.axes:
+        x = ax.nodes()
+        z = (x[:, None] - decay * x[None, :]) / bw
+        kern = np.exp(-0.5 * z * z) / (bw * math.sqrt(2.0 * math.pi))
+        mats.append(kern * ax.quad_weights()[None, :])
+    w = mats[0] @ mu.weights
+    if mu.dim == 2:
+        w = w @ mats[1].T
+    w = np.clip(w, 0.0, None)
+    return w / float(np.sum(mu.quad_weights() * w))
 
 
 def gaussian_on_grid(axes, mean, cov):

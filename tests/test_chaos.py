@@ -29,12 +29,18 @@ from mflab.chaos import (
 )
 from mflab.errors import CalculatorDomainError, ConfigError
 from mflab.meanfield import DEFAULT_TOL, solve_self_consistent
-from mflab.measure import Axis, EmpiricalMeasure, normalize_from_log_potential
+from mflab.measure import (
+    BLOCK_ELEMENTS,
+    Axis,
+    EmpiricalMeasure,
+    normalize_from_log_potential,
+)
 from mflab.model import quadratic_oracle, zero_model
 from mflab.presets import quadratic_preset, relu_preset
 from mflab.sampler import TargetSpec
 
 from _oracles import (
+    bregman_rows_reference,
     quadratic_bregman_mean_exact,
     quadratic_kl_exact,
     quadratic_mu_gaussian,
@@ -81,6 +87,36 @@ class TestBregman:
         for i in range(16):
             scalar = bregman_divergence(model, EmpiricalMeasure(x[i]), pibar)
             assert abs(batch[i] - scalar) < 1e-12
+
+    # No rows; below one chunk and one chunk plus 1 (relu3 has 3 data);
+    # N so large that a chunk holds one row; the zero model, whose chunks
+    # hold BLOCK_ELEMENTS // N rows.
+    @pytest.mark.parametrize("preset,s,n", [
+        (relu_preset, 0, 4), (relu_preset, 5, 4),
+        (relu_preset, BLOCK_ELEMENTS // (3 * 4) + 1, 4),
+        (relu_preset, 3, BLOCK_ELEMENTS // 2),
+        (lambda: zero_model(sigma=1.0, lam=1.0), 5, BLOCK_ELEMENTS // 2)])
+    def test_chunked_batch_equals_rows(self, preset, s, n):
+        model = preset()
+        pibar = gaussian_grid(0.1, 0.4)
+        x = np.random.default_rng(2).normal(size=(s, n, 1))
+        batch = bregman_batch(model, x, pibar)
+        assert batch.shape == (s,)
+        np.testing.assert_array_equal(
+            batch, bregman_rows_reference(model, x, pibar))
+
+    def test_batch_peak_memory_is_bounded(self):
+        model = relu_preset()
+        pibar = gaussian_grid(0.1, 0.4)
+        x = np.random.default_rng(3).normal(size=(32768, 64, 1))
+        tracemalloc.start()
+        try:
+            bregman_batch(model, x, pibar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Unchunked, the (S, n_data, N) pre-activations alone are 50 MB.
+        assert peak < 8e6, peak
 
     # F0 is convex along mixtures, so B >= 0 for every empirical measure
     # and every pibar, up to rounding.

@@ -423,6 +423,9 @@ class TestReportCommand:
         assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert "chaos sweep" in captured.out
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key in ("wall_time_s", "peak_rss_mb"):
+            assert f"{key}: {manifest[key]:.4g}\n" in captured.out
 
     def test_report_prints_sampler_warnings(self, tmp_path, capsys):
         # A step far too large for a 1-step burn-in leaves every chain

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from _oracles import (
     fitted_small_t_remainder,
     gaussian_on_grid,
     largest_eigenvalue_2x2,
+    ou_evolve_dense,
     ou_moment_map,
     tilted_gaussian_variance,
 )
@@ -263,6 +265,42 @@ class TestOuEvolve:
         np.testing.assert_allclose(out.mean(), decay * np.array([0.5, -0.3]),
                                    atol=1e-8)
         np.testing.assert_allclose(out.covariance(), cov_exp, atol=1e-8)
+
+
+    # Rows per block: the shipped block (8 rows at 2048 nodes, 48 at 304,
+    # 80 at 192), and 40 or 96 rows.  Only 8 rows divide a node count; at
+    # 2048 nodes and 40 rows the 8-row remainder joins the last block.
+    # Blocks of 53 rows at 304 nodes would change the last bits.  Node
+    # counts that are not a multiple of 16 are left out: split between two
+    # BLAS threads, even the dense product changes in its last bits.
+    @pytest.mark.parametrize("axes,rows", [
+        ((AX,), None), ((AX,), 40), ((AX,), 96),
+        ((Axis(-10.0, 10.0, 304),), None),
+        ((Axis(-6.0, 6.0, 192),) * 2, None),
+        ((Axis(-6.0, 6.0, 192),) * 2, 40)])
+    def test_blocked_equals_dense(self, axes, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(mflab.heatflow, "BLOCK_ELEMENTS",
+                                rows * axes[0].n)
+        cov = np.diag([1.3, 0.6][:len(axes)])
+        mu = gaussian_on_grid(axes, [0.5, -0.3][:len(axes)], cov)
+        for t in (0.05, 0.9, 8.0):
+            out = ou_evolve(mu, t)
+            dense = ou_evolve_dense(mu, t)
+            np.testing.assert_array_equal(out.weights, dense)
+            with np.errstate(divide="ignore"):
+                np.testing.assert_array_equal(out.log_density, np.log(dense))
+
+    def test_peak_memory_is_one_block(self):
+        mu = grid_gaussian(mean=0.3, var=1.7)
+        tracemalloc.start()
+        try:
+            ou_evolve(mu, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The dense 2048 x 2048 kernel alone is 32 MB.
+        assert peak < 16e6, peak
 
 
 class TestReverseFlowMap:
