@@ -170,9 +170,12 @@ class McmcConfig:
     n_chains: int = 32
 
     def __post_init__(self):
-        if self.n_chains < 2:
-            raise ConfigError("mcmc.n_chains must be at least 2: the "
-                              "confidence interval comes from chain means")
+        for key, low in (("n_chains", 2), ("n_pi_samples", 2),
+                         ("n_samples", 1), ("n_burnin", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"mcmc.{key} must be at least {low}")
+        if not self.step_size0 > 0:
+            raise ConfigError("mcmc.step_size0 must be positive")
 
 
 @dataclass

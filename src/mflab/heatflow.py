@@ -77,8 +77,7 @@ def tilted_measure(mu: GridDensity, t: float, y) -> GridDensity:
     log_u = (mu.log_density.ravel()
              - np.sum(diff * diff, axis=1) / (2.0 * t)
              + 0.5 * np.sum(pts * pts, axis=1))
-    shape = mu.weights.shape
-    log_u = log_u.reshape(shape)
+    log_u = log_u.reshape(mu.weights.shape)
     _check_interior_peak(log_u)
     out = normalize_from_log_potential(log_u, mu.axes)
     cov = out.coverage_in_sd()
@@ -123,8 +122,7 @@ class GibbsPotential:
 
     @property
     def total_dim(self) -> int:
-        m = self.target.effective_model
-        return self.target.n_particles * m.d
+        return self.target.n_particles * self.target.effective_model.d
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         m = self.target.effective_model

@@ -75,8 +75,8 @@ class SquaredLoss:
         return np.where(r_abs <= self.clip_radius, quad, lin)
 
     def d1(self, yhat, y):
-        r = np.asarray(yhat, dtype=float) - y
-        return self.scale * np.clip(r, -self.clip_radius, self.clip_radius)
+        r, c = np.asarray(yhat, dtype=float) - y, self.clip_radius
+        return self.scale * np.minimum(np.maximum(r, -c), c)  # np.clip's value
 
     def d2(self, yhat, y):
         r = np.asarray(yhat, dtype=float) - y
@@ -242,8 +242,7 @@ def example_nn(sigma: float, lam: float, data_x, data_y, weights=None,
     n = data_x.shape[0]
     if weights is None:
         weights = np.full(n, 1.0 / n)
-    if loss is None:
-        loss = SquaredLoss()
+    loss = loss or SquaredLoss()
     return ModelSpec(
         sigma=sigma, lam=lam, d=data_x.shape[1],
         data_x=data_x, data_y=data_y, data_p=np.asarray(weights, dtype=float),
@@ -292,8 +291,9 @@ def features(model: ModelSpec, theta: np.ndarray) -> np.ndarray:
 def particle_features(model: ModelSpec, x: np.ndarray):
     """Pre-activations (S, n_data, N) of states x (S, N, d), particle-major,
     and the particle means E_{rho_x} h(., x_j), (S, n_data), of features."""
-    pre = model.data_x @ np.swapaxes(x, 1, 2)
-    return pre, model.activation.value(pre).mean(axis=2)
+    pre = model.data_x @ x.swapaxes(1, 2)
+    h = model.activation.value(pre)
+    return pre, np.add.reduce(h, axis=2) / x.shape[1]  # h.mean(axis=2)
 
 
 def expect_features(model: ModelSpec, nu: Measure) -> np.ndarray:

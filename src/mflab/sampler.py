@@ -100,8 +100,8 @@ def _interaction_terms(model: ModelSpec, xb: np.ndarray):
     """Expected features eh (S, n_data) of states xb (S, N, d) and their
     Wasserstein-gradient rows, an (S, N, d) view of one (S, d, N) product."""
     pre, eh = particle_features(model, xb)
-    w = np.swapaxes(loss_terms(model, eh, 1)[..., None] * model.data_x, 1, 2)
-    return eh, np.swapaxes(w @ model.activation.deriv(pre), 1, 2)
+    w = (loss_terms(model, eh, 1)[..., None] * model.data_x).swapaxes(1, 2)
+    return eh, (w @ model.activation.deriv(pre)).swapaxes(1, 2)
 
 
 def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
@@ -111,12 +111,12 @@ def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
     eh, rows = (_interaction_terms(m, xb) if with_grad
                 else (particle_features(m, xb)[1], None))
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
-    sq = np.sum(xb * xb, axis=(1, 2))
+    sq = np.add.reduce(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
     out -= (2.0 * target.n_particles / m.sigma**2) * loss_terms(m, eh)
     if target.tilt is not None:
         diff = xb - target.tilt.y
-        out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
+        out -= np.add.reduce(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
         out += 0.5 * sq
         if with_grad:
             grad += -diff / target.tilt.t + xb
@@ -305,7 +305,7 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
         logp_prop, grad_prop = _log_density(target, prop, with_grad=True)
         bwd = x - prop - t3 * grad_prop
         log_accept = (logp_prop - logp + half_xi2[:, k]
-                      - np.sum(bwd * bwd, axis=(1, 2)) / tau4)
+                      - np.add.reduce(bwd * bwd, axis=(1, 2)) / tau4)
         acc = log_u[:, k] < log_accept
         np.copyto(x, prop, where=acc[:, None, None])
         np.copyto(logp, logp_prop, where=acc)

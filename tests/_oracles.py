@@ -5,7 +5,10 @@ scalar fixed points, one-dimensional quadrature) and deliberately avoids
 calling the code paths under test; `gaussian_on_grid` alone builds a library
 object, through normalize_from_log_potential, and `bregman_rows_reference`
 alone reduces through the library's `_bregman`, downstream of the chunking
-it checks.
+it checks.  `pchip_searchsorted`, `sample_from_grid_searchsorted` and
+`log_density_numpy_wrappers` keep earlier forms of library code (a plain
+searchsorted index; numpy's Python-level mean, clip, sum and swapaxes) as
+bit-for-bit references for their faster replacements.
 """
 
 import math
@@ -232,3 +235,83 @@ def fitted_small_t_remainder(profile, y_label=None, skip_smallest=0):
                    if y_label is None or r.y_label == y_label),
                   key=lambda r: r.t)[skip_smallest:]
     return max(abs(r.opnorm / r.t - 1.0) / math.sqrt(r.t) for r in rows)
+
+
+def pchip_searchsorted(x, y, q):
+    """mflab.measure.pchip with its interval index from np.searchsorted
+    over the raw queries: the same slopes and evaluation order."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(y.shape, m[0])
+    if x.size > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        smooth = np.sign(m[1:]) * np.sign(m[:-1]) > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(smooth, 1.0 / whmean, 0.0)
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(clamp, 3.0 * m0, end))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+    s = q - x[i]
+    return y[i] + d[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+
+def sample_from_grid_searchsorted(p, n, rng):
+    """mflab.measure.sample_from_grid through pchip_searchsorted; the CDF
+    is the library's _corrected_cdf."""
+    from mflab.measure import _corrected_cdf
+
+    cdf = _corrected_cdf(p)
+    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    cdf_k, x_k = cdf[keep], p.nodes()[keep]
+    u = np.clip(rng.random(n), cdf_k[0], cdf_k[-1])
+    return np.where(u == cdf_k[-1], x_k[-1],
+                    pchip_searchsorted(cdf_k, x_k, u))[:, None]
+
+
+def _slopes_numpy_wrappers(model, eh):
+    """p_j loss'(eh_j, y_j), a clipped squared loss's through np.clip."""
+    from mflab.model import SquaredLoss
+
+    loss = model.loss
+    if type(loss) is SquaredLoss:
+        r = np.asarray(eh, dtype=float) - model.data_y
+        d1 = loss.scale * np.clip(r, -loss.clip_radius, loss.clip_radius)
+    else:
+        d1 = loss.d1(eh, model.data_y)
+    return model.data_p * d1
+
+
+def particle_features_numpy_wrappers(model, x):
+    """mflab.model.particle_features through np.swapaxes and ndarray.mean."""
+    pre = model.data_x @ np.swapaxes(x, 1, 2)
+    return pre, model.activation.value(pre).mean(axis=2)
+
+
+def log_density_numpy_wrappers(target, xb, with_grad):
+    """mflab.sampler._log_density, value and gradient, through numpy's
+    Python-level np.swapaxes, ndarray.mean, np.clip and np.sum."""
+    m = target.effective_model
+    pre, eh = particle_features_numpy_wrappers(m, xb)
+    grad = None
+    if with_grad:
+        w = np.swapaxes(_slopes_numpy_wrappers(m, eh)[..., None] * m.data_x,
+                        1, 2)
+        rows = np.swapaxes(w @ m.activation.deriv(pre), 1, 2)
+        grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows)
+    sq = np.sum(xb * xb, axis=(1, 2))
+    out = -(m.lam / m.sigma**2) * sq
+    out -= ((2.0 * target.n_particles / m.sigma**2)
+            * (m.loss.value(eh, m.data_y) @ m.data_p))
+    if target.tilt is not None:
+        diff = xb - target.tilt.y
+        out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
+        out += 0.5 * sq
+        if with_grad:
+            grad += -diff / target.tilt.t + xb
+    return out, grad

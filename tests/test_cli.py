@@ -62,6 +62,24 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_pi_samples", 0), ("n_pi_samples", 1), ("n_samples", 0),
+        ("n_burnin", -5), ("step_size0", 0.0), ("step_size0", -0.3)])
+    def test_out_of_range_sampling_effort_exit_2(self, tmp_path, key, value):
+        cfg = dict(MINI_CHAOS, mcmc=dict(MINI_CHAOS["mcmc"], **{key: value}))
+        with pytest.raises(ConfigError, match=f"mcmc.{key}"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("n_list", [[0, 2], [2, -1]])
+    def test_particle_count_below_one_exit_2(self, tmp_path, n_list):
+        cfg = dict(MINI_CHAOS, sweep={"n_particles": n_list})
+        with pytest.raises(ConfigError, match="sweep.n_particles"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_chaos_sweep_rejects_d_not_1(self):
         with pytest.raises(ConfigError, match="d = 1"):
             validate_config({"experiment": "chaos_sweep",
@@ -276,6 +294,23 @@ class TestRunCommand:
                      "--out", str(out)]) == 0
         peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
         assert isinstance(peak, float) and peak > 0.0
+
+    @pytest.mark.parametrize("openblas", ["1", None])
+    def test_manifest_records_blas_thread_env(self, tmp_path, monkeypatch,
+                                              openblas):
+        # ou_evolve's last bits can depend on the BLAS thread count.
+        if openblas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = {"experiment": "bounds_table", "model": {"preset": "relu3"}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": openblas,
+                                          "OMP_NUM_THREADS": None}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, MINI_CHAOS)

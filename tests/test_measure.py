@@ -24,10 +24,13 @@ from mflab.measure import (
     kl_divergence,
     monotone_images,
     normalize_from_log_potential,
+    _search_right,
     pchip,
     sample_from_grid,
     w2_distance_1d,
 )
+from mflab.meanfield import solve_self_consistent
+from mflab.presets import relu_preset
 
 from _oracles import (
     gaussian_kl_1d,
@@ -35,6 +38,7 @@ from _oracles import (
     gaussian_w2_1d,
     gaussian_on_grid,
     largest_eigenvalue_2x2,
+    sample_from_grid_searchsorted,
 )
 
 
@@ -370,3 +374,56 @@ class TestPchip:
         x = np.concatenate([[0.0], np.cumsum(gaps)])
         with np.errstate(over="ignore"):  # slopes near the float range
             assert_pchip_matches_scipy(x, np.concatenate([[y0], values]))
+
+
+def knots_from(family, values):
+    """Strictly increasing finite knots of one family from raw floats."""
+    v = np.asarray(values, dtype=float)
+    if family == "uniform":
+        return np.unique(v)
+    if family == "cdf":  # crowds knots at 0 and 1, as a CDF's tails do
+        return np.unique(0.5 * (1.0 + np.tanh(v)))
+    return np.cumsum(10.0 ** v)  # spacings 1e-12 .. 1e2
+
+
+def search_queries(x, rng):
+    """Uniform draws, every knot, the float neighbours of every knot on
+    both sides, values outside [x[0], x[-1]] and NaN, shuffled."""
+    width = x[-1] - x[0]
+    q = np.concatenate([
+        rng.uniform(x[0], x[-1], 4 * x.size), x, np.nextafter(x, -np.inf),
+        np.nextafter(x, np.inf),
+        [x[0] - width, x[-1] + width, -1e300, 1e300, -np.inf, np.inf,
+         np.nan]])
+    return rng.permutation(q)
+
+
+class TestGuideTableSearch:
+    # np.searchsorted(x, q, side="right") is the reference, index for index.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_searchsorted(self, data):
+        family = data.draw(st.sampled_from(["uniform", "cdf", "spacing"]))
+        bounds = {"uniform": (-1e3, 1e3), "cdf": (-20.0, 20.0),
+                  "spacing": (-12.0, 2.0)}[family]
+        values = data.draw(st.lists(st.floats(*bounds), min_size=2,
+                                    max_size=400))
+        x = knots_from(family, values)
+        if x.size < 2:
+            x = np.array([0.0, 1.0])
+        q = search_queries(x, np.random.default_rng(data.draw(
+            st.integers(0, 2**32 - 1))))
+        with np.errstate(over="ignore"):  # +-1e300 leave the float range
+            got = _search_right(x, q)
+        np.testing.assert_array_equal(got, np.searchsorted(x, q, side="right"))
+
+    @pytest.mark.parametrize("density", ["relu3_product", "flat_tails"])
+    def test_sampling_equals_searchsorted_pchip(self, density):
+        if density == "relu3_product":
+            p = solve_self_consistent(relu_preset(), 2).per_particle[0]
+        else:  # sd 0.5 on a +-10 grid: the CDF is flat over most nodes
+            p = grid_gaussian_1d(mean=-2.0, sd=0.5)
+        got = sample_from_grid(p, 32768, np.random.default_rng(11))
+        ref = sample_from_grid_searchsorted(p, 32768,
+                                            np.random.default_rng(11))
+        np.testing.assert_array_equal(got, ref)

@@ -345,6 +345,19 @@ class TestLosses:
         eps = 1e-9
         assert abs(loss.value(1.0 + eps, 0.0) - loss.value(1.0 - eps, 0.0)) < 1e-8
 
+    def test_squared_d1_equals_np_clip_bitwise(self):
+        # Residuals past, at and inside +-clip_radius, +-0.0, NaN and inf.
+        loss = SquaredLoss(scale=0.7, clip_radius=2.5)
+        yhat = np.array([5.0, -5.0, 2.5, -2.5, 1.0, -0.0, 0.0, -0.0, np.nan,
+                         np.inf, -np.inf, np.nextafter(2.5, 3.0)])
+        y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0,
+                      0.0, 0.0])
+        ref = loss.scale * np.clip(yhat - y, -2.5, 2.5)
+        got = loss.d1(yhat, y)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        assert np.signbit(got[5]) and got[2] == 0.7 * 2.5
+
     def test_logistic_bounds(self):
         loss = LogisticLoss()
         yhat = np.linspace(-30, 30, 1001)

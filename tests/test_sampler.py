@@ -7,8 +7,14 @@ import pytest
 
 from mflab.errors import InvalidTargetError, SimulationDivergedError
 from mflab.measure import Axis, kl_divergence, normalize_from_log_potential
-from mflab.model import RELU, example_nn, quadratic_oracle, zero_model
-from mflab.presets import logistic_preset, relu_preset, tanh_preset
+from mflab.model import (
+    RELU,
+    example_nn,
+    particle_features,
+    quadratic_oracle,
+    zero_model,
+)
+from mflab.presets import PRESETS, logistic_preset, relu_preset, tanh_preset
 from mflab.sampler import (
     TargetSpec,
     TiltSpec,
@@ -27,6 +33,8 @@ from mflab.model import model_constants
 
 from _oracles import (
     interaction_terms_reference,
+    log_density_numpy_wrappers,
+    particle_features_numpy_wrappers,
     quadratic_mu_gaussian,
     zero_model_tilted_moments,
 )
@@ -266,6 +274,51 @@ class TestInteractionKernel:
             np.testing.assert_array_equal(n_particle_log_density(target, xb),
                                           fused)
             assert n_particle_log_density(target, xb[5]) == fused[5]
+
+
+def assert_same_bits(got, ref):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+def kernel_states(rng, s, n, d):
+    """States by kind: Gaussian; spread far enough that relu3 residuals
+    pass its clip radius 1; every coordinate 1.5, where relu3's first
+    residual is exactly 1.5 - 0.5 = +1; all -0.0; one NaN coordinate."""
+    z = rng.normal(size=(s, n, d))
+    nan = z.copy()
+    nan[:, 0, 0] = np.nan
+    return {"gaussian": z, "past_clip": 50.0 * z, "at_clip": np.full_like(z, 1.5),
+            "negative_zero": np.full_like(z, -0.0), "nan": nan}
+
+
+class TestKernelWithoutNumpyWrappers:
+    # The kernel as written with np.swapaxes, ndarray.mean, np.clip and
+    # np.sum (tests/_oracles.py) is the reference, bit for bit.
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_equals_numpy_wrapper_kernel(self, name, tilted):
+        model = PRESETS[name]()
+        rng = np.random.default_rng(len(name) + tilted)
+        with np.errstate(invalid="ignore"):
+            for s in (1, 32):
+                for n in (1, 2, 3, 16):  # 3: 1/N is inexact
+                    tilt = (TiltSpec(0.5, rng.normal(size=(n, model.d)))
+                            if tilted else None)
+                    target = TargetSpec(model, n, tilt=tilt, rescaled=tilted)
+                    m = target.effective_model
+                    for xb in kernel_states(rng, s, n, m.d).values():
+                        for got, ref in zip(
+                                particle_features(m, xb),
+                                particle_features_numpy_wrappers(m, xb)):
+                            assert_same_bits(got, ref)
+                        for grad in (False, True):
+                            got = _log_density(target, xb, with_grad=grad)
+                            ref = log_density_numpy_wrappers(target, xb, grad)
+                            assert_same_bits(got[0], ref[0])
+                            if grad:
+                                assert_same_bits(got[1], ref[1])
 
 
 class TestSerialization:
