@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from resource import RUSAGE_SELF, getrusage
+from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 
 import numpy as np
 import yaml
@@ -64,7 +64,8 @@ from .sampler import (
     TargetSpec,
     mfld_simulate,
     n_particle_log_density,
-    trajectory_to_csv,
+    states_to_csv,
+    trajectory_to_csv,  # unused here; perfbench times cli.trajectory_to_csv
 )
 
 EXPERIMENTS = ("chaos_sweep", "tilt_profile", "transport_map", "mfld_run",
@@ -264,6 +265,8 @@ def validate_config(raw: dict) -> dict:
                    for n in resolved["sweep"]["n_particles"]):
             raise ConfigError("sweep.n_particles entries must be integers "
                               ">= 1")
+    if not all(v > 0 for v in resolved.get("mfld", {}).values()):
+        raise ConfigError("mfld.n_particles, horizon and step must be > 0")
     if experiment == "tilt_profile" \
             and resolved["profile"]["n_particles"] * d > 2:
         raise ConfigError("profile total dimension n_particles * d must "
@@ -463,13 +466,43 @@ def _run_transport_map(cfg: dict, out_dir: str) -> bool:
 def _run_mfld(cfg: dict, out_dir: str) -> bool:
     model = build_model(cfg["model"])
     mb = cfg["mfld"]
+    n, d = mb["n_particles"], model.d
     n_steps = int(round(mb["horizon"] / mb["step"]))
     stride = max(1, (n_steps + 1) // 512)
-    traj = mfld_simulate(model, mb["n_particles"], mb["horizon"], mb["step"],
-                         seed=cfg["seed"], record_every=stride)
     steps = np.arange(0, n_steps + 1, stride)
-    trajectory_to_csv(traj[:len(steps)], steps,
-                      os.path.join(out_dir, "trajectory.csv"))
+    path = os.path.join(out_dir, "trajectory.csv")
+    # A thread would hold the GIL, so a forked child formats the states as
+    # they arrive; it renames its file only after len(steps) states and EOF,
+    # calls no BLAS (fork copies no BLAS threads) and leaves by os._exit.
+    read_fd, write_fd = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(write_fd)  # else end-of-file never comes
+            with open(read_fd, "rb") as pipe:
+                chunks = iter(lambda: pipe.read(8 * n * d), b"")
+                states_to_csv((np.frombuffer(c).reshape(n, d)
+                               for c in chunks), steps, path + ".part", n, d)
+            os.replace(path + ".part", path)
+            os._exit(0)
+        except OSError as err:
+            os.write(2, f"trajectory writer: {err}\n".encode())
+        finally:
+            if os.path.isfile(path + ".part"):
+                os.remove(path + ".part")
+            os._exit(1)
+    os.close(read_fd)
+    try:
+        with open(write_fd, "wb") as pipe:  # buffered: loops on short writes
+            traj = mfld_simulate(model, n, mb["horizon"], mb["step"],
+                                 seed=cfg["seed"], record_every=stride,
+                                 on_record=pipe.write)
+    except BrokenPipeError:
+        pass  # the writer has exited; its status is reported below
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise MflabError(f"trajectory writer exited with status "
+                         f"{os.waitstatus_to_exitcode(status)}")
     terminal = traj[-1]
     _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "n_particles": mb["n_particles"],
@@ -551,6 +584,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "wall_time_s": time.time() - started,
         "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_children_mb": getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024,
         "invariants_passed": bool(ok),
     }, default=str)
     return 0 if ok else 1
@@ -568,7 +602,7 @@ def report(result_dir: str, stream=None) -> int:
     print(f"seed: {manifest['seed']}  mflab {manifest['versions']['mflab']}",
           file=stream)
     print(f"invariants passed: {manifest['invariants_passed']}", file=stream)
-    for key in ("wall_time_s", "peak_rss_mb"):
+    for key in ("wall_time_s", "peak_rss_mb", "peak_rss_children_mb"):
         if key in manifest:
             print(f"{key}: {manifest[key]:.4g}", file=stream)
     summary = os.path.join(result_dir, "summary.txt")

@@ -268,8 +268,8 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")
-    if n_samples < 1 or n_chains < 1:
-        raise ValueError("need at least one sample and one chain")
+    if n_samples < 1 or n_chains < 1 or n_burnin < 0:
+        raise ValueError("need n_samples, n_chains >= 1 and n_burnin >= 0")
     m = target.effective_model
     n, d = target.n_particles, m.d
     rngs = [_stream(seed, MALA_KEY_BASE + c) for c in range(n_chains)]
@@ -340,7 +340,7 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
 
 def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
                   step: float, seed: int, x0: np.ndarray | None = None,
-                  record_every: int = 1) -> np.ndarray:
+                  record_every: int = 1, on_record=None) -> np.ndarray:
     """Euler-Maruyama discretization of the interacting-particle dynamics.
 
     Each particle moves by -(lam x^i + wgrad(rho_x, x^i)) h + sigma sqrt(h) xi,
@@ -349,6 +349,8 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
     j * record_every steps as rows j = 0 .. n_steps // record_every (row 0
     is x0, zeros by default), plus the terminal state as one more row if
     record_every does not divide n_steps: the last row is always terminal.
+    on_record, if given, gets each row j = 0 .. n_steps // record_every as
+    soon as it is filled, a C-contiguous (N, d) float64 array.
     Aborts with a diagnostic if any coordinate passes 1e6.
     """
     if step <= 0 or horizon <= 0:
@@ -363,6 +365,8 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
     x[...] = 0.0 if x0 is None else np.reshape(x0, (n_particles, model.d))
     if not np.all(np.isfinite(x)):
         raise ValueError("particle coordinates must be finite")
+    record = on_record or (lambda state: None)
+    record(x)
     noise_scale = model.sigma * math.sqrt(step)
     for k in range(1, n_steps + 1):
         drift = model.lam * x + _interaction_terms(model, x[None])[1][0]
@@ -372,6 +376,7 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
             raise SimulationDivergedError(k, worst)
         if k % record_every == 0:
             traj[k // record_every] = x
+            record(x)
     traj[-1] = x
     return traj
 
@@ -379,14 +384,20 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
 def trajectory_to_csv(x: np.ndarray, steps, path):
     """CSV rows (step, particle, x_1[, x_2]) for an (S, N, d) array of
     states or samples, state s labelled with step number steps[s].  Written
-    one state at a time; each label is formatted once."""
-    _, n, d = x.shape
+    one state at a time; each label is formatted once.  `mflab run` streams
+    the same rows from mfld_simulate's on_record through states_to_csv."""
+    states_to_csv(x, steps, path, *x.shape[1:])
+
+
+def states_to_csv(states, steps, path, n: int, d: int):
+    """trajectory_to_csv for any iterable of (n, d) states, read as they
+    are written; ValueError unless it yields exactly len(steps) states."""
     particles = [repr(float(i)) for i in range(n)]
     with open(path, "w") as fh:
         fh.write("step,particle," + ",".join(f"x{j + 1}" for j in range(d))
                  + "\n")
-        for step, state in zip(np.asarray(steps, dtype=float).tolist(), x,
-                               strict=True):
+        for step, state in zip(np.asarray(steps, dtype=float).tolist(),
+                               states, strict=True):
             rows = zip([repr(step)] * n, particles,
                        *(map(repr, c) for c in state.T.tolist()))
             fh.write("\n".join(map(",".join, rows)) + "\n")

@@ -3,15 +3,20 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from mflab.cli import build_model, load_config, main, validate_config
 from mflab.errors import ConfigError
+from mflab.sampler import mfld_simulate, trajectory_to_csv
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_config(tmp_path, payload, name="config.yaml"):
@@ -76,6 +81,18 @@ class TestConfigValidation:
     def test_particle_count_below_one_exit_2(self, tmp_path, n_list):
         cfg = dict(MINI_CHAOS, sweep={"n_particles": n_list})
         with pytest.raises(ConfigError, match="sweep.n_particles"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_particles", 0), ("step", -0.01), ("step", 0.0), ("horizon", 0.0),
+        ("horizon", -1.0)])
+    def test_mfld_out_of_range_exit_2(self, tmp_path, key, value):
+        # These once ended in a traceback with exit 1.
+        cfg = {"experiment": "mfld_run", "model": {"preset": "relu3"},
+               "mfld": {key: value}}
+        with pytest.raises(ConfigError, match=f"mfld.*{key}"):
             validate_config(cfg)
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
@@ -373,6 +390,8 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
         assert (out / "diagnostics.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["peak_rss_children_mb"] > 0.0
 
     def test_tilt_profile_reports_threshold(self, tmp_path):
         cfg = {
@@ -450,6 +469,102 @@ class TestRunCommand:
         assert axis.hi == pytest.approx(9.0 / 2.0**0.5, rel=1e-15)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTrajectoryWriter:
+    """`mflab run` formats trajectory.csv in a forked child that reads the
+    kept states from a pipe while the dynamics run."""
+
+    def expected_csv(self, cfg, path):
+        model, mb = build_model(cfg["model"]), cfg["mfld"]
+        n_steps = int(round(mb["horizon"] / mb["step"]))
+        stride = max(1, (n_steps + 1) // 512)
+        steps = np.arange(0, n_steps + 1, stride)
+        traj = mfld_simulate(model, mb["n_particles"], mb["horizon"],
+                             mb["step"], seed=cfg["seed"], record_every=stride)
+        trajectory_to_csv(traj[:len(steps)], steps, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("model", [{"preset": "relu3"},
+                                       {"kind": "quadratic_oracle", "d": 2}])
+    def test_streamed_file_equals_trajectory_to_csv(self, tmp_path, model):
+        # 1101 steps at stride 2: the stride does not divide n_steps, so
+        # the extra terminal row must not reach the file.
+        cfg = {"experiment": "mfld_run", "seed": 3, "model": model,
+               "mfld": {"n_particles": 5, "horizon": 1.101, "step": 1e-3}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert_no_child_left()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics.json", "manifest.json", "summary.txt",
+            "trajectory.csv"]
+        assert json.loads((out / "diagnostics.json").read_text())[
+            "store_stride"] == 2
+        assert ((out / "trajectory.csv").read_bytes()
+                == self.expected_csv(validate_config(cfg),
+                                     tmp_path / "expected.csv"))
+
+    def test_bytes_survive_a_1ms_sigalrm(self, tmp_path):
+        # A signal can cut a blocking pipe write short; the parent must
+        # still send every byte.  The child is slower than these dynamics,
+        # so the pipe is full and the parent blocks in write.  A state of
+        # 16,000 bytes is not a whole number of pages, so the child's reads
+        # free part of a write's room and a blocked write can return short
+        # (checked: a raw unbuffered write fails this test).
+        cfg = {"experiment": "mfld_run", "model": {"preset": "relu3"},
+               "mfld": {"n_particles": 2000, "horizon": 0.3, "step": 1e-3}}
+        path = write_config(tmp_path, cfg)
+        ticks = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+        signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+        try:
+            code = main(["run", "--config", path, "--out",
+                         str(tmp_path / "out")])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0 and len(ticks) > 10
+        assert_no_child_left()
+        assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+                == self.expected_csv(validate_config(cfg),
+                                     tmp_path / "expected.csv"))
+
+    def test_divergence_leaves_no_file_and_no_child(self, tmp_path, capsys):
+        cfg = {"experiment": "mfld_run", "model": {"kind": "zero"},
+               "mfld": {"n_particles": 4, "horizon": 300.0, "step": 3.0}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert_no_child_left()
+        assert list(out.iterdir()) == []
+        assert "particle coordinates reached" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocked", ["trajectory.csv",
+                                         "trajectory.csv.part"])
+    def test_writer_that_cannot_write_exits_3(self, tmp_path, blocked):
+        # A directory in the way fails the final rename (trajectory.csv) or
+        # the child's first open, while the parent is still sending.
+        cfg = {"experiment": "mfld_run", "model": {"preset": "relu3"},
+               "mfld": {"n_particles": 256, "horizon": 1.0, "step": 1e-3}}
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        path = os.pathsep.join(filter(None, [SRC,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mflab.cli", "run", "--config",
+             write_config(tmp_path, cfg), "--out", str(out)],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+            text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "trajectory writer exited with status 1" in proc.stderr
+        assert "Is a directory" in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
+
+
 class TestReportCommand:
     def test_report_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, MINI_CHAOS)
@@ -459,7 +574,7 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert "chaos sweep" in captured.out
         manifest = json.loads((out / "manifest.json").read_text())
-        for key in ("wall_time_s", "peak_rss_mb"):
+        for key in ("wall_time_s", "peak_rss_mb", "peak_rss_children_mb"):
             assert f"{key}: {manifest[key]:.4g}\n" in captured.out
 
     def test_report_prints_sampler_warnings(self, tmp_path, capsys):
@@ -522,8 +637,7 @@ class TestBoundsCommand:
 def test_import_loads_no_scipy():
     # scipy is a test oracle only: importing it would more than double the
     # setup time of every run.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     code = ("import sys, mflab, mflab.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -27,6 +27,7 @@ from mflab.sampler import (
     n_particle_log_density_grad,
     ndtri,
     split_rhat,
+    states_to_csv,
     trajectory_to_csv,
 )
 from mflab.model import model_constants
@@ -153,6 +154,13 @@ class TestMala:
         np.testing.assert_array_equal(s1, s2)
         assert d1.acceptance_rate == d2.acceptance_rate
         assert not np.array_equal(s1, s3)
+
+    @pytest.mark.parametrize("args", [(10, -5, 0.3), (0, 5, 0.3),
+                                      (10, 5, 0.0)])
+    def test_rejects_out_of_range_effort(self, args):
+        # A negative burn-in once stopped with UnboundLocalError.
+        with pytest.raises(ValueError):
+            mala_sample(TargetSpec(relu_preset(), 2), *args, seed=0)
 
     def test_chain_does_not_depend_on_chains_beside_it(self):
         # Each chain has its own Philox stream and its own step size, and
@@ -357,6 +365,20 @@ class TestSerialization:
             f"x{j + 1}" for j in range(d))
         assert lines[1:] == expected + [""]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_states_streamed_one_at_a_time_give_the_same_bytes(self, tmp_path,
+                                                                d):
+        x = np.random.default_rng(d).normal(size=(6, 4, d))
+        steps = np.arange(0, 12, 2)
+        trajectory_to_csv(x, steps, tmp_path / "array.csv")
+        states_to_csv(iter(x), steps, tmp_path / "stream.csv", 4, d)
+        assert ((tmp_path / "array.csv").read_bytes()
+                == (tmp_path / "stream.csv").read_bytes())
+        for short_or_long in (x[:-1], np.concatenate([x, x[:1]])):
+            with pytest.raises(ValueError):
+                states_to_csv(iter(short_or_long), steps,
+                              tmp_path / "bad.csv", 4, d)
+
 
 class TestEffectiveSampleSize:
     def test_iid_series(self):
@@ -485,12 +507,21 @@ class TestMfldSimulate:
         model = relu_preset()
         full = mfld_simulate(model, 8, 1.0, 1e-2, seed=47)
         assert full.shape == (101, 8, 1)
+        seen = []
+
+        def record(state):  # the bytes a pipe writer would send
+            assert state.flags.c_contiguous and state.dtype == np.float64
+            seen.append(state.copy())
+
         for r in (1, 4, 7, 100, 150):
+            seen.clear()
             kept = mfld_simulate(model, 8, 1.0, 1e-2, seed=47,
-                                 record_every=r)
+                                 record_every=r, on_record=record)
             rows = 100 // r + 1
             assert len(kept) == rows + (100 % r > 0)
             np.testing.assert_array_equal(kept[:rows], full[::r])
+            # on_record gets the strided rows, not the extra terminal row.
+            np.testing.assert_array_equal(seen, kept[:rows])
             np.testing.assert_array_equal(kept[-1], full[-1])
         with pytest.raises(ValueError, match="record_every"):
             mfld_simulate(model, 8, 1.0, 1e-2, seed=47, record_every=0)
