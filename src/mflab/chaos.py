@@ -37,6 +37,7 @@ from .model import (
     model_constants,
     particle_features,
 )
+from .forking import forked
 from .sampler import MalaDiagnostics, TargetSpec, TiltSpec, _stream, mala_sample
 
 BREGMAN_FLOOR = -1e-10
@@ -239,11 +240,11 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     (seed 53, at 3.67 se) fails it, and 22 lie beyond 2 se.
 
     Chains and i.i.d. draws use separate Philox streams of the same master
-    seed, so the whole report is deterministic given (model, N, mcmc, seed).
+    seed, so the whole report is deterministic given (model, N, mcmc, seed);
+    the chains run in a forked child, overlapped with the product side.
     """
     target = TargetSpec(model, n_particles, tilt=tilt, rescaled=rescaled)
-    return _estimate(target, seed, mcmc or McmcConfig(), axes,
-                     cross_check=True)
+    return _sweep([target], seed, mcmc or McmcConfig(), axes)[0]
 
 
 def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
@@ -251,35 +252,55 @@ def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
     """One KL report per particle count, the i-th from seed + i, each
     solving the self-consistent system on `axes` (its default if None).
     The report of the (first) smallest N is :func:`estimate_kl`'s; the
-    others carry the product side alone, with no MALA cross-check."""
-    mcmc = mcmc or McmcConfig()
-    first = min(range(len(n_list)), key=lambda i: n_list[i], default=-1)
-    return [_estimate(TargetSpec(model, n), seed + i, mcmc, axes,
-                      cross_check=i == first) for i, n in enumerate(n_list)]
+    others carry the product side alone, with no MALA cross-check.  The
+    chains run in a forked child while every N's product side is taken."""
+    return _sweep([TargetSpec(model, n) for n in n_list], seed,
+                  mcmc or McmcConfig(), axes)
+
+
+def _sweep(targets, seed: int, mcmc: McmcConfig, axes) -> list[ChaosReport]:
+    """The report of targets[i] from seed + i.  The MALA cross-check of the
+    first target of the smallest N runs in a forked child while the parent
+    takes every product side, that target's last."""
+    if not targets:
+        return []
+    first = min(range(len(targets)), key=lambda i: targets[i].n_particles)
+    t = targets[first]
+    system = solve_self_consistent(t.effective_model, t.n_particles,
+                                   tilt=t.tilt, axes=axes)
+    with forked(_cross_check, t, system.mean_measure, mcmc,
+                seed + first) as cross_check:
+        reports = [_estimate(u, seed + i, mcmc, axes) if i != first else None
+                   for i, u in enumerate(targets)]
+        reports[first] = _estimate(t, seed + first, mcmc, axes, cross_check,
+                                   system)
+    return reports
+
+
+def _cross_check(target: TargetSpec, pibar: GridDensity, mcmc: McmcConfig,
+                 seed: int) -> tuple[dict, float]:
+    """MALA's E_mu[B], its between-chain half-width and the sampler health,
+    keyed as in :class:`ChaosReport`, and the least B of its samples."""
+    per_chain = -(-mcmc.n_samples // mcmc.n_chains)
+    x_mu, diag = mala_sample(target, per_chain, mcmc.n_burnin,
+                             mcmc.step_size0, seed, n_chains=mcmc.n_chains)
+    b_mu = bregman_batch(target.effective_model, x_mu, pibar)
+    means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
+    return {"mala_bregman_mean": float(b_mu.mean()), "sampler": diag,
+            "mala_bregman_halfwidth": 2.0 * float(means.std(ddof=1))
+            / math.sqrt(mcmc.n_chains)}, float(b_mu.min())
 
 
 def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
-              cross_check: bool) -> ChaosReport:
-    """The report of one target; MALA runs only if cross_check, and its
-    samples are reduced before any product draw."""
+              cross_check=None, system=None) -> ChaosReport:
+    """The report of one target, solved on `axes` unless `system` is given;
+    `cross_check`, if given, is called after the product side for
+    :func:`_cross_check`'s value."""
     eff, tilt, n_particles = (target.effective_model, target.tilt,
                               target.n_particles)
-    system = solve_self_consistent(eff, n_particles, tilt=tilt, axes=axes)
+    system = system or solve_self_consistent(eff, n_particles, tilt=tilt,
+                                             axes=axes)
     scale = 2.0 * n_particles / eff.sigma**2
-
-    mala, min_b_mu = {}, math.inf
-    if cross_check:
-        per_chain = -(-mcmc.n_samples // mcmc.n_chains)
-        x_mu, diag = mala_sample(target, per_chain, mcmc.n_burnin,
-                                 mcmc.step_size0, seed,
-                                 n_chains=mcmc.n_chains)
-        b_mu = bregman_batch(eff, x_mu, system.mean_measure)
-        del x_mu
-        means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
-        mala = {"mala_bregman_mean": float(b_mu.mean()), "sampler": diag,
-                "mala_bregman_halfwidth": 2.0 * float(means.std(ddof=1))
-                / math.sqrt(mcmc.n_chains)}
-        min_b_mu = float(b_mu.min())
 
     rng_pi = _stream(seed, 1)
     x_pi = np.empty((mcmc.n_pi_samples, n_particles, 1))  # (S, N, d=1)
@@ -297,6 +318,7 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
     bound_nn = poc_bound(consts, cbar_pi, alpha, "example_nn")
     var_rhs = _variance_step_rhs(eff, system)
 
+    mala, min_b_mu = cross_check() if cross_check else ({}, math.inf)
     kl, hw_kl = est["kl_estimate"], est["kl_halfwidth"]
     flags = {
         "bregman_nonnegative": min(min_b_mu, float(b_pi.min()))

@@ -30,6 +30,7 @@ import yaml
 from . import __version__, bounds as bounds_mod
 from .chaos import McmcConfig, chaos_sweep, no_growth_in_n, sweep_to_csv
 from .errors import ConfigError, MflabError
+from .forking import forked
 from .heatflow import (
     FLOW_GAMMA_W2_TOL,
     GibbsPotential,
@@ -463,6 +464,21 @@ def _run_transport_map(cfg: dict, out_dir: str) -> bool:
     return ok
 
 
+def _write_trajectory(read_fd, write_fd, path, steps, n: int, d: int):
+    """_run_mfld's forked writer: formats the raw float64 (n, d) states from
+    read_fd as they arrive; renames its file after len(steps) states only."""
+    os.close(write_fd)  # else end-of-file never comes
+    try:
+        with open(read_fd, "rb") as pipe:
+            chunks = iter(lambda: pipe.read(8 * n * d), b"")
+            states_to_csv((np.frombuffer(c).reshape(n, d) for c in chunks),
+                          steps, path + ".part", n, d)
+        os.replace(path + ".part", path)
+    finally:
+        if os.path.isfile(path + ".part"):
+            os.remove(path + ".part")
+
+
 def _run_mfld(cfg: dict, out_dir: str) -> bool:
     model = build_model(cfg["model"])
     mb = cfg["mfld"]
@@ -471,38 +487,22 @@ def _run_mfld(cfg: dict, out_dir: str) -> bool:
     stride = max(1, (n_steps + 1) // 512)
     steps = np.arange(0, n_steps + 1, stride)
     path = os.path.join(out_dir, "trajectory.csv")
-    # A thread would hold the GIL, so a forked child formats the states as
-    # they arrive; it renames its file only after len(steps) states and EOF,
-    # calls no BLAS (fork copies no BLAS threads) and leaves by os._exit.
     read_fd, write_fd = os.pipe()
-    if (pid := os.fork()) == 0:
+    with forked(_write_trajectory, read_fd, write_fd, path, steps, n, d) \
+            as writer:
+        os.close(read_fd)  # else a dead writer blocks the parent's writes
         try:
-            os.close(write_fd)  # else end-of-file never comes
-            with open(read_fd, "rb") as pipe:
-                chunks = iter(lambda: pipe.read(8 * n * d), b"")
-                states_to_csv((np.frombuffer(c).reshape(n, d)
-                               for c in chunks), steps, path + ".part", n, d)
-            os.replace(path + ".part", path)
-            os._exit(0)
-        except OSError as err:
-            os.write(2, f"trajectory writer: {err}\n".encode())
-        finally:
-            if os.path.isfile(path + ".part"):
-                os.remove(path + ".part")
-            os._exit(1)
-    os.close(read_fd)
-    try:
-        with open(write_fd, "wb") as pipe:  # buffered: loops on short writes
-            traj = mfld_simulate(model, n, mb["horizon"], mb["step"],
-                                 seed=cfg["seed"], record_every=stride,
-                                 on_record=pipe.write)
-    except BrokenPipeError:
-        pass  # the writer has exited; its status is reported below
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise MflabError(f"trajectory writer exited with status "
-                         f"{os.waitstatus_to_exitcode(status)}")
+            with open(write_fd, "wb") as pipe:  # buffered: no short writes
+                traj = mfld_simulate(model, n, mb["horizon"], mb["step"],
+                                     seed=cfg["seed"], record_every=stride,
+                                     on_record=pipe.write)
+        except BrokenPipeError:
+            pass  # the writer has exited; writer() says why
+        try:
+            writer()
+        except OSError as err:  # relayed: the writer exited with status 1
+            raise MflabError(f"trajectory writer exited with status 1: "
+                             f"{err}") from err
     terminal = traj[-1]
     _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "n_particles": mb["n_particles"],

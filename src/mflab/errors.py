@@ -26,6 +26,9 @@ class SupportViolationError(MflabError):
             f"q vanishes on {n_offending} grid node(s) where p has mass"
         )
 
+    def __reduce__(self):  # pickle the constructor's arguments
+        return type(self), (self.n_offending,)
+
 
 class TiltDomainError(MflabError):
     """A Gaussian tilt is not normalizable for the given base measure."""
@@ -45,6 +48,9 @@ class SimulationDivergedError(MflabError):
             f"particle coordinates reached |x| = {max_abs:.3g} at step {step}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.step, self.max_abs)
+
 
 class NonconvergenceError(MflabError):
     """Fixed-point iteration exhausted its budget; carries the residual trace."""
@@ -56,6 +62,9 @@ class NonconvergenceError(MflabError):
             f"no convergence after {len(self.residual_trace)} iterations "
             f"(last residual {last:.3e})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.residual_trace,)
 
 
 class IntegrationFailureError(MflabError):

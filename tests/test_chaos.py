@@ -1,8 +1,16 @@
 """KL estimator against the Gaussian oracle, plus the chaos bound calculators."""
 
+import faulthandler
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +35,15 @@ from mflab.chaos import (
     poc_bound,
     sweep_to_csv,
 )
-from mflab.errors import CalculatorDomainError, ConfigError
+import mflab.chaos
+from mflab.errors import (
+    CalculatorDomainError,
+    ConfigError,
+    MflabError,
+    NonconvergenceError,
+    SupportViolationError,
+)
+from mflab.forking import forked
 from mflab.meanfield import DEFAULT_TOL, solve_self_consistent
 from mflab.measure import (
     BLOCK_ELEMENTS,
@@ -235,6 +251,17 @@ class TestEstimateKlQuadratic:
         exact = quadratic_kl_exact(0.5, 1.0, 4)
         assert abs(report.kl_estimate - exact) <= 2.0 * report.kl_halfwidth
 
+    def test_product_side_meets_the_exact_kl_at_n256(self):
+        # The gate of the streamed product side: at N = 256, with the
+        # default effort at seed 0, the IS KL lies within 2 se (one
+        # half-width) of the exact, N-free value 0.03607.
+        report = _estimate(TargetSpec(quadratic_preset(), 256), 0,
+                           McmcConfig(), None)
+        exact = quadratic_kl_exact(0.5, 1.0, 256)
+        assert exact == pytest.approx(0.03607, abs=5e-6)
+        assert abs(report.kl_estimate - exact) <= report.kl_halfwidth, (
+            report.kl_estimate, report.kl_halfwidth)
+
     def test_between_chain_ci_is_calibrated(self):
         # 16 seeds at reduced effort: the MALA E_mu[B] of the cross-check
         # against its exact value.  The half-width is 2 standard errors
@@ -369,10 +396,11 @@ class TestSweep:
             else:
                 assert all(got[k] is None for k in mala - {"flags"})
 
-    def test_samples_are_reduced_before_the_product_draws(self):
-        # The MALA samples of every N are reduced to their Bregman
-        # statistics before any product draw, so the sweep's peak is set
-        # by the product side of its largest N, as for that N alone.
+    def test_peak_is_set_by_the_largest_n_product_side(self):
+        # The MALA samples are drawn and reduced in a forked child, and
+        # each N's product draws are freed before the next N's, so the
+        # sweep's peak is set by the product side of its largest N, as
+        # for that N alone.
         effort = McmcConfig(n_samples=8192, n_burnin=64, n_pi_samples=8192,
                             n_chains=4)
 
@@ -402,3 +430,111 @@ class TestTiltedEstimate:
                              seed=4, tilt=tilt, rescaled=True)
         assert report.kl_estimate == 0.0
         assert report.alpha == pytest.approx(1.0 + 1.0 / 0.5)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SMALL = McmcConfig(n_samples=512, n_burnin=64, n_pi_samples=2048, n_chains=4)
+
+
+@contextmanager
+def inline(fn, *args):
+    """forked's contract, run in this process."""
+    value = fn(*args)
+    yield lambda: value
+
+
+def raise_support_violation():
+    raise SupportViolationError(3)
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def sweep_dicts():
+    return [r.to_dict() for r in chaos_sweep(relu_preset(), [4, 2, 8],
+                                             mcmc=SMALL, seed=3)]
+
+
+class TestForkedCrossCheck:
+    """The MALA cross-check runs in a child forked by mflab.forking.forked
+    while the parent takes the product sides; every test also checks, in
+    conftest, that no child is left unreaped."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # A wait that hangs ends the run with every thread's traceback.
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def test_child_exception_keeps_its_type(self):
+        with forked(raise_support_violation) as result:
+            with pytest.raises(SupportViolationError) as info:
+                result()
+        assert info.value.n_offending == 3
+        assert str(info.value) == str(SupportViolationError(3))
+
+    def test_child_value_comes_back(self):
+        with forked(divmod, 17, 5) as result:
+            assert result() == (3, 2)
+
+    def test_killed_child_names_its_status(self):
+        with forked(kill_self) as result:
+            with pytest.raises(MflabError, match="kill_self in a forked "
+                               "child exited with status -9"):
+                result()
+
+    def test_parent_failure_partway_leaves_no_child(self, monkeypatch):
+        solve, entered = mflab.chaos.solve_self_consistent, []
+
+        def failing(model, n, **kwargs):
+            if n == 4:
+                raise NonconvergenceError([1.0, 0.5])
+            return solve(model, n, **kwargs)
+
+        @contextmanager
+        def spy(fn, *args):
+            with forked(fn, *args) as result:
+                entered.append(fn.__name__)
+                yield result
+
+        monkeypatch.setattr(mflab.chaos, "solve_self_consistent", failing)
+        monkeypatch.setattr(mflab.chaos, "forked", spy)
+        with pytest.raises(NonconvergenceError):
+            chaos_sweep(relu_preset(), [2, 4, 8], mcmc=SMALL, seed=0)
+        assert entered == ["_cross_check"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_reports_survive_a_1ms_sigalrm(self, monkeypatch):
+        # The parent's pipe read and waitpid are interrupted over and over;
+        # the reports equal those of the same sweep run inline.
+        ticks = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+        signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+        try:
+            swept = sweep_dicts()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(ticks) > 10
+        monkeypatch.setattr(mflab.chaos, "forked", inline)
+        assert swept == sweep_dicts()
+
+    def test_forks_after_a_warm_two_thread_blas_pool(self):
+        # The pool's threads are not copied by fork; the child must still
+        # finish and give the reports of the inline sweep.
+        script = (
+            "import json, numpy as np, mflab.chaos, test_chaos as t\n"
+            "a = np.ones((512, 512)); a @ a\n"
+            "swept = t.sweep_dicts()\n"
+            "mflab.chaos.forked = t.inline\n"
+            "print(json.dumps(swept == t.sweep_dicts()))\n")
+        path = os.pathsep.join([SRC, str(Path(__file__).parent)])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2"),
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) is True
