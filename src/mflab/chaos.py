@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
+from .checks import Check
 from .errors import CalculatorDomainError, ConfigError
 from .meanfield import ProximalGibbsSystem, solve_self_consistent
 from .measure import (
@@ -183,7 +184,8 @@ class McmcConfig:
 class ChaosReport:
     """Everything measured for one (model, N) chaos run; the KL, E_mu[B]
     and log Z with their half-widths come from :func:`importance_kl`.  The
-    MALA fields and `sampler` are None where no cross-check ran."""
+    MALA fields and `sampler` are None where no cross-check ran, and so is
+    the `mala_agrees` check."""
 
     n_particles: int
     kl_estimate: float
@@ -207,10 +209,14 @@ class ChaosReport:
     mala_bregman_mean: float | None = None
     mala_bregman_halfwidth: float | None = None
     sampler: MalaDiagnostics | None = None
-    flags: dict[str, bool] = field(default_factory=dict)
+    checks: list[Check] = field(default_factory=list)
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {c.name: c.passed for c in self.checks}
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "flags": self.flags}
 
     def to_json(self, path):
         _write_json(path, self.to_dict(), default=float)
@@ -320,36 +326,42 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
 
     mala, min_b_mu = cross_check() if cross_check else ({}, math.inf)
     kl, hw_kl = est["kl_estimate"], est["kl_halfwidth"]
-    flags = {
-        "bregman_nonnegative": min(min_b_mu, float(b_pi.min()))
-        >= BREGMAN_FLOOR,
-        "kl_below_poc": kl <= bound_generic + 2.0 * hw_kl,
-        "kl_below_poc_ii": kl <= bound_nn + 2.0 * hw_kl,
-        "z_ess_ok": est["z_importance_ess"] >= Z_ESS_FLOOR,
-        "variance_step": mean_b_pi <= var_rhs + hw_b_pi,
-    }
+    checks = [  # each half-width is 2 se
+        Check("bregman_nonnegative", min(min_b_mu, float(b_pi.min())),
+              BREGMAN_FLOOR, ">="),
+        Check("kl_below_poc", kl, bound_generic, "<=", 2.0 * hw_kl, hw_kl / 2),
+        Check("kl_below_poc_ii", kl, bound_nn, "<=", 2.0 * hw_kl, hw_kl / 2),
+        Check("z_ess_ok", est["z_importance_ess"], Z_ESS_FLOOR, ">="),
+        Check("variance_step", mean_b_pi, var_rhs, "<=", hw_b_pi, hw_b_pi / 2),
+    ]
     if mala:  # false-alarm rate in estimate_kl's docstring
-        gap = abs(mala["mala_bregman_mean"] - est["bregman_mean_under_mu"])
-        flags["mala_agrees"] = gap <= MALA_AGREE_SE / 2.0 * math.hypot(
-            mala["mala_bregman_halfwidth"], est["bregman_mu_halfwidth"])
+        hw = math.hypot(mala["mala_bregman_halfwidth"],
+                        est["bregman_mu_halfwidth"])
+        checks.append(Check(
+            "mala_agrees", abs(mala["mala_bregman_mean"]
+                               - est["bregman_mean_under_mu"]),
+            0.0, "<=", MALA_AGREE_SE / 2.0 * hw, hw / 2))
     return ChaosReport(
         n_particles=n_particles,
         bregman_mean_under_pi=mean_b_pi, bregman_pi_halfwidth=hw_b_pi,
         bound_poc=bound_generic, bound_poc_ii=bound_nn,
         alpha=alpha, cbar_pi=cbar_pi, scale=scale, variance_step_rhs=var_rhs,
         solver_iterations=system.iterations, solver_residual=system.residual,
-        seed=seed, flags=flags, **est, **mala,
+        seed=seed, checks=checks, **est, **mala,
     )
 
 
-def no_growth_in_n(reports: list[ChaosReport]) -> bool:
-    """True when the estimates show no CI-significant growth along the sweep."""
+def no_growth_in_n(reports: list[ChaosReport]) -> Check | None:
+    """The worst of the checks that the KL at each N exceeds the KL at the
+    next smaller N by no more than 2 (hw_prev + hw_cur), a failed one
+    first; None for a sweep of fewer than two N."""
     ordered = sorted(reports, key=lambda r: r.n_particles)
-    for prev, cur in zip(ordered, ordered[1:]):
-        slack = 2.0 * (prev.kl_halfwidth + cur.kl_halfwidth)
-        if cur.kl_estimate > prev.kl_estimate + slack:
-            return False
-    return True
+    pairs = [Check(f"N={prev.n_particles}->{cur.n_particles} no_growth_in_n",
+                   cur.kl_estimate, prev.kl_estimate, "<=",
+                   2.0 * (prev.kl_halfwidth + cur.kl_halfwidth),
+                   math.hypot(prev.kl_halfwidth, cur.kl_halfwidth) / 2)
+             for prev, cur in zip(ordered, ordered[1:])]
+    return min(pairs, key=lambda c: (c.passed, c.margin), default=None)
 
 
 def sweep_to_csv(reports: list[ChaosReport], path, model_name: str):

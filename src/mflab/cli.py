@@ -1,14 +1,19 @@
-"""Experiment runner: configuration, persistence, and report generation.
+"""Experiment runner (`mflab run` / `mflab report`): configuration,
+persistence, and report generation.
 
 Experiments are described by a single YAML file with nested sections; the
 schema below validates it before any computation runs and rejects unknown
-keys.  Every numeric default carries a rationale string, because none of
-these values is prescribed anywhere upstream: they are choices of this
-laboratory and stay visible as such.
+keys and out-of-range values.  Every numeric default carries a rationale
+string, because none of these values is prescribed anywhere upstream: they
+are choices of this laboratory and stay visible as such.
 
-Exit codes: 0 all invariants passed, 1 ran but an asserted invariant
-failed, 2 configuration error, 3 numeric failure (nonconvergence or
-divergence guard).
+Every verdict is a :class:`~mflab.checks.Check`.  A run's `summary.txt`
+ends with one line per check (value, limit, slack and, for a statistical
+check, its margin in standard errors) and `all checks: yes/NO`.
+
+Exit codes: 0 every check passed, 1 ran but a check failed, 2
+configuration error, 3 numeric failure (nonconvergence or divergence
+guard).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 import yaml
 
 from . import __version__, bounds as bounds_mod
+from .checks import Check
 from .chaos import McmcConfig, chaos_sweep, no_growth_in_n, sweep_to_csv
 from .errors import ConfigError, MflabError
 from .forking import forked
@@ -66,7 +72,6 @@ from .sampler import (
     mfld_simulate,
     n_particle_log_density,
     states_to_csv,
-    trajectory_to_csv,  # unused here; perfbench times cli.trajectory_to_csv
 )
 
 EXPERIMENTS = ("chaos_sweep", "tilt_profile", "transport_map", "mfld_run",
@@ -78,10 +83,11 @@ class Field:
     type: type
     default: object
     rationale: str
+    above: float | None = None  # the value must exceed this, if given
 
 
 # Nested schema: section -> key -> Field.  `None` defaults mean required
-# (or conditionally required per experiment).
+# (or conditionally required per experiment); a list may not be empty.
 SCHEMA: dict[str, dict[str, Field]] = {
     "": {
         "experiment": Field(str, None, "one of " + ", ".join(EXPERIMENTS)),
@@ -139,33 +145,33 @@ SCHEMA: dict[str, dict[str, Field]] = {
     },
     "grid": {
         "n_nodes": Field(int, 2048, "1-d grid resolution; trapezoid error "
-                                    "is far below the stated tolerances"),
+                                    "is far below the stated tolerances", 1),
         "span_sd": Field(float, 10.0, "grid half-width in proxy standard "
-                                      "deviations; validated post hoc"),
+                                      "deviations; validated post hoc", 0),
     },
     "profile": {
         "n_times": Field(int, 40, "log-spaced times spanning two decades "
-                                  "around the regime threshold"),
+                                  "around the regime threshold", 0),
         "decades_around": Field(float, 2.0, "half-width of the time window "
                                             "in decades"),
         "tilt_centers": Field(list, [-3.0, 0.0, 3.0], "tilt centers y; "
                                                       "spread checks "
                                                       "y-uniformity"),
         "n_particles": Field(int, 1, "particles in the profiled Gibbs "
-                                     "measure; total dimension <= 2"),
+                                     "measure; total dimension <= 2", 0),
     },
     "flow": {
         "t_max": Field(float, 8.0, "OU horizon of the closed-form flow; "
                                    "mu_t must be within 1e-4 of Gaussian "
-                                   "in W2, which is checked and recorded"),
+                                   "in W2, checked and recorded", 0),
     },
     "mfld": {
         "n_particles": Field(int, 64, "particle count of the simulated "
-                                      "system"),
+                                      "system", 0),
         "horizon": Field(float, 10.0, "about 10 relaxation times at unit "
-                                      "confinement"),
+                                      "confinement", 0),
         "step": Field(float, 1e-3, "Euler-Maruyama step; the dynamics "
-                                   "itself is the object, bias is O(step)"),
+                                   "is the object, bias is O(step)", 0),
     },
 }
 
@@ -204,7 +210,6 @@ def load_config(path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    resolved: dict = {}
     for key, value in raw.items():
         if key in SCHEMA[""]:
             continue
@@ -220,30 +225,24 @@ def validate_config(raw: dict) -> dict:
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    resolved["experiment"] = experiment
-    for key, f in SCHEMA[""].items():
-        if key == "experiment":
-            continue
-        val = raw.get(key, f.default)
-        if val is not None and not isinstance(val, f.type) \
-                and not (f.type is float and isinstance(val, int)):
-            raise ConfigError(f"{key} must be {f.type.__name__}")
-        resolved[key] = f.type(val) if val is not None else None
-
-    for section in SECTIONS_BY_EXPERIMENT[experiment]:
-        block = raw.get(section, {}) or {}
-        out = {}
+    resolved = {"experiment": experiment}
+    for section in ("",) + SECTIONS_BY_EXPERIMENT[experiment]:
+        block = (raw.get(section) or {}) if section else raw
+        out = resolved.setdefault(section, {}) if section else resolved
         for key, f in SCHEMA[section].items():
+            name = f"{section}.{key}" if section else key
             val = block.get(key, f.default)
-            if val is not None and f.type in (int, float, str, bool, dict) \
-                    and not isinstance(val, f.type):
+            if val is not None and not isinstance(val, f.type):
                 if f.type is float and isinstance(val, int):
                     val = float(val)
                 else:
-                    raise ConfigError(
-                        f"{section}.{key} must be {f.type.__name__}")
+                    raise ConfigError(f"{name} must be {f.type.__name__}")
+            if f.above is not None and not (val is not None
+                                            and val > f.above):
+                raise ConfigError(f"{name} must be > {f.above:g}")
+            if f.type is list and not val:
+                raise ConfigError(f"{name} must not be empty")
             out[key] = val
-        resolved[section] = out
     given = raw.get("model") or {}
     if given.get("preset") is not None:
         allowed = {"preset"}
@@ -266,8 +265,6 @@ def validate_config(raw: dict) -> dict:
                    for n in resolved["sweep"]["n_particles"]):
             raise ConfigError("sweep.n_particles entries must be integers "
                               ">= 1")
-    if not all(v > 0 for v in resolved.get("mfld", {}).values()):
-        raise ConfigError("mfld.n_particles, horizon and step must be > 0")
     if experiment == "tilt_profile" \
             and resolved["profile"]["n_particles"] * d > 2:
         raise ConfigError("profile total dimension n_particles * d must "
@@ -329,7 +326,7 @@ def build_model(block: dict) -> ModelSpec:
 # -- experiment bodies --------------------------------------------------------
 
 
-def _run_chaos_sweep(cfg: dict, out_dir: str) -> bool:
+def _run_chaos_sweep(cfg: dict, out_dir: str):
     model = build_model(cfg["model"])
     mcmc = McmcConfig(**cfg["mcmc"])
     seed = cfg["seed"]
@@ -343,29 +340,23 @@ def _run_chaos_sweep(cfg: dict, out_dir: str) -> bool:
     for r in reports:
         r.to_json(os.path.join(out_dir, f"report_N{r.n_particles:03d}.json"))
 
-    growth_ok = no_growth_in_n(reports)
-    all_ok = growth_ok and all(all(r.flags.values()) for r in reports)
     lines = [f"chaos sweep: model={name} seeds from {seed}",
-             "N    KL          CI-halfwidth  bound(poc)   bound(poc-ii)  pass"]
-    for r in reports:
-        ok = all(r.flags.values())
-        lines.append(
-            f"{r.n_particles:<4d} {r.kl_estimate:<11.4g} "
-            f"{r.kl_halfwidth:<13.4g} {r.bound_poc:<12.4g} "
-            f"{r.bound_poc_ii:<14.4g} {'yes' if ok else 'NO'}")
-    lines.append(f"no CI-significant growth in N: {'yes' if growth_ok else 'NO'}")
+             "N    KL          CI-halfwidth  bound(poc)   bound(poc-ii)"]
+    lines += [f"{r.n_particles:<4d} {r.kl_estimate:<11.4g} "
+              f"{r.kl_halfwidth:<13.4g} {r.bound_poc:<12.4g} "
+              f"{r.bound_poc_ii:.4g}" for r in reports]
     for r in (r for r in reports if r.sampler):
         lines.append(
             f"MALA cross-check at N={r.n_particles}: E_mu[B] "
             f"{r.mala_bregman_mean:.4g} +- {r.mala_bregman_halfwidth:.2g} vs "
-            f"IS {r.bregman_mean_under_mu:.4g} +- {r.bregman_mu_halfwidth:.2g}"
-            f": {'yes' if r.flags['mala_agrees'] else 'NO'}")
+            f"IS {r.bregman_mean_under_mu:.4g} +- {r.bregman_mu_halfwidth:.2g}")
         lines += [f"warning: N={r.n_particles}: {w}" for w in r.sampler.warnings]
-    _write_summary(out_dir, lines)
-    return all_ok
+    checks = [dataclasses.replace(c, name=f"N={r.n_particles} {c.name}")
+              for r in reports for c in r.checks]
+    return lines, checks + [c for c in [no_growth_in_n(reports)] if c]
 
 
-def _run_tilt_profile(cfg: dict, out_dir: str) -> bool:
+def _run_tilt_profile(cfg: dict, out_dir: str):
     model = rescale_model(build_model(cfg["model"]))
     pb = cfg["profile"]
     n_particles = pb["n_particles"]
@@ -384,30 +375,28 @@ def _run_tilt_profile(cfg: dict, out_dir: str) -> bool:
                        y_label=label)
 
     t_star = regime_threshold(inputs)
-    envelopes_ok = all(
-        r.opnorm <= (r.small_regime_ref if r.regime == "small"
-                     else r.large_regime_ref)
-        for r in prof.rows)
+    ref = {r: r.small_regime_ref if r.regime == "small" else r.large_regime_ref
+           for r in prof.rows}
+    worst = min(prof.rows, key=lambda r: (r.opnorm <= ref[r],
+                                          ref[r] - r.opnorm))
     ratios = [prof.fitted_profile_ratio(y) for y in prof.y_labels()]
     mid = 0.5 * (max(ratios) + min(ratios))
-    stable = (max(ratios) - min(ratios)) <= 0.4 * mid
     lines = [
         f"tilt profile: regime threshold t* = {t_star!r}",
         f"times: {pb['n_times']} log-spaced over "
         f"{pb['decades_around']} decades around t*",
-        f"envelopes hold with unit constants: {'yes' if envelopes_ok else 'NO'}",
         "fitted profile ratios per tilt center: "
         + ", ".join(f"{y}: {r:.4f}" for y, r in zip(prof.y_labels(), ratios)),
-        f"ratio stability within +-20%: {'yes' if stable else 'NO'}",
         "fitted small-regime envelope constants: "
         + ", ".join(f"{y}: {prof.fitted_small_constant(y):.4f}"
                     for y in prof.y_labels()),
     ]
-    _write_summary(out_dir, lines)
-    return envelopes_ok and stable
+    return lines, [  # the worst row's opnorm against its unit-constant envelope
+        Check("envelopes_hold", worst.opnorm, ref[worst]),
+        Check("ratio_stability_20pct", max(ratios) - min(ratios), 0.4 * mid)]
 
 
-def _run_transport_map(cfg: dict, out_dir: str) -> bool:
+def _run_transport_map(cfg: dict, out_dir: str):
     model = rescale_model(build_model(cfg["model"]))
     gb, fb = cfg["grid"], cfg["flow"]
     target = TargetSpec(model, 1)
@@ -433,7 +422,14 @@ def _run_transport_map(cfg: dict, out_dir: str) -> bool:
     bound_gen = bounds_mod.main_bound(orig_consts, "generic")
     bound_spec = bounds_mod.main_bound(orig_consts, "specific",
                                        include_cross_term=False)
-    metrics = {
+    checks = [
+        Check("pushforward_w2", w2, 1e-3),
+        Check("monotone", float(np.count_nonzero(~(np.diff(flow.mapped) > 0))),
+              0.0),  # the count of steps along which T does not increase
+        Check("lipschitz_below_fitted_envelope", lip, fitted_bound),
+        Check("lipschitz_below_main_bound_generic", lip, bound_gen),
+    ]
+    _write_json(os.path.join(out_dir, "metrics.json"), {
         "empirical_lipschitz": lip,
         "gamma_w2": flow.gamma_w2,
         "pushforward_w2": w2,
@@ -442,26 +438,17 @@ def _run_transport_map(cfg: dict, out_dir: str) -> bool:
         "fitted_envelope_k": k_fit,
         "main_bound_generic": bound_gen,
         "main_bound_specific": bound_spec,
-        "monotone": bool(np.all(np.diff(flow.mapped) > 0)),
+        "monotone": checks[1].passed,
         "implied_constants": 1.0,
-    }
-    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
-    ok = (w2 < 1e-3 and metrics["monotone"] and lip <= fitted_bound
-          and lip <= bound_gen)
-    lines = [
+    })
+    return [
         f"transport map: empirical L = {lip:.6f}",
-        f"W2(T#gamma, mu) = {w2:.3g} (tolerance 1e-3)",
         f"W2(mu_t, gamma) at t_max = {fb['t_max']:g}: {flow.gamma_w2:.3g} "
         f"(tolerance {FLOW_GAMMA_W2_TOL:g})",
         f"fitted envelope bound = {fitted_bound:.6f} "
         f"(C = {c_fit:.4f}, k = {k_fit})",
-        f"closed-form bound (generic, unit constants) = {bound_gen:.4g}",
         f"closed-form bound (refined, unit constants) = {bound_spec:.4g}",
-        f"monotone: {'yes' if metrics['monotone'] else 'NO'}",
-        f"all checks: {'yes' if ok else 'NO'}",
-    ]
-    _write_summary(out_dir, lines)
-    return ok
+    ], checks
 
 
 def _write_trajectory(read_fd, write_fd, path, steps, n: int, d: int):
@@ -479,7 +466,7 @@ def _write_trajectory(read_fd, write_fd, path, steps, n: int, d: int):
             os.remove(path + ".part")
 
 
-def _run_mfld(cfg: dict, out_dir: str) -> bool:
+def _run_mfld(cfg: dict, out_dir: str):
     model = build_model(cfg["model"])
     mb = cfg["mfld"]
     n, d = mb["n_particles"], model.d
@@ -512,16 +499,15 @@ def _run_mfld(cfg: dict, out_dir: str) -> bool:
         "terminal_variance": terminal.var(axis=0).tolist(),
         "store_stride": stride,
     })
-    _write_summary(out_dir, [
+    return [
         f"dynamics run: N = {mb['n_particles']}, horizon = {mb['horizon']}, "
         f"step = {mb['step']}",
         f"terminal mean = {terminal.mean(axis=0)}",
         f"terminal variance = {terminal.var(axis=0)}",
-    ])
-    return True
+    ], []
 
 
-def _run_bounds_table(cfg: dict, out_dir: str) -> bool:
+def _run_bounds_table(cfg: dict, out_dir: str):
     model = build_model(cfg["model"])
     inputs = model_constants(model)
     rescaled = bounds_mod.rescale_parameters(inputs)
@@ -545,11 +531,11 @@ def _run_bounds_table(cfg: dict, out_dir: str) -> bool:
     _write_json(os.path.join(out_dir, "bounds.json"), rows)
     _write_csv(os.path.join(out_dir, "bounds.csv"), "quantity,value",
                [list(rows), list(rows.values())])
-    _write_summary(out_dir, ["bounds table written"] +
-                   [f"  {k} = {v!r}" for k, v in rows.items()])
-    return True
+    return ["bounds table written"] + [f"  {k} = {v!r}"
+                                       for k, v in rows.items()], []
 
 
+# Each runner writes its artifacts and returns its summary lines and checks.
 RUNNERS = {
     "chaos_sweep": _run_chaos_sweep,
     "tilt_profile": _run_tilt_profile,
@@ -565,19 +551,21 @@ def _write_summary(out_dir: str, lines: list[str]):
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
+    """Runs the experiment; its summary ends with one line per check and
+    the exit status is 0 iff every check passed, else 1."""
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
-    ok = RUNNERS[cfg["experiment"]](cfg, out_dir)
+    lines, checks = RUNNERS[cfg["experiment"]](cfg, out_dir)
+    ok = all(c.passed for c in checks)
+    _write_summary(out_dir, lines + [c.line() for c in checks]
+                   + [f"all checks: {'yes' if ok else 'NO'}"])
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "experiment": cfg["experiment"],
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest(),
         "config": cfg,
         "seed": cfg["seed"],
-        "versions": {
-            "mflab": __version__,
-            "numpy": np.__version__,
-        },
+        "versions": {"mflab": __version__, "numpy": np.__version__},
         "implied_constants_note": "asymptotic estimates use implied "
                                   "constant 1.0",
         "thread_env": {key: os.environ.get(key) for key in
@@ -585,7 +573,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         "wall_time_s": time.time() - started,
         "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024,
         "peak_rss_children_mb": getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024,
-        "invariants_passed": bool(ok),
+        "invariants_passed": ok,
     }, default=str)
     return 0 if ok else 1
 
@@ -612,64 +600,6 @@ def report(result_dir: str, stream=None) -> int:
     return 0 if manifest["invariants_passed"] else 1
 
 
-# -- bounds subcommand ---------------------------------------------------------
-
-
-def _bounds_command(args) -> int:
-    calc = args.calculator
-    try:
-        if calc == "heatflow-lipschitz":
-            terms = []
-            for spec in args.term or []:
-                c, k = spec.split(":")
-                terms.append((float(c), float(k)))
-            value = bounds_mod.heatflow_lipschitz_bound(args.a, terms)
-            payload = {"calculator": calc, "a": args.a, "terms": terms,
-                       "value": value}
-        elif calc in ("main-generic", "main-specific"):
-            inputs = bounds_mod.BoundInputs(
-                sigma=args.sigma, lam=args.lam, beta_hat=args.beta_hat,
-                B=args.B, L_h=args.L_h, L_ell=args.L_ell,
-                beta_ell=args.beta_ell, d=args.d)
-            variant = "generic" if calc == "main-generic" else "specific"
-            value = bounds_mod.main_bound(
-                inputs, variant, include_cross_term=args.cross_term)
-            payload = {"calculator": calc, "value": value,
-                       "implied_constants": 1.0}
-        elif calc == "lsi-pert":
-            value = bounds_mod.lsi_pert_bound(args.alpha, args.lipschitz)
-            payload = {"calculator": calc, "alpha": args.alpha,
-                       "L": args.lipschitz, "value": value}
-        elif calc == "lsi-pi":
-            inputs = bounds_mod.BoundInputs(sigma=args.sigma, lam=args.lam,
-                                            beta_hat=0.0, B=args.B)
-            value = bounds_mod.lsi_pi_bound(inputs)
-            payload = {"calculator": calc, "value": value}
-        elif calc == "songbo":
-            value = bounds_mod.songbo_bound(args.kappa, args.d, args.epsilon,
-                                            args.rho, args.n_particles)
-            payload = {"calculator": calc, "value": value}
-        elif calc == "winf":
-            value = bounds_mod.winf_bound(args.alpha, args.lipschitz)
-            payload = {"calculator": calc, "value": value}
-        elif calc == "rescale":
-            inputs = bounds_mod.BoundInputs(
-                sigma=args.sigma, lam=args.lam, beta_hat=args.beta_hat,
-                B=args.B, L_h=args.L_h, L_ell=args.L_ell,
-                beta_ell=args.beta_ell, d=args.d)
-            out = bounds_mod.rescale_parameters(inputs)
-            payload = {"calculator": calc,
-                       "value": dataclasses.asdict(out)}
-        else:
-            print(f"unknown calculator {calc!r}", file=sys.stderr)
-            return 2
-    except MflabError as err:
-        print(json.dumps({"calculator": calc, "error": str(err)}))
-        return 3
-    print(json.dumps(payload, sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mflab",
@@ -685,51 +615,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="render a completed run directory")
     p_rep.add_argument("result_dir")
-
-    p_b = sub.add_parser("bounds", help="evaluate a closed-form calculator")
-    p_b.add_argument("calculator", choices=[
-        "heatflow-lipschitz", "main-generic", "main-specific", "lsi-pert",
-        "lsi-pi", "songbo", "winf", "rescale"])
-    p_b.add_argument("--a", type=float, default=1.0)
-    p_b.add_argument("--term", action="append", metavar="C:K",
-                     help="envelope term, repeatable")
-    p_b.add_argument("--sigma", type=float, default=1.0)
-    p_b.add_argument("--lam", type=float, default=1.0)
-    p_b.add_argument("--beta-hat", dest="beta_hat", type=float, default=0.0)
-    p_b.add_argument("--B", type=float, default=0.0)
-    p_b.add_argument("--L-h", dest="L_h", type=float, default=0.0)
-    p_b.add_argument("--L-ell", dest="L_ell", type=float, default=0.0)
-    p_b.add_argument("--beta-ell", dest="beta_ell", type=float, default=0.0)
-    p_b.add_argument("--d", type=int, default=1)
-    p_b.add_argument("--alpha", type=float, default=1.0)
-    p_b.add_argument("--lipschitz", type=float, default=0.0)
-    p_b.add_argument("--kappa", type=float, default=0.0)
-    p_b.add_argument("--epsilon", type=float, default=0.5)
-    p_b.add_argument("--rho", type=float, default=1.0)
-    p_b.add_argument("--n-particles", dest="n_particles", type=int, default=2)
-    p_b.add_argument("--cross-term", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "bounds":
-        return _bounds_command(args)
     if args.command == "report":
         return report(args.result_dir)
     try:
         cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = args.out or cfg.get("output")
-    if not out_dir:
-        print("config error: no output directory (set 'output' or --out)",
-              file=sys.stderr)
-        return 2
-    try:
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        out_dir = args.out or cfg.get("output")
+        if not out_dir:
+            raise ConfigError("no output directory (set 'output' or --out)")
         return run_experiment(cfg, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -183,7 +183,7 @@ class TestCriterion3ChaosBounds:
                     failures.append(f"{name} N={r.n_particles}: poc bound")
                 if r.kl_estimate > r.bound_poc_ii + slack:
                     failures.append(f"{name} N={r.n_particles}: poc-ii bound")
-            if not no_growth_in_n(sweep):
+            if not no_growth_in_n(sweep).passed:
                 failures.append(f"{name}: CI-significant growth in N")
         detail = ", ".join(
             f"{name} N={r.n_particles}: {r.kl_estimate:.4f}<="

@@ -368,7 +368,24 @@ class TestEstimateKlRelu:
 
 class TestSweep:
     def test_no_ci_significant_growth(self, reports):
-        assert no_growth_in_n(reports)
+        assert no_growth_in_n(reports).passed
+        assert no_growth_in_n(reports[:1]) is None
+
+    @pytest.mark.parametrize("kl_last, passed", [
+        (1.5, True), (1.75, True), (2.0, False)])
+    def test_growth_beyond_twice_the_summed_halfwidths_fails(
+            self, reports, kl_last, passed):
+        # Half-widths 1/8 and 1/4 let the KL rise by 2 (1/8 + 1/4) = 3/4
+        # from N = 4 to N = 8; the flat step from N = 2 is never the worst.
+        made = [replace(reports[0], n_particles=n, kl_estimate=kl,
+                        kl_halfwidth=hw)
+                for n, kl, hw in ((8, kl_last, 0.25), (2, 1.0, 0.125),
+                                  (4, 1.0, 0.125))]
+        growth = no_growth_in_n(made)
+        assert growth.passed is passed
+        assert growth.name == "N=4->8 no_growth_in_n"
+        se = math.hypot(0.125, 0.25) / 2
+        assert growth.margin == pytest.approx((1.0 - kl_last) / se)
 
     def test_csv_output(self, reports, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -382,7 +399,7 @@ class TestSweep:
         # own seed bit for bit; only the smallest N runs the MALA
         # cross-check, and its report is estimate_kl's whole.
         mala = {"mala_bregman_mean", "mala_bregman_halfwidth", "sampler",
-                "flags"}
+                "flags", "checks"}
         for i, (n, swept) in enumerate(zip([2, 4], reports)):
             alone = estimate_kl(quadratic_preset(), n, mcmc=FAST, seed=5 + i)
             got, want = swept.to_dict(), alone.to_dict()
@@ -391,10 +408,12 @@ class TestSweep:
                 assert got[key] == want[key], key
             assert got["flags"] == {k: v for k, v in want["flags"].items()
                                     if i == 0 or k != "mala_agrees"}
+            assert got["checks"] == [c for c in want["checks"]
+                                     if i == 0 or c["name"] != "mala_agrees"]
             if i == 0:
                 assert got == want
             else:
-                assert all(got[k] is None for k in mala - {"flags"})
+                assert all(got[k] is None for k in mala - {"flags", "checks"})
 
     def test_peak_is_set_by_the_largest_n_product_side(self):
         # The MALA samples are drawn and reduced in a forked child, and

@@ -97,6 +97,31 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("experiment, section, key, value", [
+        # An empty sweep once passed with no checks at all; the others
+        # ended in a traceback (exit 1) or, for span_sd, were ignored.
+        ("chaos_sweep", "sweep", "n_particles", []),
+        ("tilt_profile", "profile", "n_times", 0),
+        ("tilt_profile", "profile", "tilt_centers", []),
+        ("tilt_profile", "profile", "n_particles", 0),
+        ("transport_map", "flow", "t_max", 0.0),
+        ("transport_map", "flow", "t_max", -1.0),
+        ("transport_map", "grid", "n_nodes", 1),
+        ("chaos_sweep", "grid", "n_nodes", 0),
+        ("transport_map", "grid", "span_sd", -1.0),
+        ("chaos_sweep", "grid", "span_sd", 0.0),
+    ])
+    def test_out_of_range_values_exit_2(self, tmp_path, experiment, section,
+                                        key, value):
+        cfg = {"experiment": experiment, "model": {"preset": "relu3"},
+               section: {key: value}}
+        with pytest.raises(ConfigError, match=f"{section}.{key} must"):
+            validate_config(cfg)
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_chaos_sweep_rejects_d_not_1(self):
         with pytest.raises(ConfigError, match="d = 1"):
             validate_config({"experiment": "chaos_sweep",
@@ -589,6 +614,25 @@ class TestReportCommand:
         for w in warnings:
             assert f"warning: N=2: {w}" in printed
 
+    def test_failed_check_is_named_with_its_margin(self, tmp_path, capsys):
+        # At seed 53 the MALA and IS values of E_mu[B] on relu3 at N = 2
+        # lie 3.67 combined standard errors apart, past the allowed 3.
+        cfg = {"experiment": "chaos_sweep", "seed": 53,
+               "model": {"preset": "relu3"}, "sweep": {"n_particles": [2]}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        printed = capsys.readouterr().out
+        (line,) = [ln for ln in printed.splitlines()
+                   if ln.startswith("N=2 mala_agrees:")]
+        assert line.endswith(", margin -3.67 se: NO")
+        assert " + 3.00 se," in line
+        assert printed.endswith("all checks: NO\n")
+        report = json.loads((out / "report_N002.json").read_text())
+        assert report["flags"]["mala_agrees"] is False
+
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 
@@ -598,32 +642,6 @@ class TestReportCommand:
                     "invariants_passed": False}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", str(tmp_path)]) == 1
-
-
-class TestBoundsCommand:
-    def test_lsi_pert_json(self, capsys):
-        assert main(["bounds", "lsi-pert", "--alpha", "1",
-                     "--lipschitz", "1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"] == pytest.approx(148.4131591025766)
-
-    def test_heatflow_terms(self, capsys):
-        assert main(["bounds", "heatflow-lipschitz", "--a", "3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"] == pytest.approx(0.5)
-
-    def test_songbo_domain_error_exit_3(self, capsys):
-        assert main(["bounds", "songbo", "--kappa", "3", "--epsilon", "0.1",
-                     "--rho", "1", "--n-particles", "2"]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert "error" in payload
-
-    def test_rescale(self, capsys):
-        assert main(["bounds", "rescale", "--sigma", "1", "--lam", "4",
-                     "--beta-hat", "1", "--B", "1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"]["beta_hat"] == pytest.approx(0.25)
-        assert payload["value"]["B"] == pytest.approx(0.5)
 
 
 def test_import_loads_no_scipy():
