@@ -28,6 +28,7 @@ from .measure import (
     Measure,
     _write_csv,
     _write_json,
+    inverse_cdf,
     sample_from_grid,
 )
 from .model import (
@@ -308,11 +309,19 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
                                              axes=axes)
     scale = 2.0 * n_particles / eff.sigma**2
 
-    rng_pi = _stream(seed, 1)
-    x_pi = np.empty((mcmc.n_pi_samples, n_particles, 1))  # (S, N, d=1)
-    for i, p_i in enumerate(system.per_particle):
-        x_pi[:, i] = sample_from_grid(p_i, mcmc.n_pi_samples, rng_pi)
-    b_pi = bregman_batch(eff, x_pi, system.mean_measure)
+    # B needs the draws only through the particle mean of their features.
+    rng_pi, s = _stream(seed, 1), mcmc.n_pi_samples
+    rows = max(1, BLOCK_ELEMENTS // max(1, len(eff.data_x)))
+    blocks = [slice(lo, lo + rows) for lo in range(0, s, rows)]
+    eh_sum, last = np.zeros((s, len(eff.data_x))), None
+    for p_i in system.per_particle:  # untilted: one shared density, one fit
+        if p_i is not last:
+            inv_cdf, last = inverse_cdf(p_i), p_i
+        x_i = sample_from_grid(inv_cdf, s, rng_pi)
+        for b in blocks:
+            eh_sum[b] += features(eff, x_i[b])
+    b_pi = np.concatenate([_bregman(eff, eh_sum[b] / n_particles,
+                                    system.mean_measure) for b in blocks])
     mean_b_pi = float(b_pi.mean())
     hw_b_pi = 2.0 * float(b_pi.std(ddof=1)) / math.sqrt(b_pi.size)
     est = importance_kl(b_pi, scale)

@@ -12,8 +12,8 @@ ends with one line per check (value, limit, slack and, for a statistical
 check, its margin in standard errors) and `all checks: yes/NO`.
 
 Exit codes: 0 every check passed, 1 ran but a check failed, 2
-configuration error, 3 numeric failure (nonconvergence or divergence
-guard).
+configuration error, 3 numeric failure (nonconvergence, divergence
+guard or a grid too coarse for its kernel).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 
 import numpy as np
-import yaml
 
 from . import __version__, bounds as bounds_mod
 from .checks import Check
@@ -126,9 +125,9 @@ SCHEMA: dict[str, dict[str, Field]] = {
                                      "weights"),
     },
     "sweep": {
-        "n_particles": Field(list, [2, 4, 8, 16], "particle counts; doubling "
-                                                  "sweep reveals any growth "
-                                                  "in N"),
+        "n_particles": Field(list, [2**k for k in range(1, 11)],
+                             "particle counts 2, 4, ..., 1024; a doubling "
+                             "sweep reveals any growth in N"),
     },
     "mcmc": {
         "n_samples": Field(int, 16384, "MALA cross-check effort at the "
@@ -197,6 +196,7 @@ SECTIONS_BY_EXPERIMENT = {
 
 
 def load_config(path) -> dict:
+    import yaml  # only config files need it
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -269,6 +269,9 @@ def validate_config(raw: dict) -> dict:
             and resolved["profile"]["n_particles"] * d > 2:
         raise ConfigError("profile total dimension n_particles * d must "
                           "be <= 2")
+    if experiment == "tilt_profile" and not all(isinstance(c, (int, float))
+            and math.isfinite(c) for c in resolved["profile"]["tilt_centers"]):
+        raise ConfigError("profile.tilt_centers entries must be finite numbers")
     return resolved
 
 

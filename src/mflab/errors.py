@@ -68,8 +68,8 @@ class NonconvergenceError(MflabError):
 
 
 class IntegrationFailureError(MflabError):
-    """The transport map failed: mu_{t_max} is not yet Gaussian (horizon
-    too short) or the forward map is not strictly increasing."""
+    """The transport map failed: the grid is too coarse for the OU kernel,
+    mu_{t_max} is not yet Gaussian, or the map is not strictly increasing."""
 
 
 class CalculatorDomainError(MflabError):

@@ -41,11 +41,11 @@ from .measure import (
     BLOCK_ELEMENTS,
     Axis,
     GridDensity,
+    Pchip,
     covariance_opnorm,
     grid_points,
     monotone_images,
     normalize_from_log_potential,
-    pchip,
     w2_distance_1d,
     _write_csv,
 )
@@ -357,7 +357,7 @@ def ou_evolve(mu: GridDensity, t: float) -> GridDensity:
     decay = math.exp(-t)
     for ax in mu.axes:
         if bw < 1.5 * ax.spacing:
-            raise ValueError(
+            raise IntegrationFailureError(
                 f"OU kernel width {bw:.3g} under-resolved by grid spacing "
                 f"{ax.spacing:.3g}; use a finer grid or larger t"
             )
@@ -418,7 +418,7 @@ def reverse_flow_map(mu: GridDensity,
 
     S_{t_max} = Q_{mu_{t_max}} o F_mu is the 1-d reverse heat flow of Kim
     and Milman at time t_max, evaluated on the nodes within 8 sd of the
-    mean and inverted by :func:`~mflab.measure.pchip` at 2048 gamma-side
+    mean and inverted by :class:`~mflab.measure.Pchip` at 2048 gamma-side
     points.  Fails loudly if mu_{t_max} has not reached the Gaussian or the
     forward map is not strictly increasing (mu has a gap in its mass).
     """
@@ -449,7 +449,7 @@ def reverse_flow_map(mu: GridDensity,
     src_lo = max(float(s[0]), -8.0)
     src_hi = min(float(s[-1]), 8.0)
     source = np.linspace(src_lo, src_hi, 2048)
-    return FlowMap(source=source, mapped=pchip(s, pts, source),
+    return FlowMap(source=source, mapped=Pchip(s, pts)(source),
                    gamma_w2=gamma_w2, t_max=t_max)
 
 

@@ -26,10 +26,10 @@ from .errors import (
 KL_SUPPORT_FLOOR = 1e-300
 # Rows formatted per write by _write_csv; bounds its string buffer.
 CSV_CHUNK_ROWS = 65_536
-# Elements per block of the grid-squared and S*N*n_data temporaries; at
-# 128 KiB each they are reused from the heap, not mapped and faulted anew.
+# Elements per block of the grid-squared, draws-by-data and Pchip-query
+# temporaries; at 128 KiB each they are reused from the heap, not faulted anew.
 BLOCK_ELEMENTS = 2**14
-# pchip's index search: guide buckets per knot, forward passes from them.
+# Pchip's index search: guide buckets per knot, forward passes from them.
 GUIDE_BUCKETS_PER_KNOT = 2
 GUIDE_PASSES = 1
 
@@ -301,50 +301,62 @@ def _corrected_cdf(p: GridDensity) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def pchip(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+class Pchip:
     """The monotone piecewise-cubic Hermite (PCHIP) interpolant of y over
-    strictly increasing knots x, at queries q inside [x[0], x[-1]]: the
-    slopes (Fritsch-Butland inside, Moler's shape-preserving one-sided rule
-    at the ends) and the evaluation order are scipy's PchipInterpolator's,
-    so values agree with it bit for bit."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.full(y.shape, m[0])
-    if x.size > 2:
-        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-        smooth = np.sign(m[1:]) * np.sign(m[:-1]) > 0
-        # The reciprocal of the harmonic mean, rounded as scipy rounds it.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(smooth, 1.0 / whmean, 0.0)
-        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
-        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
-                              np.where(clamp, 3.0 * m0, end))
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c0, c1 = t / h, (m - d[:-1]) / h - t
-    i = np.clip(_search_right(x, q) - 1, 0, x.size - 2)
-    s = q - x[i]
-    return y[i] + d[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+    strictly increasing knots x, called on queries in [x[0], x[-1]] in blocks
+    of BLOCK_ELEMENTS.  Slopes (Fritsch-Butland inside, Moler's one-sided rule
+    at the ends) and evaluation order are scipy's: values agree bit for bit."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.full(y.shape, m[0])
+        if x.size > 2:
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            smooth = np.sign(m[1:]) * np.sign(m[:-1]) > 0
+            # The reciprocal of the harmonic mean, rounded as scipy rounds it.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(smooth, 1.0 / whmean, 0.0)
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                                  np.where(clamp, 3.0 * m0, end))
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x, self.y, self.d, self.search_right = x, y, d, _search_right(x)
+        self.c0, self.c1 = t / h, (m - d[:-1]) / h - t
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._at(q[lo:lo + BLOCK_ELEMENTS])
+                               for lo in range(0, q.size or 1, BLOCK_ELEMENTS)])
+
+    def _at(self, q: np.ndarray) -> np.ndarray:
+        i = np.clip(self.search_right(q) - 1, 0, self.x.size - 2)
+        s = q - self.x[i]
+        return (self.y[i] + self.d[i] * s + self.c1[i] * (s * s)
+                + self.c0[i] * (s * s * s))
 
 
-def _search_right(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.searchsorted(x, q, side="right") for increasing x, by the guide
-    table of Chen & Asau (1974): start at the knots of lower buckets (never
+def _search_right(x: np.ndarray):
+    """np.searchsorted(x, ., side="right") for increasing x, by a guide table
+    (Chen & Asau 1974) built once: start at the knots of lower buckets (never
     past the index), step GUIDE_PASSES times, leave the rest to searchsorted."""
     n_buckets = GUIDE_BUCKETS_PER_KNOT * x.size
     def bucket(v):  # monotone in v: a knot in a lower bucket lies below v
         return np.fmax(np.fmin((v - x[0]) * (n_buckets / (x[-1] - x[0])),
                                n_buckets - 1), 0.0).astype(np.intp)
     per_bucket = np.bincount(bucket(x), minlength=n_buckets)
+    start = np.cumsum(per_bucket) - per_bucket
     padded = np.append(x, np.nan)  # stepping stops at x.size
-    i = (np.cumsum(per_bucket) - per_bucket)[bucket(q)]
-    for _ in range(GUIDE_PASSES):
-        i += padded[i] <= q
-    late = ~(q < padded[i])  # crowded CDF tails, the top knot, NaN
-    i[late] = np.searchsorted(x, q[late], side="right")
-    return i
+    def search(q: np.ndarray) -> np.ndarray:
+        i = start[bucket(q)]
+        for _ in range(GUIDE_PASSES):
+            i += padded[i] <= q
+        late = ~(q < padded[i])  # crowded CDF tails, the top knot, NaN
+        i[late] = np.searchsorted(x, q[late], side="right")
+        return i
+    return search
 
 
 def _logit_cdf(p: GridDensity) -> np.ndarray:
@@ -372,7 +384,7 @@ def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
     """The monotone coupling Q_q(F_p(x)) of p to q, at the nodes of p.
 
     F_p and F_q are matched in the logit coordinate of :func:`_logit_cdf`
-    and q's nodes are interpolated monotonically (:func:`pchip`) in it; images
+    and q's nodes are interpolated monotonically (:class:`Pchip`) in it; images
     beyond the range q resolves are clamped to its end nodes.
     """
     if p.dim != 1 or q.dim != 1:
@@ -383,7 +395,7 @@ def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
     u_q, x = u_q[finite], x[finite]
     keep = np.concatenate([[True], np.diff(u_q) > 0])
     u_q, x = u_q[keep], x[keep]
-    return pchip(u_q, x, np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
+    return Pchip(u_q, x)(np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
 
 
 def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
@@ -403,17 +415,23 @@ def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
     return float(np.sqrt(max(w2sq, 0.0)))
 
 
-def sample_from_grid(p: GridDensity, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF i.i.d. draws from a 1-d grid density, shape (n, 1); the
-    inverse CDF is the :func:`pchip` interpolant of the nodes over the CDF."""
+def inverse_cdf(p: GridDensity) -> Pchip:
+    """The inverse CDF of a 1-d grid density, a :class:`Pchip`."""
     if p.dim != 1:
         raise UnsupportedDimensionError("grid sampling implemented in 1-d only")
     cdf = _corrected_cdf(p)
     keep = np.concatenate([[True], np.diff(cdf) > 0])
-    cdf_k, x_k = cdf[keep], p.nodes()[keep]
-    # pchip returns x_k[0] exactly at cdf_k[0]; pin the top end too.
-    u = np.clip(rng.random(n), cdf_k[0], cdf_k[-1])
-    return np.where(u == cdf_k[-1], x_k[-1], pchip(cdf_k, x_k, u))[:, None]
+    return Pchip(cdf[keep], p.nodes()[keep])
+
+
+def sample_from_grid(p: GridDensity | Pchip, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF i.i.d. draws from a 1-d grid density, shape (n, 1); p is
+    the density or its :func:`inverse_cdf`, fitted once for many calls."""
+    inv = p if isinstance(p, Pchip) else inverse_cdf(p)
+    # The interpolant returns y[0] exactly at x[0]; pin the top end too.
+    u = np.clip(rng.random(n), inv.x[0], inv.x[-1])
+    return np.where(u == inv.x[-1], inv.y[-1], inv(u))[:, None]
 
 
 def _write_csv(path, header: str, columns):

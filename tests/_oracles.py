@@ -238,7 +238,7 @@ def fitted_small_t_remainder(profile, y_label=None, skip_smallest=0):
 
 
 def pchip_searchsorted(x, y, q):
-    """mflab.measure.pchip with its interval index from np.searchsorted
+    """mflab.measure.Pchip with its interval index from np.searchsorted
     over the raw queries: the same slopes and evaluation order."""
     h = np.diff(x)
     m = np.diff(y) / h

@@ -262,6 +262,16 @@ class TestEstimateKlQuadratic:
         assert abs(report.kl_estimate - exact) <= report.kl_halfwidth, (
             report.kl_estimate, report.kl_halfwidth)
 
+    def test_product_side_meets_the_exact_kl_at_n1024(self):
+        # The same gate at N = 1024, which the streamed product side makes
+        # cheap: 0.036445 +- 0.000950 at seed 0.
+        report = _estimate(TargetSpec(quadratic_preset(), 1024), 0,
+                           McmcConfig(), None)
+        exact = quadratic_kl_exact(0.5, 1.0, 1024)
+        assert exact == pytest.approx(0.03607, abs=5e-6)
+        assert abs(report.kl_estimate - exact) <= report.kl_halfwidth, (
+            report.kl_estimate, report.kl_halfwidth)
+
     def test_between_chain_ci_is_calibrated(self):
         # 16 seeds at reduced effort: the MALA E_mu[B] of the cross-check
         # against its exact value.  The half-width is 2 standard errors
@@ -436,6 +446,26 @@ class TestSweep:
         sweep = peak(lambda: chaos_sweep(model, [2, 4, 8, 16], mcmc=effort,
                                          seed=0))
         assert sweep <= 1.1 * single, (sweep, single)
+
+
+    def test_product_side_peak_is_flat_in_n(self):
+        # The product draws are streamed into a running (S, n_data) sum, so
+        # no (S, N) array is formed: at S = 8192, an (S, N) buffer alone
+        # would be 16.8 MB at N = 256 against 1 MB at N = 16.
+        effort = McmcConfig(n_pi_samples=8192)
+        model = relu_preset()
+
+        def peak(n):
+            system = solve_self_consistent(model, n)
+            tracemalloc.start()
+            try:
+                _estimate(TargetSpec(model, n), 0, effort, None, None, system)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(16), peak(256)
+        assert large <= 1.25 * small, (large, small)
 
 
 class TestTiltedEstimate:

@@ -122,6 +122,26 @@ class TestConfigValidation:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("centers", [["a"], [0.0, None], [float("nan")],
+                                         [float("inf")]])
+    def test_tilt_centers_entries_type_checked_exit_2(self, tmp_path,
+                                                      centers):
+        # ["a"] once passed validation and ended in a traceback (exit 1).
+        cfg = {"experiment": "tilt_profile", "model": {"preset": "relu3"},
+               "profile": {"tilt_centers": centers}}
+        with pytest.raises(ConfigError, match="profile.tilt_centers entries"):
+            validate_config(cfg)
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_default_sweep_doubles_up_to_1024(self):
+        cfg = validate_config({"experiment": "chaos_sweep",
+                               "model": {"preset": "relu3"}})
+        assert cfg["sweep"]["n_particles"] == [2, 4, 8, 16, 32, 64, 128, 256,
+                                               512, 1024]
+
     def test_chaos_sweep_rejects_d_not_1(self):
         with pytest.raises(ConfigError, match="d = 1"):
             validate_config({"experiment": "chaos_sweep",
@@ -380,6 +400,23 @@ class TestRunCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.yaml"),
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_unparsable_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("experiment: [chaos_sweep\n")
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "config parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_nodes", [2, 3])
+    def test_grid_too_coarse_for_the_ou_kernel_exit_3(self, tmp_path, capsys,
+                                                      n_nodes):
+        # Once an uncaught ValueError from ou_evolve (exit 1).
+        cfg = {"experiment": "transport_map", "model": {"preset": "relu3"},
+               "grid": {"n_nodes": n_nodes}}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "x")]) == 3
+        assert "OU kernel width" in capsys.readouterr().err
 
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg = {
@@ -644,14 +681,28 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == 1
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test oracle only: importing it would more than double the
-    # setup time of every run.
+def loaded_modules(code: str, package: str) -> str:
+    """The modules of `package` loaded after running `code` in a fresh
+    interpreter, as a printed list."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, mflab, mflab.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    code += (f"; import sys; print([m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=path), text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only: importing it would more than double the
+    # setup time of every run.
+    assert loaded_modules("import mflab, mflab.cli", "scipy") == "[]"
+
+
+def test_a_config_given_as_a_dict_loads_no_yaml():
+    # Only load_config reads YAML; a caller that passes a dict skips the
+    # import's time and memory.
+    code = ("from mflab.cli import validate_config; validate_config("
+            "{'experiment': 'bounds_table', 'model': {'preset': 'relu3'}})")
+    assert loaded_modules(code, "yaml") == "[]"

@@ -9,7 +9,6 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 import mflab.heatflow
-import mflab.measure
 
 from mflab.errors import (
     IntegrationFailureError,
@@ -34,9 +33,9 @@ from mflab.heatflow import (
 from mflab.bounds import main_bound
 from mflab.measure import (
     Axis,
+    Pchip,
     covariance_opnorm,
     normalize_from_log_potential,
-    pchip,
     sample_from_grid,
 )
 from mflab.model import model_constants, rescale_model, zero_model
@@ -251,7 +250,7 @@ class TestOuEvolve:
 
     def test_under_resolved_kernel_rejected(self):
         mu = grid_gaussian(axis=Axis(-10.0, 10.0, 64))
-        with pytest.raises(ValueError):
+        with pytest.raises(IntegrationFailureError, match="under-resolved"):
             ou_evolve(mu, 1e-6)
 
     def test_2d_moment_map(self):
@@ -363,20 +362,21 @@ class TestReverseFlowMap:
         # coupling and the inverse flow map pass on the relu density: the
         # in-house PCHIP equals scipy's bit for bit on each.
         calls = []
+        evaluate = Pchip.__call__
 
-        def recording(x, y, q):
-            calls.append((x, y, q))
-            return pchip(x, y, q)
+        def recording(self, q):
+            calls.append((self.x, self.y, q))
+            return evaluate(self, q)
 
-        monkeypatch.setattr(mflab.measure, "pchip", recording)
-        monkeypatch.setattr(mflab.heatflow, "pchip", recording)
+        monkeypatch.setattr(Pchip, "__call__", recording)
         mu, _ = relu_gibbs_density()
         sample_from_grid(mu, 16, np.random.default_rng(0))
         reverse_flow_map(mu, t_max=8.0)
+        monkeypatch.undo()
         assert len(calls) == 4
         for x, y, q in calls:
             q = np.concatenate([q, x, np.linspace(x[0], x[-1], 4097)])
-            np.testing.assert_array_equal(pchip(x, y, q),
+            np.testing.assert_array_equal(Pchip(x, y)(q),
                                           PchipInterpolator(x, y)(q))
 
 

@@ -14,18 +14,21 @@ from mflab.errors import (
     SupportViolationError,
     UnsupportedDimensionError,
 )
+import mflab.measure
 from mflab.measure import (
+    BLOCK_ELEMENTS,
     Axis,
     EmpiricalMeasure,
     GaussianMeasure,
     GridDensity,
+    Pchip,
     covariance_opnorm,
     _write_csv,
+    inverse_cdf,
     kl_divergence,
     monotone_images,
     normalize_from_log_potential,
     _search_right,
-    pchip,
     sample_from_grid,
     w2_distance_1d,
 )
@@ -38,6 +41,7 @@ from _oracles import (
     gaussian_w2_1d,
     gaussian_on_grid,
     largest_eigenvalue_2x2,
+    pchip_searchsorted,
     sample_from_grid_searchsorted,
 )
 
@@ -247,6 +251,37 @@ class TestSampling:
         z = sample_from_grid(g, 1000, np.random.default_rng(5))
         np.testing.assert_array_equal(y, z)
 
+    # Blocks of 5 queries and of BLOCK_ELEMENTS, the last one partial.
+    @pytest.mark.parametrize("block", [5, BLOCK_ELEMENTS])
+    def test_blocked_evaluation_matches_one_shot(self, monkeypatch, block):
+        # The inverse CDF, fitted once and evaluated in blocks, equals the
+        # one-shot searchsorted evaluation bit for bit, at every draw and
+        # at both ends of the CDF, each placed on a block boundary too.
+        monkeypatch.setattr(mflab.measure, "BLOCK_ELEMENTS", block)
+        p = solve_self_consistent(relu_preset(), 2).per_particle[0]
+        inv = inverse_cdf(p)
+        lo, hi = inv.x[0], inv.x[-1]
+        u = np.random.default_rng(7).random(2 * block + 3)
+        ends = [lo, np.nextafter(lo, 1.0), 1e-300, np.nextafter(hi, 0.0),
+                1.0 - 2.0**-53, hi]
+        u[[0, block - 1, block, block + 1, -2, -1]] = ends
+        u[block + 2:block + 2 + len(ends)] = ends
+
+        class Draws:  # rng.random's stand-in: every rng gives these u
+            def random(self, n):
+                return u[:n].copy()
+
+        np.testing.assert_array_equal(
+            inv(u), pchip_searchsorted(inv.x, inv.y, u))
+        np.testing.assert_array_equal(
+            Pchip(inv.x, inv.y)(inv.x),
+            pchip_searchsorted(inv.x, inv.y, inv.x))
+        ref = sample_from_grid_searchsorted(p, u.size, Draws())
+        assert ref[0, 0] == inv.y[0] and ref[-1, 0] == inv.y[-1]
+        for fitted in (inv, p, inv):  # the fit is shared, not consumed
+            np.testing.assert_array_equal(
+                sample_from_grid(fitted, u.size, Draws()), ref)
+
 
 class TestSerialization:
     def test_coverage_reported(self):
@@ -348,7 +383,7 @@ class TestMonotoneImages:
 def assert_pchip_matches_scipy(x, y):
     mid = 0.5 * (x[1:] + x[:-1])
     q = np.sort(np.concatenate([x, mid, np.linspace(x[0], x[-1], 257)]))
-    np.testing.assert_array_equal(pchip(x, y, q), PchipInterpolator(x, y)(q))
+    np.testing.assert_array_equal(Pchip(x, y)(q), PchipInterpolator(x, y)(q))
 
 
 class TestPchip:
@@ -414,7 +449,7 @@ class TestGuideTableSearch:
         q = search_queries(x, np.random.default_rng(data.draw(
             st.integers(0, 2**32 - 1))))
         with np.errstate(over="ignore"):  # +-1e300 leave the float range
-            got = _search_right(x, q)
+            got = _search_right(x)(q)
         np.testing.assert_array_equal(got, np.searchsorted(x, q, side="right"))
 
     @pytest.mark.parametrize("density", ["relu3_product", "flat_tails"])
