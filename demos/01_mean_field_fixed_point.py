@@ -19,7 +19,7 @@ print(__doc__)
 
 # --- no interaction: the fixed point is the confinement Gaussian ----------
 model = zero_model(sigma=1.0, lam=0.5)
-system = solve_self_consistent(model, n_particles=1)
+system = solve_self_consistent(model)
 pibar = system.mean_measure
 print(f"zero model:       mean {float(pibar.mean()[0]):+.6f}, "
       f"variance {float(pibar.covariance()[0, 0]):.6f} "
@@ -29,7 +29,7 @@ print(f"zero model:       mean {float(pibar.mean()[0]):+.6f}, "
 # --- quadratic interaction: scalar self-consistency in closed form --------
 kappa, c = 0.5, 0.3
 quad = quadratic_preset(kappa=kappa, c=c)
-system = solve_self_consistent(quad, n_particles=1)
+system = solve_self_consistent(quad)
 pibar = system.mean_measure
 mean_exact = kappa * c / (quad.lam + kappa)
 print(f"quadratic model:  mean {float(pibar.mean()[0]):+.6f} "
@@ -38,7 +38,7 @@ print(f"quadratic model:  mean {float(pibar.mean()[0]):+.6f} "
 
 # --- relu network energy: no closed form, report the converged shape ------
 relu = relu_preset()
-system = solve_self_consistent(relu, n_particles=1)
+system = solve_self_consistent(relu)
 pibar = system.mean_measure
 print(f"relu model:       mean {float(pibar.mean()[0]):+.6f}, "
       f"variance {float(pibar.covariance()[0, 0]):.6f}, "
@@ -47,7 +47,7 @@ print(f"relu model:       mean {float(pibar.mean()[0]):+.6f}, "
 # --- heterogeneous tilted system: each particle sees its own quadratic ----
 tilted_model = rescale_model(relu_preset())
 tilt = TiltSpec(t=0.5, y=np.array([[1.0], [-1.0]]))
-system = solve_self_consistent(tilted_model, n_particles=2, tilt=tilt)
+system = solve_self_consistent(tilted_model, tilt=tilt)
 for i, p in enumerate(system.per_particle):
     print(f"tilted particle {i}: mean {float(p.mean()[0]):+.6f}, "
           f"variance {float(p.covariance()[0, 0]):.6f}")

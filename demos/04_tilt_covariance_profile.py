@@ -6,8 +6,8 @@ at scale sqrt(t) for small t and removes a unit of convexity for large t.
 Uniform-in-y control of the tilted covariance operator norm is the
 certificate behind Lipschitz transport maps, so this demo profiles it
 over four decades of t around the small/large regime threshold against
-both reference envelopes.  The profile and the (t, opnorm, envelopes)
-plot data for y = 0 land as CSV in demos/output/.
+both reference envelopes.  The profile, one row per (t, y) with both
+envelopes, lands as CSV in demos/output/.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ import os
 import numpy as np
 
 from mflab.heatflow import (
-    GibbsPotential,
     covariance_profile,
     default_profile_times,
     regime_threshold,
@@ -36,10 +35,9 @@ t_star = regime_threshold(inputs)
 print(f"regime threshold t* = {t_star:.5f} "
       f"(small-t statistics below, large-t statistics above)")
 
-pot = GibbsPotential(TargetSpec(model, 1))
 ts = default_profile_times(inputs, n=40)
 ys = [np.array([-3.0]), np.array([0.0]), np.array([3.0])]
-prof = covariance_profile(pot, ts, ys, inputs)
+prof = covariance_profile(TargetSpec(model, 1), ts, ys, inputs)
 
 for y in prof.y_labels():
     rows = sorted((r for r in prof.rows if r.y_label == y), key=lambda r: r.t)
@@ -50,5 +48,4 @@ for y in prof.y_labels():
           f"large-t opnorm {rows[-1].opnorm:.4f}")
 
 prof.to_csv(os.path.join(out_dir, "tilt_profile.csv"))
-prof.plot_data(os.path.join(out_dir, "tilt_profile_y0.csv"), y_label="y=0")
-print(f"\nwrote profile CSV and plot data CSV to {out_dir}")
+print(f"\nwrote the profile CSV to {out_dir}")

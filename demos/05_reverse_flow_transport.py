@@ -16,7 +16,6 @@ import numpy as np
 
 from mflab.bounds import main_bound
 from mflab.heatflow import (
-    GibbsPotential,
     covariance_profile,
     default_profile_times,
     fitted_lipschitz_bound,
@@ -47,7 +46,7 @@ print(f"W2(T#gamma, mu) = {pushforward_w2(flow, mu):.2e}")
 lip = lipschitz_estimate(flow)
 inputs = dataclasses.replace(model_constants(model), d_prox=1)
 prof = covariance_profile(
-    GibbsPotential(target), default_profile_times(inputs, n=40),
+    target, default_profile_times(inputs, n=40),
     [np.array([0.0]), np.array([3.0]), np.array([-3.0])], inputs)
 fitted, c_fit, k_fit = fitted_lipschitz_bound(prof.ts(), prof.opnorms(),
                                               prof.a)

@@ -43,7 +43,6 @@ class BoundInputs:
     L_ell: float = 0.0
     beta_ell: float = 0.0
     d: int = 1
-    N: int = 1
     d_prox: int = 1
     rescaled: bool = False
 
@@ -53,8 +52,8 @@ class BoundInputs:
         for name in ("beta_hat", "B", "L_h", "L_ell", "beta_ell"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.d < 1 or self.N < 1:
-            raise ValueError("d and N must be at least 1")
+        if self.d < 1:
+            raise ValueError("d must be at least 1")
         if self.d_prox not in (1, self.d):
             raise ValueError("d_prox must be 1 or d")
 

@@ -14,7 +14,7 @@ closed-form upper bounds the estimate is compared against are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -223,9 +223,10 @@ class ChaosReport:
         _write_json(path, self.to_dict(), default=float)
 
 
-def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem) -> float:
-    """Quadrature value of sum_j p_j (beta_ell / 2N^2) sum_i var_{pi^i}(h_j)."""
-    n = system.n_particles
+def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem,
+                       n: int) -> float:
+    """Quadrature value of sum_j p_j (beta_ell / 2N^2) sum_i var_{pi^i}(h_j),
+    N times the mean over the system's laws (one if untilted)."""
     var_sum = np.zeros(model.data_p.size)
     for p_i in system.per_particle:
         h_vals = features(model, p_i.node_points())
@@ -233,13 +234,13 @@ def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem) -> float:
         mean_h = h_vals.T @ cw
         second = (h_vals * h_vals).T @ cw
         var_sum += second - mean_h**2
-    return float(model.data_p @ var_sum) * model.loss.beta_ell / (2.0 * n * n)
+    var_mean = var_sum / len(system.per_particle)
+    return float(model.data_p @ var_mean) * model.loss.beta_ell / (2.0 * n)
 
 
 def estimate_kl(model: ModelSpec, n_particles: int,
                 mcmc: McmcConfig | None = None, seed: int = 0,
-                tilt: TiltSpec | None = None, rescaled: bool = False,
-                axes=None) -> ChaosReport:
+                tilt: TiltSpec | None = None, axes=None) -> ChaosReport:
     """Monte-Carlo estimate of KL(mu^{1:N} || pi^{1:N}) with closed-form
     bounds.  Flag `mala_agrees`: E_mu[B] from MALA chains and from IS agree
     within 3 combined standard errors, a nominal two-sided false-alarm rate
@@ -250,37 +251,37 @@ def estimate_kl(model: ModelSpec, n_particles: int,
     seed, so the whole report is deterministic given (model, N, mcmc, seed);
     the chains run in a forked child, overlapped with the product side.
     """
-    target = TargetSpec(model, n_particles, tilt=tilt, rescaled=rescaled)
+    target = TargetSpec(model, n_particles, tilt=tilt)
     return _sweep([target], seed, mcmc or McmcConfig(), axes)[0]
 
 
 def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
                 seed: int = 0, axes=None) -> list[ChaosReport]:
-    """One KL report per particle count, the i-th from seed + i, each
-    solving the self-consistent system on `axes` (its default if None).
-    The report of the (first) smallest N is :func:`estimate_kl`'s; the
-    others carry the product side alone, with no MALA cross-check.  The
-    chains run in a forked child while every N's product side is taken."""
+    """One KL report per particle count, the i-th from seed + i, all from
+    one solve of the self-consistent system on `axes` (its default if
+    None), whose untilted law does not depend on N.  The report of the
+    (first) smallest N is :func:`estimate_kl`'s; the others carry the
+    product side alone, with no MALA cross-check.  The chains run in a
+    forked child while every N's product side is taken."""
     return _sweep([TargetSpec(model, n) for n in n_list], seed,
                   mcmc or McmcConfig(), axes)
 
 
 def _sweep(targets, seed: int, mcmc: McmcConfig, axes) -> list[ChaosReport]:
-    """The report of targets[i] from seed + i.  The MALA cross-check of the
+    """The report of targets[i] from seed + i; the targets share one model
+    and tilt, so one solve serves them all.  The MALA cross-check of the
     first target of the smallest N runs in a forked child while the parent
     takes every product side, that target's last."""
     if not targets:
         return []
     first = min(range(len(targets)), key=lambda i: targets[i].n_particles)
     t = targets[first]
-    system = solve_self_consistent(t.effective_model, t.n_particles,
-                                   tilt=t.tilt, axes=axes)
+    system = solve_self_consistent(t.model, tilt=t.tilt, axes=axes)
     with forked(_cross_check, t, system.mean_measure, mcmc,
                 seed + first) as cross_check:
-        reports = [_estimate(u, seed + i, mcmc, axes) if i != first else None
-                   for i, u in enumerate(targets)]
-        reports[first] = _estimate(t, seed + first, mcmc, axes, cross_check,
-                                   system)
+        reports = [_estimate(u, seed + i, mcmc, system) if i != first
+                   else None for i, u in enumerate(targets)]
+        reports[first] = _estimate(t, seed + first, mcmc, system, cross_check)
     return reports
 
 
@@ -291,32 +292,28 @@ def _cross_check(target: TargetSpec, pibar: GridDensity, mcmc: McmcConfig,
     per_chain = -(-mcmc.n_samples // mcmc.n_chains)
     x_mu, diag = mala_sample(target, per_chain, mcmc.n_burnin,
                              mcmc.step_size0, seed, n_chains=mcmc.n_chains)
-    b_mu = bregman_batch(target.effective_model, x_mu, pibar)
+    b_mu = bregman_batch(target.model, x_mu, pibar)
     means = b_mu.reshape(mcmc.n_chains, per_chain).mean(axis=1)
     return {"mala_bregman_mean": float(b_mu.mean()), "sampler": diag,
             "mala_bregman_halfwidth": 2.0 * float(means.std(ddof=1))
             / math.sqrt(mcmc.n_chains)}, float(b_mu.min())
 
 
-def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
-              cross_check=None, system=None) -> ChaosReport:
-    """The report of one target, solved on `axes` unless `system` is given;
-    `cross_check`, if given, is called after the product side for
-    :func:`_cross_check`'s value."""
-    eff, tilt, n_particles = (target.effective_model, target.tilt,
-                              target.n_particles)
-    system = system or solve_self_consistent(eff, n_particles, tilt=tilt,
-                                             axes=axes)
+def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig,
+              system: ProximalGibbsSystem, cross_check=None) -> ChaosReport:
+    """The report of one target from its solved `system`; `cross_check`, if
+    given, is called after the product side for :func:`_cross_check`'s
+    value."""
+    eff, tilt, n_particles = target.model, target.tilt, target.n_particles
     scale = 2.0 * n_particles / eff.sigma**2
 
     # B needs the draws only through the particle mean of their features.
     rng_pi, s = _stream(seed, 1), mcmc.n_pi_samples
     rows = max(1, BLOCK_ELEMENTS // max(1, len(eff.data_x)))
     blocks = [slice(lo, lo + rows) for lo in range(0, s, rows)]
-    eh_sum, last = np.zeros((s, len(eff.data_x))), None
-    for p_i in system.per_particle:  # untilted: one shared density, one fit
-        if p_i is not last:
-            inv_cdf, last = inverse_cdf(p_i), p_i
+    eh_sum = np.zeros((s, len(eff.data_x)))
+    fits = [inverse_cdf(p) for p in system.per_particle]
+    for inv_cdf in fits * (n_particles // len(fits)):  # untilted: one law
         x_i = sample_from_grid(inv_cdf, s, rng_pi)
         for b in blocks:
             eh_sum[b] += features(eff, x_i[b])
@@ -328,10 +325,10 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig, axes,
 
     alpha = tilted_alpha(eff, tilt.t if tilt else None)
     cbar_pi = poincare_constant_bound(eff, alpha)
-    consts = replace(model_constants(eff), N=n_particles)
+    consts = model_constants(eff)
     bound_generic = poc_bound(consts, cbar_pi, alpha, "generic")
     bound_nn = poc_bound(consts, cbar_pi, alpha, "example_nn")
-    var_rhs = _variance_step_rhs(eff, system)
+    var_rhs = _variance_step_rhs(eff, system, n_particles)
 
     mala, min_b_mu = cross_check() if cross_check else ({}, math.inf)
     kl, hw_kl = est["kl_estimate"], est["kl_halfwidth"]

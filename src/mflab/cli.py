@@ -38,7 +38,6 @@ from .errors import ConfigError, MflabError
 from .forking import forked
 from .heatflow import (
     FLOW_GAMMA_W2_TOL,
-    GibbsPotential,
     covariance_profile,
     default_profile_times,
     fitted_lipschitz_bound,
@@ -276,6 +275,17 @@ def validate_config(raw: dict) -> dict:
 
 
 def build_model(block: dict) -> ModelSpec:
+    """The model of a resolved model block; a value that the model
+    constructors refuse is a config error."""
+    try:
+        return _construct_model(block)
+    except KeyError as err:
+        raise ConfigError(f"model.data needs key {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid model: {err}") from err
+
+
+def _construct_model(block: dict) -> ModelSpec:
     if block.get("preset"):
         name = block["preset"]
         if name not in PRESETS:
@@ -363,19 +373,13 @@ def _run_tilt_profile(cfg: dict, out_dir: str):
     model = rescale_model(build_model(cfg["model"]))
     pb = cfg["profile"]
     n_particles = pb["n_particles"]
-    inputs = dataclasses.replace(model_constants(model), d_prox=1,
-                                 N=n_particles)
-    pot = GibbsPotential(TargetSpec(model, n_particles))
+    inputs = dataclasses.replace(model_constants(model), d_prox=1)
     ts = default_profile_times(inputs, n=pb["n_times"],
                                decades_around=pb["decades_around"])
     dim = n_particles * model.d
     ys = [np.full(dim, float(c)) for c in pb["tilt_centers"]]
-    prof = covariance_profile(pot, ts, ys, inputs)
+    prof = covariance_profile(TargetSpec(model, n_particles), ts, ys, inputs)
     prof.to_csv(os.path.join(out_dir, "profile.csv"))
-    for label in prof.y_labels():
-        safe = label.replace("=", "_").replace("/", "_").replace("-", "m")
-        prof.plot_data(os.path.join(out_dir, f"plot_data_{safe}.csv"),
-                       y_label=label)
 
     t_star = regime_threshold(inputs)
     ref = {r: r.small_regime_ref if r.regime == "small" else r.large_regime_ref
@@ -418,7 +422,7 @@ def _run_transport_map(cfg: dict, out_dir: str):
     inputs = dataclasses.replace(model_constants(model), d_prox=1)
     ts = default_profile_times(inputs, n=40)
     ys = [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)]
-    prof = covariance_profile(GibbsPotential(target), ts, ys, inputs)
+    prof = covariance_profile(target, ts, ys, inputs)
     fitted_bound, c_fit, k_fit = fitted_lipschitz_bound(
         prof.ts(), prof.opnorms(), prof.a)
     orig_consts = model_constants(build_model(cfg["model"]))

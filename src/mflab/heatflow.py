@@ -91,7 +91,7 @@ def tilted_measure(mu: GridDensity, t: float, y) -> GridDensity:
         if sd < 1.5 * ax.spacing:
             raise TiltDomainError(
                 f"tilt width {sd:.3g} under-resolved by grid spacing "
-                f"{ax.spacing:.3g}; use an adapted grid (GibbsPotential path)"
+                f"{ax.spacing:.3g}; profile a TargetSpec for adapted grids"
             )
     return out
 
@@ -107,32 +107,6 @@ def _check_interior_peak(log_u: np.ndarray):
 
 
 # -- profiling ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GibbsPotential:
-    """Log density of an N-particle Gibbs measure as a callable potential.
-
-    Profiling at very small tilt times needs grids adapted to the tilt
-    width, which a fixed base grid cannot resolve; this wrapper lets the
-    profiler evaluate the exact log density on per-(t, y) grids.
-    """
-
-    target: TargetSpec
-
-    @property
-    def total_dim(self) -> int:
-        return self.target.n_particles * self.target.effective_model.d
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        m = self.target.effective_model
-        states = np.asarray(pts, dtype=float).reshape(
-            -1, self.target.n_particles, m.d)
-        return n_particle_log_density(self.target, states)
-
-    def base_sd(self) -> float:
-        m = self.target.effective_model
-        return m.sigma / math.sqrt(2.0 * m.lam)
 
 
 def regime_threshold(inputs: BoundInputs) -> float:
@@ -232,17 +206,6 @@ class CovarianceProfile:
             path, "t,y,opnorm,alpha_t,small_regime_ref,large_regime_ref,regime",
             [[getattr(r, k) for r in self.rows] for k in names])
 
-    def plot_data(self, path, y_label: str | None = None):
-        """(t, opnorm, envelopes) triples ready for external plotting."""
-        rows = self._rows(y_label)
-        _write_csv(
-            path, "t,opnorm,small_regime_ref,large_regime_ref",
-            [np.array([r.t for r in rows]),
-             np.array([r.opnorm for r in rows]),
-             np.array([r.small_regime_ref for r in rows]),
-             np.array([r.large_regime_ref for r in rows])],
-        )
-
 
 def default_profile_times(inputs: BoundInputs, n: int = 40,
                           decades_around: float = 2.0) -> np.ndarray:
@@ -260,8 +223,9 @@ def covariance_profile(mu, t_list, y_list,
     """Operator norms of tilted covariances against both reference envelopes.
 
     `mu` may be a :class:`GridDensity` (tilts evaluated on its own grid)
-    or a :class:`GibbsPotential` (each (t, y) gets a grid adapted to the
-    tilt width, which small-t asymptotics require).
+    or the :class:`TargetSpec` of an N-particle Gibbs measure (each (t, y)
+    gets a grid adapted to the tilt width, which small-t asymptotics
+    require).
     """
     t_star = regime_threshold(inputs)
     a = tilted_alpha(inputs, math.inf)
@@ -273,11 +237,11 @@ def covariance_profile(mu, t_list, y_list,
             t = float(t)
             if isinstance(mu, GridDensity):
                 tilted = tilted_measure(mu, t, y_vec)
-            elif isinstance(mu, GibbsPotential):
+            elif isinstance(mu, TargetSpec):
                 tilted = _adapted_tilted_density(mu, t, y_vec, inputs)
             else:
                 raise TypeError(
-                    "mu must be a GridDensity or GibbsPotential, "
+                    "mu must be a GridDensity or TargetSpec, "
                     f"got {type(mu)!r}")
             _, opnorm = covariance_opnorm(tilted)
             rows.append(ProfileRow(
@@ -290,14 +254,15 @@ def covariance_profile(mu, t_list, y_list,
     return CovarianceProfile(rows=rows, t_star=t_star, a=a, inputs=inputs)
 
 
-def _adapted_tilted_density(potential: GibbsPotential, t: float,
+def _adapted_tilted_density(target: TargetSpec, t: float,
                             y: np.ndarray, inputs: BoundInputs) -> GridDensity:
-    """Tilted density on a grid centered at the tilted mode with width
-    set by 1/sqrt(alpha_t)."""
-    dim = potential.total_dim
+    """Tilted density of the target's N-particle Gibbs measure on a grid
+    centered at the tilted mode with width set by 1/sqrt(alpha_t)."""
+    m, n = target.model, target.n_particles
+    dim = n * m.d
     if y.size != dim:
         raise TiltDomainError(
-            f"tilt center has {y.size} coords, potential is {dim}-d")
+            f"tilt center has {y.size} coords, target is {dim}-d")
     a_t = tilted_alpha(inputs, t)
     if a_t <= 0:
         raise TiltDomainError(f"alpha_t = {a_t:.4g} <= 0: tilt not normalizable")
@@ -305,11 +270,11 @@ def _adapted_tilted_density(potential: GibbsPotential, t: float,
     sd_t = 1.0 / math.sqrt(a_t)
     a = tilted_alpha(inputs, math.inf)
     center_proxy = y / (1.0 + a * t)
-    base_sd = potential.base_sd()
+    base_sd = m.sigma / math.sqrt(2.0 * m.lam)
 
     def tilted_log(pts):
         diff = pts - y
-        return (potential(pts)
+        return (n_particle_log_density(target, pts.reshape(-1, n, m.d))
                 - np.sum(diff * diff, axis=1) / (2.0 * t)
                 + 0.5 * np.sum(pts * pts, axis=1))
 

@@ -5,9 +5,9 @@ The object solved for is the system of per-particle densities
     pi^i propto exp(tilt_i - (2/sigma^2) [V + dF0(pibar, .)]),
 
 closed through their mixture pibar = (1/N) sum_i pi^i.  Untilted and
-homogeneous, all pi^i coincide and the system reduces to the scalar
-mean-field fixed point; with Gaussian tilts (t, y^i) each particle sees
-its own quadratic reweighting.  The iteration is a damped fixed point on
+homogeneous, all pi^i coincide: the system is the one mean-field fixed
+point, whatever N.  With Gaussian tilts (t, y^i) each particle sees its
+own quadratic reweighting.  The iteration is a damped fixed point on
 pibar: pibar <- (1 - theta) pibar + theta Mean(Rebuild(pibar)), with the
 damping halved whenever the residual increases.  Uniqueness holds in the
 regimes exercised here but no algorithm is prescribed for it, so
@@ -49,10 +49,6 @@ class ProximalGibbsSystem:
     tilt: TiltSpec | None = None
     residual_trace: list[float] | None = None
 
-    @property
-    def n_particles(self) -> int:
-        return len(self.per_particle)
-
 
 def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
                  n_nodes: int | None = None, span_sd: float = 10.0,
@@ -86,13 +82,12 @@ def _log_confinement(model: ModelSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def rebuild_particle_densities(model: ModelSpec, pibar: GridDensity,
-                               tilt: TiltSpec | None,
-                               n_particles: int) -> list[GridDensity]:
+                               tilt: TiltSpec | None) -> list[GridDensity]:
     """Per-particle densities induced by a fixed mixture pibar.
 
-    Untilted the particles are exchangeable, so one density is computed
-    and shared; heterogeneous tilts get one rebuild each from the same
-    first-variation field.
+    Untilted, the particles are exchangeable: the list holds the one law
+    they all share, at any N.  Tilted, it holds one law per row of
+    `tilt.y`, each rebuilt from the same first-variation field.
     """
     pts = pibar.node_points()
     shape = pibar.weights.shape
@@ -100,12 +95,11 @@ def rebuild_particle_densities(model: ModelSpec, pibar: GridDensity,
     base = base - (2.0 / model.sigma**2) * np.asarray(
         first_variation(model, pibar, pts), dtype=float)
     if tilt is None:
-        one = normalize_from_log_potential(base.reshape(shape), pibar.axes)
-        return [one] * n_particles
+        return [normalize_from_log_potential(base.reshape(shape), pibar.axes)]
     out = []
     sq = np.sum(pts * pts, axis=1)
-    for i in range(n_particles):
-        diff = pts - tilt.y[i]
+    for y_i in tilt.y:
+        diff = pts - y_i
         log_u = base - np.sum(diff * diff, axis=1) / (2.0 * tilt.t) + 0.5 * sq
         out.append(normalize_from_log_potential(log_u.reshape(shape), pibar.axes))
     return out
@@ -118,21 +112,22 @@ def _mean_density(parts: list[GridDensity]) -> GridDensity:
     return GridDensity(parts[0].axes, w, logw)
 
 
-def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
-                          tilt: TiltSpec | None = None, axes=None,
-                          tol: float = DEFAULT_TOL,
+def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
+                          axes=None, tol: float = DEFAULT_TOL,
                           max_iter: int = DEFAULT_MAX_ITER,
                           ) -> ProximalGibbsSystem:
     """Damped fixed-point iteration for the self-consistent system.
 
     Iterates pibar <- (1 - theta) pibar + theta Mean(Rebuild(pibar)) until
     the fixed-point residual sup|Mean(Rebuild(pibar)) - pibar| drops below
-    `tol`, halving theta whenever the residual increases.  Raises
-    :class:`NonconvergenceError` with the residual trace on failure.
+    `tol`, halving theta whenever the residual increases.  Untilted, the
+    system is the one law every particle shares, whatever N; tilted, N is
+    the row count of `tilt.y`.  Raises :class:`NonconvergenceError` with
+    the residual trace on failure.
     """
-    if tilt is not None and tilt.y.shape != (n_particles, model.d):
+    if tilt is not None and tilt.y.shape[1] != model.d:
         raise InvalidTargetError(
-            f"tilt centers shape {tilt.y.shape} != ({n_particles}, {model.d})"
+            f"tilt centers have {tilt.y.shape[1]} columns, model d = {model.d}"
         )
     alpha = tilted_alpha(model, tilt.t if tilt else None)
     if alpha <= 0:
@@ -146,21 +141,20 @@ def solve_self_consistent(model: ModelSpec, n_particles: int = 1,
 
     # Zero-interaction solution as the starting mixture.
     start_parts = rebuild_particle_densities(
-        zero_like(model), _uniform_seed(axes), tilt, n_particles)
+        zero_like(model), _uniform_seed(axes), tilt)
     pibar = _mean_density(start_parts)
 
     theta = DAMPING
     trace: list[float] = []
     for iteration in range(1, max_iter + 1):
-        parts = rebuild_particle_densities(model, pibar, tilt, n_particles)
+        parts = rebuild_particle_densities(model, pibar, tilt)
         target = _mean_density(parts)
         residual = float(np.max(np.abs(target.weights - pibar.weights)))
         if trace and residual > trace[-1]:
             theta = max(theta / 2.0, 1.0 / 64.0)
         trace.append(residual)
         if residual < tol:
-            final_parts = rebuild_particle_densities(
-                model, target, tilt, n_particles)
+            final_parts = rebuild_particle_densities(model, target, tilt)
             system = ProximalGibbsSystem(
                 per_particle=final_parts,
                 mean_measure=_mean_density(final_parts),
@@ -185,8 +179,7 @@ def proximal_residual(system: ProximalGibbsSystem, model: ModelSpec,
     """Recompute each pi^i from the stored mixture; max sup-norm gap."""
     if tilt is None:
         tilt = system.tilt
-    rebuilt = rebuild_particle_densities(
-        model, system.mean_measure, tilt, system.n_particles)
+    rebuilt = rebuild_particle_densities(model, system.mean_measure, tilt)
     return max(
         float(np.max(np.abs(a.weights - b.weights)))
         for a, b in zip(system.per_particle, rebuilt)

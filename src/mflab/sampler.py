@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import tilted_alpha
 from .errors import InvalidTargetError, SimulationDivergedError
-from .model import ModelSpec, loss_terms, particle_features, rescale_model
+from .model import ModelSpec, loss_terms, particle_features
 
 MALA_TARGET_ACCEPTANCE = 0.574
 ACCEPTANCE_OK_RANGE = (0.2, 0.8)
@@ -52,37 +52,30 @@ class TargetSpec:
 
     Untilted, the density is proportional to
     exp(-(2/sigma^2) [sum_i V(x^i) + N F0(rho_x)]); with a tilt the
-    per-particle quadratic reweighting is added on top.  The `rescaled`
-    flag applies the coordinate map x -> (sqrt(lam)/sigma) x to the model
-    first, which is required for tilts to be integrable in general.
+    per-particle quadratic reweighting is added on top.  Tilts are
+    integrable in general only for a model mapped by
+    :func:`~mflab.model.rescale_model`.
     """
 
     model: ModelSpec
     n_particles: int
     tilt: TiltSpec | None = None
-    rescaled: bool = False
 
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
-        eff = rescale_model(self.model) if self.rescaled else self.model
-        object.__setattr__(self, "_effective_model", eff)
         if self.tilt is not None:
             y = self.tilt.y
-            if y.shape != (self.n_particles, eff.d):
+            if y.shape != (self.n_particles, self.model.d):
                 raise InvalidTargetError(
                     f"tilt centers shape {y.shape} != (N, d) = "
-                    f"({self.n_particles}, {eff.d})"
+                    f"({self.n_particles}, {self.model.d})"
                 )
-            alpha = tilted_alpha(eff, self.tilt.t)
+            alpha = tilted_alpha(self.model, self.tilt.t)
             if alpha <= 0:
                 raise InvalidTargetError(
                     f"tilted target is not normalizable: alpha_t = {alpha:.4g} <= 0"
                 )
-
-    @property
-    def effective_model(self) -> ModelSpec:
-        return self._effective_model
 
 
 def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
@@ -107,7 +100,7 @@ def _interaction_terms(model: ModelSpec, xb: np.ndarray):
 def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
     """Unnormalized log density (S,) of states xb (S, N, d) and, if
     with_grad, its gradient (S, N, d) from the same pre-activations."""
-    m = target.effective_model
+    m = target.model
     eh, rows = (_interaction_terms(m, xb) if with_grad
                 else (particle_features(m, xb)[1], None))
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
@@ -125,14 +118,14 @@ def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
 
 def n_particle_log_density(target: TargetSpec, x: np.ndarray):
     """Unnormalized log density of the target at one state or a batch."""
-    xb, single = _batch(x, target.n_particles, target.effective_model.d)
+    xb, single = _batch(x, target.n_particles, target.model.d)
     out = _log_density(target, xb, with_grad=False)[0]
     return float(out[0]) if single else out
 
 
 def n_particle_log_density_grad(target: TargetSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the unnormalized log density, one (N, d) row per particle."""
-    xb, single = _batch(x, target.n_particles, target.effective_model.d)
+    xb, single = _batch(x, target.n_particles, target.model.d)
     grad = _log_density(target, xb, with_grad=True)[1]
     return grad[0] if single else grad
 
@@ -270,7 +263,7 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
         raise ValueError("step_size must be positive")
     if n_samples < 1 or n_chains < 1 or n_burnin < 0:
         raise ValueError("need n_samples, n_chains >= 1 and n_burnin >= 0")
-    m = target.effective_model
+    m = target.model
     n, d = target.n_particles, m.d
     rngs = [_stream(seed, MALA_KEY_BASE + c) for c in range(n_chains)]
 

@@ -296,7 +296,7 @@ def particle_features_numpy_wrappers(model, x):
 def log_density_numpy_wrappers(target, xb, with_grad):
     """mflab.sampler._log_density, value and gradient, through numpy's
     Python-level np.swapaxes, ndarray.mean, np.clip and np.sum."""
-    m = target.effective_model
+    m = target.model
     pre, eh = particle_features_numpy_wrappers(m, xb)
     grad = None
     if with_grad:

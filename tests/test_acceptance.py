@@ -23,7 +23,6 @@ from mflab.bounds import (
 )
 from mflab.chaos import McmcConfig, chaos_sweep, no_growth_in_n
 from mflab.heatflow import (
-    GibbsPotential,
     covariance_profile,
     default_profile_times,
     fitted_lipschitz_bound,
@@ -86,7 +85,7 @@ class TestCriterion1GaussianExactness:
 
         # mean-field fixed point on the grid
         model = zero_model(sigma=1.0, lam=0.5)
-        system = solve_self_consistent(model, n_particles=3)
+        system = solve_self_consistent(model)
         exact = grid_gaussian(0.0, 1.0, system.mean_measure.axes[0])
         err_pi = float(np.max(np.abs(system.mean_measure.weights
                                      - exact.weights)))
@@ -103,9 +102,9 @@ class TestCriterion1GaussianExactness:
 
         # tilted covariances: exact 1/(a + 1/t)
         rescaled = rescale_model(zero_model(sigma=1.0, lam=1.0))
-        pot = GibbsPotential(TargetSpec(rescaled, 1))
+        target = TargetSpec(rescaled, 1)
         inputs = dataclasses.replace(model_constants(rescaled), d_prox=1)
-        prof = covariance_profile(pot, np.geomspace(1e-3, 1e3, 13),
+        prof = covariance_profile(target, np.geomspace(1e-3, 1e3, 13),
                                   [np.zeros(1), np.full(1, 2.0)], inputs)
         err_tilt = max(abs(r.opnorm - 1.0 / (1.0 + 1.0 / r.t))
                        for r in prof.rows)
@@ -158,7 +157,7 @@ class TestCriterion2QuadraticOracle:
                     f"N={r.n_particles}: |{r.kl_estimate:.4f} - {exact:.4f}|"
                     f" > 2 x {r.kl_halfwidth:.4f}")
 
-        system = solve_self_consistent(quadratic_preset(), n_particles=4)
+        system = solve_self_consistent(quadratic_preset())
         mean_cf, var_cf = quadratic_pi_moments(0.5, 0.3, 1.0, 1.0)
         pibar = system.mean_measure
         exact_grid = grid_gaussian(mean_cf, var_cf, pibar.axes[0])
@@ -236,10 +235,10 @@ class TestCriterion6TiltStability:
     def test_criterion_6(self):
         failures = []
         model = rescale_model(relu_preset())
-        pot = GibbsPotential(TargetSpec(model, 1))
+        target = TargetSpec(model, 1)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = default_profile_times(inputs, n=40)
-        prof = covariance_profile(pot, ts, [np.zeros(1)], inputs)
+        prof = covariance_profile(target, ts, [np.zeros(1)], inputs)
         rows = sorted(prof.rows, key=lambda r: r.t)
 
         smallest = rows[0]
@@ -259,7 +258,7 @@ class TestCriterion6TiltStability:
 
         zero = rescale_model(zero_model(sigma=1.0, lam=1.0))
         zprof = covariance_profile(
-            GibbsPotential(TargetSpec(zero, 1)), np.geomspace(1e-3, 1e3, 13),
+            TargetSpec(zero, 1), np.geomspace(1e-3, 1e3, 13),
             [np.zeros(1), np.full(1, 3.0)],
             dataclasses.replace(model_constants(zero), d_prox=1))
         err_zero = max(abs(r.opnorm - 1.0 / (1.0 + 1.0 / r.t))
@@ -293,7 +292,7 @@ class TestCriterion7TransportMap:
         lip = lipschitz_estimate(flow)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         prof = covariance_profile(
-            GibbsPotential(target), default_profile_times(inputs, n=40),
+            target, default_profile_times(inputs, n=40),
             [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)], inputs)
         fitted, c_fit, k_fit = fitted_lipschitz_bound(
             prof.ts(), prof.opnorms(), prof.a)

@@ -25,6 +25,7 @@ from mflab.chaos import (
     Z_ESS_WIDEN_FACTOR,
     McmcConfig,
     _estimate,
+    _variance_step_rhs,
     bregman_divergence,
     bregman_batch,
     chaos_sweep,
@@ -51,7 +52,7 @@ from mflab.measure import (
     EmpiricalMeasure,
     normalize_from_log_potential,
 )
-from mflab.model import quadratic_oracle, zero_model
+from mflab.model import quadratic_oracle, rescale_model, zero_model
 from mflab.presets import quadratic_preset, relu_preset
 from mflab.sampler import TargetSpec
 
@@ -60,6 +61,7 @@ from _oracles import (
     quadratic_bregman_mean_exact,
     quadratic_kl_exact,
     quadratic_mu_gaussian,
+    quadratic_pi_moments,
 )
 from _oracles import bootstrap_log_mean_sd, gaussian_kl_full
 
@@ -198,7 +200,8 @@ class TestImportanceKl:
         # covariance with log mean(w), reads about twice too wide.
         target = TargetSpec(quadratic_preset(), 4)
         effort = McmcConfig(n_pi_samples=8192)
-        reports = [_estimate(target, seed, effort, None, cross_check=False)
+        system = solve_self_consistent(target.model)
+        reports = [_estimate(target, seed, effort, system)
                    for seed in range(64)]
         sd = np.std([r.kl_estimate for r in reports], ddof=1)
         se = np.mean([r.kl_halfwidth for r in reports]) / 2.0
@@ -251,12 +254,21 @@ class TestEstimateKlQuadratic:
         exact = quadratic_kl_exact(0.5, 1.0, 4)
         assert abs(report.kl_estimate - exact) <= 2.0 * report.kl_halfwidth
 
+    def test_variance_step_rhs_is_the_closed_form_at_n1024(self):
+        # Every particle shares the law pibar, so the right-hand side is
+        # kappa Var_pibar(x) / (2N).
+        model, n = quadratic_preset(), 1024
+        _, var = quadratic_pi_moments(0.5, 0.3, 1.0, 1.0)
+        got = _variance_step_rhs(model, solve_self_consistent(model), n)
+        assert got == pytest.approx(0.5 * var / (2 * n), rel=1e-6)
+
     def test_product_side_meets_the_exact_kl_at_n256(self):
         # The gate of the streamed product side: at N = 256, with the
         # default effort at seed 0, the IS KL lies within 2 se (one
         # half-width) of the exact, N-free value 0.03607.
-        report = _estimate(TargetSpec(quadratic_preset(), 256), 0,
-                           McmcConfig(), None)
+        model = quadratic_preset()
+        report = _estimate(TargetSpec(model, 256), 0, McmcConfig(),
+                           solve_self_consistent(model))
         exact = quadratic_kl_exact(0.5, 1.0, 256)
         assert exact == pytest.approx(0.03607, abs=5e-6)
         assert abs(report.kl_estimate - exact) <= report.kl_halfwidth, (
@@ -265,8 +277,9 @@ class TestEstimateKlQuadratic:
     def test_product_side_meets_the_exact_kl_at_n1024(self):
         # The same gate at N = 1024, which the streamed product side makes
         # cheap: 0.036445 +- 0.000950 at seed 0.
-        report = _estimate(TargetSpec(quadratic_preset(), 1024), 0,
-                           McmcConfig(), None)
+        model = quadratic_preset()
+        report = _estimate(TargetSpec(model, 1024), 0, McmcConfig(),
+                           solve_self_consistent(model))
         exact = quadratic_kl_exact(0.5, 1.0, 1024)
         assert exact == pytest.approx(0.03607, abs=5e-6)
         assert abs(report.kl_estimate - exact) <= report.kl_halfwidth, (
@@ -300,8 +313,6 @@ class TestEstimateKlQuadratic:
         # The compact formula agrees with the longhand multivariate KL.
         for n in (2, 4, 8):
             mean, cov = quadratic_mu_gaussian(0.5, 0.3, 1.0, 1.0, n)
-            from _oracles import quadratic_pi_moments
-
             m_pi, v_pi = quadratic_pi_moments(0.5, 0.3, 1.0, 1.0)
             kl_long = gaussian_kl_full(mean, cov, np.full(n, m_pi),
                                        v_pi * np.eye(n))
@@ -377,6 +388,20 @@ class TestEstimateKlRelu:
 
 
 class TestSweep:
+    def test_one_solve_serves_every_n(self, monkeypatch):
+        # The untilted fixed point does not depend on N.
+        solve, calls = mflab.chaos.solve_self_consistent, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mflab.chaos, "solve_self_consistent", spy)
+        effort = McmcConfig(n_samples=512, n_burnin=64, n_pi_samples=2048,
+                            n_chains=4)
+        chaos_sweep(relu_preset(), [2, 4, 8, 16], mcmc=effort, seed=0)
+        assert len(calls) == 1
+
     def test_no_ci_significant_growth(self, reports):
         assert no_growth_in_n(reports).passed
         assert no_growth_in_n(reports[:1]) is None
@@ -455,11 +480,12 @@ class TestSweep:
         effort = McmcConfig(n_pi_samples=8192)
         model = relu_preset()
 
+        system = solve_self_consistent(model)
+
         def peak(n):
-            system = solve_self_consistent(model, n)
             tracemalloc.start()
             try:
-                _estimate(TargetSpec(model, n), 0, effort, None, None, system)
+                _estimate(TargetSpec(model, n), 0, effort, system)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -473,10 +499,10 @@ class TestTiltedEstimate:
         from mflab.sampler import TiltSpec
 
         tilt = TiltSpec(0.5, np.array([[0.4], [-0.2]]))
-        report = estimate_kl(zero_model(sigma=1.0, lam=1.0), 2,
+        report = estimate_kl(rescale_model(zero_model(sigma=1.0, lam=1.0)), 2,
                              mcmc=McmcConfig(n_samples=500, n_burnin=200,
                                              n_pi_samples=1000),
-                             seed=4, tilt=tilt, rescaled=True)
+                             seed=4, tilt=tilt)
         assert report.kl_estimate == 0.0
         assert report.alpha == pytest.approx(1.0 + 1.0 / 0.5)
 
@@ -535,12 +561,14 @@ class TestForkedCrossCheck:
                 result()
 
     def test_parent_failure_partway_leaves_no_child(self, monkeypatch):
-        solve, entered = mflab.chaos.solve_self_consistent, []
+        # The second product side fails, after the fork.
+        fit, fits, entered = mflab.chaos.inverse_cdf, [], []
 
-        def failing(model, n, **kwargs):
-            if n == 4:
+        def failing(density):
+            fits.append(density)
+            if len(fits) == 2:
                 raise NonconvergenceError([1.0, 0.5])
-            return solve(model, n, **kwargs)
+            return fit(density)
 
         @contextmanager
         def spy(fn, *args):
@@ -548,7 +576,7 @@ class TestForkedCrossCheck:
                 entered.append(fn.__name__)
                 yield result
 
-        monkeypatch.setattr(mflab.chaos, "solve_self_consistent", failing)
+        monkeypatch.setattr(mflab.chaos, "inverse_cdf", failing)
         monkeypatch.setattr(mflab.chaos, "forked", spy)
         with pytest.raises(NonconvergenceError):
             chaos_sweep(relu_preset(), [2, 4, 8], mcmc=SMALL, seed=0)

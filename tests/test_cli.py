@@ -219,6 +219,27 @@ class TestConfigValidation:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, match", [
+        ({"kind": "zero", "sigma": -1.0}, "sigma and lam must be positive"),
+        ({"kind": "zero", "d": 0}, "d must be at least 1"),
+        ({"kind": "quadratic_oracle", "kappa": -1.0}, "kappa"),
+        ({"kind": "example_nn", "activation": "foo",
+          "data": {"x": [[1.0]], "y": [0.5]}}, "unknown activation"),
+        ({"kind": "example_nn", "loss": {"type": "squared", "scale": -1.0},
+          "data": {"x": [[1.0]], "y": [0.5]}}, "scale"),
+        ({"kind": "example_nn", "data": {"x": [[1.0], [2.0]],
+                                         "y": [0.5, 0.1], "weights": [0.3]}},
+         "leading length"),
+        ({"kind": "example_nn", "data": {"x": [[1.0], [2.0]], "y": [0.5]}},
+         "leading length"),
+        ({"kind": "example_nn", "data": {"x": [[1.0]]}}, "needs key 'y'"),
+        ({"kind": "example_nn", "loss": {"type": "logistic"},
+          "data": {"x": [[1.0]], "y": [0.5]}}, "labels must be"),
+    ])
+    def test_values_the_constructors_refuse_exit_2(self, tmp_path, model,
+                                                    match):
+        self._rejected_before_run(tmp_path, model, match)
+
     def test_unknown_loss_key_exit_2(self, tmp_path):
         self._rejected_before_run(tmp_path, {
             "kind": "example_nn", "loss": {"type": "squared", "bogus": 1},

@@ -17,7 +17,6 @@ from mflab.errors import (
 )
 from mflab.heatflow import (
     FlowMap,
-    GibbsPotential,
     _adapted_tilted_density,
     covariance_profile,
     default_profile_times,
@@ -112,20 +111,20 @@ class TestTiltedMeasure:
 @pytest.fixture(scope="module")
 def relu_profile():
     model = rescale_model(relu_preset())
-    pot = GibbsPotential(TargetSpec(model, 1))
+    target = TargetSpec(model, 1)
     inputs = dataclasses.replace(model_constants(model), d_prox=1)
     ts = default_profile_times(inputs, n=40)
     ys = [np.array([-3.0]), np.array([0.0]), np.array([3.0])]
-    return covariance_profile(pot, ts, ys, inputs), inputs
+    return covariance_profile(target, ts, ys, inputs), inputs
 
 
 class TestCovarianceProfile:
     def test_zero_model_exact(self):
         model = rescale_model(zero_model(sigma=1.0, lam=1.0))
-        pot = GibbsPotential(TargetSpec(model, 1))
+        target = TargetSpec(model, 1)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = np.geomspace(1e-3, 1e3, 13)
-        prof = covariance_profile(pot, ts, [np.array([0.0]), np.array([2.0])],
+        prof = covariance_profile(target, ts, [np.array([0.0]), np.array([2.0])],
                                   inputs)
         a = 1.0
         for row in prof.rows:
@@ -184,10 +183,10 @@ class TestCovarianceProfile:
 
     def test_two_particle_profile_on_2d_grid(self):
         model = rescale_model(relu_preset())
-        pot = GibbsPotential(TargetSpec(model, 2))
-        inputs = dataclasses.replace(model_constants(model), d_prox=1, N=2)
+        target = TargetSpec(model, 2)
+        inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = np.geomspace(0.01, 1.0, 4)
-        prof = covariance_profile(pot, ts, [np.array([0.5, -0.5])], inputs)
+        prof = covariance_profile(target, ts, [np.array([0.5, -0.5])], inputs)
         for row in prof.rows:
             assert row.opnorm <= row.small_regime_ref
             assert row.opnorm > 0
@@ -195,31 +194,30 @@ class TestCovarianceProfile:
     def test_two_particle_opnorm_is_largest_eigenvalue(self):
         # At y = 0 the two particles are exchangeable and, at small t,
         # negatively correlated, so (1, 1) spans the smaller eigenvalue.
-        pot = GibbsPotential(TargetSpec(rescale_model(relu_preset()), 2))
+        target = TargetSpec(rescale_model(relu_preset()), 2)
         inputs = dataclasses.replace(
-            model_constants(pot.target.model), d_prox=1, N=2)
+            model_constants(target.model), d_prox=1)
         y = np.zeros(2)
-        prof = covariance_profile(pot, default_profile_times(inputs, n=8),
+        prof = covariance_profile(target, default_profile_times(inputs, n=8),
                                   [y], inputs)
         for row in prof.rows:
             exact = largest_eigenvalue_2x2(
-                _adapted_tilted_density(pot, row.t, y, inputs).covariance())
+                _adapted_tilted_density(target, row.t, y, inputs).covariance())
             assert abs(row.opnorm - exact) < 1e-12 * exact
 
     def test_grid_backed_matches_potential_backed(self):
         mu, model = relu_gibbs_density()
-        pot = GibbsPotential(TargetSpec(rescale_model(relu_preset()), 1))
+        target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = [0.2, 1.0]
         p_grid = covariance_profile(mu, ts, [np.array([0.5])], inputs)
-        p_pot = covariance_profile(pot, ts, [np.array([0.5])], inputs)
-        for a, b in zip(p_grid.rows, p_pot.rows):
+        p_target = covariance_profile(target, ts, [np.array([0.5])], inputs)
+        for a, b in zip(p_grid.rows, p_target.rows):
             assert abs(a.opnorm - b.opnorm) < 1e-6
 
     def test_csv_and_svg_outputs(self, relu_profile, tmp_path):
         prof, _ = relu_profile
         prof.to_csv(tmp_path / "profile.csv")
-        prof.plot_data(tmp_path / "plot.csv", y_label=prof.y_labels()[0])
         assert (tmp_path / "profile.csv").read_text().startswith("t,y,opnorm")
 
 
@@ -324,10 +322,10 @@ class TestReverseFlowMap:
         assert np.all(np.diff(fm.mapped) > 0)
         assert pushforward_w2(fm, mu) < 1e-3
         lip = lipschitz_estimate(fm)
-        pot = GibbsPotential(TargetSpec(rescale_model(relu_preset()), 1))
+        target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = default_profile_times(inputs, n=40)
-        prof = covariance_profile(pot, ts, [np.array([0.0]),
+        prof = covariance_profile(target, ts, [np.array([0.0]),
                                             np.array([3.0]),
                                             np.array([-3.0])], inputs)
         bound, _, _ = fitted_lipschitz_bound(prof.ts(), prof.opnorms(), prof.a)

@@ -29,25 +29,24 @@ def gaussian_on(axes, mean, var):
 class TestZeroModel:
     def test_untilted_matches_gaussian(self):
         model = zero_model(sigma=1.0, lam=0.5)
-        system = solve_self_consistent(model, n_particles=3)
+        system = solve_self_consistent(model)
         exact = gaussian_on(system.mean_measure.axes, 0.0, 1.0)
         for p in system.per_particle:
             assert np.max(np.abs(p.weights - exact.weights)) < 1e-7
 
     def test_untilted_replicas_bit_identical(self):
+        # Untilted, every particle shares one law, held once at any N,
+        # and the mixture is that law bit for bit.
         model = zero_model(sigma=1.0, lam=0.5)
-        system = solve_self_consistent(model, n_particles=5)
-        first = system.per_particle[0]
-        for p in system.per_particle[1:]:
-            assert p.weights is first.weights or np.array_equal(
-                p.weights, first.weights)
+        system = solve_self_consistent(model)
+        (law,) = system.per_particle
+        assert np.array_equal(system.mean_measure.weights, law.weights)
 
     def test_tilted_matches_completing_the_square(self):
         model = rescale_model(zero_model(sigma=1.0, lam=1.0))
         t = 0.6
         y = np.array([[0.5], [-0.7]])
-        system = solve_self_consistent(model, n_particles=2,
-                                       tilt=TiltSpec(t, y))
+        system = solve_self_consistent(model, tilt=TiltSpec(t, y))
         alpha = 2.0 - 1.0 + 1.0 / t
         for i, p in enumerate(system.per_particle):
             mean = y[i, 0] / (t * alpha)
@@ -58,7 +57,7 @@ class TestZeroModel:
 class TestQuadraticOracle:
     def test_fixed_point_matches_scalar_oracle(self):
         model = quadratic_preset()  # kappa=0.5, c=0.3, sigma=lam=1
-        system = solve_self_consistent(model, n_particles=4)
+        system = solve_self_consistent(model)
         pibar = system.mean_measure
         mean_cf, var_cf = quadratic_pi_moments(0.5, 0.3, 1.0, 1.0)
         mean_fp, var_fp = quadratic_pi_moments_fixed_point(0.5, 0.3, 1.0, 1.0)
@@ -70,7 +69,7 @@ class TestQuadraticOracle:
 
     def test_contraction_trace_monotone(self):
         for model in (quadratic_preset(), relu_preset()):
-            system = solve_self_consistent(model, n_particles=2)
+            system = solve_self_consistent(model)
             trace = system.residual_trace
             assert all(b <= a * (1.0 + 1e-9)
                        for a, b in zip(trace[1:], trace[2:]))
@@ -78,18 +77,17 @@ class TestQuadraticOracle:
 
 class TestResidualAndStructure:
     def test_converged_residual_below_tol(self):
-        system = solve_self_consistent(quadratic_preset(), n_particles=2,
-                                       tol=1e-9)
+        system = solve_self_consistent(quadratic_preset(), tol=1e-9)
         assert system.residual < 1e-9
         assert proximal_residual(system, quadratic_preset()) < 1e-9
 
     def test_shifted_system_residual_equals_gaussian_gap(self):
         model = zero_model(sigma=1.0, lam=0.5)
-        system = solve_self_consistent(model, n_particles=2)
+        system = solve_self_consistent(model)
         axes = system.mean_measure.axes
         shifted = gaussian_on(axes, 0.1, 1.0)
         wrong = ProximalGibbsSystem(
-            per_particle=[shifted, shifted],
+            per_particle=[shifted],
             mean_measure=shifted,
             residual=0.0, iterations=0, alpha=system.alpha)
         exact = gaussian_on(axes, 0.0, 1.0)
@@ -101,8 +99,7 @@ class TestResidualAndStructure:
         model = rescale_model(relu_preset())
         t = 0.5
         y = np.array([[0.4], [0.4]])  # identical tilts
-        system = solve_self_consistent(model, n_particles=2,
-                                       tilt=TiltSpec(t, y))
+        system = solve_self_consistent(model, tilt=TiltSpec(t, y))
         swapped = ProximalGibbsSystem(
             per_particle=system.per_particle[::-1],
             mean_measure=system.mean_measure,
@@ -118,7 +115,7 @@ class TestResidualAndStructure:
         # log pi^i + (2/sigma^2)(V + dF0(pibar, .)) is constant on the grid
         # (up to the tilt terms), within 1e-6 where mass is not negligible.
         model = quadratic_preset()
-        system = solve_self_consistent(model, n_particles=2)
+        system = solve_self_consistent(model)
         pibar = system.mean_measure
         x = pibar.nodes()[:, None]
         pot = (model.lam / model.sigma**2) * (x[:, 0] ** 2)
@@ -133,21 +130,18 @@ class TestResidualAndStructure:
 class TestErrorPaths:
     def test_max_iter_exhaustion_carries_trace(self):
         with pytest.raises(NonconvergenceError) as err:
-            solve_self_consistent(quadratic_preset(), n_particles=2,
-                                  tol=1e-15, max_iter=3)
+            solve_self_consistent(quadratic_preset(), tol=1e-15, max_iter=3)
         assert len(err.value.residual_trace) == 3
 
     def test_bad_tilt_shape(self):
-        model = rescale_model(relu_preset())
-        with pytest.raises(InvalidTargetError):
-            solve_self_consistent(model, n_particles=3,
-                                  tilt=TiltSpec(0.5, np.zeros((2, 1))))
+        model = rescale_model(relu_preset())  # d = 1
+        with pytest.raises(InvalidTargetError, match="2 columns"):
+            solve_self_consistent(model, tilt=TiltSpec(0.5, np.zeros((3, 2))))
 
     def test_non_normalizable_tilt(self):
         model = zero_model(sigma=1.0, lam=0.25)  # 2 lam/sigma^2 = 0.5
         with pytest.raises(InvalidTargetError):
-            solve_self_consistent(model, n_particles=1,
-                                  tilt=TiltSpec(1e9, np.zeros((1, 1))))
+            solve_self_consistent(model, tilt=TiltSpec(1e9, np.zeros((1, 1))))
 
 
 class TestGridDefaults:
@@ -161,7 +155,7 @@ class TestGridDefaults:
     def test_mean_measure_is_average(self):
         model = rescale_model(relu_preset())
         tilt = TiltSpec(0.5, np.array([[0.6], [-0.6]]))
-        system = solve_self_consistent(model, n_particles=2, tilt=tilt)
+        system = solve_self_consistent(model, tilt=tilt)
         avg = 0.5 * (system.per_particle[0].weights
                      + system.per_particle[1].weights)
         assert np.max(np.abs(system.mean_measure.weights - avg)) < 1e-12

@@ -258,7 +258,7 @@ class TestSampling:
         # one-shot searchsorted evaluation bit for bit, at every draw and
         # at both ends of the CDF, each placed on a block boundary too.
         monkeypatch.setattr(mflab.measure, "BLOCK_ELEMENTS", block)
-        p = solve_self_consistent(relu_preset(), 2).per_particle[0]
+        p = solve_self_consistent(relu_preset()).per_particle[0]
         inv = inverse_cdf(p)
         lo, hi = inv.x[0], inv.x[-1]
         u = np.random.default_rng(7).random(2 * block + 3)
@@ -455,7 +455,7 @@ class TestGuideTableSearch:
     @pytest.mark.parametrize("density", ["relu3_product", "flat_tails"])
     def test_sampling_equals_searchsorted_pchip(self, density):
         if density == "relu3_product":
-            p = solve_self_consistent(relu_preset(), 2).per_particle[0]
+            p = solve_self_consistent(relu_preset()).per_particle[0]
         else:  # sd 0.5 on a +-10 grid: the CDF is flat over most nodes
             p = grid_gaussian_1d(mean=-2.0, sd=0.5)
         got = sample_from_grid(p, 32768, np.random.default_rng(11))

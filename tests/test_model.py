@@ -258,9 +258,8 @@ class TestModelConstants:
         got = (consts.beta_hat, consts.B, consts.L_h, consts.L_ell,
                consts.beta_ell)
         assert got == self.PINNED[name]
-        assert (consts.sigma, consts.lam, consts.d, consts.N,
-                consts.d_prox, consts.rescaled) == (
-                    model.sigma, model.lam, 1, 1, 1, False)
+        assert (consts.sigma, consts.lam, consts.d, consts.d_prox,
+                consts.rescaled) == (model.sigma, model.lam, 1, 1, False)
 
     @pytest.mark.parametrize("name", sorted(PINNED_RESCALED))
     def test_rescaled_constants_pinned(self, name):

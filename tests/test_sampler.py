@@ -12,6 +12,7 @@ from mflab.model import (
     example_nn,
     particle_features,
     quadratic_oracle,
+    rescale_model,
     zero_model,
 )
 from mflab.presets import PRESETS, logistic_preset, relu_preset, tanh_preset
@@ -55,17 +56,16 @@ class TestLogDensityGrad:
         targets = [
             TargetSpec(quadratic_oracle(1.0, 1.0, kappa=0.7, c=0.2), 4),
             TargetSpec(relu_preset(), 3),
-            TargetSpec(relu_preset(), 2,
-                       tilt=TiltSpec(0.5, np.array([[0.3], [-0.2]])),
-                       rescaled=True),
+            TargetSpec(rescale_model(relu_preset()), 2,
+                       tilt=TiltSpec(0.5, np.array([[0.3], [-0.2]]))),
         ]
         for target in targets:
-            n, d = target.n_particles, target.effective_model.d
+            n, d = target.n_particles, target.model.d
             for _ in range(20):
                 x = rng.uniform(-1.5, 1.5, size=(n, d))
                 if target.model.activation is RELU:
                     # keep clear of relu kinks so the derivative exists
-                    pre = x @ target.effective_model.data_x.T
+                    pre = x @ target.model.data_x.T
                     if np.min(np.abs(pre)) < 1e-2:
                         continue
                 grad = n_particle_log_density_grad(target, x)
@@ -91,11 +91,11 @@ class TestLogDensityGrad:
             target, x[perm])
 
     def test_tilt_terms_added(self):
-        model = zero_model(sigma=1.0, lam=1.0)
+        model = rescale_model(zero_model(sigma=1.0, lam=1.0))
         y = np.array([[0.4]])
         t = 0.7
-        tilted = TargetSpec(model, 1, tilt=TiltSpec(t, y), rescaled=True)
-        plain = TargetSpec(model, 1, rescaled=True)
+        tilted = TargetSpec(model, 1, tilt=TiltSpec(t, y))
+        plain = TargetSpec(model, 1)
         x = np.array([[0.9]])
         extra = (n_particle_log_density_grad(tilted, x)
                  - n_particle_log_density_grad(plain, x))
@@ -135,11 +135,11 @@ class TestMala:
         assert np.max(np.abs(cov_hat - cov_oracle)) < 0.05 * scale
 
     def test_tilted_zero_model_moments(self):
-        model = zero_model(sigma=1.0, lam=1.0)
+        model = rescale_model(zero_model(sigma=1.0, lam=1.0))
         t, y = 0.5, np.array([[0.8]])
-        target = TargetSpec(model, 1, tilt=TiltSpec(t, y), rescaled=True)
+        target = TargetSpec(model, 1, tilt=TiltSpec(t, y))
         mean_exact, var_exact = zero_model_tilted_moments(
-            target.effective_model.lam, 1.0, t, 0.8)
+            target.model.lam, 1.0, t, 0.8)
         samples, _ = mala_sample(target, n_samples=20000, n_burnin=2000,
                                  step_size=0.3, seed=3)
         x = samples.ravel()
@@ -170,9 +170,8 @@ class TestMala:
             TargetSpec(relu_preset(), 4),
             TargetSpec(quadratic_oracle(1.0, 1.0, kappa=0.5, d=2,
                                         e=[0.6, 0.8]), 3),
-            TargetSpec(relu_preset(), 2,
-                       tilt=TiltSpec(0.5, np.array([[0.3], [-0.2]])),
-                       rescaled=True),
+            TargetSpec(rescale_model(relu_preset()), 2,
+                       tilt=TiltSpec(0.5, np.array([[0.3], [-0.2]]))),
         ]
         for target in targets:
             alone, d1 = mala_sample(target, 300, 300, 0.3, seed=3)
@@ -277,7 +276,7 @@ class TestInteractionKernel:
         tilt = TiltSpec(0.5, rng.normal(size=(n, model.d)))
         xb = rng.normal(size=(32, n, model.d))
         for target in (TargetSpec(model, n),
-                       TargetSpec(model, n, tilt=tilt, rescaled=True)):
+                       TargetSpec(rescale_model(model), n, tilt=tilt)):
             fused = _log_density(target, xb, with_grad=True)[0]
             np.testing.assert_array_equal(n_particle_log_density(target, xb),
                                           fused)
@@ -314,8 +313,9 @@ class TestKernelWithoutNumpyWrappers:
                 for n in (1, 2, 3, 16):  # 3: 1/N is inexact
                     tilt = (TiltSpec(0.5, rng.normal(size=(n, model.d)))
                             if tilted else None)
-                    target = TargetSpec(model, n, tilt=tilt, rescaled=tilted)
-                    m = target.effective_model
+                    target = TargetSpec(rescale_model(model) if tilted
+                                        else model, n, tilt=tilt)
+                    m = target.model
                     for xb in kernel_states(rng, s, n, m.d).values():
                         for got, ref in zip(
                                 particle_features(m, xb),
