@@ -328,26 +328,32 @@ def ou_evolve(mu: GridDensity, t: float) -> GridDensity:
             )
     # Blocks of 8k rows, a remainder of 8 rows or fewer joining the last: BLAS
     # groups rows by 4 and 8 and treats 1 or 2 apart, so rows sum as in K @ W.
-    n = mu.axes[0].n
-    rows = max(8, BLOCK_ELEMENTS // n // 8 * 8)
-    edges = [*range(0, max(n - 8, 1), rows), n]
-    w = np.concatenate([_ou_kernel_matrix(mu.axes[0], decay, bw, lo, hi)
-                        @ mu.weights for lo, hi in zip(edges, edges[1:])])
+    rows = max(8, BLOCK_ELEMENTS // mu.axes[0].n // 8 * 8)
+    w = np.concatenate([block @ mu.weights for block in
+                        _ou_kernel_blocks(mu.axes[0], decay, bw, rows)])
     if mu.dim == 2:
-        w = w @ _ou_kernel_matrix(mu.axes[1], decay, bw).T
+        w = w @ next(_ou_kernel_blocks(mu.axes[1], decay, bw, mu.axes[1].n)).T
     w = np.clip(w, 0.0, None)
     w /= np.sum(mu.quad_weights() * w)
     with np.errstate(divide="ignore"):
         return GridDensity(mu.axes, w, np.log(w))
 
 
-def _ou_kernel_matrix(ax: Axis, decay: float, bw: float, lo: int = 0,
-                      hi: int | None = None) -> np.ndarray:
-    """Rows lo:hi of the quadrature-weighted OU kernel on one axis."""
-    x = ax.nodes()
-    z = (x[lo:hi, None] - decay * x[None, :]) / bw
-    kern = np.exp(-0.5 * z * z) / (bw * math.sqrt(2.0 * math.pi))
-    return kern * ax.quad_weights()[None, :]
+def _ou_kernel_blocks(ax: Axis, decay: float, bw: float, rows: int):
+    """Row blocks of an axis's quadrature-weighted OU kernel in one buffer."""
+    x, qw = ax.nodes(), ax.quad_weights()
+    source, norm = decay * x, bw * math.sqrt(2.0 * math.pi)
+    edges = [*range(0, max(ax.n - 8, 1), rows), ax.n]
+    buf = np.empty((max(np.diff(edges)), ax.n))
+    for lo, hi in zip(edges, edges[1:]):
+        kern = np.subtract(x[lo:hi, None], source, out=buf[:hi - lo])
+        kern /= bw
+        kern *= kern
+        kern *= -0.5  # (z z)(-1/2) is (-1/2 z) z to the last bit
+        np.exp(kern, out=kern)
+        kern /= norm
+        kern *= qw
+        yield kern
 
 
 def standard_gaussian_grid(axes) -> GridDensity:

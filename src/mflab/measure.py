@@ -26,9 +26,12 @@ from .errors import (
 KL_SUPPORT_FLOOR = 1e-300
 # Rows formatted per write by _write_csv; bounds its string buffer.
 CSV_CHUNK_ROWS = 65_536
-# Elements per block of the grid-squared, draws-by-data and Pchip-query
-# temporaries; at 128 KiB each they are reused from the heap, not faulted anew.
+# Elements per block of the OU kernel (one buffer for all blocks) and of the
+# draws-by-data and Pchip-query temporaries, reused from the heap at 128 KiB.
 BLOCK_ELEMENTS = 2**14
+# inverse_cdf drops knots whose CDF step h is below this: Pchip coefficients
+# (up to about 4 dx / h^3 over a distance dx in x) stay finite for dx < 1e7.
+CDF_STEP_FLOOR = 1e-100
 # Pchip's index search: guide buckets per knot, forward passes from them.
 GUIDE_BUCKETS_PER_KNOT = 2
 GUIDE_PASSES = 1
@@ -420,7 +423,7 @@ def inverse_cdf(p: GridDensity) -> Pchip:
     if p.dim != 1:
         raise UnsupportedDimensionError("grid sampling implemented in 1-d only")
     cdf = _corrected_cdf(p)
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    keep = np.concatenate([[True], np.diff(cdf) >= CDF_STEP_FLOOR])
     return Pchip(cdf[keep], p.nodes()[keep])
 
 

@@ -17,8 +17,8 @@ of this one energy, not separate kinds:
   F0(nu) = (kappa/2) (<e, mean(nu)> - c)^2; the algebra oracle of the tests.
 
 Every variation evaluates the loss through one kernel, :func:`loss_terms`,
-at the expected features.  Every operation is a pure function of an
-immutable spec, safe to call concurrently.
+at the expected features, value and slope from one residual.  Every
+operation is a pure function of an immutable spec, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -68,11 +68,15 @@ class SquaredLoss:
         return self.scale * self.clip_radius
 
     def value(self, yhat, y):
-        r = np.asarray(yhat, dtype=float) - y
-        r_abs = np.abs(r)
-        quad = 0.5 * self.scale * r * r
-        lin = self.scale * self.clip_radius * (r_abs - 0.5 * self.clip_radius)
-        return np.where(r_abs <= self.clip_radius, quad, lin)
+        return self.terms(yhat, y)[0]
+
+    def terms(self, yhat, y):
+        """(value, slope) from one residual r and r_c = clip(r): scale r_c
+        (r - r_c/2), +0.0 at r = -0.0 as (scale/2) r^2, and scale r_c."""
+        r, c = np.asarray(yhat, dtype=float) - y, self.clip_radius
+        r_c = np.minimum(np.maximum(r, -c), c)  # np.clip's value
+        slope = self.scale * r_c
+        return slope * (r - 0.5 * r_c) + 0.0, slope
 
     def d1(self, yhat, y):
         r, c = np.asarray(yhat, dtype=float) - y, self.clip_radius
@@ -95,9 +99,9 @@ class UnclippedSquaredLoss(SquaredLoss):
         if self.scale < 0 or self.clip_radius <= 0:
             raise ValueError("scale must be nonnegative, clip_radius positive")
 
-    def value(self, yhat, y):
+    def terms(self, yhat, y):
         r = np.asarray(yhat, dtype=float) - y
-        return 0.5 * self.scale * r * r
+        return 0.5 * self.scale * r * r, self.scale * r
 
     def d1(self, yhat, y):
         return self.scale * (np.asarray(yhat, dtype=float) - y)
@@ -125,7 +129,12 @@ class LogisticLoss:
         return 1.0
 
     def value(self, yhat, y):
-        return np.logaddexp(0.0, -np.asarray(y) * np.asarray(yhat, dtype=float))
+        return self.terms(yhat, y)[0]
+
+    def terms(self, yhat, y):
+        y = np.asarray(y)
+        z = -y * np.asarray(yhat, dtype=float)  # one margin for both terms
+        return np.logaddexp(0.0, z), -y * expit(z)
 
     def d1(self, yhat, y):
         y = np.asarray(y)
@@ -343,16 +352,18 @@ def _points(model: ModelSpec, x) -> tuple[np.ndarray, bool]:
 # -- energy and variations -------------------------------------------------
 
 
-def loss_terms(model: ModelSpec, eh: np.ndarray, order: int = 0):
+def loss_terms(model: ModelSpec, eh: np.ndarray, order: int | tuple = 0):
     """The interaction kernel, evaluated at expected features eh (..., n_data).
 
     order 0 gives the energy sum_j p_j loss(eh_j, y_j); order 1 the
     slopes p_j loss'(eh_j, y_j) and order 2 the curvatures
-    p_j loss''(eh_j, y_j), one per datum.  Only the requested term is
-    computed.
+    p_j loss''(eh_j, y_j), one per datum; order (0, 1) gives the energy and
+    the slopes, both from the loss's one evaluation of the residual.
     """
-    if order == 0:
-        return model.loss.value(eh, model.data_y) @ model.data_p
+    if order in (0, (0, 1)):
+        value, slope = model.loss.terms(eh, model.data_y)
+        f0 = value @ model.data_p
+        return f0 if order == 0 else (f0, model.data_p * slope)
     if order == 1:
         return model.data_p * model.loss.d1(eh, model.data_y)
     if order == 2:

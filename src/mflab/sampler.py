@@ -89,24 +89,26 @@ def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
     return xb, single
 
 
-def _interaction_terms(model: ModelSpec, xb: np.ndarray):
-    """Expected features eh (S, n_data) of states xb (S, N, d) and their
-    Wasserstein-gradient rows, an (S, N, d) view of one (S, d, N) product."""
+def _interaction_terms(model: ModelSpec, xb: np.ndarray, order=1):
+    """Expected features eh (S, n_data) of states xb (S, N, d), or with order
+    (0, 1) their energies F0 (S,), and their gradient rows (S, N, d)."""
     pre, eh = particle_features(model, xb)
-    w = (loss_terms(model, eh, 1)[..., None] * model.data_x).swapaxes(1, 2)
-    return eh, (w @ model.activation.deriv(pre)).swapaxes(1, 2)
+    lead, slope = (loss_terms(model, eh, order) if order == (0, 1)
+                   else (eh, loss_terms(model, eh, 1)))
+    w = (slope[..., None] * model.data_x).swapaxes(1, 2)
+    return lead, (w @ model.activation.deriv(pre)).swapaxes(1, 2)
 
 
 def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
     """Unnormalized log density (S,) of states xb (S, N, d) and, if
-    with_grad, its gradient (S, N, d) from the same pre-activations."""
+    with_grad, its gradient (S, N, d) from the same loss evaluation."""
     m = target.model
-    eh, rows = (_interaction_terms(m, xb) if with_grad
-                else (particle_features(m, xb)[1], None))
+    f0, rows = (_interaction_terms(m, xb, (0, 1)) if with_grad
+                else (loss_terms(m, particle_features(m, xb)[1]), None))
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
     sq = np.add.reduce(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
-    out -= (2.0 * target.n_particles / m.sigma**2) * loss_terms(m, eh)
+    out -= (2.0 * target.n_particles / m.sigma**2) * f0
     if target.tilt is not None:
         diff = xb - target.tilt.y
         out -= np.add.reduce(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
@@ -279,30 +281,32 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
     total = n_burnin + n_samples
     out = np.empty((n_chains, n_samples, n, d))
     noise = np.zeros((n_chains, NOISE_CHUNK, n, d))
-    log_u = np.empty((n_chains, NOISE_CHUNK))
+    u = np.empty((n_chains, NOISE_CHUNK))
     accepted = np.zeros(n_chains)
     for step in range(total):
         k = step % NOISE_CHUNK
-        if k == 0:
+        if k == 0:  # row k of the table: step k's 1/2 |xi|^2, then log u
             size = min(NOISE_CHUNK, total - step)
             for c, g in enumerate(rngs):
                 g.standard_normal(out=noise[c, :size])
-                g.random(out=log_u[c, :size])
-            np.log(log_u[:, :size], out=log_u[:, :size])
-            half_xi2 = 0.5 * np.sum(noise * noise, axis=(2, 3))
+                g.random(out=u[c, :size])
+            half = 0.5 * np.sum(noise * noise, axis=(2, 3))[:, :size]
+            table = np.stack([half.T, np.log(u[:, :size]).T], axis=1)
         if step <= n_burnin:  # tau moved in the step before, or is new
             tau = np.exp(log_tau)
             t3 = tau[:, None, None]
             sd, tau4 = np.sqrt(2.0 * t3), 4.0 * tau
+        half_xi2, log_u = table[k]
         prop = x + t3 * grad + sd * noise[:, k]
         logp_prop, grad_prop = _log_density(target, prop, with_grad=True)
         bwd = x - prop - t3 * grad_prop
-        log_accept = (logp_prop - logp + half_xi2[:, k]
+        log_accept = (logp_prop - logp + half_xi2
                       - np.add.reduce(bwd * bwd, axis=(1, 2)) / tau4)
-        acc = log_u[:, k] < log_accept
-        np.copyto(x, prop, where=acc[:, None, None])
+        acc = log_u < log_accept
+        acc3 = acc[:, None, None]
+        np.copyto(x, prop, where=acc3)
         np.copyto(logp, logp_prop, where=acc)
-        np.copyto(grad, grad_prop, where=acc[:, None, None])
+        np.copyto(grad, grad_prop, where=acc3)
         if step < n_burnin:
             log_tau += (step + 1) ** -0.6 * (acc - MALA_TARGET_ACCEPTANCE)
         else:

@@ -8,7 +8,9 @@ alone reduces through the library's `_bregman`, downstream of the chunking
 it checks.  `pchip_searchsorted`, `sample_from_grid_searchsorted` and
 `log_density_numpy_wrappers` keep earlier forms of library code (a plain
 searchsorted index; numpy's Python-level mean, clip, sum and swapaxes) as
-bit-for-bit references for their faster replacements.
+bit-for-bit references for their faster replacements, and
+`loss_terms_two_pass` keeps each loss's value and slope as two separate
+evaluations of the residual.
 """
 
 import math
@@ -263,15 +265,35 @@ def pchip_searchsorted(x, y, q):
 
 def sample_from_grid_searchsorted(p, n, rng):
     """mflab.measure.sample_from_grid through pchip_searchsorted; the CDF
-    is the library's _corrected_cdf."""
-    from mflab.measure import _corrected_cdf
+    is the library's _corrected_cdf, its knots those of inverse_cdf."""
+    from mflab.measure import CDF_STEP_FLOOR, _corrected_cdf
 
     cdf = _corrected_cdf(p)
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    keep = np.concatenate([[True], np.diff(cdf) >= CDF_STEP_FLOOR])
     cdf_k, x_k = cdf[keep], p.nodes()[keep]
     u = np.clip(rng.random(n), cdf_k[0], cdf_k[-1])
     return np.where(u == cdf_k[-1], x_k[-1],
                     pchip_searchsorted(cdf_k, x_k, u))[:, None]
+
+
+def loss_terms_two_pass(loss, yhat, y):
+    """(value, slope) of a loss, each from its own residual or margin: the
+    clipped squared loss's value as np.where of its quadratic and linear
+    branches and its slope through np.clip; the logistic slope through the
+    library's expit."""
+    from mflab.model import LogisticLoss, UnclippedSquaredLoss, expit
+
+    yhat, y = np.asarray(yhat, dtype=float), np.asarray(y, dtype=float)
+    if isinstance(loss, LogisticLoss):
+        return (np.logaddexp(0.0, -y * yhat), -y * expit(-y * yhat))
+    r = yhat - y
+    if isinstance(loss, UnclippedSquaredLoss):
+        return 0.5 * loss.scale * r * r, loss.scale * (yhat - y)
+    c = loss.clip_radius
+    quad = 0.5 * loss.scale * r * r
+    lin = loss.scale * c * (np.abs(r) - 0.5 * c)
+    return (np.where(np.abs(r) <= c, quad, lin),
+            loss.scale * np.clip(yhat - y, -c, c))
 
 
 def _slopes_numpy_wrappers(model, eh):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from mflab.errors import (
 import mflab.measure
 from mflab.measure import (
     BLOCK_ELEMENTS,
+    CDF_STEP_FLOOR,
     Axis,
     EmpiricalMeasure,
     GaussianMeasure,
     GridDensity,
     Pchip,
     covariance_opnorm,
+    _corrected_cdf,
     _write_csv,
     inverse_cdf,
     kl_divergence,
@@ -281,6 +284,28 @@ class TestSampling:
         for fitted in (inv, p, inv):  # the fit is shared, not consumed
             np.testing.assert_array_equal(
                 sample_from_grid(fitted, u.size, Draws()), ref)
+
+    def test_underflowing_tail_drops_its_knots(self):
+        # The left tail of exp(-6 x^2) on +-10 steps the CDF by 1e-262 and
+        # less; kept, those knots gave 839 non-finite Pchip coefficients.
+        p = normalize_from_log_potential(-6.0 * AX.nodes() ** 2, (AX,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv = inverse_cdf(p)
+            x = sample_from_grid(inv, 4096, np.random.default_rng(2))
+        for coef in (inv.y, inv.d, inv.c0, inv.c1):
+            assert np.all(np.isfinite(coef))
+        assert np.all(np.diff(inv.x) >= CDF_STEP_FLOOR)
+        assert np.all(np.isfinite(x)) and abs(x.std() - 12 ** -0.5) < 0.02
+
+    def test_relu3_fit_unchanged_by_step_floor(self):
+        p = solve_self_consistent(relu_preset()).per_particle[0]
+        cdf = _corrected_cdf(p)
+        keep = np.concatenate([[True], np.diff(cdf) > 0])
+        ref, inv = Pchip(cdf[keep], p.nodes()[keep]), inverse_cdf(p)
+        for name in ("x", "y", "d", "c0", "c1"):
+            np.testing.assert_array_equal(getattr(inv, name),
+                                          getattr(ref, name))
 
 
 class TestSerialization:

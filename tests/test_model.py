@@ -21,6 +21,7 @@ from mflab.model import (
     LogisticLoss,
     RELU,
     SquaredLoss,
+    UnclippedSquaredLoss,
     energy,
     example_nn,
     expit,
@@ -34,7 +35,7 @@ from mflab.model import (
 )
 from mflab.presets import PRESETS, logistic_preset, relu_preset, tanh_preset
 
-from _oracles import expected_relu_gaussian
+from _oracles import expected_relu_gaussian, loss_terms_two_pass
 
 AX = Axis(-10.0, 10.0, 2048)
 
@@ -356,6 +357,40 @@ class TestLosses:
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
         assert np.signbit(got[5]) and got[2] == 0.7 * 2.5
+
+    @pytest.mark.parametrize("loss", [
+        SquaredLoss(scale=0.7, clip_radius=2.5), SquaredLoss(),
+        UnclippedSquaredLoss(scale=1.3), UnclippedSquaredLoss(scale=0.0),
+        LogisticLoss()], ids=repr)
+    def test_one_pass_terms_equal_two_pass_formulas(self, loss):
+        # Residuals yhat - y inside and past +-clip_radius, at it exactly
+        # and one ulp beyond, far past it, tiny (subnormal squares), -0.0
+        # (only -0.0 - 0.0), +0.0 and NaN, then 4096 of random sign and
+        # magnitude; for the logistic loss, labels +-1 give margins of both
+        # signs.  A residual of -NaN is left out: the one-pass value keeps
+        # its sign, where np.where's linear branch took |r|.
+        c = getattr(loss, "clip_radius", 2.5)
+        past = np.nextafter(c, 2.0 * c)
+        yhat = np.array([0.3, -1.2, c, -c, past, -past, 5.0 * c, -3.0 * c,
+                         1e300, -1e300, 1e-160, -1e-160, -0.0, 0.0, -0.0,
+                         0.0, np.nan])
+        y = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0,
+                      0.0, 0.0, 0.0, 0.0, -0.0, -0.0, 0.0])
+        rng = np.random.default_rng(5)
+        yhat = np.concatenate([yhat, rng.choice([-1.0, 1.0], 4096)
+                               * 10.0 ** rng.uniform(-170.0, 3.0, 4096)])
+        y = np.concatenate([y, np.zeros(4096)])
+        if isinstance(loss, LogisticLoss):
+            y = np.where(np.arange(y.size) % 2 == 0, 1.0, -1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = loss.terms(yhat, y)
+            ref = loss_terms_two_pass(loss, yhat, y)
+            value = loss.value(yhat, y)
+        for g, f in [*zip(got, ref), (value, ref[0])]:
+            np.testing.assert_array_equal(g, f)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(f))
+        if not isinstance(loss, LogisticLoss):  # (scale/2) (-0.0)^2 = +0.0
+            assert np.signbit(got[1][12]) and not np.signbit(got[0][12])
 
     def test_logistic_bounds(self):
         loss = LogisticLoss()
