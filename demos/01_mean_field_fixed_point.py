@@ -4,8 +4,9 @@
 The stationary law of the interacting dynamics solves an implicit
 equation: the density is a Gibbs measure whose potential depends on the
 density itself through the first variation of the interaction energy.
-This demo solves that equation by damped fixed-point iteration for three
-models and checks the two cases with closed forms.
+The law depends on itself only through its expected features, so this
+demo solves that equation by Newton's method on those few numbers for
+three models and checks the two cases with closed forms.
 """
 
 import numpy as np

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
 from .checks import Check
 from .errors import CalculatorDomainError, ConfigError
-from .meanfield import ProximalGibbsSystem, solve_self_consistent
+from .meanfield import ProximalGibbsSystem, _feature_laws, solve_self_consistent
 from .measure import (
     BLOCK_ELEMENTS,
     GridDensity,
@@ -225,16 +225,12 @@ class ChaosReport:
 def _variance_step_rhs(model: ModelSpec, system: ProximalGibbsSystem,
                        n: int) -> float:
     """Quadrature value of sum_j p_j (beta_ell / 2N^2) sum_i var_{pi^i}(h_j),
-    N times the mean over the system's laws (one if untilted)."""
-    var_sum = np.zeros(model.data_p.size)
-    for p_i in system.per_particle:
-        h_vals = features(model, p_i.node_points())
-        cw = (p_i.quad_weights() * p_i.weights).ravel()
-        mean_h = h_vals.T @ cw
-        second = (h_vals * h_vals).T @ cw
-        var_sum += second - mean_h**2
-    var_mean = var_sum / len(system.per_particle)
-    return float(model.data_p @ var_mean) * model.loss.beta_ell / (2.0 * n)
+    N times the mean over the system's laws (one if untilted), rebuilt
+    from the expected features of its mixture."""
+    pibar = system.mean_measure
+    cov = _feature_laws(model, pibar.axes, system.tilt)(
+        expect_features(model, pibar))[2]
+    return float(model.data_p @ np.diag(cov)) * model.loss.beta_ell / (2.0 * n)
 
 
 def estimate_kl(model: ModelSpec, n_particles: int,

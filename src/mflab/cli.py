@@ -419,15 +419,15 @@ def _run_transport_map(cfg: dict, out_dir: str):
     flow_map_to_csv(flow, os.path.join(out_dir, "flowmap.csv"))
     lip = lipschitz_estimate(flow)
     w2 = pushforward_w2(flow, mu)
-    inputs = dataclasses.replace(model_constants(model), d_prox=1)
+    consts = model_constants(model)  # in the map's rescaled coordinates
+    inputs = dataclasses.replace(consts, d_prox=1)
     ts = default_profile_times(inputs, n=40)
     ys = [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)]
     prof = covariance_profile(target, ts, ys, inputs)
     fitted_bound, c_fit, k_fit = fitted_lipschitz_bound(
         prof.ts(), prof.opnorms(), prof.a)
-    orig_consts = model_constants(build_model(cfg["model"]))
-    bound_gen = bounds_mod.main_bound(orig_consts, "generic")
-    bound_spec = bounds_mod.main_bound(orig_consts, "specific",
+    bound_gen = bounds_mod.main_bound(consts, "generic")
+    bound_spec = bounds_mod.main_bound(consts, "specific",
                                        include_cross_term=False)
     checks = [
         Check("pushforward_w2", w2, 1e-3),

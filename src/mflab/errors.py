@@ -53,7 +53,7 @@ class SimulationDivergedError(MflabError):
 
 
 class NonconvergenceError(MflabError):
-    """Fixed-point iteration exhausted its budget; carries the residual trace."""
+    """Fixed-point solve out of iterations or stalled; carries the residual trace."""
 
     def __init__(self, residual_trace):
         self.residual_trace = list(residual_trace)

@@ -7,11 +7,11 @@ The object solved for is the system of per-particle densities
 closed through their mixture pibar = (1/N) sum_i pi^i.  Untilted and
 homogeneous, all pi^i coincide: the system is the one mean-field fixed
 point, whatever N.  With Gaussian tilts (t, y^i) each particle sees its
-own quadratic reweighting.  The iteration is a damped fixed point on
-pibar: pibar <- (1 - theta) pibar + theta Mean(Rebuild(pibar)), with the
-damping halved whenever the residual increases.  Uniqueness holds in the
-regimes exercised here but no algorithm is prescribed for it, so
-nonconvergence is detected and reported rather than assumed away.
+own quadratic reweighting.  The laws depend on pibar only through its
+n_data expected features m, so Newton's method on m solves the system.
+Uniqueness holds in the regimes exercised here but no algorithm is
+prescribed for it, so nonconvergence is detected and reported rather
+than assumed away.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ from .errors import InvalidTargetError, NonconvergenceError
 from .measure import (
     Axis,
     GridDensity,
+    _as_axes,
+    grid_points,
     normalize_from_log_potential,
 )
-from .model import ModelSpec, first_variation
+from .model import ModelSpec, expect_features, features, loss_terms
 from .sampler import TiltSpec
 
-# Initial fixed-point damping theta; halved whenever the residual grows.
-DAMPING = 0.5
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 400
+DEFAULT_MAX_ITER = 50
 
 
 @dataclass
@@ -76,33 +76,39 @@ def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
     return tuple(axes)
 
 
-def _log_confinement(model: ModelSpec, pts: np.ndarray) -> np.ndarray:
-    sq = np.sum(pts * pts, axis=1)
-    return -(model.lam / model.sigma**2) * sq
+def _feature_laws(model: ModelSpec, axes, tilt: TiltSpec | None):
+    """m -> (the laws pi^i propto exp(tilt_i - (2/sigma^2)(V + h . slope(m))),
+    the mean over them of E h and of Cov h, by their trapezoid rule).  The
+    confinement, the tilt rows and h at the nodes do not depend on m, so
+    they are built once.  Untilted, the list holds the one law all particles share."""
+    axes = _as_axes(axes)
+    pts = grid_points(axes)
+    h, sq = features(model, pts), np.sum(pts * pts, axis=1)
+    rows = -(model.lam / model.sigma**2) * sq[None, :]
+    if tilt is not None:
+        diff = pts[None, :, :] - tilt.y[:, None, :]
+        rows = rows - np.sum(diff * diff, axis=2) / (2.0 * tilt.t) + 0.5 * sq
+    shape = tuple(ax.n for ax in axes)
+
+    def at(m):
+        log_u = rows - (2.0 / model.sigma**2) * (h @ loss_terms(model, m, 1))
+        laws = [normalize_from_log_potential(r.reshape(shape), axes)
+                for r in log_u]
+        cw = np.stack([(p.quad_weights() * p.weights).ravel() for p in laws])
+        eh = cw @ h  # one row per law
+        cov = (h.T * cw.mean(axis=0)) @ h - eh.T @ eh / len(laws)
+        return laws, eh.mean(axis=0), cov
+
+    return at
 
 
 def rebuild_particle_densities(model: ModelSpec, pibar: GridDensity,
                                tilt: TiltSpec | None) -> list[GridDensity]:
-    """Per-particle densities induced by a fixed mixture pibar.
-
-    Untilted, the particles are exchangeable: the list holds the one law
-    they all share, at any N.  Tilted, it holds one law per row of
-    `tilt.y`, each rebuilt from the same first-variation field.
-    """
-    pts = pibar.node_points()
-    shape = pibar.weights.shape
-    base = _log_confinement(model, pts)
-    base = base - (2.0 / model.sigma**2) * np.asarray(
-        first_variation(model, pibar, pts), dtype=float)
-    if tilt is None:
-        return [normalize_from_log_potential(base.reshape(shape), pibar.axes)]
-    out = []
-    sq = np.sum(pts * pts, axis=1)
-    for y_i in tilt.y:
-        diff = pts - y_i
-        log_u = base - np.sum(diff * diff, axis=1) / (2.0 * tilt.t) + 0.5 * sq
-        out.append(normalize_from_log_potential(log_u.reshape(shape), pibar.axes))
-    return out
+    """Per-particle densities induced by a fixed mixture pibar, through its
+    expected features: the one shared law untilted, one per row of
+    `tilt.y` tilted."""
+    return _feature_laws(model, pibar.axes, tilt)(
+        expect_features(model, pibar))[0]
 
 
 def _mean_density(parts: list[GridDensity]) -> GridDensity:
@@ -116,14 +122,16 @@ def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
                           axes=None, tol: float = DEFAULT_TOL,
                           max_iter: int = DEFAULT_MAX_ITER,
                           ) -> ProximalGibbsSystem:
-    """Damped fixed-point iteration for the self-consistent system.
+    """Newton's method on the expected features m of the system.
 
-    Iterates pibar <- (1 - theta) pibar + theta Mean(Rebuild(pibar)) until
-    the fixed-point residual sup|Mean(Rebuild(pibar)) - pibar| drops below
-    `tol`, halving theta whenever the residual increases.  Untilted, the
-    system is the one law every particle shares, whatever N; tilted, N is
-    the row count of `tilt.y`.  Raises :class:`NonconvergenceError` with
-    the residual trace on failure.
+    The laws depend on pibar only through m = E_pibar h, so the fixed
+    point is the root of G(m) = m - mean_i E_{pi^i(m)} h, whose Jacobian
+    is I + (2/sigma^2) mean_i Cov_{pi^i(m)}(h) diag(p_j loss''_j(m_j)).
+    From m = 0, each step is halved until sup|G| falls, and the iteration
+    stops once sup|G| and then :func:`proximal_residual` are below `tol`.
+    Untilted, the system is the one law every particle shares, whatever
+    N; tilted, N is the row count of `tilt.y`.  Raises
+    :class:`NonconvergenceError` with the trace of sup|G| on failure.
     """
     if tilt is not None and tilt.y.shape[1] != model.d:
         raise InvalidTargetError(
@@ -132,68 +140,43 @@ def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
     alpha = tilted_alpha(model, tilt.t if tilt else None)
     if alpha <= 0:
         raise InvalidTargetError(f"alpha = {alpha:.4g} <= 0: tilt not normalizable")
-    if axes is None:
-        axes = default_axes(model, tilt)
-    elif isinstance(axes, Axis):
-        axes = (axes,)
-    else:
-        axes = tuple(axes)
-
-    # Zero-interaction solution as the starting mixture.
-    start_parts = rebuild_particle_densities(
-        zero_like(model), _uniform_seed(axes), tilt)
-    pibar = _mean_density(start_parts)
-
-    theta = DAMPING
-    trace: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        parts = rebuild_particle_densities(model, pibar, tilt)
-        target = _mean_density(parts)
-        residual = float(np.max(np.abs(target.weights - pibar.weights)))
-        if trace and residual > trace[-1]:
-            theta = max(theta / 2.0, 1.0 / 64.0)
-        trace.append(residual)
-        if residual < tol:
-            final_parts = rebuild_particle_densities(model, target, tilt)
+    laws_at = _feature_laws(
+        model, default_axes(model, tilt) if axes is None else axes, tilt)
+    m = np.zeros(model.data_p.size)
+    laws, eh, cov = laws_at(m)
+    trace = [float(np.max(np.abs(m - eh), initial=0.0))]
+    while True:
+        if trace[-1] < tol:
             system = ProximalGibbsSystem(
-                per_particle=final_parts,
-                mean_measure=_mean_density(final_parts),
-                residual=math.nan,
-                iterations=iteration,
-                alpha=alpha,
-                tilt=tilt,
-                residual_trace=trace,
-            )
+                per_particle=laws, mean_measure=_mean_density(laws),
+                residual=math.nan, iterations=len(trace), alpha=alpha,
+                tilt=tilt, residual_trace=trace)
             system.residual = proximal_residual(system, model)
             if system.residual < tol:
                 return system
-        w = (1.0 - theta) * pibar.weights + theta * target.weights
-        with np.errstate(divide="ignore"):
-            logw = np.log(w)
-        pibar = GridDensity(pibar.axes, w, logw)
-    raise NonconvergenceError(trace)
+        if len(trace) >= max_iter:
+            raise NonconvergenceError(trace)
+        jac = np.eye(m.size) + (2.0 / model.sigma**2) * cov * loss_terms(model, m, 2)
+        step = np.linalg.solve(jac, m - eh)
+        while True:  # halve the step until sup|G| falls
+            m_new = m - step
+            if np.array_equal(m_new, m):  # the step is lost in rounding
+                raise NonconvergenceError(trace)
+            laws, eh, cov = laws_at(m_new)
+            residual = float(np.max(np.abs(m_new - eh)))
+            if residual < trace[-1]:
+                break
+            step /= 2.0
+        m = m_new
+        trace.append(residual)
 
 
-def proximal_residual(system: ProximalGibbsSystem, model: ModelSpec,
-                      tilt: TiltSpec | None = None) -> float:
+def proximal_residual(system: ProximalGibbsSystem, model: ModelSpec) -> float:
     """Recompute each pi^i from the stored mixture; max sup-norm gap."""
-    if tilt is None:
-        tilt = system.tilt
-    rebuilt = rebuild_particle_densities(model, system.mean_measure, tilt)
+    rebuilt = rebuild_particle_densities(model, system.mean_measure,
+                                         system.tilt)
     return max(
         float(np.max(np.abs(a.weights - b.weights)))
         for a, b in zip(system.per_particle, rebuilt)
     )
 
-
-def zero_like(model: ModelSpec) -> ModelSpec:
-    """The same confinement with the interaction switched off."""
-    from .model import zero_model
-
-    return zero_model(sigma=model.sigma, lam=model.lam, d=model.d)
-
-
-def _uniform_seed(axes) -> GridDensity:
-    axes = axes if isinstance(axes, tuple) else tuple(axes)
-    shape = tuple(ax.n for ax in axes)
-    return normalize_from_log_potential(np.zeros(shape), axes)

@@ -462,6 +462,24 @@ class TestRunCommand:
         assert metrics["gamma_w2"] < 1e-4
         assert "W2(mu_t, gamma)" in (out / "summary.txt").read_text()
 
+    def test_main_bound_in_the_maps_coordinates(self, tmp_path):
+        # The map is built for the rescaled model, N(0, 1/2) here, so its
+        # constant is 1/sqrt(2) against main_bound = 1 in those coordinates
+        # (0.354 against 0.5 in the original ones).  The run still exits 1:
+        # the fitted envelope of the zero model is an equality case.
+        cfg = {"experiment": "transport_map",
+               "model": {"kind": "zero", "sigma": 1.0, "lam": 4.0}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["empirical_lipschitz"] == pytest.approx(
+            2.0**-0.5, rel=1e-5)
+        assert metrics["main_bound_generic"] == pytest.approx(1.0)
+        assert metrics["main_bound_specific"] == pytest.approx(1.0)
+        assert ("lipschitz_below_main_bound_generic: 0.707107 <= 1: yes"
+                in (out / "summary.txt").read_text())
+
     def test_mfld_run(self, tmp_path):
         cfg = {
             "experiment": "mfld_run",

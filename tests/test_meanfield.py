@@ -1,5 +1,6 @@
 """Self-consistent solver against Gaussian closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,32 @@ class TestQuadraticOracle:
                        for a, b in zip(trace[1:], trace[2:]))
 
 
+class TestNewtonSolve:
+    def test_quadratic_oracle_in_at_most_two_iterations(self):
+        # G is linear in m, so the first Newton step lands on the root.
+        model = quadratic_preset()
+        system = solve_self_consistent(model)
+        assert system.iterations <= 2
+        mean_cf, _ = quadratic_pi_moments(0.5, 0.3, 1.0, 1.0)
+        assert abs(float(system.mean_measure.mean()[0]) - mean_cf) < 1e-6
+
+    def test_zero_model_in_one_iteration(self):
+        system = solve_self_consistent(zero_model(sigma=1.0, lam=0.5))
+        assert system.iterations == 1
+        assert system.residual_trace == [0.0]
+
+    @pytest.mark.parametrize("scale", [64.0, 256.0, 1024.0])
+    def test_strong_interaction_converges(self, scale):
+        # B = beta_hat = scale: full Newton steps cycle here, so the
+        # step halving is what makes these converge.
+        relu = relu_preset()
+        model = dataclasses.replace(
+            relu, loss=dataclasses.replace(relu.loss, scale=scale))
+        system = solve_self_consistent(model)
+        assert system.iterations <= 20
+        assert proximal_residual(system, model) < 1e-9
+
+
 class TestResidualAndStructure:
     def test_converged_residual_below_tol(self):
         system = solve_self_consistent(quadratic_preset(), tol=1e-9)
@@ -129,9 +156,10 @@ class TestResidualAndStructure:
 
 class TestErrorPaths:
     def test_max_iter_exhaustion_carries_trace(self):
+        # relu3 takes 4 Newton iterations to 1e-9, so 2 cannot reach it.
         with pytest.raises(NonconvergenceError) as err:
-            solve_self_consistent(quadratic_preset(), tol=1e-15, max_iter=3)
-        assert len(err.value.residual_trace) == 3
+            solve_self_consistent(relu_preset(), max_iter=2)
+        assert len(err.value.residual_trace) == 2
 
     def test_bad_tilt_shape(self):
         model = rescale_model(relu_preset())  # d = 1
