@@ -39,7 +39,6 @@ from .heatflow import (
     lipschitz_estimate,
     ou_evolve,
     reverse_flow_map,
-    tilted_measure,
 )
 from .meanfield import ProximalGibbsSystem, proximal_residual, solve_self_consistent
 from .measure import (

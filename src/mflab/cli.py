@@ -74,6 +74,13 @@ from .sampler import (
 
 EXPERIMENTS = ("chaos_sweep", "tilt_profile", "transport_map", "mfld_run",
                "bounds_table")
+# Slack of two checks that the zero model meets with equality, sized from its
+# measured excess: its grid covariance reads up to 6.8e-16 relative above the
+# envelope (rounding), and the finite-difference slope of its map c h^2
+# relative above the fitted bound, c = 0.008-0.011 at node spacings h of
+# 0.008-0.13 (5.6e-7 on the default grid).
+ENVELOPE_REL_SLACK = 2e-15
+LIPSCHITZ_SLACK_PER_H2 = 0.02
 
 
 @dataclass(frozen=True)
@@ -399,7 +406,8 @@ def _run_tilt_profile(cfg: dict, out_dir: str):
                     for y in prof.y_labels()),
     ]
     return lines, [  # the worst row's opnorm against its unit-constant envelope
-        Check("envelopes_hold", worst.opnorm, ref[worst]),
+        Check("envelopes_hold", worst.opnorm, ref[worst],
+              slack=ENVELOPE_REL_SLACK * ref[worst]),
         Check("ratio_stability_20pct", max(ratios) - min(ratios), 0.4 * mid)]
 
 
@@ -433,7 +441,8 @@ def _run_transport_map(cfg: dict, out_dir: str):
         Check("pushforward_w2", w2, 1e-3),
         Check("monotone", float(np.count_nonzero(~(np.diff(flow.mapped) > 0))),
               0.0),  # the count of steps along which T does not increase
-        Check("lipschitz_below_fitted_envelope", lip, fitted_bound),
+        Check("lipschitz_below_fitted_envelope", lip, fitted_bound,
+              slack=LIPSCHITZ_SLACK_PER_H2 * ax.spacing**2 * fitted_bound),
         Check("lipschitz_below_main_bound_generic", lip, bound_gen),
     ]
     _write_json(os.path.join(out_dir, "metrics.json"), {

@@ -57,45 +57,6 @@ FLOW_GAMMA_W2_TOL = 1e-4
 LIPSCHITZ_WINDOW_SD = 6.0
 
 
-# -- tilting ----------------------------------------------------------------
-
-
-def tilted_measure(mu: GridDensity, t: float, y) -> GridDensity:
-    """The Gaussian tilt of a grid density, normalized on the same grid.
-
-    Raises :class:`TiltDomainError` when the tilted exponent peaks on the
-    grid boundary or the resulting mass escapes the grid, which is how a
-    non-normalizable tilt (effective convexity <= 0) manifests here.
-    """
-    if t <= 0:
-        raise TiltDomainError("tilt time t must be positive")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != mu.dim:
-        raise TiltDomainError(f"tilt center has {y.size} coords, grid is {mu.dim}-d")
-    pts = mu.node_points()
-    diff = pts - y
-    log_u = (mu.log_density.ravel()
-             - np.sum(diff * diff, axis=1) / (2.0 * t)
-             + 0.5 * np.sum(pts * pts, axis=1))
-    log_u = log_u.reshape(mu.weights.shape)
-    _check_interior_peak(log_u)
-    out = normalize_from_log_potential(log_u, mu.axes)
-    cov = out.coverage_in_sd()
-    if cov < MIN_COVERAGE_SD:
-        raise TiltDomainError(
-            f"tilted mass reaches the grid edge (coverage {cov:.2f} sd < "
-            f"{MIN_COVERAGE_SD}); tilt may be non-normalizable"
-        )
-    sds = np.sqrt(np.diag(out.covariance()))
-    for sd, ax in zip(sds, mu.axes):
-        if sd < 1.5 * ax.spacing:
-            raise TiltDomainError(
-                f"tilt width {sd:.3g} under-resolved by grid spacing "
-                f"{ax.spacing:.3g}; profile a TargetSpec for adapted grids"
-            )
-    return out
-
-
 def _check_interior_peak(log_u: np.ndarray):
     idx = np.unravel_index(np.argmax(log_u), log_u.shape)
     for i, n in zip(idx, log_u.shape):
@@ -218,31 +179,23 @@ def default_profile_times(inputs: BoundInputs, n: int = 40,
     return np.geomspace(lo, hi, n)
 
 
-def covariance_profile(mu, t_list, y_list,
+def covariance_profile(target: TargetSpec, t_list, y_list,
                        inputs: BoundInputs) -> CovarianceProfile:
     """Operator norms of tilted covariances against both reference envelopes.
 
-    `mu` may be a :class:`GridDensity` (tilts evaluated on its own grid)
-    or the :class:`TargetSpec` of an N-particle Gibbs measure (each (t, y)
-    gets a grid adapted to the tilt width, which small-t asymptotics
-    require).
+    Each (t, y) of the target's N-particle Gibbs measure gets a grid
+    adapted to the tilt width, which small-t asymptotics require; the
+    untilted log density is evaluated once per distinct coarse box.
     """
     t_star = regime_threshold(inputs)
     a = tilted_alpha(inputs, math.inf)
-    rows = []
+    rows, scans = [], {}
     for y in y_list:
         y_vec = np.atleast_1d(np.asarray(y, dtype=float))
         label = "y=" + "/".join(f"{v:g}" for v in y_vec)
         for t in t_list:
             t = float(t)
-            if isinstance(mu, GridDensity):
-                tilted = tilted_measure(mu, t, y_vec)
-            elif isinstance(mu, TargetSpec):
-                tilted = _adapted_tilted_density(mu, t, y_vec, inputs)
-            else:
-                raise TypeError(
-                    "mu must be a GridDensity or TargetSpec, "
-                    f"got {type(mu)!r}")
+            tilted = _adapted_tilted_density(target, t, y_vec, inputs, scans)
             _, opnorm = covariance_opnorm(tilted)
             rows.append(ProfileRow(
                 t=t, y_label=label, opnorm=float(opnorm),
@@ -254,10 +207,14 @@ def covariance_profile(mu, t_list, y_list,
     return CovarianceProfile(rows=rows, t_star=t_star, a=a, inputs=inputs)
 
 
-def _adapted_tilted_density(target: TargetSpec, t: float,
-                            y: np.ndarray, inputs: BoundInputs) -> GridDensity:
+def _adapted_tilted_density(target: TargetSpec, t: float, y: np.ndarray,
+                            inputs: BoundInputs, scans=None) -> GridDensity:
     """Tilted density of the target's N-particle Gibbs measure on a grid
-    centered at the tilted mode with width set by 1/sqrt(alpha_t)."""
+    centered at the tilted mode with width set by 1/sqrt(alpha_t).
+
+    `scans` maps a coarse box to its nodes and untilted log density, so
+    that rows sharing a box evaluate it once (covariance_profile's store).
+    """
     m, n = target.model, target.n_particles
     dim = n * m.d
     if y.size != dim:
@@ -272,28 +229,33 @@ def _adapted_tilted_density(target: TargetSpec, t: float,
     center_proxy = y / (1.0 + a * t)
     base_sd = m.sigma / math.sqrt(2.0 * m.lam)
 
-    def tilted_log(pts):
+    def untilted_log(pts):
+        return n_particle_log_density(target, pts.reshape(-1, n, m.d))
+
+    def tilted_log(pts, untilted):
         diff = pts - y
-        return (n_particle_log_density(target, pts.reshape(-1, n, m.d))
-                - np.sum(diff * diff, axis=1) / (2.0 * t)
-                + 0.5 * np.sum(pts * pts, axis=1))
+        return (untilted - np.add.reduce(diff * diff, axis=1) / (2.0 * t)
+                + 0.5 * np.add.reduce(pts * pts, axis=1))
 
     # Coarse scan over a box that covers both the base measure and the
     # proxy tilt center, then a fine window around the located mode.
-    coarse_axes = []
-    for j in range(dim):
-        lo = min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t)
-        hi = max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t)
-        coarse_axes.append(Axis(lo, hi, 801 if dim == 1 else 121))
-    coarse_pts = grid_points(coarse_axes)
-    mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts)))]
+    box = tuple(Axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
+                     max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t),
+                     801 if dim == 1 else 121) for j in range(dim))
+    scans = {} if scans is None else scans
+    if box not in scans:
+        pts = grid_points(box)
+        scans[box] = pts, untilted_log(pts)
+    coarse_pts, coarse_log = scans[box]
+    mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts, coarse_log)))]
 
     half_width = 14.0 * sd_t
     for _ in range(3):
         axes = tuple(Axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
                      for j in range(dim))
         pts = grid_points(axes)
-        log_u = tilted_log(pts).reshape(tuple(ax.n for ax in axes))
+        log_u = tilted_log(pts, untilted_log(pts)).reshape(
+            tuple(ax.n for ax in axes))
         _check_interior_peak(log_u)
         out = normalize_from_log_potential(log_u, axes)
         if out.coverage_in_sd() >= MIN_COVERAGE_SD:

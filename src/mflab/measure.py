@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,17 +132,21 @@ class GridDensity:
     def mass(self) -> float:
         return float(np.sum(self.quad_weights() * self.weights))
 
-    def mean(self) -> np.ndarray:
-        pts = self.node_points()
-        cw = (self.quad_weights() * self.weights).ravel()
-        return pts.T @ cw
-
-    def covariance(self) -> np.ndarray:
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance from one pass over the nodes, kept on the
+        frozen density; callers get copies."""
         pts = self.node_points()
         cw = (self.quad_weights() * self.weights).ravel()
         m = pts.T @ cw
         centered = pts - m
-        return (centered * cw[:, None]).T @ centered
+        return m, (centered * cw[:, None]).T @ centered
+
+    def mean(self) -> np.ndarray:
+        return self._moments[0].copy()
+
+    def covariance(self) -> np.ndarray:
+        return self._moments[1].copy()
 
     def same_grid(self, other: "GridDensity") -> bool:
         return self.axes == other.axes
@@ -153,8 +158,8 @@ class GridDensity:
 
         The grid-extent invariant asks for at least 8 along every axis.
         """
-        m = self.mean()
-        sd = np.sqrt(np.clip(np.diag(self.covariance()), 1e-300, None))
+        m, cov = self._moments
+        sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
         return float(min(min(m[i] - ax.lo, ax.hi - m[i]) / sd[i]
                          for i, ax in enumerate(self.axes)))
 

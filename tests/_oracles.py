@@ -10,7 +10,10 @@ it checks.  `pchip_searchsorted`, `sample_from_grid_searchsorted` and
 searchsorted index; numpy's Python-level mean, clip, sum and swapaxes) as
 bit-for-bit references for their faster replacements, and
 `loss_terms_two_pass` keeps each loss's value and slope as two separate
-evaluations of the residual.
+evaluations of the residual.  `grid_moments_two_pass` keeps a grid
+density's mean and covariance as two separate passes, and `tilted_measure`
+is the earlier Gaussian tilt of a grid density on its own grid, which the
+adapted-grid covariance profile replaced.
 """
 
 import math
@@ -337,3 +340,43 @@ def log_density_numpy_wrappers(target, xb, with_grad):
         if with_grad:
             grad += -diff / target.tilt.t + xb
     return out, grad
+
+
+def grid_moments_two_pass(p):
+    """Mean and covariance of a grid density from two separate passes over
+    its nodes, the covariance recomputing the mean."""
+    pts = p.node_points()
+    cw = (p.quad_weights() * p.weights).ravel()
+    mean = pts.T @ cw
+    centered = pts - pts.T @ cw
+    return mean, (centered * cw[:, None]).T @ centered
+
+
+def tilted_measure(mu, t, y):
+    """The Gaussian tilt exp(-|x - y|^2/2t + |x|^2/2) mu of a grid density,
+    normalized on mu's own grid.  Raises TiltDomainError when the tilted
+    exponent peaks on the boundary, the mass reaches within 8 sd of the
+    grid edge, or a tilted sd is under 1.5 grid spacings."""
+    from mflab.errors import TiltDomainError
+    from mflab.heatflow import MIN_COVERAGE_SD, _check_interior_peak
+    from mflab.measure import normalize_from_log_potential
+
+    if t <= 0:
+        raise TiltDomainError("tilt time t must be positive")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.size != mu.dim:
+        raise TiltDomainError(f"tilt center has {y.size} coords, grid is "
+                              f"{mu.dim}-d")
+    pts = mu.node_points()
+    diff = pts - y
+    log_u = (mu.log_density.ravel() - np.sum(diff * diff, axis=1) / (2.0 * t)
+             + 0.5 * np.sum(pts * pts, axis=1)).reshape(mu.weights.shape)
+    _check_interior_peak(log_u)
+    out = normalize_from_log_potential(log_u, mu.axes)
+    if out.coverage_in_sd() < MIN_COVERAGE_SD:
+        raise TiltDomainError("tilted mass reaches the grid edge")
+    for sd, ax in zip(np.sqrt(np.diag(out.covariance())), mu.axes):
+        if sd < 1.5 * ax.spacing:
+            raise TiltDomainError(f"tilt width {sd:.3g} under-resolved by "
+                                  f"grid spacing {ax.spacing:.3g}")
+    return out

@@ -465,13 +465,12 @@ class TestRunCommand:
     def test_main_bound_in_the_maps_coordinates(self, tmp_path):
         # The map is built for the rescaled model, N(0, 1/2) here, so its
         # constant is 1/sqrt(2) against main_bound = 1 in those coordinates
-        # (0.354 against 0.5 in the original ones).  The run still exits 1:
-        # the fitted envelope of the zero model is an equality case.
+        # (0.354 against 0.5 in the original ones).
         cfg = {"experiment": "transport_map",
                "model": {"kind": "zero", "sigma": 1.0, "lam": 4.0}}
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg),
-                     "--out", str(out)]) == 1
+                     "--out", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["empirical_lipschitz"] == pytest.approx(
             2.0**-0.5, rel=1e-5)
@@ -479,6 +478,22 @@ class TestRunCommand:
         assert metrics["main_bound_specific"] == pytest.approx(1.0)
         assert ("lipschitz_below_main_bound_generic: 0.707107 <= 1: yes"
                 in (out / "summary.txt").read_text())
+
+    # The exact oracles at reduced effort.  The zero models meet
+    # envelopes_hold and lipschitz_below_fitted_envelope with equality, up
+    # to the checks' stated slack.
+    @pytest.mark.parametrize("model", [
+        {"preset": "unit_zero"}, {"preset": "standard_zero"},
+        {"preset": "quadratic"}, {"kind": "zero", "sigma": 1.0, "lam": 4.0}])
+    @pytest.mark.parametrize("experiment,effort", [
+        ("transport_map", {"grid": {"n_nodes": 512}}),
+        ("tilt_profile", {"profile": {"n_times": 8}})])
+    def test_oracle_passes_every_check(self, tmp_path, model, experiment,
+                                       effort):
+        cfg = {"experiment": experiment, "model": model, **effort}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0, (out / "summary.txt").read_text()
 
     def test_mfld_run(self, tmp_path):
         cfg = {

@@ -27,7 +27,6 @@ from mflab.heatflow import (
     regime_threshold,
     reverse_flow_map,
     standard_gaussian_grid,
-    tilted_measure,
 )
 from mflab.bounds import main_bound
 from mflab.measure import (
@@ -48,6 +47,7 @@ from _oracles import (
     ou_evolve_dense,
     ou_moment_map,
     tilted_gaussian_variance,
+    tilted_measure,
 )
 
 AX = Axis(-10.0, 10.0, 2048)
@@ -172,14 +172,13 @@ class TestCovarianceProfile:
     def test_large_t_limit_matches_tilt_removed_measure(self):
         # opnorm(t -> inf) equals the variance of the direct e^{x^2/2} mu
         # normalization.
-        mu, model = relu_gibbs_density(Axis(-12.0, 12.0, 4096))
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
-        prof = covariance_profile(mu, [1e8], [np.array([0.0])], inputs)
+        mu, _ = relu_gibbs_density(Axis(-12.0, 12.0, 4096))
+        _, opnorm = covariance_opnorm(tilted_measure(mu, 1e8, [0.0]))
         x = mu.nodes()
         direct = normalize_from_log_potential(
             mu.log_density + 0.5 * x * x, mu.axes)
         _, expected = covariance_opnorm(direct)
-        assert abs(prof.rows[0].opnorm - expected) < 1e-6
+        assert abs(opnorm - expected) < 1e-6
 
     def test_two_particle_profile_on_2d_grid(self):
         model = rescale_model(relu_preset())
@@ -210,10 +209,30 @@ class TestCovarianceProfile:
         target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = [0.2, 1.0]
-        p_grid = covariance_profile(mu, ts, [np.array([0.5])], inputs)
         p_target = covariance_profile(target, ts, [np.array([0.5])], inputs)
-        for a, b in zip(p_grid.rows, p_target.rows):
-            assert abs(a.opnorm - b.opnorm) < 1e-6
+        for t, row in zip(ts, p_target.rows):
+            _, opnorm = covariance_opnorm(tilted_measure(mu, t, [0.5]))
+            assert abs(opnorm - row.opnorm) < 1e-6
+
+    def test_shared_coarse_scans_match_row_by_row(self, relu_profile,
+                                                  monkeypatch):
+        # Rows whose coarse boxes coincide evaluate the untilted density
+        # once per box; each opnorm equals the one computed alone.
+        prof, inputs = relu_profile
+        target = TargetSpec(rescale_model(relu_preset()), 1)
+        for row in prof.rows:
+            y = np.array([float(row.y_label[2:])])
+            _, alone = covariance_opnorm(
+                _adapted_tilted_density(target, row.t, y, inputs))
+            assert row.opnorm == alone
+        calls = []
+        real = mflab.heatflow.n_particle_log_density
+        monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
+                            lambda *a: calls.append(1) or real(*a))
+        covariance_profile(target, prof.ts("y=0"),
+                           [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)],
+                           inputs)
+        assert len(prof.rows) < len(calls) < 1.5 * len(prof.rows)
 
     def test_csv_and_svg_outputs(self, relu_profile, tmp_path):
         prof, _ = relu_profile

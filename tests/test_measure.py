@@ -43,6 +43,7 @@ from _oracles import (
     gaussian_kl_full,
     gaussian_w2_1d,
     gaussian_on_grid,
+    grid_moments_two_pass,
     largest_eigenvalue_2x2,
     pchip_searchsorted,
     sample_from_grid_searchsorted,
@@ -91,6 +92,29 @@ class TestNormalization:
         np.testing.assert_allclose(g.mean(), [0.3, -0.2], atol=1e-9)
         np.testing.assert_allclose(
             g.covariance(), [[1.0, 0.3], [0.3, 0.7]], atol=1e-8)
+
+
+class TestGridMoments:
+    @pytest.mark.parametrize("axes,mean,cov", [
+        ((Axis(-9.0, 8.0, 2048),), [0.4], [[0.6]]),
+        ((Axis(-8.0, 8.0, 192), Axis(-7.0, 9.0, 160)), [0.3, -0.2],
+         [[1.0, 0.3], [0.3, 0.7]])])
+    def test_one_pass_equals_two_passes(self, axes, mean, cov):
+        g = gaussian_on_grid(axes, mean, cov)
+        ref_mean, ref_cov = grid_moments_two_pass(g)
+        for _ in range(2):  # computed, then read from the cache
+            np.testing.assert_array_equal(g.mean(), ref_mean)
+            np.testing.assert_array_equal(g.covariance(), ref_cov)
+            np.testing.assert_array_equal(covariance_opnorm(g)[0], ref_cov)
+
+    def test_returned_moments_are_copies(self):
+        g = grid_gaussian_1d(mean=0.2, sd=0.7)
+        m, c = grid_moments_two_pass(g)
+        g.mean()[0] = 5.0
+        g.covariance()[0, 0] = 5.0
+        covariance_opnorm(g)[0][0, 0] = 5.0
+        np.testing.assert_array_equal(g.mean(), m)
+        np.testing.assert_array_equal(g.covariance(), c)
 
 
 class TestKL:
