@@ -2,8 +2,8 @@
 
 Submodules:
 
-* :mod:`mflab.measure`   -- grid/Gaussian/empirical measures, divergences
-* :mod:`mflab.model`     -- mean-field energies and their variations
+* :mod:`mflab.measure`   -- grid densities, covariances, 1-d transport
+* :mod:`mflab.model`     -- the mean-field energy's kernel and constants
 * :mod:`mflab.sampler`   -- MALA for Gibbs targets, Euler-Maruyama dynamics
 * :mod:`mflab.meanfield` -- self-consistent proximal Gibbs systems
 * :mod:`mflab.chaos`     -- KL estimates vs closed-form chaos bounds
@@ -27,7 +27,6 @@ from .bounds import (
 from .chaos import (
     ChaosReport,
     McmcConfig,
-    bregman_divergence,
     chaos_sweep,
     estimate_kl,
     poc_bound,
@@ -43,24 +42,17 @@ from .heatflow import (
 from .meanfield import ProximalGibbsSystem, proximal_residual, solve_self_consistent
 from .measure import (
     Axis,
-    EmpiricalMeasure,
-    GaussianMeasure,
     GridDensity,
     covariance_opnorm,
-    kl_divergence,
     normalize_from_log_potential,
     w2_distance_1d,
 )
 from .model import (
     ModelSpec,
-    energy,
     example_nn,
-    first_variation,
     model_constants,
     quadratic_oracle,
     rescale_model,
-    second_variation,
-    wasserstein_gradient,
     zero_model,
 )
 from .sampler import (
@@ -69,5 +61,4 @@ from .sampler import (
     mala_sample,
     mfld_simulate,
     n_particle_log_density,
-    n_particle_log_density_grad,
 )

@@ -25,7 +25,6 @@ from .meanfield import ProximalGibbsSystem, _feature_laws, solve_self_consistent
 from .measure import (
     BLOCK_ELEMENTS,
     GridDensity,
-    Measure,
     _write_csv,
     _write_json,
     inverse_cdf,
@@ -58,14 +57,6 @@ def _bregman(model: ModelSpec, eh_nu: np.ndarray, pibar: GridDensity):
     eh_bar = expect_features(model, pibar)
     f_bar, slope = loss_terms(model, eh_bar, (0, 1))
     return loss_terms(model, eh_nu) - f_bar - (eh_nu - eh_bar) @ slope
-
-
-def bregman_divergence(model: ModelSpec, nu: Measure, pibar: GridDensity) -> float:
-    """Bregman divergence of the interaction energy between nu and pibar.
-
-    Nonnegative whenever F0 is convex along mixtures.
-    """
-    return float(_bregman(model, expect_features(model, nu), pibar))
 
 
 def bregman_batch(model: ModelSpec, x: np.ndarray, pibar: GridDensity) -> np.ndarray:

@@ -238,8 +238,10 @@ def validate_config(raw: dict) -> dict:
         for key, f in SCHEMA[section].items():
             name = f"{section}.{key}" if section else key
             val = block.get(key, f.default)
-            if val is not None and not isinstance(val, f.type):
-                if f.type is float and isinstance(val, int):
+            # YAML's true is an int to isinstance; no field takes a bool.
+            if val is not None and (isinstance(val, bool)
+                                    or not isinstance(val, f.type)):
+                if f.type is float and type(val) is int:
                     val = float(val)
                 else:
                     raise ConfigError(f"{name} must be {f.type.__name__}")
@@ -267,15 +269,19 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError("chaos_sweep draws the product measure by a "
                               "1-d inverse CDF; the model must have d = 1")
         McmcConfig(**resolved["mcmc"])
-        if not all(isinstance(n, int) and n >= 1
-                   for n in resolved["sweep"]["n_particles"]):
+        ns = resolved["sweep"]["n_particles"]
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                   for n in ns):
             raise ConfigError("sweep.n_particles entries must be integers "
                               ">= 1")
+        if len(set(ns)) != len(ns):
+            raise ConfigError("sweep.n_particles entries must be distinct")
     if experiment == "tilt_profile" \
             and resolved["profile"]["n_particles"] * d > 2:
         raise ConfigError("profile total dimension n_particles * d must "
                           "be <= 2")
-    if experiment == "tilt_profile" and not all(isinstance(c, (int, float))
+    if experiment == "tilt_profile" and not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool)
             and math.isfinite(c) for c in resolved["profile"]["tilt_centers"]):
         raise ConfigError("profile.tilt_centers entries must be finite numbers")
     return resolved

@@ -17,19 +17,6 @@ class EmptyMeasureError(MflabError):
     """A log potential normalizes to zero mass (all nodes at -inf)."""
 
 
-class SupportViolationError(MflabError):
-    """KL divergence requested where q vanishes on the support of p."""
-
-    def __init__(self, n_offending: int):
-        self.n_offending = n_offending
-        super().__init__(
-            f"q vanishes on {n_offending} grid node(s) where p has mass"
-        )
-
-    def __reduce__(self):  # pickle the constructor's arguments
-        return type(self), (self.n_offending,)
-
-
 class TiltDomainError(MflabError):
     """A Gaussian tilt is not normalizable for the given base measure."""
 

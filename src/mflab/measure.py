@@ -1,7 +1,7 @@
-"""Probability measures on grids, Gaussians, and particle clouds.
+"""Probability densities on uniform grids.
 
-Grid densities live on uniform rectangular grids in 1 or 2 dimensions and
-carry their log density alongside the weights so that downstream tilting
+A grid density lives on a uniform rectangular grid in 1 or 2 dimensions and
+carries its log density alongside the weights so that downstream tilting
 and normalization never exponentiate large numbers.  All integrals use
 trapezoid quadrature, which is positivity-preserving and, for smooth
 rapidly decaying integrands on wide grids, accurate far beyond its formal
@@ -19,12 +19,9 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyMeasureError,
-    SupportViolationError,
     UnsupportedDimensionError,
 )
 
-# Grid nodes with density below this threshold contribute nothing to KL sums.
-KL_SUPPORT_FLOOR = 1e-300
 # Rows formatted per write by _write_csv; bounds its string buffer.
 CSV_CHUNK_ROWS = 65_536
 # Elements per block of the OU kernel (one buffer for all blocks) and of the
@@ -164,61 +161,6 @@ class GridDensity:
                          for i, ax in enumerate(self.axes)))
 
 
-@dataclass(frozen=True)
-class GaussianMeasure:
-    """Multivariate Gaussian given by mean and covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        c = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if c.shape != (m.size, m.size):
-            raise DimensionMismatchError("covariance shape must match mean")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric (1e-12)")
-        if np.any(np.linalg.eigvalsh(c) <= 0):
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", c)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform atomic measure on N points in R^d."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("points must be an (N, d) array with N >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("particle coordinates must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
-
-Measure = GridDensity | GaussianMeasure | EmpiricalMeasure
-
-
 def grid_points(axes) -> np.ndarray:
     """All nodes of a 1-d or 2-d grid as an (M, dim) array in C order."""
     axes = _as_axes(axes)
@@ -257,55 +199,35 @@ def normalize_from_log_potential(log_u, axes) -> GridDensity:
     return GridDensity(axes, weights, log_density)
 
 
-def kl_divergence(p: GridDensity, q: GridDensity) -> float:
-    """KL(p || q) for two densities on the same grid.
-
-    Nodes where p < 1e-300 contribute zero.  Raises when q vanishes on
-    the support of p, reporting how many nodes offend.
-    """
-    if not p.same_grid(q):
-        raise DimensionMismatchError("KL needs both densities on one grid")
-    pw, qw_density = p.weights, q.weights
-    support = pw > KL_SUPPORT_FLOOR
-    bad = int(np.sum(support & (qw_density <= KL_SUPPORT_FLOOR)))
-    if bad:
-        raise SupportViolationError(bad)
-    quad = p.quad_weights()
-    ratio = np.log(pw[support]) - np.log(qw_density[support])
-    return float(np.sum(quad[support] * pw[support] * ratio))
-
-
-def covariance_opnorm(p: Measure) -> tuple[np.ndarray, float]:
-    """Covariance matrix and its operator norm, the largest eigenvalue.
+def covariance_opnorm(p: GridDensity) -> tuple[np.ndarray, float]:
+    """Covariance matrix of a grid density and its operator norm, the
+    largest eigenvalue.
 
     The eigenvalue comes from the symmetric eigensolver, which returns
     the entry itself for a 1x1 matrix.
     """
-    if isinstance(p, GridDensity):
-        cov = p.covariance()
-    elif isinstance(p, GaussianMeasure):
-        cov = p.cov.copy()
-    elif isinstance(p, EmpiricalMeasure):
-        pts = p.points
-        centered = pts - pts.mean(axis=0)
-        cov = centered.T @ centered / pts.shape[0]
-    else:
-        raise TypeError(f"unsupported measure type {type(p)!r}")
+    cov = p.covariance()
     return cov, float(np.linalg.eigvalsh(cov)[-1])
 
 
-def _corrected_cdf(p: GridDensity) -> np.ndarray:
-    """Cumulative trapezoid with the Euler-Maclaurin h^2/12 endpoint fix.
+def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid of nodal values f at spacing h from the first
+    node, with the Euler-Maclaurin h^2/12 endpoint fix, clipped at 0 and
+    made nondecreasing.
 
     The correction removes the O(h^2) pointwise error of the plain
     cumulative trapezoid, which the 1e-6 transport tolerances require.
     """
-    f = p.weights
-    h = p.axes[0].spacing
     cum = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * h)])
     fp = np.gradient(f, h)
     cdf = cum - (h * h / 12.0) * (fp - fp[0])
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
+    return np.maximum.accumulate(np.clip(cdf, 0.0, None))
+
+
+def _corrected_cdf(p: GridDensity) -> np.ndarray:
+    """The CDF of a 1-d grid density at its nodes, by
+    :func:`_cumulative_trapezoid`."""
+    cdf = _cumulative_trapezoid(p.weights, p.axes[0].spacing)
     return cdf / cdf[-1]
 
 
@@ -370,20 +292,13 @@ def _search_right(x: np.ndarray):
 def _logit_cdf(p: GridDensity) -> np.ndarray:
     """log F - log(1 - F) at the nodes of a 1-d grid density.
 
-    F is summed from the left end and 1 - F from the right end, each with
-    the h^2/12 endpoint correction of :func:`_corrected_cdf`, so neither
-    tail is lost to cancellation against 1.  The ends read -inf and +inf.
+    F is summed from the left end and 1 - F from the right end, each by
+    :func:`_cumulative_trapezoid`, so neither tail is lost to cancellation
+    against 1.  The ends read -inf and +inf.
     """
-    f = p.weights
-    h = p.axes[0].spacing
-    fp = np.gradient(f, h)
-    seg = (f[1:] + f[:-1]) * 0.5 * h
-    corr = h * h / 12.0
-    left = np.concatenate([[0.0], np.cumsum(seg)]) - corr * (fp - fp[0])
-    right = (np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-             - corr * (fp[-1] - fp))
-    left = np.maximum.accumulate(np.clip(left, 0.0, None))
-    right = np.maximum.accumulate(np.clip(right, 0.0, None)[::-1])[::-1]
+    f, h = p.weights, p.axes[0].spacing
+    left = _cumulative_trapezoid(f, h)
+    right = _cumulative_trapezoid(f[::-1], h)[::-1]
     with np.errstate(divide="ignore"):
         return np.log(left) - np.log(right)
 

@@ -1,4 +1,4 @@
-"""Mean-field energies, their variations, and derived constants.
+"""The mean-field interaction energy, its kernel, and derived constants.
 
 Every interaction energy is the prediction loss of a two-layer network
 read as a measure over neurons,
@@ -16,7 +16,7 @@ of this one energy, not separate kinds:
   identity activation and an unclipped squared loss of scale kappa, so
   F0(nu) = (kappa/2) (<e, mean(nu)> - c)^2; the algebra oracle of the tests.
 
-Every variation evaluates the loss through one kernel, :func:`loss_terms`,
+Every caller evaluates the loss through one kernel, :func:`loss_terms`,
 at the expected features, value and slope from one residual.  Every
 operation is a pure function of an immutable spec, safe to call concurrently.
 """
@@ -30,9 +30,7 @@ import numpy as np
 
 from .bounds import BoundInputs
 from .errors import AlreadyRescaledError, DimensionMismatchError
-from .measure import EmpiricalMeasure, GaussianMeasure, GridDensity, Measure
-
-GH_NODES = 64
+from .measure import GridDensity
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -285,7 +283,7 @@ def quadratic_oracle(sigma: float, lam: float, kappa: float, c: float = 0.0,
     )
 
 
-# -- measure plumbing ------------------------------------------------------
+# -- features -------------------------------------------------------------
 
 
 def features(model: ModelSpec, theta: np.ndarray) -> np.ndarray:
@@ -305,51 +303,18 @@ def particle_features(model: ModelSpec, x: np.ndarray):
     return pre, np.add.reduce(h, axis=2) / x.shape[1]  # h.mean(axis=2)
 
 
-def expect_features(model: ModelSpec, nu: Measure) -> np.ndarray:
-    """E_nu h(., x_j) per datum, by the quadrature matched to the measure.
-
-    Grid densities integrate with their trapezoid rule, particle clouds
-    average exactly, Gaussians use 64-node Gauss-Hermite per axis.
-    """
+def expect_features(model: ModelSpec, nu: GridDensity) -> np.ndarray:
+    """E_nu h(., x_j) per datum, by the trapezoid rule of the grid density."""
     if nu.dim != model.d:
         raise DimensionMismatchError(
             f"measure dimension {nu.dim} != model dimension {model.d}"
         )
-    if isinstance(nu, GridDensity):
-        h = features(model, nu.node_points())
-        cw = (nu.quad_weights() * nu.weights).ravel()
-        return h.T @ cw
-    if isinstance(nu, EmpiricalMeasure):
-        return features(model, nu.points).mean(axis=0)
-    if isinstance(nu, GaussianMeasure):
-        pts, w = _gauss_hermite_points(nu)
-        return features(model, pts).T @ w
-    raise TypeError(f"unsupported measure type {type(nu)!r}")
+    h = features(model, nu.node_points())
+    cw = (nu.quad_weights() * nu.weights).ravel()
+    return h.T @ cw
 
 
-def _gauss_hermite_points(nu: GaussianMeasure):
-    nodes, weights = np.polynomial.hermite.hermgauss(GH_NODES)
-    if nu.dim == 1:
-        pts = nu.mean[0] + math.sqrt(2.0 * nu.cov[0, 0]) * nodes
-        return pts[:, None], weights / math.sqrt(math.pi)
-    chol = np.linalg.cholesky(nu.cov)
-    xi1, xi2 = np.meshgrid(nodes, nodes, indexing="ij")
-    xi = np.column_stack([xi1.ravel(), xi2.ravel()])
-    pts = nu.mean + math.sqrt(2.0) * xi @ chol.T
-    w = np.outer(weights, weights).ravel() / math.pi
-    return pts, w
-
-
-def _points(model: ModelSpec, x) -> tuple[np.ndarray, bool]:
-    """x as an (M, d) batch, and whether it came in as a single point."""
-    x = np.asarray(x, dtype=float)
-    xb = x[None, :] if x.ndim == 1 else x
-    if xb.shape[1] != model.d:
-        raise DimensionMismatchError("x must have d coordinates")
-    return xb, x.ndim == 1
-
-
-# -- energy and variations -------------------------------------------------
+# -- kernel and constants -------------------------------------------------
 
 
 def loss_terms(model: ModelSpec, eh: np.ndarray, order: int | tuple = 0):
@@ -369,39 +334,6 @@ def loss_terms(model: ModelSpec, eh: np.ndarray, order: int | tuple = 0):
     if order == 2:
         return model.data_p * model.loss.d2(eh, model.data_y)
     raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-
-
-def energy(model: ModelSpec, nu: Measure) -> float:
-    """Interaction energy F0(nu)."""
-    return float(loss_terms(model, expect_features(model, nu)))
-
-
-def first_variation(model: ModelSpec, nu: Measure, x: np.ndarray):
-    """First variation dF0(nu, x); x may be (d,) or a batch (M, d)."""
-    xb, scalar_in = _points(model, x)
-    slope = loss_terms(model, expect_features(model, nu), 1)
-    out = features(model, xb) @ slope
-    return float(out[0]) if scalar_in else out
-
-
-def wasserstein_gradient(model: ModelSpec, nu: Measure, x: np.ndarray) -> np.ndarray:
-    """Gradient in x of the first variation; rows bounded by B = L_h L_ell."""
-    xb, scalar_in = _points(model, x)
-    slope = loss_terms(model, expect_features(model, nu), 1)
-    act_prime = model.activation.deriv(xb @ model.data_x.T)
-    out = (act_prime * slope) @ model.data_x
-    return out[0] if scalar_in else out
-
-
-def second_variation(model: ModelSpec, nu: Measure, x: np.ndarray,
-                     y: np.ndarray) -> float:
-    """Second variation d2F0(nu, x, y); symmetric in (x, y)."""
-    curv = loss_terms(model, expect_features(model, nu), 2)
-    x = np.asarray(x, dtype=float).reshape(model.d)
-    y = np.asarray(y, dtype=float).reshape(model.d)
-    hx = features(model, x[None, :])[0]
-    hy = features(model, y[None, :])[0]
-    return float(np.sum(curv * hx * hy))
 
 
 def model_constants(model: ModelSpec) -> BoundInputs:

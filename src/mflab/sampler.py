@@ -78,17 +78,6 @@ class TargetSpec:
                 )
 
 
-def _batch(x: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 2
-    xb = x[None] if single else x
-    if xb.shape[-2:] != (n, d):
-        raise InvalidTargetError(
-            f"state shape {x.shape} incompatible with (N, d) = ({n}, {d})"
-        )
-    return xb, single
-
-
 def _interaction_terms(model: ModelSpec, xb: np.ndarray, order=1):
     """Expected features eh (S, n_data) of states xb (S, N, d), or with order
     (0, 1) their energies F0 (S,), and their gradient rows (S, N, d)."""
@@ -120,16 +109,16 @@ def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
 
 def n_particle_log_density(target: TargetSpec, x: np.ndarray):
     """Unnormalized log density of the target at one state or a batch."""
-    xb, single = _batch(x, target.n_particles, target.model.d)
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 2
+    xb = x[None] if single else x
+    n, d = target.n_particles, target.model.d
+    if xb.shape[-2:] != (n, d):
+        raise InvalidTargetError(
+            f"state shape {x.shape} incompatible with (N, d) = ({n}, {d})"
+        )
     out = _log_density(target, xb, with_grad=False)[0]
     return float(out[0]) if single else out
-
-
-def n_particle_log_density_grad(target: TargetSpec, x: np.ndarray) -> np.ndarray:
-    """Gradient of the unnormalized log density, one (N, d) row per particle."""
-    xb, single = _batch(x, target.n_particles, target.model.d)
-    grad = _log_density(target, xb, with_grad=True)[1]
-    return grad[0] if single else grad
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -378,17 +367,11 @@ def mfld_simulate(model: ModelSpec, n_particles: int, horizon: float,
     return traj
 
 
-def trajectory_to_csv(x: np.ndarray, steps, path):
-    """CSV rows (step, particle, x_1[, x_2]) for an (S, N, d) array of
-    states or samples, state s labelled with step number steps[s].  Written
-    one state at a time; each label is formatted once.  `mflab run` streams
-    the same rows from mfld_simulate's on_record through states_to_csv."""
-    states_to_csv(x, steps, path, *x.shape[1:])
-
-
 def states_to_csv(states, steps, path, n: int, d: int):
-    """trajectory_to_csv for any iterable of (n, d) states, read as they
-    are written; ValueError unless it yields exactly len(steps) states."""
+    """CSV rows (step, particle, x_1[, x_2]) for any iterable of (n, d)
+    states (an (S, n, d) array, or a stream read as it is written), state s
+    labelled with step number steps[s]; each label is formatted once.
+    ValueError unless it yields exactly len(steps) states."""
     particles = [repr(float(i)) for i in range(n)]
     with open(path, "w") as fh:
         fh.write("step,particle," + ",".join(f"x{j + 1}" for j in range(d))

@@ -2,10 +2,11 @@
 
 Everything here is derived by hand (Gaussian algebra, OU moment maps,
 scalar fixed points, one-dimensional quadrature) and deliberately avoids
-calling the code paths under test; `gaussian_on_grid` alone builds a library
-object, through normalize_from_log_potential, and `bregman_rows_reference`
-alone reduces through the library's `_bregman`, downstream of the chunking
-it checks.  `pchip_searchsorted`, `sample_from_grid_searchsorted` and
+calling the code paths under test; `gaussian_on_grid` builds a library
+object, through normalize_from_log_potential, `bregman_rows_reference`
+reduces through the library's `_bregman`, downstream of the chunking it
+checks, and the definitions at the end go through the library's kernels.
+`pchip_searchsorted`, `sample_from_grid_searchsorted` and
 `log_density_numpy_wrappers` keep earlier forms of library code (a plain
 searchsorted index; numpy's Python-level mean, clip, sum and swapaxes) as
 bit-for-bit references for their faster replacements, and
@@ -13,7 +14,12 @@ bit-for-bit references for their faster replacements, and
 evaluations of the residual.  `grid_moments_two_pass` keeps a grid
 density's mean and covariance as two separate passes, and `tilted_measure`
 is the earlier Gaussian tilt of a grid density on its own grid, which the
-adapted-grid covariance profile replaced.
+adapted-grid covariance profile replaced.  The energy, its first and
+second variations, its Wasserstein gradient and the grid KL are the
+paper's definitions, over a grid density or the empirical measure of an
+(N, d) particle array, evaluated through the library's expected features
+and its one loss kernel, `loss_terms`; the tests check identities between
+them (Gateaux derivative, finite differences, convexity, closed forms).
 """
 
 import math
@@ -380,3 +386,57 @@ def tilted_measure(mu, t, y):
             raise TiltDomainError(f"tilt width {sd:.3g} under-resolved by "
                                   f"grid spacing {ax.spacing:.3g}")
     return out
+
+
+def mean_features(model, nu):
+    """E_nu h(., x_j) of a grid density, or of the empirical measure of an
+    (N, d) particle array."""
+    from mflab.model import expect_features, particle_features
+
+    if isinstance(nu, np.ndarray):
+        return particle_features(model, nu[None])[1][0]
+    return expect_features(model, nu)
+
+
+def energy(model, nu):
+    """F0(nu) = sum_j p_j loss(E_nu h_j, y_j)."""
+    from mflab.model import loss_terms
+
+    return float(loss_terms(model, mean_features(model, nu)))
+
+
+def first_variation(model, nu, x):
+    """dF0(nu, x) = sum_j p_j loss'(E_nu h_j, y_j) h(x, x_j) at a point x
+    (d,) or at each row of a batch (M, d)."""
+    from mflab.model import features, loss_terms
+
+    return features(model, x) @ loss_terms(model, mean_features(model, nu), 1)
+
+
+def wasserstein_gradient(model, nu, x):
+    """grad_x dF0(nu, x) = sum_j p_j loss'(E_nu h_j, y_j) act'(<x, x_j>) x_j
+    at a point x (d,) or at each row of a batch (M, d)."""
+    from mflab.model import loss_terms
+
+    slope = loss_terms(model, mean_features(model, nu), 1)
+    act_prime = model.activation.deriv(np.asarray(x, dtype=float)
+                                       @ model.data_x.T)
+    return (act_prime * slope) @ model.data_x
+
+
+def second_variation(model, nu, x, y):
+    """d2F0(nu, x, y) = sum_j p_j loss''(E_nu h_j, y_j) h(x, x_j) h(y, x_j)
+    at points x and y (d,)."""
+    from mflab.model import features, loss_terms
+
+    curv = loss_terms(model, mean_features(model, nu), 2)
+    return float(np.sum(curv * features(model, x) * features(model, y)))
+
+
+def grid_kl(p, q):
+    """KL(p || q) = sum_k w_k p_k log(p_k / q_k) over the trapezoid weights
+    w_k of two densities on one grid, nodes where p is below 1e-300 left
+    out."""
+    support = p.weights > 1e-300
+    ratio = np.log(p.weights[support]) - np.log(q.weights[support])
+    return float(np.sum((p.quad_weights() * p.weights)[support] * ratio))

@@ -24,9 +24,9 @@ from mflab.chaos import (
     BREGMAN_FLOOR,
     Z_ESS_WIDEN_FACTOR,
     McmcConfig,
+    _bregman,
     _estimate,
     _variance_step_rhs,
-    bregman_divergence,
     bregman_batch,
     chaos_sweep,
     estimate_kl,
@@ -42,17 +42,18 @@ from mflab.errors import (
     ConfigError,
     MflabError,
     NonconvergenceError,
-    SupportViolationError,
+    SimulationDivergedError,
 )
 from mflab.forking import forked
 from mflab.meanfield import DEFAULT_TOL, solve_self_consistent
-from mflab.measure import (
-    BLOCK_ELEMENTS,
-    Axis,
-    EmpiricalMeasure,
-    normalize_from_log_potential,
+from mflab.measure import BLOCK_ELEMENTS, Axis, normalize_from_log_potential
+from mflab.model import (
+    expect_features,
+    features,
+    quadratic_oracle,
+    rescale_model,
+    zero_model,
 )
-from mflab.model import quadratic_oracle, rescale_model, zero_model
 from mflab.presets import quadratic_preset, relu_preset
 from mflab.sampler import TargetSpec
 
@@ -79,22 +80,22 @@ class TestBregman:
     def test_nu_equals_pibar(self):
         model = quadratic_preset()
         pibar = gaussian_grid(0.2, 0.5)
-        assert abs(bregman_divergence(model, pibar, pibar)) < 1e-12
+        assert abs(_bregman(model, expect_features(model, pibar),
+                            pibar)) < 1e-12
 
     def test_quadratic_hand_expansion(self):
         kappa = 0.8
         model = quadratic_oracle(1.0, 1.0, kappa=kappa, c=0.1)
         pibar = gaussian_grid(0.3, 0.5)
-        nu = EmpiricalMeasure(np.array([[1.2], [0.4]]))  # mean 0.8
+        x = np.array([[[1.2], [0.4]]])  # mean 0.8
         expected = 0.5 * kappa * (0.8 - 0.3) ** 2
-        assert abs(bregman_divergence(model, nu, pibar) - expected) < 1e-9
+        assert abs(bregman_batch(model, x, pibar)[0] - expected) < 1e-9
 
     def test_zero_model_always_zero(self):
         model = zero_model(sigma=1.0, lam=1.0)
         pibar = gaussian_grid(0.0, 1.0)
         for pts in ([[0.5]], [[2.0], [-1.0]]):
-            assert bregman_divergence(
-                model, EmpiricalMeasure(np.array(pts)), pibar) == 0.0
+            assert bregman_batch(model, np.array([pts]), pibar)[0] == 0.0
 
     def test_batch_matches_scalar(self):
         model = relu_preset()
@@ -103,7 +104,7 @@ class TestBregman:
         x = rng.normal(size=(16, 3, 1))
         batch = bregman_batch(model, x, pibar)
         for i in range(16):
-            scalar = bregman_divergence(model, EmpiricalMeasure(x[i]), pibar)
+            scalar = _bregman(model, features(model, x[i]).mean(axis=0), pibar)
             assert abs(batch[i] - scalar) < 1e-12
 
     # No rows; below one chunk and one chunk plus 1 (relu3 has 3 data);
@@ -518,8 +519,8 @@ def inline(fn, *args):
     yield lambda: value
 
 
-def raise_support_violation():
-    raise SupportViolationError(3)
+def raise_simulation_diverged():
+    raise SimulationDivergedError(5, 1e7)
 
 
 def kill_self():
@@ -544,11 +545,11 @@ class TestForkedCrossCheck:
         faulthandler.cancel_dump_traceback_later()
 
     def test_child_exception_keeps_its_type(self):
-        with forked(raise_support_violation) as result:
-            with pytest.raises(SupportViolationError) as info:
+        with forked(raise_simulation_diverged) as result:
+            with pytest.raises(SimulationDivergedError) as info:
                 result()
-        assert info.value.n_offending == 3
-        assert str(info.value) == str(SupportViolationError(3))
+        assert (info.value.step, info.value.max_abs) == (5, 1e7)
+        assert str(info.value) == str(SimulationDivergedError(5, 1e7))
 
     def test_child_value_comes_back(self):
         with forked(divmod, 17, 5) as result:

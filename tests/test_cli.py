@@ -14,7 +14,7 @@ import yaml
 
 from mflab.cli import build_model, load_config, main, validate_config
 from mflab.errors import ConfigError
-from mflab.sampler import mfld_simulate, trajectory_to_csv
+from mflab.sampler import mfld_simulate, states_to_csv
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -110,12 +110,19 @@ class TestConfigValidation:
         ("chaos_sweep", "grid", "n_nodes", 0),
         ("transport_map", "grid", "span_sd", -1.0),
         ("chaos_sweep", "grid", "span_sd", 0.0),
+        # YAML's true once passed as the int 1 or the float 1.0.
+        ("bounds_table", "", "seed", True),
+        ("mfld_run", "mfld", "n_particles", True),
+        ("bounds_table", "model", "sigma", True),
+        ("chaos_sweep", "sweep", "n_particles", [True, 2]),
+        ("tilt_profile", "profile", "tilt_centers", [True]),
     ])
     def test_out_of_range_values_exit_2(self, tmp_path, experiment, section,
                                         key, value):
-        cfg = {"experiment": experiment, "model": {"preset": "relu3"},
-               section: {key: value}}
-        with pytest.raises(ConfigError, match=f"{section}.{key} must"):
+        cfg = {"experiment": experiment, "model": {"kind": "zero"}}
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"{name}( entries)? must"):
             validate_config(cfg)
         out = tmp_path / "x"
         assert main(["run", "--config", write_config(tmp_path, cfg),
@@ -130,6 +137,18 @@ class TestConfigValidation:
         cfg = {"experiment": "tilt_profile", "model": {"preset": "relu3"},
                "profile": {"tilt_centers": centers}}
         with pytest.raises(ConfigError, match="profile.tilt_centers entries"):
+            validate_config(cfg)
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_duplicate_particle_counts_exit_2(self, tmp_path):
+        # [2, 2] once ran N = 2 twice: the second report_N002.json replaced
+        # the first, and chaos_sweep.csv kept both rows.
+        cfg = dict(MINI_CHAOS, sweep={"n_particles": [2, 4, 2]})
+        with pytest.raises(ConfigError, match="sweep.n_particles entries "
+                           "must be distinct"):
             validate_config(cfg)
         out = tmp_path / "x"
         assert main(["run", "--config", write_config(tmp_path, cfg),
@@ -479,15 +498,24 @@ class TestRunCommand:
         assert ("lipschitz_below_main_bound_generic: 0.707107 <= 1: yes"
                 in (out / "summary.txt").read_text())
 
-    # The exact oracles at reduced effort.  The zero models meet
-    # envelopes_hold and lipschitz_below_fitted_envelope with equality, up
-    # to the checks' stated slack.
+    # The exact oracles at reduced effort, on every experiment kind.  The
+    # zero models meet envelopes_hold and lipschitz_below_fitted_envelope
+    # with equality, up to the checks' stated slack.  mfld_run and
+    # bounds_table state no checks: their rows only show that the runs
+    # complete.
     @pytest.mark.parametrize("model", [
         {"preset": "unit_zero"}, {"preset": "standard_zero"},
         {"preset": "quadratic"}, {"kind": "zero", "sigma": 1.0, "lam": 4.0}])
     @pytest.mark.parametrize("experiment,effort", [
         ("transport_map", {"grid": {"n_nodes": 512}}),
-        ("tilt_profile", {"profile": {"n_times": 8}})])
+        ("tilt_profile", {"profile": {"n_times": 8}}),
+        ("chaos_sweep", {"sweep": {"n_particles": [2, 4, 8, 16]},
+                         "mcmc": {"n_samples": 1024, "n_burnin": 256,
+                                  "n_pi_samples": 4096, "n_chains": 8},
+                         "grid": {"n_nodes": 512}}),
+        ("mfld_run", {"mfld": {"n_particles": 16, "horizon": 1.0,
+                               "step": 0.01}}),
+        ("bounds_table", {})])
     def test_oracle_passes_every_check(self, tmp_path, model, experiment,
                                        effort):
         cfg = {"experiment": experiment, "model": model, **effort}
@@ -590,13 +618,16 @@ class TestTrajectoryWriter:
     kept states from a pipe while the dynamics run."""
 
     def expected_csv(self, cfg, path):
+        """trajectory.csv as states_to_csv writes it from the whole
+        recorded (S, N, d) trajectory array."""
         model, mb = build_model(cfg["model"]), cfg["mfld"]
         n_steps = int(round(mb["horizon"] / mb["step"]))
         stride = max(1, (n_steps + 1) // 512)
         steps = np.arange(0, n_steps + 1, stride)
         traj = mfld_simulate(model, mb["n_particles"], mb["horizon"],
                              mb["step"], seed=cfg["seed"], record_every=stride)
-        trajectory_to_csv(traj[:len(steps)], steps, path)
+        states_to_csv(traj[:len(steps)], steps, path, mb["n_particles"],
+                      model.d)
         return path.read_bytes()
 
     @pytest.mark.parametrize("model", [{"preset": "relu3"},

@@ -7,7 +7,6 @@ import pytest
 from mflab import errors
 
 ARGS = {
-    errors.SupportViolationError: (3,),
     errors.SimulationDivergedError: (5, 1e7),
     errors.NonconvergenceError: ([1.0, 0.5],),
 }

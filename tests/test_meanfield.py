@@ -15,11 +15,15 @@ from mflab.meanfield import (
     solve_self_consistent,
 )
 from mflab.measure import Axis, GridDensity, normalize_from_log_potential
-from mflab.model import quadratic_oracle, rescale_model, zero_model, first_variation
+from mflab.model import quadratic_oracle, rescale_model, zero_model
 from mflab.presets import quadratic_preset, relu_preset
 from mflab.sampler import TiltSpec
 
-from _oracles import quadratic_pi_moments, quadratic_pi_moments_fixed_point
+from _oracles import (
+    first_variation,
+    quadratic_pi_moments,
+    quadratic_pi_moments_fixed_point,
+)
 
 
 def gaussian_on(axes, mean, var):

@@ -1,4 +1,5 @@
-"""Energy functionals, variations, and smoothness constants."""
+"""The energy and its variations (tests/_oracles.py, over the library's
+kernels), losses, and smoothness constants."""
 
 import math
 import warnings
@@ -9,33 +10,33 @@ from hypothesis import given, settings, strategies as st
 
 from mflab.bounds import rescale_parameters
 from mflab.errors import AlreadyRescaledError, DimensionMismatchError
-from mflab.measure import (
-    Axis,
-    EmpiricalMeasure,
-    GaussianMeasure,
-    GridDensity,
-    normalize_from_log_potential,
-)
+from mflab.chaos import _bregman
+from mflab.measure import Axis, GridDensity, normalize_from_log_potential
 from mflab.model import (
     IDENTITY,
     LogisticLoss,
     RELU,
     SquaredLoss,
     UnclippedSquaredLoss,
-    energy,
     example_nn,
+    expect_features,
     expit,
-    first_variation,
     model_constants,
     quadratic_oracle,
     rescale_model,
-    second_variation,
-    wasserstein_gradient,
     zero_model,
 )
 from mflab.presets import PRESETS, logistic_preset, relu_preset, tanh_preset
 
-from _oracles import expected_relu_gaussian, loss_terms_two_pass
+from _oracles import (
+    energy,
+    expected_relu_gaussian,
+    first_variation,
+    gaussian_on_grid,
+    loss_terms_two_pass,
+    second_variation,
+    wasserstein_gradient,
+)
 
 AX = Axis(-10.0, 10.0, 2048)
 
@@ -61,24 +62,24 @@ def mix(p, q, t):
 class TestEnergy:
     def test_zero_model(self):
         model = zero_model(sigma=1.0, lam=1.0)
-        nu = EmpiricalMeasure(np.array([[0.3], [2.0]]))
+        nu = np.array([[0.3], [2.0]])
         assert energy(model, nu) == 0.0
 
     def test_quadratic_point_mass(self):
         model = quadratic_oracle(sigma=1.0, lam=1.0, kappa=2.0, c=0.0)
-        nu = EmpiricalMeasure(np.array([[3.0]]))
+        nu = np.array([[3.0]])
         assert energy(model, nu) == pytest.approx(9.0, abs=1e-14)
 
     def test_nn_gaussian_quadrature_vs_monte_carlo(self):
-        # Single datum, smooth activation so Gauss-Hermite is spectrally
-        # accurate; the Monte Carlo oracle uses 1e6 draws and a
-        # 3-standard-error band.
+        # Single datum, smooth activation, the Gaussian restricted to the
+        # grid; the Monte Carlo oracle uses 1e6 draws and a 3-standard-error
+        # band.
         from mflab.model import TANH
 
         model = example_nn(sigma=1.0, lam=1.0, data_x=[[0.9]], data_y=[0.4],
                            loss=SquaredLoss(scale=1.0, clip_radius=2.0),
                            activation=TANH)
-        nu = GaussianMeasure([0.3], [[0.8]])
+        nu = gaussian_on_grid((AX,), [0.3], [[0.8]])
         rng = np.random.default_rng(42)
         draws = rng.normal(0.3, math.sqrt(0.8), 1_000_000)[:, None]
         h = model.activation.value(draws @ model.data_x.T)
@@ -93,30 +94,28 @@ class TestEnergy:
     def test_relu_gaussian_expectation_closed_form(self):
         model = example_nn(sigma=1.0, lam=1.0, data_x=[[0.8]], data_y=[0.0],
                            loss=SquaredLoss(), activation=RELU)
-        nu = GaussianMeasure([0.4], [[1.2]])
-        from mflab.model import expect_features
-
+        nu = gaussian_on_grid((AX,), [0.4], [[1.2]])
         got = expect_features(model, nu)[0]
         exact = expected_relu_gaussian(0.8, 0.0, m=0.4, s=math.sqrt(1.2))
-        # 64-node Gauss-Hermite converges only algebraically across the
-        # relu kink; ~0.4% is what the fixed rule delivers here.
-        assert abs(got - exact) < 5e-3
+        # The trapezoid rule converges at second order across the relu
+        # kink: 1.1e-6 at this grid's spacing of 0.01.
+        assert abs(got - exact) < 5e-6
 
     def test_dimension_mismatch(self):
         model = zero_model(sigma=1.0, lam=1.0, d=2)
         with pytest.raises(DimensionMismatchError):
-            energy(model, EmpiricalMeasure(np.array([[1.0]])))
+            expect_features(model, random_grid_measure(np.random.default_rng(0)))
 
 
 class TestFirstVariation:
     def test_zero(self):
         model = zero_model(sigma=1.0, lam=1.0)
-        nu = EmpiricalMeasure(np.array([[0.5]]))
+        nu = np.array([[0.5]])
         assert first_variation(model, nu, np.array([1.0])) == 0.0
 
     def test_quadratic_hand_value(self):
         model = quadratic_oracle(sigma=1.0, lam=1.0, kappa=1.0, c=0.0)
-        nu = EmpiricalMeasure(np.array([[0.7], [0.3]]))  # mean 0.5
+        nu = np.array([[0.7], [0.3]])  # mean 0.5
         x = np.array([2.0])
         assert first_variation(model, nu, x) == pytest.approx(0.5 * 2.0)
 
@@ -141,7 +140,7 @@ class TestFirstVariation:
 class TestWassersteinGradient:
     def test_zero(self):
         model = zero_model(sigma=1.0, lam=1.0, d=2)
-        nu = EmpiricalMeasure(np.array([[0.5, 0.1]]))
+        nu = np.array([[0.5, 0.1]])
         out = wasserstein_gradient(model, nu, np.array([1.0, 2.0]))
         np.testing.assert_array_equal(out, np.zeros(2))
 
@@ -180,12 +179,12 @@ class TestWassersteinGradient:
 class TestSecondVariation:
     def test_zero(self):
         model = zero_model(sigma=1.0, lam=1.0)
-        nu = EmpiricalMeasure(np.array([[0.0]]))
+        nu = np.array([[0.0]])
         assert second_variation(model, nu, [1.0], [2.0]) == 0.0
 
     def test_quadratic_product_form(self):
         model = quadratic_oracle(sigma=1.0, lam=1.0, kappa=1.7, c=0.0)
-        nu = EmpiricalMeasure(np.array([[0.2]]))
+        nu = np.array([[0.2]])
         got = second_variation(model, nu, [1.5], [-0.4])
         assert got == pytest.approx(1.7 * 1.5 * -0.4)
 
@@ -288,14 +287,13 @@ class TestStructuralProperties:
             assert lhs <= rhs + 1e-10
 
     def test_bregman_nonnegativity(self):
-        from mflab.chaos import bregman_divergence
-
         rng = np.random.default_rng(5)
         for model in (relu_preset(), quadratic_oracle(1.0, 1.0, 0.8, 0.2)):
             for _ in range(20):
                 nu = random_grid_measure(rng)
                 pibar = random_grid_measure(rng)
-                assert bregman_divergence(model, nu, pibar) >= -1e-10
+                assert _bregman(model, expect_features(model, nu),
+                                pibar) >= -1e-10
 
     def test_quadratic_matches_closed_form(self):
         # F0 = (kappa/2)(m - c)^2, dF0(nu, x) = kappa (m - c) x and
@@ -321,7 +319,7 @@ class TestStructuralProperties:
         kappa, c, clip = 0.8, 0.3, 1.0
         quad = quadratic_oracle(1.0, 1.0, kappa=kappa, c=c, clip_radius=clip)
         m = c + 5.0
-        nu = EmpiricalMeasure(np.array([[m - 1.0], [m + 1.0]]))
+        nu = np.array([[m - 1.0], [m + 1.0]])
         x = np.array([[2.0], [-1.5]])
         assert energy(quad, nu) == pytest.approx(0.5 * kappa * 25.0, rel=1e-14)
         np.testing.assert_allclose(first_variation(quad, nu, x),
@@ -434,7 +432,7 @@ class TestRescaleModel:
         eta = math.sqrt(model.lam) / model.sigma
         scaled = rescale_model(model)
         for theta in (0.3, -1.1, 2.0):
-            nu_scaled = EmpiricalMeasure(np.array([[theta]]))
-            nu_orig = EmpiricalMeasure(np.array([[theta / eta]]))
+            nu_scaled = np.array([[theta]])
+            nu_orig = np.array([[theta / eta]])
             assert energy(scaled, nu_scaled) == pytest.approx(
                 energy(model, nu_orig), rel=1e-12)

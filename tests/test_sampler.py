@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mflab.errors import InvalidTargetError, SimulationDivergedError
-from mflab.measure import Axis, kl_divergence, normalize_from_log_potential
+from mflab.measure import Axis, normalize_from_log_potential
 from mflab.model import (
     RELU,
     example_nn,
@@ -25,11 +25,9 @@ from mflab.sampler import (
     mala_sample,
     mfld_simulate,
     n_particle_log_density,
-    n_particle_log_density_grad,
     ndtri,
     split_rhat,
     states_to_csv,
-    trajectory_to_csv,
 )
 from mflab.model import model_constants
 
@@ -42,12 +40,17 @@ from _oracles import (
 )
 
 
+def log_density_grad(target, x):
+    """The gradient of the fused MALA kernel at one (N, d) state."""
+    return _log_density(target, np.asarray(x, dtype=float)[None], True)[1][0]
+
+
 class TestLogDensityGrad:
     def test_zero_model_is_linear(self):
         model = zero_model(sigma=1.0, lam=0.8)
         target = TargetSpec(model, n_particles=3)
         x = np.array([[0.5], [-1.0], [2.0]])
-        grad = n_particle_log_density_grad(target, x)
+        grad = log_density_grad(target, x)
         np.testing.assert_allclose(grad, -(2.0 * 0.8 / 1.0) * x, rtol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -68,7 +71,7 @@ class TestLogDensityGrad:
                     pre = x @ target.model.data_x.T
                     if np.min(np.abs(pre)) < 1e-2:
                         continue
-                grad = n_particle_log_density_grad(target, x)
+                grad = log_density_grad(target, x)
                 for i in range(n):
                     for j in range(d):
                         xp = x.copy()
@@ -84,8 +87,8 @@ class TestLogDensityGrad:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 1))
         perm = np.array([2, 0, 3, 1])
-        g = n_particle_log_density_grad(target, x)
-        g_perm = n_particle_log_density_grad(target, x[perm])
+        g = log_density_grad(target, x)
+        g_perm = log_density_grad(target, x[perm])
         np.testing.assert_array_equal(g_perm, g[perm])
         assert n_particle_log_density(target, x) == n_particle_log_density(
             target, x[perm])
@@ -97,8 +100,7 @@ class TestLogDensityGrad:
         tilted = TargetSpec(model, 1, tilt=TiltSpec(t, y))
         plain = TargetSpec(model, 1)
         x = np.array([[0.9]])
-        extra = (n_particle_log_density_grad(tilted, x)
-                 - n_particle_log_density_grad(plain, x))
+        extra = log_density_grad(tilted, x) - log_density_grad(plain, x)
         np.testing.assert_allclose(extra, -(x - y) / t + x, rtol=1e-12)
 
     def test_non_normalizable_tilt_rejected(self):
@@ -331,12 +333,10 @@ class TestKernelWithoutNumpyWrappers:
 
 class TestSerialization:
     def test_samples_to_csv_with_diagnostics_sidecar(self, tmp_path):
-        from mflab.sampler import trajectory_to_csv
-
         target = TargetSpec(relu_preset(), 2)
         samples, diag = mala_sample(target, 50, 20, 0.4, seed=5)
         csv = tmp_path / "samples.csv"
-        trajectory_to_csv(samples, np.arange(21, 71), csv)
+        states_to_csv(samples, np.arange(21, 71), csv, 2, 1)
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "step,particle,x1"
         assert len(lines) == 1 + 50 * 2
@@ -356,7 +356,7 @@ class TestSerialization:
                           1e22, 0.1, 9.0, 11.0])[::2]
         assert not steps.flags.c_contiguous
         csv = tmp_path / "traj.csv"
-        trajectory_to_csv(x, steps, csv)
+        states_to_csv(x, steps, csv, 3, d)
         lines = csv.read_text().split("\n")
         expected = [",".join(map(repr, (float(step), float(p),
                                         *x[k, p].tolist())))
@@ -370,7 +370,7 @@ class TestSerialization:
                                                                 d):
         x = np.random.default_rng(d).normal(size=(6, 4, d))
         steps = np.arange(0, 12, 2)
-        trajectory_to_csv(x, steps, tmp_path / "array.csv")
+        states_to_csv(x, steps, tmp_path / "array.csv", 4, d)
         states_to_csv(iter(x), steps, tmp_path / "stream.csv", 4, d)
         assert ((tmp_path / "array.csv").read_bytes()
                 == (tmp_path / "stream.csv").read_bytes())
