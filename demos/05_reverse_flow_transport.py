@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Building a Lipschitz transport map from the Gaussian by reverse flow.
 
-Evolve the target measure to the Gaussian by the exact Ornstein-Uhlenbeck
-semigroup; in 1-d the reverse heat flow is the monotone coupling of the
-target to its evolution, and inverting that map transports the Gaussian
-back onto the target.  The empirical Lipschitz constant is then compared
+The Ornstein-Uhlenbeck semigroup carries the target measure to the
+Gaussian; in 1-d the reverse heat flow is the monotone coupling of the
+target to its evolution, and at t = infinity that is Phi^{-1} o F_mu in
+closed form.  Inverting it transports the Gaussian back onto the target.  The empirical Lipschitz constant is then compared
 against the bound implied by the tilted-covariance envelope fitted in the
 previous demo, and against the closed-form estimate with unit implied
 constants (enormous by design; the envelope route is the informative one).
@@ -38,9 +38,8 @@ mu = normalize_from_log_potential(log_u, (ax,))
 print(f"target: mean {float(mu.mean()[0]):+.4f}, "
       f"sd {float(np.sqrt(mu.covariance()[0, 0])):.4f}")
 
-flow = reverse_flow_map(mu, t_max=8.0)
-print(f"flow to t = {flow.t_max}, W2(mu_t, gamma) = {flow.gamma_w2:.2e}; "
-      f"map strictly increasing: {bool(np.all(np.diff(flow.mapped) > 0))}")
+flow = reverse_flow_map(mu)
+print(f"map strictly increasing: {bool(np.all(np.diff(flow.mapped) > 0))}")
 print(f"W2(T#gamma, mu) = {pushforward_w2(flow, mu):.2e}")
 
 lip = lipschitz_estimate(flow)

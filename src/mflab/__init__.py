@@ -7,7 +7,7 @@ Submodules:
 * :mod:`mflab.sampler`   -- MALA for Gibbs targets, Euler-Maruyama dynamics
 * :mod:`mflab.meanfield` -- self-consistent proximal Gibbs systems
 * :mod:`mflab.chaos`     -- KL estimates vs closed-form chaos bounds
-* :mod:`mflab.heatflow`  -- tilt profiles, OU flow, reverse transport maps
+* :mod:`mflab.heatflow`  -- tilt profiles, reverse transport maps
 * :mod:`mflab.bounds`    -- exact calculators for every closed-form constant
 * :mod:`mflab.cli`       -- experiment runner and report generation
 """
@@ -36,7 +36,6 @@ from .heatflow import (
     FlowMap,
     covariance_profile,
     lipschitz_estimate,
-    ou_evolve,
     reverse_flow_map,
 )
 from .meanfield import ProximalGibbsSystem, proximal_residual, solve_self_consistent
@@ -45,7 +44,6 @@ from .measure import (
     GridDensity,
     covariance_opnorm,
     normalize_from_log_potential,
-    w2_distance_1d,
 )
 from .model import (
     ModelSpec,

@@ -13,7 +13,7 @@ check, its margin in standard errors) and `all checks: yes/NO`.
 
 Exit codes: 0 every check passed, 1 ran but a check failed, 2
 configuration error, 3 numeric failure (nonconvergence, divergence
-guard or a grid too coarse for its kernel).
+guard or a grid too coarse for the transport map).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .chaos import McmcConfig, chaos_sweep, no_growth_in_n, sweep_to_csv
 from .errors import ConfigError, MflabError
 from .forking import forked
 from .heatflow import (
-    FLOW_GAMMA_W2_TOL,
     covariance_profile,
     default_profile_times,
     fitted_lipschitz_bound,
@@ -165,11 +164,6 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "n_particles": Field(int, 1, "particles in the profiled Gibbs "
                                      "measure; total dimension <= 2", 0),
     },
-    "flow": {
-        "t_max": Field(float, 8.0, "OU horizon of the closed-form flow; "
-                                   "mu_t must be within 1e-4 of Gaussian "
-                                   "in W2, checked and recorded", 0),
-    },
     "mfld": {
         "n_particles": Field(int, 64, "particle count of the simulated "
                                       "system", 0),
@@ -195,7 +189,7 @@ LOSS_KEYS = {"squared": {"type", "scale", "clip_radius"}, "logistic": {"type"}}
 SECTIONS_BY_EXPERIMENT = {
     "chaos_sweep": ("model", "sweep", "mcmc", "grid"),
     "tilt_profile": ("model", "profile"),
-    "transport_map": ("model", "flow", "grid"),
+    "transport_map": ("model", "grid"),
     "mfld_run": ("model", "mfld"),
     "bounds_table": ("model",),
 }
@@ -419,14 +413,14 @@ def _run_tilt_profile(cfg: dict, out_dir: str):
 
 def _run_transport_map(cfg: dict, out_dir: str):
     model = rescale_model(build_model(cfg["model"]))
-    gb, fb = cfg["grid"], cfg["flow"]
+    gb = cfg["grid"]
     target = TargetSpec(model, 1)
     sd0 = model.sigma / math.sqrt(2.0 * model.lam)
     half = max(gb["span_sd"] * sd0, 8.5)
     ax = Axis(-half, half, gb["n_nodes"])
     log_u = n_particle_log_density(target, ax.nodes()[:, None, None])
     mu = normalize_from_log_potential(log_u, (ax,))
-    flow = reverse_flow_map(mu, t_max=fb["t_max"])
+    flow = reverse_flow_map(mu)
 
     from .heatflow import flow_map_to_csv
 
@@ -453,7 +447,6 @@ def _run_transport_map(cfg: dict, out_dir: str):
     ]
     _write_json(os.path.join(out_dir, "metrics.json"), {
         "empirical_lipschitz": lip,
-        "gamma_w2": flow.gamma_w2,
         "pushforward_w2": w2,
         "fitted_envelope_bound": fitted_bound,
         "fitted_envelope_C": c_fit,
@@ -465,8 +458,6 @@ def _run_transport_map(cfg: dict, out_dir: str):
     })
     return [
         f"transport map: empirical L = {lip:.6f}",
-        f"W2(mu_t, gamma) at t_max = {fb['t_max']:g}: {flow.gamma_w2:.3g} "
-        f"(tolerance {FLOW_GAMMA_W2_TOL:g})",
         f"fitted envelope bound = {fitted_bound:.6f} "
         f"(C = {c_fit:.4f}, k = {k_fit})",
         f"closed-form bound (refined, unit constants) = {bound_spec:.4g}",

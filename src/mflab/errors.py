@@ -55,8 +55,8 @@ class NonconvergenceError(MflabError):
 
 
 class IntegrationFailureError(MflabError):
-    """The transport map failed: the grid is too coarse for the OU kernel,
-    mu_{t_max} is not yet Gaussian, or the map is not strictly increasing."""
+    """The transport map failed: the grid resolves fewer than two CDF
+    levels, or the map is not strictly increasing."""
 
 
 class CalculatorDomainError(MflabError):

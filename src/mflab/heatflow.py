@@ -1,5 +1,5 @@
-"""Tilted-covariance profiles, Ornstein-Uhlenbeck evolution, and the
-reverse-flow transport map, in total dimension at most 2.
+"""Tilted-covariance profiles and the reverse-flow transport map, in total
+dimension at most 2.
 
 The central object is the Gaussian-tilted measure
 
@@ -17,11 +17,12 @@ one dimension: the flow
 
     d/dt S_t(x) = -grad log (d mu_t / d gamma)(S_t(x)),
 
-with mu_t the exact Ornstein-Uhlenbeck evolution of mu, carries mu to
-mu_t monotonically, and in 1-d the monotone map is unique, so
-S_t = Q_{mu_t} o F_mu in closed form.  The map from gamma is the inverse
-of S_{t_max}, and its accuracy W2(T_# gamma, mu) is its L^2(gamma)
-distance from the exact monotone map Q_mu o Phi.
+with mu_t the Ornstein-Uhlenbeck evolution of mu, carries mu to mu_t
+monotonically, and in 1-d the monotone map is unique, so
+S_t = Q_{mu_t} o F_mu.  As t -> infinity mu_t -> gamma, and the flow's
+endpoint is S_inf = Phi^{-1} o F_mu in closed form.  The map from gamma
+is its inverse, Q_mu o Phi, and its accuracy W2(T_# gamma, mu) is its
+L^2(gamma) distance from that exact monotone map.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .measure import (
-    BLOCK_ELEMENTS,
     Axis,
     GridDensity,
     Pchip,
@@ -46,14 +46,11 @@ from .measure import (
     grid_points,
     monotone_images,
     normalize_from_log_potential,
-    w2_distance_1d,
     _write_csv,
 )
 from .sampler import TargetSpec, n_particle_log_density
 
 MIN_COVERAGE_SD = 8.0
-DEFAULT_FLOW_T_MAX = 8.0
-FLOW_GAMMA_W2_TOL = 1e-4
 LIPSCHITZ_WINDOW_SD = 6.0
 
 
@@ -266,58 +263,6 @@ def _adapted_tilted_density(target: TargetSpec, t: float, y: np.ndarray,
         f"could not cover the tilted measure at t={t:g} within 3 widenings")
 
 
-# -- Ornstein-Uhlenbeck evolution --------------------------------------------
-
-
-def ou_evolve(mu: GridDensity, t: float) -> GridDensity:
-    """Law of e^{-t} X + sqrt(1 - e^{-2t}) G for X ~ mu, G standard normal.
-
-    The Gaussian kernel is applied by quadrature along each axis (the
-    kernel factorizes), which realizes the exact semigroup action with no
-    time stepping; the axis-0 kernel is built and applied in row blocks.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return GridDensity(mu.axes, mu.weights.copy(), mu.log_density.copy())
-    bw = math.sqrt(-math.expm1(-2.0 * t))
-    decay = math.exp(-t)
-    for ax in mu.axes:
-        if bw < 1.5 * ax.spacing:
-            raise IntegrationFailureError(
-                f"OU kernel width {bw:.3g} under-resolved by grid spacing "
-                f"{ax.spacing:.3g}; use a finer grid or larger t"
-            )
-    # Blocks of 8k rows, a remainder of 8 rows or fewer joining the last: BLAS
-    # groups rows by 4 and 8 and treats 1 or 2 apart, so rows sum as in K @ W.
-    rows = max(8, BLOCK_ELEMENTS // mu.axes[0].n // 8 * 8)
-    w = np.concatenate([block @ mu.weights for block in
-                        _ou_kernel_blocks(mu.axes[0], decay, bw, rows)])
-    if mu.dim == 2:
-        w = w @ next(_ou_kernel_blocks(mu.axes[1], decay, bw, mu.axes[1].n)).T
-    w = np.clip(w, 0.0, None)
-    w /= np.sum(mu.quad_weights() * w)
-    with np.errstate(divide="ignore"):
-        return GridDensity(mu.axes, w, np.log(w))
-
-
-def _ou_kernel_blocks(ax: Axis, decay: float, bw: float, rows: int):
-    """Row blocks of an axis's quadrature-weighted OU kernel in one buffer."""
-    x, qw = ax.nodes(), ax.quad_weights()
-    source, norm = decay * x, bw * math.sqrt(2.0 * math.pi)
-    edges = [*range(0, max(ax.n - 8, 1), rows), ax.n]
-    buf = np.empty((max(np.diff(edges)), ax.n))
-    for lo, hi in zip(edges, edges[1:]):
-        kern = np.subtract(x[lo:hi, None], source, out=buf[:hi - lo])
-        kern /= bw
-        kern *= kern
-        kern *= -0.5  # (z z)(-1/2) is (-1/2 z) z to the last bit
-        np.exp(kern, out=kern)
-        kern /= norm
-        kern *= qw
-        yield kern
-
-
 def standard_gaussian_grid(axes) -> GridDensity:
     """gamma restricted to the grid (unit-mass renormalized)."""
     axes = (axes,) if isinstance(axes, Axis) else tuple(axes)
@@ -334,56 +279,40 @@ def standard_gaussian_grid(axes) -> GridDensity:
 class FlowMap:
     """Monotone 1-d transport map from the standard Gaussian.
 
-    `source` are gamma-side evaluation points on a uniform grid,
-    `mapped` their images T(source), and `gamma_w2` is the W2 distance
-    from mu_{t_max} to gamma that the horizon check accepted.
+    `source` are gamma-side evaluation points on a uniform grid and
+    `mapped` their images T(source).
     """
 
     source: np.ndarray
     mapped: np.ndarray
-    gamma_w2: float
-    t_max: float
 
 
-def reverse_flow_map(mu: GridDensity,
-                     t_max: float = DEFAULT_FLOW_T_MAX) -> FlowMap:
-    """The monotone coupling of mu to its exact OU evolution, inverted.
+def reverse_flow_map(mu: GridDensity) -> FlowMap:
+    """The endpoint of the 1-d reverse heat flow of Kim and Milman, inverted.
 
-    S_{t_max} = Q_{mu_{t_max}} o F_mu is the 1-d reverse heat flow of Kim
-    and Milman at time t_max, evaluated on the nodes within 8 sd of the
-    mean and inverted by :class:`~mflab.measure.Pchip` at 2048 gamma-side
-    points.  Fails loudly if mu_{t_max} has not reached the Gaussian or the
-    forward map is not strictly increasing (mu has a gap in its mass).
+    S_inf = Phi^{-1} o F_mu is the monotone coupling of mu to gamma,
+    evaluated on the nodes within 8 sd of the mean and inverted by
+    :class:`~mflab.measure.Pchip` at 2048 gamma-side points.  Fails loudly
+    if the forward map is not strictly increasing (mu has a gap in its mass).
     """
     if mu.dim != 1:
         raise UnsupportedDimensionError("flow maps are built in 1-d only")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
     x = mu.axes[0].nodes()
     if np.any(mu.weights[1:-1] <= 0):
         raise ValueError("mu must be strictly positive on the grid interior")
-
-    final = ou_evolve(mu, t_max)
-    gamma_w2 = w2_distance_1d(final, standard_gaussian_grid(mu.axes))
-    if gamma_w2 >= FLOW_GAMMA_W2_TOL:
-        raise IntegrationFailureError(
-            f"final density is W2 = {gamma_w2:.3g} from the Gaussian; "
-            f"increase t_max"
-        )
 
     mean = float(mu.mean()[0])
     sd = math.sqrt(float(mu.covariance()[0, 0]))
     mask = (x >= mean - 8.0 * sd) & (x <= mean + 8.0 * sd)
     pts = x[mask]
-    s = monotone_images(mu, final)[mask]
+    s = monotone_images(mu, standard_gaussian_grid(mu.axes))[mask]
     if np.any(np.diff(s) <= 0):
         raise IntegrationFailureError("forward map is not strictly increasing")
 
     src_lo = max(float(s[0]), -8.0)
     src_hi = min(float(s[-1]), 8.0)
     source = np.linspace(src_lo, src_hi, 2048)
-    return FlowMap(source=source, mapped=Pchip(s, pts)(source),
-                   gamma_w2=gamma_w2, t_max=t_max)
+    return FlowMap(source=source, mapped=Pchip(s, pts)(source))
 
 
 def lipschitz_estimate(flow: FlowMap) -> float:

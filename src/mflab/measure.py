@@ -19,13 +19,14 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyMeasureError,
+    IntegrationFailureError,
     UnsupportedDimensionError,
 )
 
 # Rows formatted per write by _write_csv; bounds its string buffer.
 CSV_CHUNK_ROWS = 65_536
-# Elements per block of the OU kernel (one buffer for all blocks) and of the
-# draws-by-data and Pchip-query temporaries, reused from the heap at 128 KiB.
+# Elements per block of the draws-by-data and Pchip-query temporaries,
+# reused from the heap at 128 KiB.
 BLOCK_ELEMENTS = 2**14
 # inverse_cdf drops knots whose CDF step h is below this: Pchip coefficients
 # (up to about 4 dx / h^3 over a distance dx in x) stay finite for dx < 1e7.
@@ -308,7 +309,8 @@ def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
 
     F_p and F_q are matched in the logit coordinate of :func:`_logit_cdf`
     and q's nodes are interpolated monotonically (:class:`Pchip`) in it; images
-    beyond the range q resolves are clamped to its end nodes.
+    beyond the range q resolves are clamped to its end nodes.  A grid that
+    resolves fewer than two CDF levels of q is an IntegrationFailureError.
     """
     if p.dim != 1 or q.dim != 1:
         raise UnsupportedDimensionError("monotone_images needs 1-d densities")
@@ -316,26 +318,13 @@ def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
     x = q.nodes()
     finite = np.isfinite(u_q)
     u_q, x = u_q[finite], x[finite]
-    keep = np.concatenate([[True], np.diff(u_q) > 0])
+    keep = np.diff(u_q, prepend=-np.inf) > 0
     u_q, x = u_q[keep], x[keep]
+    if u_q.size < 2:
+        raise IntegrationFailureError(
+            f"a {q.axes[0].n}-node grid resolves fewer than two CDF levels; "
+            f"use a finer grid")
     return Pchip(u_q, x)(np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
-
-
-def w2_distance_1d(p: GridDensity, q: GridDensity) -> float:
-    """Quantile-coupling 2-Wasserstein distance between 1-d grid densities.
-
-    Uses W2^2 = E_p[(x - Q_q(F_p(x)))^2], the change of variables u = F_p(x)
-    of the quantile formula, so the integrand carries the decay of p.
-    """
-    if p.dim != 1 or q.dim != 1:
-        raise UnsupportedDimensionError("w2_distance_1d needs 1-d densities")
-    if p.same_grid(q) and np.array_equal(p.weights, q.weights):
-        return 0.0
-    displacement = p.nodes() - monotone_images(p, q)
-    w2sq = float(
-        np.sum(p.quad_weights() * p.weights * displacement**2)
-    )
-    return float(np.sqrt(max(w2sq, 0.0)))
 
 
 def inverse_cdf(p: GridDensity) -> Pchip:
@@ -347,11 +336,10 @@ def inverse_cdf(p: GridDensity) -> Pchip:
     return Pchip(cdf[keep], p.nodes()[keep])
 
 
-def sample_from_grid(p: GridDensity | Pchip, n: int,
+def sample_from_grid(inv: Pchip, n: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF i.i.d. draws from a 1-d grid density, shape (n, 1); p is
-    the density or its :func:`inverse_cdf`, fitted once for many calls."""
-    inv = p if isinstance(p, Pchip) else inverse_cdf(p)
+    """Inverse-CDF i.i.d. draws, shape (n, 1), from a 1-d grid density's
+    :func:`inverse_cdf`, fitted once for many calls."""
     # The interpolant returns y[0] exactly at x[0]; pin the top end too.
     u = np.clip(rng.random(n), inv.x[0], inv.x[-1])
     return np.where(u == inv.x[-1], inv.y[-1], inv(u))[:, None]

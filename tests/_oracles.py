@@ -1,8 +1,8 @@
 """Independent closed-form oracles the tests check the library against.
 
-Everything here is derived by hand (Gaussian algebra, OU moment maps,
-scalar fixed points, one-dimensional quadrature) and deliberately avoids
-calling the code paths under test; `gaussian_on_grid` builds a library
+Everything here is derived by hand (Gaussian algebra, scalar fixed
+points, one-dimensional quadrature) and deliberately avoids calling the
+code paths under test; `gaussian_on_grid` builds a library
 object, through normalize_from_log_potential, `bregman_rows_reference`
 reduces through the library's `_bregman`, downstream of the chunking it
 checks, and the definitions at the end go through the library's kernels.
@@ -20,6 +20,8 @@ paper's definitions, over a grid density or the empirical measure of an
 (N, d) particle array, evaluated through the library's expected features
 and its one loss kernel, `loss_terms`; the tests check identities between
 them (Gateaux derivative, finite differences, convexity, closed forms).
+`w2_distance_1d` is the quantile-coupling W2 through the library's
+`monotone_images`, which the tests check against Gaussian closed forms.
 """
 
 import math
@@ -103,12 +105,6 @@ def gaussian_kl_full(m0, c0, m1, c1):
     return 0.5 * float(val)
 
 
-def ou_moment_map(m, v, t):
-    """OU action on Gaussian moments: N(m, v) -> N(m e^-t, 1 + (v-1) e^-2t)."""
-    decay = math.exp(-t)
-    return m * decay, 1.0 + (v - 1.0) * decay**2
-
-
 def expected_relu_gaussian(a, b, m=0.0, s=1.0):
     """E[relu(a X + b)] for X ~ N(m, s^2): with Y ~ N(mu, sd^2),
     E[Y_+] = mu Phi(mu/sd) + sd phi(mu/sd)."""
@@ -170,26 +166,6 @@ def bregman_rows_reference(model, x, pibar):
     eh = np.array([model.activation.value(model.data_x @ xi.T).mean(axis=1)
                    for xi in x]).reshape(len(x), len(model.data_x))
     return _bregman(model, eh, pibar)
-
-
-def ou_evolve_dense(mu, t):
-    """Weights of the OU evolution of a grid density mu over time t > 0,
-    with the whole quadrature-weighted kernel of each axis built at once:
-    K0 W (1-d) or K0 W K1^T (2-d), clipped at 0 and divided by its
-    trapezoid mass."""
-    bw = math.sqrt(-math.expm1(-2.0 * t))
-    decay = math.exp(-t)
-    mats = []
-    for ax in mu.axes:
-        x = ax.nodes()
-        z = (x[:, None] - decay * x[None, :]) / bw
-        kern = np.exp(-0.5 * z * z) / (bw * math.sqrt(2.0 * math.pi))
-        mats.append(kern * ax.quad_weights()[None, :])
-    w = mats[0] @ mu.weights
-    if mu.dim == 2:
-        w = w @ mats[1].T
-    w = np.clip(w, 0.0, None)
-    return w / float(np.sum(mu.quad_weights() * w))
 
 
 def gaussian_on_grid(axes, mean, cov):
@@ -440,3 +416,16 @@ def grid_kl(p, q):
     support = p.weights > 1e-300
     ratio = np.log(p.weights[support]) - np.log(q.weights[support])
     return float(np.sum((p.quad_weights() * p.weights)[support] * ratio))
+
+
+def w2_distance_1d(p, q):
+    """Quantile-coupling W2 between 1-d grid densities, from
+    W2^2 = E_p[(x - Q_q(F_p(x)))^2] with the library's monotone_images;
+    0 for identical densities on one grid."""
+    from mflab.measure import monotone_images
+
+    if p.same_grid(q) and np.array_equal(p.weights, q.weights):
+        return 0.0
+    displacement = p.nodes() - monotone_images(p, q)
+    w2sq = float(np.sum(p.quad_weights() * p.weights * displacement**2))
+    return math.sqrt(max(w2sq, 0.0))

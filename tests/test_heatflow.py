@@ -1,8 +1,7 @@
-"""Tilt profiles, OU evolution, and the reverse transport map."""
+"""Tilt profiles and the reverse transport map."""
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from mflab.heatflow import (
     default_profile_times,
     fitted_lipschitz_bound,
     lipschitz_estimate,
-    ou_evolve,
     pushforward_w2,
     regime_threshold,
     reverse_flow_map,
@@ -33,6 +31,7 @@ from mflab.measure import (
     Axis,
     Pchip,
     covariance_opnorm,
+    inverse_cdf,
     normalize_from_log_potential,
     sample_from_grid,
 )
@@ -44,8 +43,6 @@ from _oracles import (
     fitted_small_t_remainder,
     gaussian_on_grid,
     largest_eigenvalue_2x2,
-    ou_evolve_dense,
-    ou_moment_map,
     tilted_gaussian_variance,
     tilted_measure,
 )
@@ -240,106 +237,27 @@ class TestCovarianceProfile:
         assert (tmp_path / "profile.csv").read_text().startswith("t,y,opnorm")
 
 
-class TestOuEvolve:
-    def test_gamma_stationary(self):
-        gamma = grid_gaussian()
-        out = ou_evolve(gamma, 0.7)
-        assert np.max(np.abs(out.weights - gamma.weights)) < 1e-7
-
-    def test_gaussian_moment_map(self):
-        m, v, t = 0.6, 1.69, 0.9
-        mu = grid_gaussian(mean=m, var=v)
-        out = ou_evolve(mu, t)
-        m_t, v_t = ou_moment_map(m, v, t)
-        exact = grid_gaussian(mean=m_t, var=v_t)
-        assert np.max(np.abs(out.weights - exact.weights)) < 1e-7
-
-    def test_semigroup_property(self):
-        mu = grid_gaussian(mean=0.4, var=0.36)
-        two_step = ou_evolve(ou_evolve(mu, 0.4), 0.6)
-        one_step = ou_evolve(mu, 1.0)
-        assert np.max(np.abs(two_step.weights - one_step.weights)) < 1e-6
-
-    def test_t_zero_is_identity(self):
-        mu = grid_gaussian(var=0.5)
-        out = ou_evolve(mu, 0.0)
-        np.testing.assert_array_equal(out.weights, mu.weights)
-
-    def test_under_resolved_kernel_rejected(self):
-        mu = grid_gaussian(axis=Axis(-10.0, 10.0, 64))
-        with pytest.raises(IntegrationFailureError, match="under-resolved"):
-            ou_evolve(mu, 1e-6)
-
-    def test_2d_moment_map(self):
-        ax = Axis(-8.0, 8.0, 256)
-        cov = np.array([[1.3, 0.2], [0.2, 0.6]])
-        mu = gaussian_on_grid((ax, ax), [0.5, -0.3], cov)
-        t = 0.5
-        out = ou_evolve(mu, t)
-        decay = math.exp(-t)
-        cov_exp = (1 - decay**2) * np.eye(2) + decay**2 * cov
-        np.testing.assert_allclose(out.mean(), decay * np.array([0.5, -0.3]),
-                                   atol=1e-8)
-        np.testing.assert_allclose(out.covariance(), cov_exp, atol=1e-8)
-
-
-    # Rows per block: the shipped block (8 rows at 2048 nodes, 48 at 304,
-    # 80 at 192), and 40 or 96 rows.  Only 8 rows divide a node count; at
-    # 2048 nodes and 40 rows the 8-row remainder joins the last block.
-    # Blocks of 53 rows at 304 nodes would change the last bits.  Node
-    # counts that are not a multiple of 16 are left out: split between two
-    # BLAS threads, even the dense product changes in its last bits.
-    @pytest.mark.parametrize("axes,rows", [
-        ((AX,), None), ((AX,), 40), ((AX,), 96),
-        ((Axis(-10.0, 10.0, 304),), None),
-        ((Axis(-6.0, 6.0, 192),) * 2, None),
-        ((Axis(-6.0, 6.0, 192),) * 2, 40)])
-    def test_blocked_equals_dense(self, axes, rows, monkeypatch):
-        if rows is not None:
-            monkeypatch.setattr(mflab.heatflow, "BLOCK_ELEMENTS",
-                                rows * axes[0].n)
-        cov = np.diag([1.3, 0.6][:len(axes)])
-        mu = gaussian_on_grid(axes, [0.5, -0.3][:len(axes)], cov)
-        for t in (0.05, 0.9, 8.0):
-            out = ou_evolve(mu, t)
-            dense = ou_evolve_dense(mu, t)
-            np.testing.assert_array_equal(out.weights, dense)
-            with np.errstate(divide="ignore"):
-                np.testing.assert_array_equal(out.log_density, np.log(dense))
-
-    def test_peak_memory_is_one_block(self):
-        mu = grid_gaussian(mean=0.3, var=1.7)
-        tracemalloc.start()
-        try:
-            ou_evolve(mu, 0.9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The dense 2048 x 2048 kernel alone is 32 MB.
-        assert peak < 16e6, peak
-
-
 class TestReverseFlowMap:
     def test_gamma_maps_to_identity(self):
         gamma = grid_gaussian()
-        fm = reverse_flow_map(gamma, t_max=6.0)
+        fm = reverse_flow_map(gamma)
         assert np.max(np.abs(fm.mapped - fm.source)) < 1e-6
         assert lipschitz_estimate(fm) == pytest.approx(1.0, abs=1e-5)
 
     def test_narrow_gaussian_gives_linear_map(self):
         s = 0.8
         mu = grid_gaussian(var=s * s)
-        fm = reverse_flow_map(mu, t_max=6.0)
+        fm = reverse_flow_map(mu)
         window = np.abs(fm.source) <= 4.0
         err = np.max(np.abs(fm.mapped[window] - s * fm.source[window]))
-        assert err < 1e-4
+        assert err < 1e-7
         assert abs(lipschitz_estimate(fm) - s) < 1e-5
 
     def test_relu_preset_pushforward_and_bounds(self):
         mu, model = relu_gibbs_density()
-        fm = reverse_flow_map(mu, t_max=8.0)
+        fm = reverse_flow_map(mu)
         assert np.all(np.diff(fm.mapped) > 0)
-        assert pushforward_w2(fm, mu) < 1e-3
+        assert pushforward_w2(fm, mu) < 1e-6
         lip = lipschitz_estimate(fm)
         target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
@@ -351,11 +269,6 @@ class TestReverseFlowMap:
         assert lip <= bound
         assert lip <= main_bound(model_constants(relu_preset()), "generic")
 
-    def test_horizon_too_short_rejected(self):
-        mu = grid_gaussian(var=0.64)
-        with pytest.raises(IntegrationFailureError):
-            reverse_flow_map(mu, t_max=2.0)
-
     def test_non_monotone_from_mass_gap(self):
         # F is flat to 1e-29 between the modes, so the forward map is too.
         ax = Axis(-8.0, 8.0, 512)
@@ -365,7 +278,7 @@ class TestReverseFlowMap:
         bimodal = normalize_from_log_potential(log_u, (ax,))
         with pytest.raises(IntegrationFailureError,
                            match="not strictly increasing"):
-            reverse_flow_map(bimodal, t_max=6.0)
+            reverse_flow_map(bimodal)
 
     def test_2d_rejected(self):
         ax = Axis(-8.0, 8.0, 64)
@@ -387,10 +300,10 @@ class TestReverseFlowMap:
 
         monkeypatch.setattr(Pchip, "__call__", recording)
         mu, _ = relu_gibbs_density()
-        sample_from_grid(mu, 16, np.random.default_rng(0))
-        reverse_flow_map(mu, t_max=8.0)
+        sample_from_grid(inverse_cdf(mu), 16, np.random.default_rng(0))
+        reverse_flow_map(mu)
         monkeypatch.undo()
-        assert len(calls) == 4
+        assert len(calls) == 3
         for x, y, q in calls:
             q = np.concatenate([q, x, np.linspace(x[0], x[-1], 4097)])
             np.testing.assert_array_equal(Pchip(x, y)(q),
@@ -400,20 +313,20 @@ class TestReverseFlowMap:
 class TestLipschitzEstimate:
     def test_identity_map(self):
         src = np.linspace(-7.0, 7.0, 512)
-        fm = FlowMap(source=src, mapped=src.copy(), gamma_w2=0.0, t_max=8.0)
+        fm = FlowMap(source=src, mapped=src.copy())
         assert lipschitz_estimate(fm) == pytest.approx(1.0)
 
     def test_linear_map(self):
         src = np.linspace(-7.0, 7.0, 512)
         s = 0.37
-        fm = FlowMap(source=src, mapped=s * src, gamma_w2=0.0, t_max=8.0)
+        fm = FlowMap(source=src, mapped=s * src)
         assert abs(lipschitz_estimate(fm) - s) < 1e-6
 
     def test_window_excludes_far_tails(self):
         src = np.linspace(-7.0, 7.0, 1401)
         mapped = src.copy()
         mapped[-1] += 5.0  # steep jump outside the +-6 window
-        fm = FlowMap(source=src, mapped=mapped, gamma_w2=0.0, t_max=8.0)
+        fm = FlowMap(source=src, mapped=mapped)
         assert lipschitz_estimate(fm) == pytest.approx(1.0)
 
 
@@ -426,8 +339,7 @@ class TestPushforwardW2:
         return standard_gaussian_grid(Axis(-8.0, 8.0, 2048))
 
     def test_identity_map_is_zero(self):
-        fm = FlowMap(source=self.SRC, mapped=self.SRC.copy(), gamma_w2=0.0,
-                     t_max=8.0)
+        fm = FlowMap(source=self.SRC, mapped=self.SRC.copy())
         assert pushforward_w2(fm, self.gamma()) < 1e-7
 
     def test_scaled_map_matches_closed_form(self):
@@ -435,7 +347,6 @@ class TestPushforwardW2:
         a = 8.0
         phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
         second_moment = 1.0 - 2.0 * a * phi / math.erf(a / math.sqrt(2.0))
-        fm = FlowMap(source=self.SRC, mapped=1.1 * self.SRC, gamma_w2=0.0,
-                     t_max=8.0)
+        fm = FlowMap(source=self.SRC, mapped=1.1 * self.SRC)
         assert abs(pushforward_w2(fm, self.gamma())
                    - 0.1 * math.sqrt(second_moment)) < 1e-9

@@ -29,7 +29,6 @@ from mflab.measure import (
     normalize_from_log_potential,
     _search_right,
     sample_from_grid,
-    w2_distance_1d,
 )
 from mflab.meanfield import solve_self_consistent
 from mflab.presets import relu_preset
@@ -44,6 +43,7 @@ from _oracles import (
     largest_eigenvalue_2x2,
     pchip_searchsorted,
     sample_from_grid_searchsorted,
+    w2_distance_1d,
 )
 
 
@@ -263,18 +263,18 @@ class TestW2:
         ax = Axis(-8.0, 8.0, 64)
         g = gaussian_on_grid((ax, ax), [0.0, 0.0], np.eye(2))
         with pytest.raises(UnsupportedDimensionError):
-            w2_distance_1d(g, g)
+            monotone_images(g, g)
 
 
 class TestSampling:
     def test_moments_and_determinism(self):
         g = grid_gaussian_1d(mean=0.4, sd=0.9)
-        rng = np.random.default_rng(3)
-        x = sample_from_grid(g, 200_000, rng)
+        inv = inverse_cdf(g)
+        x = sample_from_grid(inv, 200_000, np.random.default_rng(3))
         assert abs(x.mean() - 0.4) < 0.01
         assert abs(x.std() - 0.9) < 0.01
-        y = sample_from_grid(g, 1000, np.random.default_rng(5))
-        z = sample_from_grid(g, 1000, np.random.default_rng(5))
+        y = sample_from_grid(inv, 1000, np.random.default_rng(5))
+        z = sample_from_grid(inv, 1000, np.random.default_rng(5))
         np.testing.assert_array_equal(y, z)
 
     # Blocks of 5 queries and of BLOCK_ELEMENTS, the last one partial.
@@ -304,7 +304,7 @@ class TestSampling:
             pchip_searchsorted(inv.x, inv.y, inv.x))
         ref = sample_from_grid_searchsorted(p, u.size, Draws())
         assert ref[0, 0] == inv.y[0] and ref[-1, 0] == inv.y[-1]
-        for fitted in (inv, p, inv):  # the fit is shared, not consumed
+        for fitted in (inv, inverse_cdf(p), inv):  # shared, not consumed
             np.testing.assert_array_equal(
                 sample_from_grid(fitted, u.size, Draws()), ref)
 
@@ -506,7 +506,8 @@ class TestGuideTableSearch:
             p = solve_self_consistent(relu_preset()).per_particle[0]
         else:  # sd 0.5 on a +-10 grid: the CDF is flat over most nodes
             p = grid_gaussian_1d(mean=-2.0, sd=0.5)
-        got = sample_from_grid(p, 32768, np.random.default_rng(11))
+        got = sample_from_grid(inverse_cdf(p), 32768,
+                               np.random.default_rng(11))
         ref = sample_from_grid_searchsorted(p, 32768,
                                             np.random.default_rng(11))
         np.testing.assert_array_equal(got, ref)
