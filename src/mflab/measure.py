@@ -121,9 +121,7 @@ class GridDensity:
 
     def quad_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, same shape as `weights`."""
-        if self.dim == 1:
-            return self.axes[0].quad_weights()
-        return np.outer(self.axes[0].quad_weights(), self.axes[1].quad_weights())
+        return grid_quad_weights(self.axes)
 
     # -- integrals ------------------------------------------------------
 
@@ -132,13 +130,10 @@ class GridDensity:
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance from one pass over the nodes, kept on the
-        frozen density; callers get copies."""
-        pts = self.node_points()
-        cw = (self.quad_weights() * self.weights).ravel()
-        m = pts.T @ cw
-        centered = pts - m
-        return m, (centered * cw[:, None]).T @ centered
+        """Mean and covariance, kept on the frozen density; callers get
+        copies."""
+        return weighted_moments(self.node_points(),
+                                (self.quad_weights() * self.weights).ravel())
 
     def mean(self) -> np.ndarray:
         return self._moments[0].copy()
@@ -149,18 +144,6 @@ class GridDensity:
     def same_grid(self, other: "GridDensity") -> bool:
         return self.axes == other.axes
 
-    # -- coverage sanity --------------------------------------------------
-
-    def coverage_in_sd(self) -> float:
-        """Smallest number of standard deviations between mean and grid edge.
-
-        The grid-extent invariant asks for at least 8 along every axis.
-        """
-        m, cov = self._moments
-        sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-        return float(min(min(m[i] - ax.lo, ax.hi - m[i]) / sd[i]
-                         for i, ax in enumerate(self.axes)))
-
 
 def grid_points(axes) -> np.ndarray:
     """All nodes of a 1-d or 2-d grid as an (M, dim) array in C order."""
@@ -169,6 +152,22 @@ def grid_points(axes) -> np.ndarray:
         return axes[0].nodes()[:, None]
     x, y = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")
     return np.column_stack([x.ravel(), y.ravel()])
+
+
+def grid_quad_weights(axes) -> np.ndarray:
+    """Trapezoid quadrature weights on the axes of a 1-d or 2-d grid, in
+    the grid's shape."""
+    if len(axes) == 1:
+        return axes[0].quad_weights()
+    return np.outer(axes[0].quad_weights(), axes[1].quad_weights())
+
+
+def weighted_moments(pts: np.ndarray, cw: np.ndarray):
+    """Mean and covariance of the nodes `pts` (M, dim) under the masses `cw`
+    (M,) that sum to 1, from one pass over the nodes."""
+    m = pts.T @ cw
+    centered = pts - m
+    return m, (centered * cw[:, None]).T @ centered
 
 
 def normalize_from_log_potential(log_u, axes) -> GridDensity:
@@ -190,25 +189,20 @@ def normalize_from_log_potential(log_u, axes) -> GridDensity:
     if peak == -np.inf:
         raise EmptyMeasureError("log potential is -inf everywhere")
     u = np.exp(log_u - peak)
-    if len(axes) == 1:
-        qw = axes[0].quad_weights()
-    else:
-        qw = np.outer(axes[0].quad_weights(), axes[1].quad_weights())
+    qw = grid_quad_weights(axes)
     z = float(np.sum(qw * u))
     weights = u / z
     log_density = log_u - peak - np.log(z)
     return GridDensity(axes, weights, log_density)
 
 
-def covariance_opnorm(p: GridDensity) -> tuple[np.ndarray, float]:
-    """Covariance matrix of a grid density and its operator norm, the
-    largest eigenvalue.
+def covariance_opnorm(cov: np.ndarray) -> float:
+    """Operator norm of a covariance matrix, its largest eigenvalue.
 
     The eigenvalue comes from the symmetric eigensolver, which returns
     the entry itself for a 1x1 matrix.
     """
-    cov = p.covariance()
-    return cov, float(np.linalg.eigvalsh(cov)[-1])
+    return float(np.linalg.eigvalsh(cov)[-1])
 
 
 def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:

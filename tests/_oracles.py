@@ -12,9 +12,11 @@ searchsorted index; numpy's Python-level mean, clip, sum and swapaxes) as
 bit-for-bit references for their faster replacements, and
 `loss_terms_two_pass` keeps each loss's value and slope as two separate
 evaluations of the residual.  `grid_moments_two_pass` keeps a grid
-density's mean and covariance as two separate passes, and `tilted_measure`
+density's mean and covariance as two separate passes, `tilted_measure`
 is the earlier Gaussian tilt of a grid density on its own grid, which the
-adapted-grid covariance profile replaced.  The energy, its first and
+adapted-grid covariance profile replaced, and `adapted_tilted_opnorm` is
+that profile's row as it was when each row built a grid density, with its
+own `coverage_in_sd` and boundary check.  The energy, its first and
 second variations, its Wasserstein gradient and the grid KL are the
 paper's definitions, over a grid density or the empirical measure of an
 (N, d) particle array, evaluated through the library's expected features
@@ -334,13 +336,29 @@ def grid_moments_two_pass(p):
     return mean, (centered * cw[:, None]).T @ centered
 
 
+def coverage_in_sd(p):
+    """Smallest number of standard deviations between a grid density's
+    mean and its grid's edge, over the axes."""
+    m, cov = p.mean(), p.covariance()
+    sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
+    return float(min(min(m[i] - ax.lo, ax.hi - m[i]) / sd[i]
+                     for i, ax in enumerate(p.axes)))
+
+
+def _check_interior_peak(log_u):
+    from mflab.errors import TiltDomainError
+
+    idx = np.unravel_index(np.argmax(log_u), log_u.shape)
+    if any(i in (0, n - 1) for i, n in zip(idx, log_u.shape)):
+        raise TiltDomainError("tilted exponent peaks on the grid boundary")
+
+
 def tilted_measure(mu, t, y):
     """The Gaussian tilt exp(-|x - y|^2/2t + |x|^2/2) mu of a grid density,
     normalized on mu's own grid.  Raises TiltDomainError when the tilted
     exponent peaks on the boundary, the mass reaches within 8 sd of the
     grid edge, or a tilted sd is under 1.5 grid spacings."""
     from mflab.errors import TiltDomainError
-    from mflab.heatflow import MIN_COVERAGE_SD, _check_interior_peak
     from mflab.measure import normalize_from_log_potential
 
     if t <= 0:
@@ -355,13 +373,67 @@ def tilted_measure(mu, t, y):
              + 0.5 * np.sum(pts * pts, axis=1)).reshape(mu.weights.shape)
     _check_interior_peak(log_u)
     out = normalize_from_log_potential(log_u, mu.axes)
-    if out.coverage_in_sd() < MIN_COVERAGE_SD:
+    if coverage_in_sd(out) < 8.0:
         raise TiltDomainError("tilted mass reaches the grid edge")
     for sd, ax in zip(np.sqrt(np.diag(out.covariance())), mu.axes):
         if sd < 1.5 * ax.spacing:
             raise TiltDomainError(f"tilt width {sd:.3g} under-resolved by "
                                   f"grid spacing {ax.spacing:.3g}")
     return out
+
+
+def adapted_tilted_opnorm(target, t, y, inputs):
+    """Covariance operator norm of one covariance-profile row, the tilt of
+    the target's N-particle Gibbs measure normalized as a grid density on a
+    window of 14 tilt widths around the mode of a coarse scan, doubled at
+    most twice until the mean lies 8 sd inside it.  Raises as the profile
+    does: TiltDomainError for a y of the wrong size, alpha_t <= 0, a peak
+    on the window's edge or three windows too narrow; ValueError for NaN or
+    +inf in the exponent."""
+    from mflab.bounds import tilted_alpha
+    from mflab.errors import TiltDomainError
+    from mflab.measure import Axis, grid_points, normalize_from_log_potential
+    from mflab.sampler import n_particle_log_density
+
+    m, n = target.model, target.n_particles
+    dim = n * m.d
+    if y.size != dim:
+        raise TiltDomainError(
+            f"tilt center has {y.size} coords, target is {dim}-d")
+    a_t = tilted_alpha(inputs, t)
+    if a_t <= 0:
+        raise TiltDomainError(
+            f"alpha_t = {a_t:.4g} <= 0: tilt not normalizable")
+    n_nodes = 2048 if dim == 1 else 192
+    sd_t = 1.0 / math.sqrt(a_t)
+    center_proxy = y / (1.0 + tilted_alpha(inputs, math.inf) * t)
+    base_sd = m.sigma / math.sqrt(2.0 * m.lam)
+
+    def tilted_log(pts):
+        untilted = n_particle_log_density(target, pts.reshape(-1, n, m.d))
+        diff = pts - y
+        return (untilted - np.add.reduce(diff * diff, axis=1) / (2.0 * t)
+                + 0.5 * np.add.reduce(pts * pts, axis=1))
+
+    box = tuple(Axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
+                     max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t),
+                     801 if dim == 1 else 121) for j in range(dim))
+    coarse_pts = grid_points(box)
+    mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts)))]
+    half_width = 14.0 * sd_t
+    for _ in range(3):
+        axes = tuple(Axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
+                     for j in range(dim))
+        log_u = tilted_log(grid_points(axes)).reshape(
+            tuple(ax.n for ax in axes))
+        _check_interior_peak(log_u)
+        out = normalize_from_log_potential(log_u, axes)
+        if coverage_in_sd(out) >= 8.0:
+            return float(np.linalg.eigvalsh(out.covariance())[-1])
+        mode = out.mean()
+        half_width *= 2.0
+    raise TiltDomainError(
+        f"could not cover the tilted measure at t={t:g} within 3 widenings")
 
 
 def mean_features(model, nu):

@@ -16,7 +16,7 @@ from mflab.errors import (
 )
 from mflab.heatflow import (
     FlowMap,
-    _adapted_tilted_density,
+    _tilted_moments,
     covariance_profile,
     default_profile_times,
     fitted_lipschitz_bound,
@@ -29,6 +29,7 @@ from mflab.heatflow import (
 from mflab.bounds import main_bound
 from mflab.measure import (
     Axis,
+    GridDensity,
     Pchip,
     covariance_opnorm,
     inverse_cdf,
@@ -36,10 +37,11 @@ from mflab.measure import (
     sample_from_grid,
 )
 from mflab.model import model_constants, rescale_model, zero_model
-from mflab.presets import relu_preset
+from mflab.presets import PRESETS, relu_preset
 from mflab.sampler import TargetSpec, n_particle_log_density
 
 from _oracles import (
+    adapted_tilted_opnorm,
     fitted_small_t_remainder,
     gaussian_on_grid,
     largest_eigenvalue_2x2,
@@ -170,11 +172,12 @@ class TestCovarianceProfile:
         # opnorm(t -> inf) equals the variance of the direct e^{x^2/2} mu
         # normalization.
         mu, _ = relu_gibbs_density(Axis(-12.0, 12.0, 4096))
-        _, opnorm = covariance_opnorm(tilted_measure(mu, 1e8, [0.0]))
+        opnorm = covariance_opnorm(
+            tilted_measure(mu, 1e8, [0.0]).covariance())
         x = mu.nodes()
         direct = normalize_from_log_potential(
             mu.log_density + 0.5 * x * x, mu.axes)
-        _, expected = covariance_opnorm(direct)
+        expected = covariance_opnorm(direct.covariance())
         assert abs(opnorm - expected) < 1e-6
 
     def test_two_particle_profile_on_2d_grid(self):
@@ -187,6 +190,21 @@ class TestCovarianceProfile:
             assert row.opnorm <= row.small_regime_ref
             assert row.opnorm > 0
 
+    @pytest.mark.parametrize("preset,n,n_times,ys", [
+        *[(name, 1, 40, [[-3.0], [0.0], [3.0]])
+          for name in ("relu3", "tanh2", "logistic2", "unit_zero")],
+        ("relu3", 2, 8, [[0.0, 0.0], [0.5, -0.5]]),
+    ])
+    def test_rows_equal_grid_density_reference(self, preset, n, n_times, ys):
+        target = TargetSpec(rescale_model(PRESETS[preset]()), n)
+        inputs = dataclasses.replace(model_constants(target.model), d_prox=1)
+        ts = default_profile_times(inputs, n=n_times)
+        ys = [np.array(y) for y in ys]
+        prof = covariance_profile(target, ts, ys, inputs)
+        expected = [adapted_tilted_opnorm(target, float(t), y, inputs)
+                    for y in ys for t in ts]
+        assert [row.opnorm for row in prof.rows] == expected
+
     def test_two_particle_opnorm_is_largest_eigenvalue(self):
         # At y = 0 the two particles are exchangeable and, at small t,
         # negatively correlated, so (1, 1) spans the smaller eigenvalue.
@@ -198,7 +216,7 @@ class TestCovarianceProfile:
                                   [y], inputs)
         for row in prof.rows:
             exact = largest_eigenvalue_2x2(
-                _adapted_tilted_density(target, row.t, y, inputs).covariance())
+                _tilted_moments(target, row.t, y, inputs)[1])
             assert abs(row.opnorm - exact) < 1e-12 * exact
 
     def test_grid_backed_matches_potential_backed(self):
@@ -208,28 +226,75 @@ class TestCovarianceProfile:
         ts = [0.2, 1.0]
         p_target = covariance_profile(target, ts, [np.array([0.5])], inputs)
         for t, row in zip(ts, p_target.rows):
-            _, opnorm = covariance_opnorm(tilted_measure(mu, t, [0.5]))
+            opnorm = covariance_opnorm(
+                tilted_measure(mu, t, [0.5]).covariance())
             assert abs(opnorm - row.opnorm) < 1e-6
 
-    def test_shared_coarse_scans_match_row_by_row(self, relu_profile,
-                                                  monkeypatch):
-        # Rows whose coarse boxes coincide evaluate the untilted density
-        # once per box; each opnorm equals the one computed alone.
+    def test_shared_coarse_scans_match_row_by_row(self, relu_profile):
+        # Rows whose coarse boxes coincide share one scan; each opnorm
+        # equals the one computed alone.
         prof, inputs = relu_profile
         target = TargetSpec(rescale_model(relu_preset()), 1)
         for row in prof.rows:
             y = np.array([float(row.y_label[2:])])
-            _, alone = covariance_opnorm(
-                _adapted_tilted_density(target, row.t, y, inputs))
+            alone = covariance_opnorm(
+                _tilted_moments(target, row.t, y, inputs)[1])
             assert row.opnorm == alone
-        calls = []
-        real = mflab.heatflow.n_particle_log_density
+
+    def test_rows_build_no_grid_density(self, relu_profile, monkeypatch):
+        # Each row evaluates the untilted density once, on its 2048 fine
+        # nodes, and each distinct 801-node coarse box once; no row builds a
+        # GridDensity.
+        prof, inputs = relu_profile
+        target = TargetSpec(rescale_model(relu_preset()), 1)
+        built, fine, coarse = [], [], []
+        init, real = GridDensity.__post_init__, n_particle_log_density
+
+        def recording(target, xb):
+            (fine if xb.shape[0] == 2048 else coarse).append(xb.tobytes())
+            return real(target, xb)
+
+        monkeypatch.setattr(GridDensity, "__post_init__",
+                            lambda self: built.append(1) or init(self))
         monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
-                            lambda *a: calls.append(1) or real(*a))
+                            recording)
         covariance_profile(target, prof.ts("y=0"),
                            [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)],
                            inputs)
-        assert len(prof.rows) < len(calls) < 1.5 * len(prof.rows)
+        assert built == []
+        assert len(fine) == len(prof.rows)
+        assert 1 < len(set(coarse)) == len(coarse) < len(prof.rows)
+        standard_gaussian_grid(AX)
+        assert built == [1]
+
+    @pytest.mark.parametrize("log_density,error,match", [
+        (lambda x: 50.0 * x, TiltDomainError, "grid boundary"),
+        (lambda x: np.where(np.abs(x) < 0.05, np.nan, -0.5 * x * x),
+         ValueError, "NaN"),
+        (lambda x: -0.01 * np.abs(x), TiltDomainError, "3 widenings"),
+    ])
+    def test_bad_tilted_density_rejected(self, monkeypatch, log_density,
+                                         error, match):
+        # At t = 1 and y = 0 the tilt cancels, so the row's tilted density
+        # is the patched untilted one: a ramp peaks on the fine grid's edge,
+        # a NaN band sits inside it, and a Laplace law of scale 100 reaches
+        # every window's edge.
+        target = TargetSpec(rescale_model(relu_preset()), 1)
+        inputs = dataclasses.replace(model_constants(target.model), d_prox=1)
+        monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
+                            lambda target, xb: log_density(xb[:, 0, 0]))
+        with pytest.raises(error, match=match):
+            covariance_profile(target, [1.0], [np.zeros(1)], inputs)
+
+    def test_bad_tilt_rejected(self):
+        target = TargetSpec(rescale_model(relu_preset()), 1)
+        inputs = dataclasses.replace(model_constants(target.model), d_prox=1)
+        with pytest.raises(TiltDomainError, match="coords"):
+            covariance_profile(target, [1.0], [np.zeros(2)], inputs)
+        # 2 lam / sigma^2 - 1 + 1/t = 0.2 - 1 + 0.1 < 0
+        low = dataclasses.replace(inputs, lam=0.1, sigma=1.0)
+        with pytest.raises(TiltDomainError, match="alpha_t"):
+            covariance_profile(target, [10.0], [np.zeros(1)], low)
 
     def test_csv_and_svg_outputs(self, relu_profile, tmp_path):
         prof, _ = relu_profile
