@@ -4,10 +4,12 @@
 The Ornstein-Uhlenbeck semigroup carries the target measure to the
 Gaussian; in 1-d the reverse heat flow is the monotone coupling of the
 target to its evolution, and at t = infinity that is Phi^{-1} o F_mu in
-closed form.  Inverting it transports the Gaussian back onto the target.  The empirical Lipschitz constant is then compared
-against the bound implied by the tilted-covariance envelope fitted in the
-previous demo, and against the closed-form estimate with unit implied
-constants (enormous by design; the envelope route is the informative one).
+closed form.  Inverting it transports the Gaussian back onto the target.
+The empirical Lipschitz constant is then compared against the bound
+implied by the tilted-covariance envelope, fitted by the profile of the
+previous demo over its whole (y, t) table, and against the closed-form
+estimate with unit implied constants (enormous by design; the envelope
+route is the informative one).
 """
 
 import dataclasses
@@ -18,7 +20,6 @@ from mflab.bounds import main_bound
 from mflab.heatflow import (
     covariance_profile,
     default_profile_times,
-    fitted_lipschitz_bound,
     lipschitz_estimate,
     pushforward_w2,
     reverse_flow_map,
@@ -47,8 +48,7 @@ inputs = dataclasses.replace(model_constants(model), d_prox=1)
 prof = covariance_profile(
     target, default_profile_times(inputs, n=40),
     [np.array([0.0]), np.array([3.0]), np.array([-3.0])], inputs)
-fitted, c_fit, k_fit = fitted_lipschitz_bound(prof.ts(), prof.opnorms(),
-                                              prof.a)
+fitted, c_fit, k_fit = prof.fitted_lipschitz_bound()
 closed_form = main_bound(model_constants(relu_preset()), "generic")
 print(f"\nempirical Lipschitz constant  {lip:.4f}")
 print(f"fitted-envelope bound         {fitted:.4f} "

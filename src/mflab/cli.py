@@ -39,10 +39,8 @@ from .forking import forked
 from .heatflow import (
     covariance_profile,
     default_profile_times,
-    fitted_lipschitz_bound,
     lipschitz_estimate,
     pushforward_w2,
-    regime_threshold,
     reverse_flow_map,
 )
 from .meanfield import default_axes
@@ -157,7 +155,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
         "n_times": Field(int, 40, "log-spaced times spanning two decades "
                                   "around the regime threshold", 0),
         "decades_around": Field(float, 2.0, "half-width of the time window "
-                                            "in decades"),
+                                            "in decades", 0),
         "tilt_centers": Field(list, [-3.0, 0.0, 3.0], "tilt centers y; "
                                                       "spread checks "
                                                       "y-uniformity"),
@@ -258,10 +256,10 @@ def validate_config(raw: dict) -> dict:
     if ignored:
         raise ConfigError(f"model keys {ignored} are ignored by this model")
     d = build_model(resolved["model"]).d
+    if experiment in ("chaos_sweep", "transport_map") and d != 1:
+        raise ConfigError(f"{experiment} works on a 1-d grid of one "
+                          "particle's law; the model must have d = 1")
     if experiment == "chaos_sweep":
-        if d != 1:
-            raise ConfigError("chaos_sweep draws the product measure by a "
-                              "1-d inverse CDF; the model must have d = 1")
         McmcConfig(**resolved["mcmc"])
         ns = resolved["sweep"]["n_particles"]
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
@@ -270,6 +268,10 @@ def validate_config(raw: dict) -> dict:
                               ">= 1")
         if len(set(ns)) != len(ns):
             raise ConfigError("sweep.n_particles entries must be distinct")
+    if experiment == "mfld_run" and round(resolved["mfld"]["horizon"]
+                                          / resolved["mfld"]["step"]) == 0:
+        raise ConfigError("mfld.step must leave round(mfld.horizon / "
+                          "mfld.step) >= 1 steps to run")
     if experiment == "tilt_profile" \
             and resolved["profile"]["n_particles"] * d > 2:
         raise ConfigError("profile total dimension n_particles * d must "
@@ -388,26 +390,25 @@ def _run_tilt_profile(cfg: dict, out_dir: str):
     prof = covariance_profile(TargetSpec(model, n_particles), ts, ys, inputs)
     prof.to_csv(os.path.join(out_dir, "profile.csv"))
 
-    t_star = regime_threshold(inputs)
-    ref = {r: r.small_regime_ref if r.regime == "small" else r.large_regime_ref
-           for r in prof.rows}
-    worst = min(prof.rows, key=lambda r: (r.opnorm <= ref[r],
-                                          ref[r] - r.opnorm))
-    ratios = [prof.fitted_profile_ratio(y) for y in prof.y_labels()]
+    ref = prof.reference()
+    y_worst, t_worst = np.unravel_index(np.argmin(ref - prof.opnorm),
+                                        prof.opnorm.shape)
+    ratios = prof.fitted_profile_ratios().tolist()
     mid = 0.5 * (max(ratios) + min(ratios))
     lines = [
-        f"tilt profile: regime threshold t* = {t_star!r}",
+        f"tilt profile: regime threshold t* = {prof.t_star!r}",
         f"times: {pb['n_times']} log-spaced over "
         f"{pb['decades_around']} decades around t*",
         "fitted profile ratios per tilt center: "
-        + ", ".join(f"{y}: {r:.4f}" for y, r in zip(prof.y_labels(), ratios)),
+        + ", ".join(f"{y}: {r:.4f}" for y, r in zip(prof.y_labels, ratios)),
         "fitted small-regime envelope constants: "
-        + ", ".join(f"{y}: {prof.fitted_small_constant(y):.4f}"
-                    for y in prof.y_labels()),
+        + ", ".join(f"{y}: {c:.4f}" for y, c in
+                    zip(prof.y_labels, prof.fitted_small_constants())),
     ]
-    return lines, [  # the worst row's opnorm against its unit-constant envelope
-        Check("envelopes_hold", worst.opnorm, ref[worst],
-              slack=ENVELOPE_REL_SLACK * ref[worst]),
+    limit = float(ref[t_worst])  # the worst entry's unit-constant envelope
+    return lines, [
+        Check("envelopes_hold", float(prof.opnorm[y_worst, t_worst]), limit,
+              slack=ENVELOPE_REL_SLACK * limit),
         Check("ratio_stability_20pct", max(ratios) - min(ratios), 0.4 * mid)]
 
 
@@ -421,10 +422,8 @@ def _run_transport_map(cfg: dict, out_dir: str):
     log_u = n_particle_log_density(target, ax.nodes()[:, None, None])
     mu = normalize_from_log_potential(log_u, (ax,))
     flow = reverse_flow_map(mu)
-
-    from .heatflow import flow_map_to_csv
-
-    flow_map_to_csv(flow, os.path.join(out_dir, "flowmap.csv"))
+    _write_csv(os.path.join(out_dir, "flowmap.csv"), "source,mapped",
+               [flow.source, flow.mapped])
     lip = lipschitz_estimate(flow)
     w2 = pushforward_w2(flow, mu)
     consts = model_constants(model)  # in the map's rescaled coordinates
@@ -432,8 +431,7 @@ def _run_transport_map(cfg: dict, out_dir: str):
     ts = default_profile_times(inputs, n=40)
     ys = [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)]
     prof = covariance_profile(target, ts, ys, inputs)
-    fitted_bound, c_fit, k_fit = fitted_lipschitz_bound(
-        prof.ts(), prof.opnorms(), prof.a)
+    fitted_bound, c_fit, k_fit = prof.fitted_lipschitz_bound()
     bound_gen = bounds_mod.main_bound(consts, "generic")
     bound_spec = bounds_mod.main_bound(consts, "specific",
                                        include_cross_term=False)

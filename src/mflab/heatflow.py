@@ -35,6 +35,7 @@ import numpy as np
 from .bounds import BoundInputs, heatflow_lipschitz_bound, tilted_alpha
 from .errors import (
     IntegrationFailureError,
+    InvalidTargetError,
     TiltDomainError,
     UnsupportedDimensionError,
 )
@@ -91,70 +92,69 @@ def large_regime_envelope(inputs: BoundInputs, t: float) -> float:
     return head + tail
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    t: float
-    y_label: str
-    opnorm: float
-    alpha_t: float
-    small_regime_ref: float
-    large_regime_ref: float
-    regime: str
-
-
 @dataclass
 class CovarianceProfile:
-    """Measured tilted-covariance operator norms with reference envelopes."""
+    """Measured tilted-covariance operator norms with reference envelopes,
+    as one table: opnorm[i, j] is the norm at tilt center y_labels[i] and
+    time ts[j]; alpha_t and the two envelopes are indexed by time alone."""
 
-    rows: list[ProfileRow]
+    ts: np.ndarray
+    y_labels: np.ndarray
+    opnorm: np.ndarray
+    alpha_t: np.ndarray
+    small_regime_ref: np.ndarray
+    large_regime_ref: np.ndarray
     t_star: float
     a: float
     inputs: BoundInputs
 
-    def ts(self, y_label: str | None = None) -> np.ndarray:
-        return np.array([r.t for r in self._rows(y_label)])
+    def reference(self) -> np.ndarray:
+        """The unit-constant envelope of each time's regime."""
+        return np.where(self.ts <= self.t_star, self.small_regime_ref,
+                        self.large_regime_ref)
 
-    def opnorms(self, y_label: str | None = None) -> np.ndarray:
-        return np.array([r.opnorm for r in self._rows(y_label)])
-
-    def _rows(self, y_label: str | None):
-        if y_label is None:
-            return self.rows
-        return [r for r in self.rows if r.y_label == y_label]
-
-    def y_labels(self) -> list[str]:
-        seen = []
-        for r in self.rows:
-            if r.y_label not in seen:
-                seen.append(r.y_label)
-        return seen
-
-    def fitted_small_constant(self, y_label: str | None = None) -> float:
-        """Smallest constant making the small-regime envelope cover the data."""
+    def fitted_small_constants(self) -> np.ndarray:
+        """Per tilt center, the smallest constant making the small-regime
+        envelope cover the data."""
         bump = (math.sqrt(self.inputs.beta_hat * self.inputs.d_prox)
                 / self.inputs.sigma + self.inputs.B / self.inputs.sigma**2)
         if bump == 0.0:
-            return 0.0
-        best = 0.0
-        for r in self._rows(y_label):
-            if r.regime != "small":
-                continue
-            gap = math.sqrt(max(r.opnorm, 0.0)) - 1.0 / math.sqrt(r.alpha_t)
-            best = max(best, gap * r.alpha_t / bump)
+            return np.zeros(len(self.y_labels))
+        gap = (np.sqrt(np.maximum(self.opnorm, 0.0))
+               - 1.0 / np.sqrt(self.alpha_t))
+        return np.max(gap * self.alpha_t / bump, axis=1, initial=0.0,
+                      where=self.ts <= self.t_star)
+
+    def fitted_profile_ratios(self) -> np.ndarray:
+        """Per tilt center, the smallest multiple of the Gaussian reference
+        1/(a + 1/t) that dominates the measured norms; the quantity whose
+        stability across tilt centers expresses tilt stability."""
+        return np.max(self.opnorm * self.alpha_t, axis=1)
+
+    def fitted_lipschitz_bound(self) -> tuple[float, float, float]:
+        """(bound, C, k): C is the least with opnorm <= 1/(a + 1/t)
+        + C/(a + 1/t)^k over the table, for the first k of 1.5, 2, 3, 4
+        whose fitted envelope gives the smallest Lipschitz bound."""
+        base = self.a + 1.0 / self.ts
+        gaps = self.opnorm - 1.0 / base
+        best = None
+        for k in (1.5, 2.0, 3.0, 4.0):  # scalar k: numpy squares for k = 2
+            c = float(max(0.0, (gaps * base**k).max()))
+            bound = heatflow_lipschitz_bound(self.a, [(c, k)])
+            if best is None or bound < best[0]:
+                best = (bound, c, k)
         return best
 
-    def fitted_profile_ratio(self, y_label: str | None = None) -> float:
-        """Smallest multiple of the Gaussian reference 1/(a + 1/t) that
-        dominates the measured norms; the quantity whose stability across
-        tilt centers expresses tilt stability."""
-        return max(r.opnorm * r.alpha_t for r in self._rows(y_label))
-
     def to_csv(self, path):
-        names = ("t", "y_label", "opnorm", "alpha_t", "small_regime_ref",
-                 "large_regime_ref", "regime")
+        """One row per (y, t), y-major; each t's columns repeat per y."""
+        n_y = len(self.y_labels)
         _write_csv(
             path, "t,y,opnorm,alpha_t,small_regime_ref,large_regime_ref,regime",
-            [[getattr(r, k) for r in self.rows] for k in names])
+            [np.tile(self.ts, n_y), np.repeat(self.y_labels, self.ts.size),
+             self.opnorm.ravel(), np.tile(self.alpha_t, n_y),
+             np.tile(self.small_regime_ref, n_y),
+             np.tile(self.large_regime_ref, n_y),
+             np.tile(np.where(self.ts <= self.t_star, "small", "large"), n_y)])
 
 
 def default_profile_times(inputs: BoundInputs, n: int = 40,
@@ -172,28 +172,26 @@ def covariance_profile(target: TargetSpec, t_list, y_list,
                        inputs: BoundInputs) -> CovarianceProfile:
     """Operator norms of tilted covariances against both reference envelopes.
 
-    Each (t, y) of the target's N-particle Gibbs measure gets its moments
-    on a grid adapted to the tilt width, which small-t asymptotics require;
-    the untilted log density is evaluated once per row and once per
-    distinct coarse box.
+    Each (t, y) of the target's untilted N-particle Gibbs measure gets its
+    moments on a grid adapted to the tilt width, which small-t asymptotics
+    require; the untilted log density is evaluated once per (t, y) and
+    once per distinct coarse box.  The envelopes are evaluated once per t.
     """
-    t_star = regime_threshold(inputs)
-    a = tilted_alpha(inputs, math.inf)
-    rows, scans = [], {}
-    for y in y_list:
-        y_vec = np.atleast_1d(np.asarray(y, dtype=float))
-        label = "y=" + "/".join(f"{v:g}" for v in y_vec)
-        for t in t_list:
-            t = float(t)
-            _, cov = _tilted_moments(target, t, y_vec, inputs, scans)
-            rows.append(ProfileRow(
-                t=t, y_label=label, opnorm=covariance_opnorm(cov),
-                alpha_t=tilted_alpha(inputs, t),
-                small_regime_ref=small_regime_envelope(inputs, t),
-                large_regime_ref=large_regime_envelope(inputs, t),
-                regime="small" if t <= t_star else "large",
-            ))
-    return CovarianceProfile(rows=rows, t_star=t_star, a=a, inputs=inputs)
+    if target.tilt is not None:
+        raise InvalidTargetError("covariance_profile tilts the untilted "
+                                 "Gibbs measure; the target has a tilt")
+    ts = np.array(t_list, dtype=float)
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
+    times, scans = ts.tolist(), {}
+    opnorm = np.array([
+        [covariance_opnorm(_tilted_moments(target, t, y, inputs, scans)[1])
+         for t in times] for y in ys])
+    per_t = np.array([[f(inputs, t) for t in times] for f in (
+        tilted_alpha, small_regime_envelope, large_regime_envelope)])
+    labels = np.array(["y=" + "/".join(f"{v:g}" for v in y) for y in ys])
+    return CovarianceProfile(ts, labels, opnorm, *per_t,
+                             t_star=regime_threshold(inputs),
+                             a=tilted_alpha(inputs, math.inf), inputs=inputs)
 
 
 def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
@@ -204,7 +202,7 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
     mean lies MIN_COVERAGE_SD sd inside it.
 
     `scans` maps a coarse box to its nodes and untilted log density, so
-    that rows sharing a box evaluate it once (covariance_profile's store).
+    that tilts sharing a box evaluate it once (covariance_profile's store).
     """
     m, n = target.model, target.n_particles
     dim = n * m.d
@@ -343,35 +341,3 @@ def pushforward_w2(flow: FlowMap, mu: GridDensity) -> float:
     gap = flow.mapped - monotone_images(gamma, mu)
     return float(np.sqrt(np.sum(gamma.quad_weights() * gamma.weights
                                 * gap * gap)))
-
-
-def fit_envelope_constant(ts, opnorms, a: float, k: float) -> float:
-    """Smallest C with opnorm(t) <= 1/(a + 1/t) + C/(a + 1/t)^k on the data."""
-    ts = np.asarray(ts, dtype=float)
-    ops = np.asarray(opnorms, dtype=float)
-    base = a + 1.0 / ts
-    gaps = (ops - 1.0 / base) * base**k
-    return float(max(0.0, gaps.max()))
-
-
-def fitted_lipschitz_bound(ts, opnorms, a: float) -> tuple[float, float, float]:
-    """Best single-term envelope bound over the exponents 1.5, 2, 3 and 4.
-
-    Returns (bound, C, k) for the exponent whose fitted envelope gives the
-    smallest Lipschitz estimate.
-    """
-    best = None
-    for k in (1.5, 2.0, 3.0, 4.0):
-        c = fit_envelope_constant(ts, opnorms, a, k)
-        bound = heatflow_lipschitz_bound(a, [(c, k)])
-        if best is None or bound < best[0]:
-            best = (bound, c, k)
-    return best
-
-
-# -- flow map serialization ----------------------------------------------------
-
-
-def flow_map_to_csv(flow: FlowMap, path):
-    _write_csv(path, "source,mapped",
-               [flow.source, flow.mapped])

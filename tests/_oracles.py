@@ -216,14 +216,14 @@ def log_term_integral_quadrature(alpha):
     return head + tail
 
 
-def fitted_small_t_remainder(profile, y_label=None, skip_smallest=0):
-    """Smallest C with |opnorm(t)/t - 1| <= C sqrt(t) over the rows of a
-    covariance profile (those of one tilt centre if y_label is given),
-    leaving out the skip_smallest smallest times."""
-    rows = sorted((r for r in profile.rows
-                   if y_label is None or r.y_label == y_label),
-                  key=lambda r: r.t)[skip_smallest:]
-    return max(abs(r.opnorm / r.t - 1.0) / math.sqrt(r.t) for r in rows)
+def fitted_small_t_remainder(profile, skip_smallest=0):
+    """Per tilt centre of a covariance profile, the smallest C with
+    |opnorm(t)/t - 1| <= C sqrt(t) over its times, leaving out the
+    skip_smallest smallest."""
+    keep = np.argsort(profile.ts)[skip_smallest:]
+    t = profile.ts[keep]
+    return np.max(np.abs(profile.opnorm[:, keep] / t - 1.0) / np.sqrt(t),
+                  axis=1)
 
 
 def pchip_searchsorted(x, y, q):

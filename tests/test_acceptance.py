@@ -25,7 +25,6 @@ from mflab.chaos import McmcConfig, chaos_sweep, no_growth_in_n
 from mflab.heatflow import (
     covariance_profile,
     default_profile_times,
-    fitted_lipschitz_bound,
     lipschitz_estimate,
     pushforward_w2,
     reverse_flow_map,
@@ -102,10 +101,10 @@ class TestCriterion1GaussianExactness:
         rescaled = rescale_model(zero_model(sigma=1.0, lam=1.0))
         target = TargetSpec(rescaled, 1)
         inputs = dataclasses.replace(model_constants(rescaled), d_prox=1)
-        prof = covariance_profile(target, np.geomspace(1e-3, 1e3, 13),
-                                  [np.zeros(1), np.full(1, 2.0)], inputs)
-        err_tilt = max(abs(r.opnorm - 1.0 / (1.0 + 1.0 / r.t))
-                       for r in prof.rows)
+        ts = np.geomspace(1e-3, 1e3, 13)
+        prof = covariance_profile(target, ts, [np.zeros(1), np.full(1, 2.0)],
+                                  inputs)
+        err_tilt = float(np.max(np.abs(prof.opnorm - 1.0 / (1.0 + 1.0 / ts))))
         if err_tilt > 1e-6:
             failures.append(f"tilted covariance error {err_tilt:.2e}")
 
@@ -227,30 +226,28 @@ class TestCriterion6TiltStability:
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = default_profile_times(inputs, n=40)
         prof = covariance_profile(target, ts, [np.zeros(1)], inputs)
-        rows = sorted(prof.rows, key=lambda r: r.t)
+        order = np.argsort(prof.ts)
+        t_sorted, op_sorted = prof.ts[order], prof.opnorm[0, order]
 
-        smallest = rows[0]
-        if abs(smallest.opnorm / smallest.t - 1.0) > 0.02:
-            failures.append(
-                f"opnorm/t at t={smallest.t:.2e} is "
-                f"{smallest.opnorm / smallest.t:.4f}")
-        c_fit = fitted_small_t_remainder(prof, skip_smallest=10)
-        for r in rows[:10]:
-            if abs(r.opnorm / r.t - 1.0) > 1.5 * max(c_fit, 1e-3) \
-                    * math.sqrt(r.t):
-                failures.append(f"sqrt(t) remainder violated at t={r.t:.2e}")
+        t0, op0 = t_sorted[0], op_sorted[0]
+        if abs(op0 / t0 - 1.0) > 0.02:
+            failures.append(f"opnorm/t at t={t0:.2e} is {op0 / t0:.4f}")
+        c_fit = float(fitted_small_t_remainder(prof, skip_smallest=10)[0])
+        for t, op in zip(t_sorted[:10], op_sorted[:10]):
+            if abs(op / t - 1.0) > 1.5 * max(c_fit, 1e-3) * math.sqrt(t):
+                failures.append(f"sqrt(t) remainder violated at t={t:.2e}")
 
-        large = [r for r in rows if r.regime == "large"]
-        if not all(r.opnorm <= r.large_regime_ref for r in large):
+        large = prof.ts > prof.t_star
+        if not np.all(prof.opnorm[:, large] <= prof.large_regime_ref[large]):
             failures.append("large-t envelope violated")
 
         zero = rescale_model(zero_model(sigma=1.0, lam=1.0))
+        zts = np.geomspace(1e-3, 1e3, 13)
         zprof = covariance_profile(
-            TargetSpec(zero, 1), np.geomspace(1e-3, 1e3, 13),
-            [np.zeros(1), np.full(1, 3.0)],
+            TargetSpec(zero, 1), zts, [np.zeros(1), np.full(1, 3.0)],
             dataclasses.replace(model_constants(zero), d_prox=1))
-        err_zero = max(abs(r.opnorm - 1.0 / (1.0 + 1.0 / r.t))
-                       for r in zprof.rows)
+        err_zero = float(np.max(np.abs(zprof.opnorm
+                                       - 1.0 / (1.0 + 1.0 / zts))))
         if err_zero > 1e-8:
             failures.append(f"zero-model profile error {err_zero:.2e}")
 
@@ -282,8 +279,7 @@ class TestCriterion7TransportMap:
         prof = covariance_profile(
             target, default_profile_times(inputs, n=40),
             [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)], inputs)
-        fitted, c_fit, k_fit = fitted_lipschitz_bound(
-            prof.ts(), prof.opnorms(), prof.a)
+        fitted, c_fit, k_fit = prof.fitted_lipschitz_bound()
         if lip > fitted:
             failures.append(f"L = {lip:.4f} > fitted bound {fitted:.4f}")
         generic = main_bound(model_constants(relu_preset()), "generic")

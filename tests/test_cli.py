@@ -94,9 +94,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("n_particles", 0), ("step", -0.01), ("step", 0.0), ("horizon", 0.0),
-        ("horizon", -1.0)])
+        ("horizon", -1.0), ("step", 25.0)])
     def test_mfld_out_of_range_exit_2(self, tmp_path, key, value):
-        # These once ended in a traceback with exit 1.
+        # These once ended in a traceback with exit 1; a step longer than
+        # twice the horizon once ran zero steps and exited 0.
         cfg = {"experiment": "mfld_run", "model": {"preset": "relu3"},
                "mfld": {key: value}}
         with pytest.raises(ConfigError, match=f"mfld.*{key}"):
@@ -111,6 +112,9 @@ class TestConfigValidation:
         ("tilt_profile", "profile", "n_times", 0),
         ("tilt_profile", "profile", "tilt_centers", []),
         ("tilt_profile", "profile", "n_particles", 0),
+        # A nonpositive window once reversed or collapsed the time grid.
+        ("tilt_profile", "profile", "decades_around", 0.0),
+        ("tilt_profile", "profile", "decades_around", -1.0),
         ("transport_map", "grid", "n_nodes", 1),
         ("chaos_sweep", "grid", "n_nodes", 0),
         ("transport_map", "grid", "span_sd", -1.0),
@@ -166,10 +170,14 @@ class TestConfigValidation:
         assert cfg["sweep"]["n_particles"] == [2, 4, 8, 16, 32, 64, 128, 256,
                                                512, 1024]
 
-    def test_chaos_sweep_rejects_d_not_1(self):
-        with pytest.raises(ConfigError, match="d = 1"):
-            validate_config({"experiment": "chaos_sweep",
-                             "model": {"kind": "zero", "d": 2}})
+    @pytest.mark.parametrize("experiment", ["chaos_sweep", "transport_map"])
+    def test_chaos_sweep_rejects_d_not_1(self, tmp_path, experiment):
+        # transport_map once passed validation and exited 3 part-way.
+        cfg = {"experiment": experiment, "model": {"kind": "zero", "d": 2}}
+        with pytest.raises(ConfigError, match=f"{experiment}.*d = 1"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_chaos_sweep_d2_exits_2(self, tmp_path):
         cfg = dict(MINI_CHAOS)

@@ -9,8 +9,10 @@ from scipy.interpolate import PchipInterpolator
 
 import mflab.heatflow
 
+from mflab.bounds import heatflow_lipschitz_bound, main_bound, tilted_alpha
 from mflab.errors import (
     IntegrationFailureError,
+    InvalidTargetError,
     TiltDomainError,
     UnsupportedDimensionError,
 )
@@ -19,14 +21,14 @@ from mflab.heatflow import (
     _tilted_moments,
     covariance_profile,
     default_profile_times,
-    fitted_lipschitz_bound,
+    large_regime_envelope,
     lipschitz_estimate,
     pushforward_w2,
     regime_threshold,
     reverse_flow_map,
+    small_regime_envelope,
     standard_gaussian_grid,
 )
-from mflab.bounds import main_bound
 from mflab.measure import (
     Axis,
     GridDensity,
@@ -38,7 +40,7 @@ from mflab.measure import (
 )
 from mflab.model import model_constants, rescale_model, zero_model
 from mflab.presets import PRESETS, relu_preset
-from mflab.sampler import TargetSpec, n_particle_log_density
+from mflab.sampler import TargetSpec, TiltSpec, n_particle_log_density
 
 from _oracles import (
     adapted_tilted_opnorm,
@@ -126,8 +128,8 @@ class TestCovarianceProfile:
         prof = covariance_profile(target, ts, [np.array([0.0]), np.array([2.0])],
                                   inputs)
         a = 1.0
-        for row in prof.rows:
-            assert abs(row.opnorm - 1.0 / (a + 1.0 / row.t)) < 1e-8
+        assert prof.opnorm.shape == (2, 13)
+        assert np.max(np.abs(prof.opnorm - 1.0 / (a + 1.0 / ts))) < 1e-8
 
     def test_regime_threshold_values(self):
         model = rescale_model(relu_preset())
@@ -139,34 +141,34 @@ class TestCovarianceProfile:
 
     def test_envelopes_hold_with_unit_constants(self, relu_profile):
         prof, _ = relu_profile
-        for row in prof.rows:
-            ref = (row.small_regime_ref if row.regime == "small"
-                   else row.large_regime_ref)
-            assert row.opnorm <= ref
+        small = prof.ts <= prof.t_star
+        assert 0 < np.count_nonzero(small) < prof.ts.size
+        assert np.all(prof.opnorm[:, small] <= prof.small_regime_ref[small])
+        assert np.all(prof.opnorm[:, ~small] <= prof.large_regime_ref[~small])
+        assert np.all(prof.opnorm <= prof.reference())
 
     def test_fitted_ratio_stable_across_tilt_centers(self, relu_profile):
         prof, _ = relu_profile
-        ratios = [prof.fitted_profile_ratio(y) for y in prof.y_labels()]
+        ratios = prof.fitted_profile_ratios()
+        assert ratios.shape == (3,)
         mid = 0.5 * (max(ratios) + min(ratios))
         assert (max(ratios) - min(ratios)) <= 0.4 * mid
 
     def test_small_t_ratio_approaches_one(self, relu_profile):
         prof, _ = relu_profile
-        for y in prof.y_labels():
-            rows = sorted(prof._rows(y), key=lambda r: r.t)
-            smallest = rows[0]
-            assert abs(smallest.opnorm / smallest.t - 1.0) < 0.02
+        first = np.argmin(prof.ts)
+        assert np.all(np.abs(prof.opnorm[:, first] / prof.ts[first] - 1.0)
+                      < 0.02)
 
     def test_small_t_remainder_sqrt_bounded_out_of_sample(self, relu_profile):
         # Fit the sqrt(t) remainder constant away from the smallest times,
         # then verify the smallest times obey the same envelope.
         prof, _ = relu_profile
-        for y in prof.y_labels():
-            c_fit = fitted_small_t_remainder(prof, y, skip_smallest=10)
-            rows = sorted(prof._rows(y), key=lambda r: r.t)[:10]
-            for r in rows:
-                assert abs(r.opnorm / r.t - 1.0) <= max(c_fit, 1e-3) \
-                    * math.sqrt(r.t) * 1.5
+        c_fit = fitted_small_t_remainder(prof, skip_smallest=10)
+        smallest = np.argsort(prof.ts)[:10]
+        t = prof.ts[smallest]
+        assert np.all(np.abs(prof.opnorm[:, smallest] / t - 1.0)
+                      <= np.maximum(c_fit, 1e-3)[:, None] * np.sqrt(t) * 1.5)
 
     def test_large_t_limit_matches_tilt_removed_measure(self):
         # opnorm(t -> inf) equals the variance of the direct e^{x^2/2} mu
@@ -186,9 +188,9 @@ class TestCovarianceProfile:
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = np.geomspace(0.01, 1.0, 4)
         prof = covariance_profile(target, ts, [np.array([0.5, -0.5])], inputs)
-        for row in prof.rows:
-            assert row.opnorm <= row.small_regime_ref
-            assert row.opnorm > 0
+        assert prof.opnorm.shape == (1, 4)
+        assert np.all(prof.opnorm <= prof.small_regime_ref)
+        assert np.all(prof.opnorm > 0)
 
     @pytest.mark.parametrize("preset,n,n_times,ys", [
         *[(name, 1, 40, [[-3.0], [0.0], [3.0]])
@@ -203,7 +205,7 @@ class TestCovarianceProfile:
         prof = covariance_profile(target, ts, ys, inputs)
         expected = [adapted_tilted_opnorm(target, float(t), y, inputs)
                     for y in ys for t in ts]
-        assert [row.opnorm for row in prof.rows] == expected
+        assert prof.opnorm.ravel().tolist() == expected
 
     def test_two_particle_opnorm_is_largest_eigenvalue(self):
         # At y = 0 the two particles are exchangeable and, at small t,
@@ -214,10 +216,10 @@ class TestCovarianceProfile:
         y = np.zeros(2)
         prof = covariance_profile(target, default_profile_times(inputs, n=8),
                                   [y], inputs)
-        for row in prof.rows:
+        for t, opnorm in zip(prof.ts, prof.opnorm[0]):
             exact = largest_eigenvalue_2x2(
-                _tilted_moments(target, row.t, y, inputs)[1])
-            assert abs(row.opnorm - exact) < 1e-12 * exact
+                _tilted_moments(target, t, y, inputs)[1])
+            assert abs(opnorm - exact) < 1e-12 * exact
 
     def test_grid_backed_matches_potential_backed(self):
         mu, model = relu_gibbs_density()
@@ -225,21 +227,22 @@ class TestCovarianceProfile:
         inputs = dataclasses.replace(model_constants(model), d_prox=1)
         ts = [0.2, 1.0]
         p_target = covariance_profile(target, ts, [np.array([0.5])], inputs)
-        for t, row in zip(ts, p_target.rows):
+        for t, measured in zip(ts, p_target.opnorm[0]):
             opnorm = covariance_opnorm(
                 tilted_measure(mu, t, [0.5]).covariance())
-            assert abs(opnorm - row.opnorm) < 1e-6
+            assert abs(opnorm - measured) < 1e-6
 
     def test_shared_coarse_scans_match_row_by_row(self, relu_profile):
         # Rows whose coarse boxes coincide share one scan; each opnorm
         # equals the one computed alone.
         prof, inputs = relu_profile
         target = TargetSpec(rescale_model(relu_preset()), 1)
-        for row in prof.rows:
-            y = np.array([float(row.y_label[2:])])
-            alone = covariance_opnorm(
-                _tilted_moments(target, row.t, y, inputs)[1])
-            assert row.opnorm == alone
+        for label, opnorms in zip(prof.y_labels, prof.opnorm):
+            y = np.array([float(label[2:])])
+            for t, opnorm in zip(prof.ts, opnorms):
+                alone = covariance_opnorm(
+                    _tilted_moments(target, t, y, inputs)[1])
+                assert opnorm == alone
 
     def test_rows_build_no_grid_density(self, relu_profile, monkeypatch):
         # Each row evaluates the untilted density once, on its 2048 fine
@@ -258,12 +261,12 @@ class TestCovarianceProfile:
                             lambda self: built.append(1) or init(self))
         monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
                             recording)
-        covariance_profile(target, prof.ts("y=0"),
+        covariance_profile(target, prof.ts,
                            [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)],
                            inputs)
         assert built == []
-        assert len(fine) == len(prof.rows)
-        assert 1 < len(set(coarse)) == len(coarse) < len(prof.rows)
+        assert len(fine) == prof.opnorm.size
+        assert 1 < len(set(coarse)) == len(coarse) < prof.opnorm.size
         standard_gaussian_grid(AX)
         assert built == [1]
 
@@ -296,10 +299,37 @@ class TestCovarianceProfile:
         with pytest.raises(TiltDomainError, match="alpha_t"):
             covariance_profile(target, [10.0], [np.zeros(1)], low)
 
+    def test_tilted_target_rejected(self):
+        # The profile applies its own tilts; a target that already carries
+        # one would be tilted twice (y=0 once read 0.0800 for 0.0882).
+        model = rescale_model(relu_preset())
+        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        target = TargetSpec(model, 1, TiltSpec(0.5, [[1.0]]))
+        with pytest.raises(InvalidTargetError, match="tilt"):
+            covariance_profile(target, [0.05, 0.5], [np.zeros(1)], inputs)
+
     def test_csv_and_svg_outputs(self, relu_profile, tmp_path):
         prof, _ = relu_profile
         prof.to_csv(tmp_path / "profile.csv")
         assert (tmp_path / "profile.csv").read_text().startswith("t,y,opnorm")
+
+    def test_csv_one_line_per_y_and_t_y_major(self, relu_profile, tmp_path):
+        # Each time's alpha_t, envelopes and regime repeat for every tilt
+        # center; the opnorm column is the table read row by row.
+        prof, inputs = relu_profile
+        prof.to_csv(tmp_path / "profile.csv")
+        header, *lines = (tmp_path / "profile.csv").read_text().splitlines()
+        assert header == ("t,y,opnorm,alpha_t,small_regime_ref,"
+                          "large_regime_ref,regime")
+        assert len(lines) == 3 * 40
+        for i, label in enumerate(["y=-3", "y=0", "y=3"]):
+            for j, t in enumerate(prof.ts.tolist()):
+                assert lines[40 * i + j].split(",") == [
+                    repr(t), label, repr(float(prof.opnorm[i, j])),
+                    repr(tilted_alpha(inputs, t)),
+                    repr(small_regime_envelope(inputs, t)),
+                    repr(large_regime_envelope(inputs, t)),
+                    "small" if t <= regime_threshold(inputs) else "large"]
 
 
 class TestReverseFlowMap:
@@ -330,7 +360,7 @@ class TestReverseFlowMap:
         prof = covariance_profile(target, ts, [np.array([0.0]),
                                             np.array([3.0]),
                                             np.array([-3.0])], inputs)
-        bound, _, _ = fitted_lipschitz_bound(prof.ts(), prof.opnorms(), prof.a)
+        bound, _, _ = prof.fitted_lipschitz_bound()
         assert lip <= bound
         assert lip <= main_bound(model_constants(relu_preset()), "generic")
 
@@ -373,6 +403,28 @@ class TestReverseFlowMap:
             q = np.concatenate([q, x, np.linspace(x[0], x[-1], 4097)])
             np.testing.assert_array_equal(Pchip(x, y)(q),
                                           PchipInterpolator(x, y)(q))
+
+
+class TestFittedLipschitzBound:
+    def test_fit_covers_table_and_is_smallest_over_k(self, relu_profile):
+        prof, _ = relu_profile
+        bound, c, k = prof.fitted_lipschitz_bound()
+        base = prof.a + 1.0 / prof.ts
+        gaps = prof.opnorm - 1.0 / base
+        assert c == np.max(gaps * base**k) > 0
+        for other in (1.5, 2.0, 3.0, 4.0):
+            c_other = max(0.0, float(np.max(gaps * base**other)))
+            assert bound <= heatflow_lipschitz_bound(prof.a,
+                                                     [(c_other, other)])
+
+    def test_tie_keeps_first_k(self, relu_profile):
+        # Norms equal to the Gaussian reference 1/(a + 1/t) fit C = 0 for
+        # every exponent, so all four bounds tie and k = 1.5 is kept.
+        prof, _ = relu_profile
+        exact = dataclasses.replace(prof, opnorm=np.tile(
+            1.0 / (prof.a + 1.0 / prof.ts), (3, 1)))
+        assert exact.fitted_lipschitz_bound() == (
+            heatflow_lipschitz_bound(prof.a, []), 0.0, 1.5)
 
 
 class TestLipschitzEstimate:
