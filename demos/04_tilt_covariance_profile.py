@@ -12,7 +12,6 @@ alpha_t and both envelopes; it lands as CSV in demos/output/, one line
 per (y, t).
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -32,7 +31,7 @@ out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
 
 model = rescale_model(relu_preset())
-inputs = dataclasses.replace(model_constants(model), d_prox=1)
+inputs = model_constants(model)
 t_star = regime_threshold(inputs)
 print(f"regime threshold t* = {t_star:.5f} "
       f"(small-t statistics below, large-t statistics above)")

@@ -12,8 +12,6 @@ estimate with unit implied constants (enormous by design; the envelope
 route is the informative one).
 """
 
-import dataclasses
-
 import numpy as np
 
 from mflab.bounds import main_bound
@@ -44,7 +42,7 @@ print(f"map strictly increasing: {bool(np.all(np.diff(flow.mapped) > 0))}")
 print(f"W2(T#gamma, mu) = {pushforward_w2(flow, mu):.2e}")
 
 lip = lipschitz_estimate(flow)
-inputs = dataclasses.replace(model_constants(model), d_prox=1)
+inputs = model_constants(model)
 prof = covariance_profile(
     target, default_profile_times(inputs, n=40),
     [np.array([0.0]), np.array([3.0]), np.array([-3.0])], inputs)

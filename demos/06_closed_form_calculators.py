@@ -23,9 +23,10 @@ from mflab.presets import relu_preset
 
 print(__doc__)
 
-consts = model_constants(relu_preset())
+model = relu_preset()
+consts = model_constants(model)
 print(f"relu preset constants: beta_hat = {consts.beta_hat}, "
-      f"B = {consts.B}, L_h = {consts.L_h}")
+      f"B = {consts.B}, L_ell = {model.loss.L_ell}")
 
 print("\ntransport-map estimates (unit implied constants):")
 print(f"  generic            {main_bound(consts, 'generic'):.4g}")

@@ -28,34 +28,25 @@ class BoundInputs:
     """Scalar constants that feed the closed-form bound calculators.
 
     `beta_hat` bounds the mixed second variation of the interaction
-    energy, `B` its gradient; `L_h`, `L_ell`, `beta_ell` are the
-    Lipschitz/smoothness constants of the feature map and loss from
-    which `beta_hat = L_h^2 beta_ell` and `B = L_h L_ell` derive.
-    `d_prox` is the per-particle dimension entering the chaos bounds:
-    `d` for the generic estimate, 1 for the refined one.
+    energy and `B` its gradient; `d` is the per-particle dimension of the
+    generic estimates, which the refined ones replace by 1.
     """
 
     sigma: float
     lam: float
     beta_hat: float
     B: float
-    L_h: float = 0.0
-    L_ell: float = 0.0
-    beta_ell: float = 0.0
     d: int = 1
-    d_prox: int = 1
     rescaled: bool = False
 
     def __post_init__(self):
         if self.sigma <= 0 or self.lam <= 0:
             raise ValueError("sigma and lam must be positive")
-        for name in ("beta_hat", "B", "L_h", "L_ell", "beta_ell"):
+        for name in ("beta_hat", "B"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.d_prox not in (1, self.d):
-            raise ValueError("d_prox must be 1 or d")
 
 
 def tilted_alpha(params, t: float | None = None) -> float:
@@ -188,8 +179,8 @@ def rescale_parameters(inputs: BoundInputs) -> BoundInputs:
     """Constants after the coordinate rescaling x -> (sqrt(lam)/sigma) x.
 
     The substitution is beta_hat <- beta_hat sigma^2/lam, lam <- sigma^2,
-    B <- B sigma/sqrt(lam) (and L_h scales like B).  Applying it twice is
-    meaningless, so rescaled inputs are refused.
+    B <- B sigma/sqrt(lam).  Applying it twice is meaningless, so rescaled
+    inputs are refused.
     """
     if inputs.rescaled:
         raise AlreadyRescaledError("inputs are already rescaled")
@@ -200,6 +191,5 @@ def rescale_parameters(inputs: BoundInputs) -> BoundInputs:
         beta_hat=inputs.beta_hat * s2 / inputs.lam,
         lam=s2,
         B=inputs.B * scale,
-        L_h=inputs.L_h * scale,
         rescaled=True,
     )

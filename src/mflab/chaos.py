@@ -20,11 +20,13 @@ import numpy as np
 
 from .bounds import BoundInputs, lsi_pert_bound, tilted_alpha
 from .checks import Check
-from .errors import CalculatorDomainError, ConfigError
+from .errors import CalculatorDomainError, ConfigError, IntegrationFailureError
 from .meanfield import ProximalGibbsSystem, _feature_laws, solve_self_consistent
 from .measure import (
     BLOCK_ELEMENTS,
+    MIN_COVERAGE_SD,
     GridDensity,
+    coverage_sd,
     _write_csv,
     _write_json,
     inverse_cdf,
@@ -135,19 +137,6 @@ def poc_bound(inputs: BoundInputs, cbar_pi: float, alpha: float,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def poincare_constant_bound(model: ModelSpec, alpha: float) -> float:
-    """Analytic Poincare upper bound for the per-particle densities.
-
-    The interaction enters each pi^i as a (2B/sigma^2)-Lipschitz
-    log-perturbation of an alpha-strongly log-concave base, so the
-    Lipschitz-perturbation LSI bound applies; the chaos bound consumes an
-    upper bound on the constant, so the analytic value is used, not an
-    empirical estimate.
-    """
-    consts = model_constants(model)
-    return lsi_pert_bound(alpha, 2.0 * consts.B / model.sigma**2)
-
-
 @dataclass(frozen=True)
 class McmcConfig:
     """Sampling effort knobs for one KL estimate: n_pi_samples product
@@ -256,7 +245,8 @@ def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
 
 def _sweep(targets, seed: int, mcmc: McmcConfig, axes) -> list[ChaosReport]:
     """The report of targets[i] from seed + i; the targets share one model
-    and tilt, so one solve serves them all.  The MALA cross-check of the
+    and tilt, so one solve serves them all, and a solved law its grid does
+    not cover is an IntegrationFailureError.  The MALA cross-check of the
     first target of the smallest N runs in a forked child while the parent
     takes every product side, that target's last."""
     if not targets:
@@ -264,6 +254,12 @@ def _sweep(targets, seed: int, mcmc: McmcConfig, axes) -> list[ChaosReport]:
     first = min(range(len(targets)), key=lambda i: targets[i].n_particles)
     t = targets[first]
     system = solve_self_consistent(t.model, tilt=t.tilt, axes=axes)
+    margin = min(coverage_sd(p.axes, p.mean(), p.covariance())
+                 for p in system.per_particle)
+    if margin < MIN_COVERAGE_SD:
+        raise IntegrationFailureError(
+            f"a solved law's mean lies {margin:.3g} sd from a grid end "
+            f"(at least {MIN_COVERAGE_SD:g} needed); the grid truncates it")
     with forked(_cross_check, t, system.mean_measure, mcmc,
                 seed + first) as cross_check:
         reports = [_estimate(u, seed + i, mcmc, system) if i != first
@@ -311,8 +307,10 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig,
     est = importance_kl(b_pi, scale)
 
     alpha = tilted_alpha(eff, tilt.t if tilt else None)
-    cbar_pi = poincare_constant_bound(eff, alpha)
     consts = model_constants(eff)
+    # Each pi^i is a (2B/sigma^2)-Lipschitz log-perturbation of an alpha-
+    # strongly log-concave base: its LSI bound bounds the Poincare constant.
+    cbar_pi = lsi_pert_bound(alpha, 2.0 * consts.B / eff.sigma**2)
     bound_generic = poc_bound(consts, cbar_pi, alpha, "generic")
     bound_nn = poc_bound(consts, cbar_pi, alpha, "example_nn")
     var_rhs = _variance_step_rhs(eff, system, n_particles)

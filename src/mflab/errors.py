@@ -55,8 +55,10 @@ class NonconvergenceError(MflabError):
 
 
 class IntegrationFailureError(MflabError):
-    """The transport map failed: the grid resolves fewer than two CDF
-    levels, or the map is not strictly increasing."""
+    """A grid fails the law on it: the transport map's grid resolves fewer
+    than two CDF levels or its map is not strictly increasing, or a chaos
+    sweep's grid does not cover a solved law (its mean lies within
+    MIN_COVERAGE_SD sd of a grid end)."""
 
 
 class CalculatorDomainError(MflabError):

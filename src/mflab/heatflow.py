@@ -42,18 +42,20 @@ from .errors import (
 from .measure import (
     Axis,
     GridDensity,
+    MIN_COVERAGE_SD,
     Pchip,
     covariance_opnorm,
+    coverage_sd,
     grid_points,
     grid_quad_weights,
     monotone_images,
     normalize_from_log_potential,
     weighted_moments,
+    _as_axes,
     _write_csv,
 )
 from .sampler import TargetSpec, n_particle_log_density
 
-MIN_COVERAGE_SD = 8.0
 LIPSCHITZ_WINDOW_SD = 6.0
 
 
@@ -71,23 +73,28 @@ def regime_threshold(inputs: BoundInputs) -> float:
     return 1.0 / denom if denom > 0 else math.inf
 
 
+def _small_regime_bump(inputs: BoundInputs) -> float:
+    """sqrt(beta_hat)/sigma + B/sigma^2, the small-time envelope's term
+    in 1/alpha_t."""
+    return (math.sqrt(inputs.beta_hat) / inputs.sigma
+            + inputs.B / inputs.sigma**2)
+
+
 def small_regime_envelope(inputs: BoundInputs, t: float) -> float:
-    """[1/sqrt(alpha_t) + (sqrt(beta_hat d_prox)/sigma + B/sigma^2)/alpha_t]^2,
+    """[1/sqrt(alpha_t) + (sqrt(beta_hat)/sigma + B/sigma^2)/alpha_t]^2,
     the small-time envelope with its universal constant set to 1."""
     a_t = tilted_alpha(inputs, t)
-    bump = (math.sqrt(inputs.beta_hat * inputs.d_prox) / inputs.sigma
-            + inputs.B / inputs.sigma**2)
-    return (1.0 / math.sqrt(a_t) + bump / a_t) ** 2
+    return (1.0 / math.sqrt(a_t) + _small_regime_bump(inputs) / a_t) ** 2
 
 
 def large_regime_envelope(inputs: BoundInputs, t: float) -> float:
     """[1/sqrt(alpha_t) + B/(alpha_t sigma^2)]^2
-    + beta_hat B^2 d_prox / alpha_t^3 sigma^6 + beta_hat B^4 / alpha_t^4 sigma^10,
+    + beta_hat B^2 / alpha_t^3 sigma^6 + beta_hat B^4 / alpha_t^4 sigma^10,
     the large-time envelope with both universal constants set to 1."""
     a_t = tilted_alpha(inputs, t)
     s2 = inputs.sigma**2
     head = (1.0 / math.sqrt(a_t) + inputs.B / (a_t * s2)) ** 2
-    tail = (inputs.beta_hat * inputs.B**2 * inputs.d_prox / (a_t**3 * s2**3)
+    tail = (inputs.beta_hat * inputs.B**2 / (a_t**3 * s2**3)
             + inputs.beta_hat * inputs.B**4 / (a_t**4 * s2**5))
     return head + tail
 
@@ -116,8 +123,7 @@ class CovarianceProfile:
     def fitted_small_constants(self) -> np.ndarray:
         """Per tilt center, the smallest constant making the small-regime
         envelope cover the data."""
-        bump = (math.sqrt(self.inputs.beta_hat * self.inputs.d_prox)
-                / self.inputs.sigma + self.inputs.B / self.inputs.sigma**2)
+        bump = _small_regime_bump(self.inputs)
         if bump == 0.0:
             return np.zeros(len(self.y_labels))
         gap = (np.sqrt(np.maximum(self.opnorm, 0.0))
@@ -198,8 +204,9 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
                     inputs: BoundInputs, scans=None):
     """Mean and covariance of the tilt (t, y) of the target's N-particle
     Gibbs measure, by trapezoid quadrature on a grid centered at the tilted
-    mode with width set by 1/sqrt(alpha_t), doubled at most twice until the
-    mean lies MIN_COVERAGE_SD sd inside it.
+    mode with width set by 1/sqrt(alpha_t), doubled at most twice until it
+    covers the law (`coverage_sd`).  A grid with no width in float64 is a
+    TiltDomainError.
 
     `scans` maps a coarse box to its nodes and untilted log density, so
     that tilts sharing a box evaluate it once (covariance_profile's store).
@@ -225,9 +232,15 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
         return (untilted - sum(c * c for c in (pts - y).T) / (2.0 * t)
                 + 0.5 * sum(c * c for c in pts.T))
 
+    def axis(lo, hi, nodes):  # far out or at tiny t, lo and hi can meet
+        if not hi > lo:
+            raise TiltDomainError(f"the tilt (t={t:g}, y={y}) leaves its grid "
+                                  f"around {lo:g} no width in float64")
+        return Axis(lo, hi, nodes)
+
     # Coarse scan over a box that covers both the base measure and the
     # proxy tilt center, then a fine window around the located mode.
-    box = tuple(Axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
+    box = tuple(axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
                      max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t),
                      801 if dim == 1 else 121) for j in range(dim))
     scans = {} if scans is None else scans
@@ -239,7 +252,7 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
 
     half_width = 14.0 * sd_t
     for _ in range(3):
-        axes = tuple(Axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
+        axes = tuple(axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
                      for j in range(dim))
         pts = grid_points(axes)
         log_u = tilted_log(pts, untilted_log(pts))
@@ -254,9 +267,7 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
         u = np.exp(log_u - log_u[peak])
         qw = grid_quad_weights(axes).ravel()
         mean, cov = weighted_moments(pts, qw * (u / np.sum(qw * u)))
-        sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-        if min(min(mean[j] - ax.lo, ax.hi - mean[j]) / sd[j]
-               for j, ax in enumerate(axes)) >= MIN_COVERAGE_SD:
+        if coverage_sd(axes, mean, cov) >= MIN_COVERAGE_SD:
             return mean, cov
         mode = mean
         half_width *= 2.0
@@ -266,7 +277,7 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
 
 def standard_gaussian_grid(axes) -> GridDensity:
     """gamma restricted to the grid (unit-mass renormalized)."""
-    axes = (axes,) if isinstance(axes, Axis) else tuple(axes)
+    axes = _as_axes(axes)
     pts = grid_points(axes)
     log_u = -0.5 * np.sum(pts * pts, axis=1)
     return normalize_from_log_potential(

@@ -45,7 +45,6 @@ class ProximalGibbsSystem:
     mean_measure: GridDensity
     residual: float
     iterations: int
-    alpha: float
     tilt: TiltSpec | None = None
     residual_trace: list[float] | None = None
 
@@ -56,7 +55,8 @@ def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
     """Grid extents from the zero-interaction Gaussian proxy.
 
     Proxy variance 1/alpha; with tilts the proxy means y^i/(t alpha_t)
-    must all be covered.  Coverage is re-validated after the solve.
+    must all be covered.  A chaos sweep re-validates coverage after the
+    solve (:func:`~mflab.measure.coverage_sd`).
     """
     alpha = tilted_alpha(model, tilt.t if tilt else None)
     if alpha <= 0:
@@ -102,20 +102,9 @@ def _feature_laws(model: ModelSpec, axes, tilt: TiltSpec | None):
     return at
 
 
-def rebuild_particle_densities(model: ModelSpec, pibar: GridDensity,
-                               tilt: TiltSpec | None) -> list[GridDensity]:
-    """Per-particle densities induced by a fixed mixture pibar, through its
-    expected features: the one shared law untilted, one per row of
-    `tilt.y` tilted."""
-    return _feature_laws(model, pibar.axes, tilt)(
-        expect_features(model, pibar))[0]
-
-
 def _mean_density(parts: list[GridDensity]) -> GridDensity:
     w = np.mean(np.stack([p.weights for p in parts]), axis=0)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    return GridDensity(parts[0].axes, w, logw)
+    return GridDensity(parts[0].axes, w)
 
 
 def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
@@ -149,8 +138,8 @@ def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
         if trace[-1] < tol:
             system = ProximalGibbsSystem(
                 per_particle=laws, mean_measure=_mean_density(laws),
-                residual=math.nan, iterations=len(trace), alpha=alpha,
-                tilt=tilt, residual_trace=trace)
+                residual=math.nan, iterations=len(trace), tilt=tilt,
+                residual_trace=trace)
             system.residual = proximal_residual(system, model)
             if system.residual < tol:
                 return system
@@ -172,9 +161,11 @@ def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
 
 
 def proximal_residual(system: ProximalGibbsSystem, model: ModelSpec) -> float:
-    """Recompute each pi^i from the stored mixture; max sup-norm gap."""
-    rebuilt = rebuild_particle_densities(model, system.mean_measure,
-                                         system.tilt)
+    """Recompute each pi^i from the stored mixture, through its expected
+    features; max sup-norm gap."""
+    pibar = system.mean_measure
+    rebuilt = _feature_laws(model, pibar.axes, system.tilt)(
+        expect_features(model, pibar))[0]
     return max(
         float(np.max(np.abs(a.weights - b.weights)))
         for a, b in zip(system.per_particle, rebuilt)

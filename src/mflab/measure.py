@@ -1,17 +1,17 @@
 """Probability densities on uniform grids.
 
-A grid density lives on a uniform rectangular grid in 1 or 2 dimensions and
-carries its log density alongside the weights so that downstream tilting
-and normalization never exponentiate large numbers.  All integrals use
-trapezoid quadrature, which is positivity-preserving and, for smooth
-rapidly decaying integrands on wide grids, accurate far beyond its formal
-second order.
+A grid density is a normalized density's values at the nodes of a uniform
+rectangular grid in 1 or 2 dimensions, built from a log potential less its
+maximum so that normalization never exponentiates large numbers.  All
+integrals use trapezoid quadrature, which is positivity-preserving and, for
+smooth rapidly decaying integrands on wide grids, accurate far beyond its
+formal second order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +34,8 @@ CDF_STEP_FLOOR = 1e-100
 # Pchip's index search: guide buckets per knot, forward passes from them.
 GUIDE_BUCKETS_PER_KNOT = 2
 GUIDE_PASSES = 1
+# A grid covers a law whose mean lies at least this many sd inside each end.
+MIN_COVERAGE_SD = 8.0
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,12 @@ class GridDensity:
     """Normalized density sampled on a uniform rectangular grid.
 
     `weights` holds density values at the nodes (shape (n,) in 1-d,
-    (n1, n2) in 2-d); `log_density` is kept alongside for numerically
-    stable tilting.  Construct through :func:`normalize_from_log_potential`
-    or the classmethods, which guarantee unit trapezoid mass.
+    (n1, n2) in 2-d).  Construct through :func:`normalize_from_log_potential`,
+    which guarantees unit trapezoid mass.
     """
 
     axes: tuple[Axis, ...]
     weights: np.ndarray
-    log_density: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         axes = _as_axes(self.axes)
@@ -102,9 +102,6 @@ class GridDensity:
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("grid weights must be finite and nonnegative")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(
-            self, "log_density", np.asarray(self.log_density, dtype=float)
-        )
 
     # -- basic geometry -------------------------------------------------
 
@@ -141,9 +138,6 @@ class GridDensity:
     def covariance(self) -> np.ndarray:
         return self._moments[1].copy()
 
-    def same_grid(self, other: "GridDensity") -> bool:
-        return self.axes == other.axes
-
 
 def grid_points(axes) -> np.ndarray:
     """All nodes of a 1-d or 2-d grid as an (M, dim) array in C order."""
@@ -170,6 +164,14 @@ def weighted_moments(pts: np.ndarray, cw: np.ndarray):
     return m, (centered * cw[:, None]).T @ centered
 
 
+def coverage_sd(axes, mean: np.ndarray, cov: np.ndarray) -> float:
+    """The least distance, in sd along its axis, from a law's mean to an end
+    of the grid `axes`; at least MIN_COVERAGE_SD, the grid covers the law."""
+    sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
+    return min(min(mean[j] - ax.lo, ax.hi - mean[j]) / sd[j]
+               for j, ax in enumerate(axes))
+
+
 def normalize_from_log_potential(log_u, axes) -> GridDensity:
     """Build the grid density proportional to exp(log_u).
 
@@ -191,9 +193,7 @@ def normalize_from_log_potential(log_u, axes) -> GridDensity:
     u = np.exp(log_u - peak)
     qw = grid_quad_weights(axes)
     z = float(np.sum(qw * u))
-    weights = u / z
-    log_density = log_u - peak - np.log(z)
-    return GridDensity(axes, weights, log_density)
+    return GridDensity(axes, u / z)
 
 
 def covariance_opnorm(cov: np.ndarray) -> float:

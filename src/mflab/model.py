@@ -337,17 +337,16 @@ def loss_terms(model: ModelSpec, eh: np.ndarray, order: int | tuple = 0):
 
 
 def model_constants(model: ModelSpec) -> BoundInputs:
-    """Smoothness constants (sigma, lam, beta_hat, B, L_h, L_ell, beta_ell, d).
+    """Bound inputs (sigma, lam, beta_hat, B, d) of the model.
 
-    L_h = max_j ||x_j|| (0 without data; the activations are
-    1-Lipschitz), beta_hat = L_h^2 beta_ell and B = L_h L_ell.
+    beta_hat = L_h^2 beta_ell and B = L_h L_ell, from the loss's
+    constants and L_h = max_j ||x_j||, the Lipschitz constant of the
+    feature map (0 without data; the activations are 1-Lipschitz).
     """
     l_h = float(np.max(np.linalg.norm(model.data_x, axis=1), initial=0.0))
-    beta_ell, l_ell = model.loss.beta_ell, model.loss.L_ell
     return BoundInputs(
         sigma=model.sigma, lam=model.lam,
-        beta_hat=l_h * l_h * beta_ell, B=l_h * l_ell,
-        L_h=l_h, L_ell=l_ell, beta_ell=beta_ell,
+        beta_hat=l_h * l_h * model.loss.beta_ell, B=l_h * model.loss.L_ell,
         d=model.d, rescaled=model.rescaled,
     )
 

@@ -369,7 +369,8 @@ def tilted_measure(mu, t, y):
                               f"{mu.dim}-d")
     pts = mu.node_points()
     diff = pts - y
-    log_u = (mu.log_density.ravel() - np.sum(diff * diff, axis=1) / (2.0 * t)
+    log_u = (np.log(mu.weights).ravel()
+             - np.sum(diff * diff, axis=1) / (2.0 * t)
              + 0.5 * np.sum(pts * pts, axis=1)).reshape(mu.weights.shape)
     _check_interior_peak(log_u)
     out = normalize_from_log_potential(log_u, mu.axes)
@@ -496,7 +497,7 @@ def w2_distance_1d(p, q):
     0 for identical densities on one grid."""
     from mflab.measure import monotone_images
 
-    if p.same_grid(q) and np.array_equal(p.weights, q.weights):
+    if p.axes == q.axes and np.array_equal(p.weights, q.weights):
         return 0.0
     displacement = p.nodes() - monotone_images(p, q)
     w2sq = float(np.sum(p.quad_weights() * p.weights * displacement**2))

@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the verdict lines as
 they are produced; tolerances are fixed here, not tuned at runtime.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -100,7 +99,7 @@ class TestCriterion1GaussianExactness:
         # tilted covariances: exact 1/(a + 1/t)
         rescaled = rescale_model(zero_model(sigma=1.0, lam=1.0))
         target = TargetSpec(rescaled, 1)
-        inputs = dataclasses.replace(model_constants(rescaled), d_prox=1)
+        inputs = model_constants(rescaled)
         ts = np.geomspace(1e-3, 1e3, 13)
         prof = covariance_profile(target, ts, [np.zeros(1), np.full(1, 2.0)],
                                   inputs)
@@ -223,7 +222,7 @@ class TestCriterion6TiltStability:
         failures = []
         model = rescale_model(relu_preset())
         target = TargetSpec(model, 1)
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         ts = default_profile_times(inputs, n=40)
         prof = covariance_profile(target, ts, [np.zeros(1)], inputs)
         order = np.argsort(prof.ts)
@@ -245,7 +244,7 @@ class TestCriterion6TiltStability:
         zts = np.geomspace(1e-3, 1e3, 13)
         zprof = covariance_profile(
             TargetSpec(zero, 1), zts, [np.zeros(1), np.full(1, 3.0)],
-            dataclasses.replace(model_constants(zero), d_prox=1))
+            model_constants(zero))
         err_zero = float(np.max(np.abs(zprof.opnorm
                                        - 1.0 / (1.0 + 1.0 / zts))))
         if err_zero > 1e-8:
@@ -275,7 +274,7 @@ class TestCriterion7TransportMap:
             failures.append("map not strictly increasing")
 
         lip = lipschitz_estimate(flow)
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         prof = covariance_profile(
             target, default_profile_times(inputs, n=40),
             [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)], inputs)

@@ -87,13 +87,13 @@ class TestMainBound:
         assert main_bound(dataclasses.replace(base, d=2), "generic") > v0
 
     def test_specific_exponent_terms(self):
-        # With feature constants L_h, L_ell, beta_ell the three-term
-        # exponent is L_h^2 beta_ell/lam + L_h^2 L_ell^2/(lam s2)
+        # With feature constants L_h, L_ell, beta_ell, so beta_hat =
+        # L_h^2 beta_ell and B = L_h L_ell, the three-term exponent is
+        # L_h^2 beta_ell/lam + L_h^2 L_ell^2/(lam s2)
         # + L_h^6 L_ell^4 beta_ell/(lam^3 s4).
         lh, lell, bell, lam, sigma = 1.5, 0.8, 0.6, 1.1, 0.9
         inputs = BoundInputs(
-            sigma=sigma, lam=lam, beta_hat=lh * lh * bell, B=lh * lell,
-            L_h=lh, L_ell=lell, beta_ell=bell, d=3)
+            sigma=sigma, lam=lam, beta_hat=lh * lh * bell, B=lh * lell, d=3)
         s2 = sigma * sigma
         expected_exp = (lh**2 * bell / lam + lh**2 * lell**2 / (lam * s2)
                         + lh**6 * lell**4 * bell / (lam**3 * s2 * s2))
@@ -110,14 +110,13 @@ class TestMainBound:
             d = int(rng.integers(1, 5))
             inputs = BoundInputs(
                 sigma=sigma, lam=lam, beta_hat=lh * lh * bell, B=lh * lell,
-                L_h=lh, L_ell=lell, beta_ell=bell, d=d)
+                d=d)
             spec = main_bound(inputs, "specific", include_cross_term=False)
             gen = main_bound(inputs, "generic")
             assert spec <= gen * (1.0 + 1e-12)
 
     def test_cross_term_toggle(self):
-        inputs = BoundInputs(sigma=1.0, lam=1.0, beta_hat=1.0, B=1.0,
-                             L_h=1.0, L_ell=1.0, beta_ell=1.0)
+        inputs = BoundInputs(sigma=1.0, lam=1.0, beta_hat=1.0, B=1.0)
         with_cross = main_bound(inputs, "specific", include_cross_term=True)
         without = main_bound(inputs, "specific", include_cross_term=False)
         assert with_cross >= without

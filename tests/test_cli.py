@@ -115,6 +115,9 @@ class TestConfigValidation:
         # A nonpositive window once reversed or collapsed the time grid.
         ("tilt_profile", "profile", "decades_around", 0.0),
         ("tilt_profile", "profile", "decades_around", -1.0),
+        # A window past float64 once ended in an OverflowError (exit 1).
+        ("tilt_profile", "profile", "decades_around", 400.0),
+        ("tilt_profile", "profile", "decades_around", float("inf")),
         ("transport_map", "grid", "n_nodes", 1),
         ("chaos_sweep", "grid", "n_nodes", 0),
         ("transport_map", "grid", "span_sd", -1.0),
@@ -479,6 +482,26 @@ class TestRunCommand:
         assert ("resolves fewer than two CDF levels"
                 in capsys.readouterr().err)
 
+    def test_chaos_grid_that_truncates_the_law_exit_3(self, tmp_path,
+                                                      capsys):
+        # At span_sd 1 relu3's law has its mean 1.76 sd from a grid end;
+        # the sweep once ran on the truncated law and failed mala_agrees
+        # (exit 1).
+        cfg = {**MINI_CHAOS, "model": {"preset": "relu3"},
+               "grid": {"span_sd": 1.0}}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "x")]) == 3
+        assert "sd from a grid end" in capsys.readouterr().err
+
+    def test_tilt_center_past_float64_exit_3(self, tmp_path, capsys):
+        # The window around the mode once had hi == lo and ended in Axis's
+        # ValueError (exit 1).
+        cfg = {"experiment": "tilt_profile", "model": {"preset": "relu3"},
+               "profile": {"tilt_centers": [1.0e+300], "n_times": 3}}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "x")]) == 3
+        assert "no width in float64" in capsys.readouterr().err
+
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
         cfg = {
             "experiment": "transport_map",
@@ -576,6 +599,9 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         rows = json.loads((out / "bounds.json").read_text())
         assert rows["implied_constants"] == 1.0
+        # The rows are written once: bounds.csv repeated them.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bounds.json", "manifest.json", "summary.txt"]
 
     def test_bounds_table_zero_model_is_prefactor_only(self, tmp_path):
         cfg = {"experiment": "bounds_table",

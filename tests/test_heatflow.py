@@ -88,7 +88,7 @@ class TestTiltedMeasure:
         out = tilted_measure(mu, 1e9, [0.0])
         x = mu.nodes()
         direct = normalize_from_log_potential(
-            mu.log_density + 0.5 * x * x, mu.axes)
+            np.log(mu.weights) + 0.5 * x * x, mu.axes)
         assert np.max(np.abs(out.weights - direct.weights)) < 1e-8
 
     def test_non_normalizable_tilt_rejected(self):
@@ -113,7 +113,7 @@ class TestTiltedMeasure:
 def relu_profile():
     model = rescale_model(relu_preset())
     target = TargetSpec(model, 1)
-    inputs = dataclasses.replace(model_constants(model), d_prox=1)
+    inputs = model_constants(model)
     ts = default_profile_times(inputs, n=40)
     ys = [np.array([-3.0]), np.array([0.0]), np.array([3.0])]
     return covariance_profile(target, ts, ys, inputs), inputs
@@ -123,7 +123,7 @@ class TestCovarianceProfile:
     def test_zero_model_exact(self):
         model = rescale_model(zero_model(sigma=1.0, lam=1.0))
         target = TargetSpec(model, 1)
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         ts = np.geomspace(1e-3, 1e3, 13)
         prof = covariance_profile(target, ts, [np.array([0.0]), np.array([2.0])],
                                   inputs)
@@ -178,14 +178,14 @@ class TestCovarianceProfile:
             tilted_measure(mu, 1e8, [0.0]).covariance())
         x = mu.nodes()
         direct = normalize_from_log_potential(
-            mu.log_density + 0.5 * x * x, mu.axes)
+            np.log(mu.weights) + 0.5 * x * x, mu.axes)
         expected = covariance_opnorm(direct.covariance())
         assert abs(opnorm - expected) < 1e-6
 
     def test_two_particle_profile_on_2d_grid(self):
         model = rescale_model(relu_preset())
         target = TargetSpec(model, 2)
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         ts = np.geomspace(0.01, 1.0, 4)
         prof = covariance_profile(target, ts, [np.array([0.5, -0.5])], inputs)
         assert prof.opnorm.shape == (1, 4)
@@ -199,7 +199,7 @@ class TestCovarianceProfile:
     ])
     def test_rows_equal_grid_density_reference(self, preset, n, n_times, ys):
         target = TargetSpec(rescale_model(PRESETS[preset]()), n)
-        inputs = dataclasses.replace(model_constants(target.model), d_prox=1)
+        inputs = model_constants(target.model)
         ts = default_profile_times(inputs, n=n_times)
         ys = [np.array(y) for y in ys]
         prof = covariance_profile(target, ts, ys, inputs)
@@ -211,8 +211,7 @@ class TestCovarianceProfile:
         # At y = 0 the two particles are exchangeable and, at small t,
         # negatively correlated, so (1, 1) spans the smaller eigenvalue.
         target = TargetSpec(rescale_model(relu_preset()), 2)
-        inputs = dataclasses.replace(
-            model_constants(target.model), d_prox=1)
+        inputs = model_constants(target.model)
         y = np.zeros(2)
         prof = covariance_profile(target, default_profile_times(inputs, n=8),
                                   [y], inputs)
@@ -224,7 +223,7 @@ class TestCovarianceProfile:
     def test_grid_backed_matches_potential_backed(self):
         mu, model = relu_gibbs_density()
         target = TargetSpec(rescale_model(relu_preset()), 1)
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         ts = [0.2, 1.0]
         p_target = covariance_profile(target, ts, [np.array([0.5])], inputs)
         for t, measured in zip(ts, p_target.opnorm[0]):
@@ -283,7 +282,7 @@ class TestCovarianceProfile:
         # a NaN band sits inside it, and a Laplace law of scale 100 reaches
         # every window's edge.
         target = TargetSpec(rescale_model(relu_preset()), 1)
-        inputs = dataclasses.replace(model_constants(target.model), d_prox=1)
+        inputs = model_constants(target.model)
         monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
                             lambda target, xb: log_density(xb[:, 0, 0]))
         with pytest.raises(error, match=match):
@@ -291,7 +290,7 @@ class TestCovarianceProfile:
 
     def test_bad_tilt_rejected(self):
         target = TargetSpec(rescale_model(relu_preset()), 1)
-        inputs = dataclasses.replace(model_constants(target.model), d_prox=1)
+        inputs = model_constants(target.model)
         with pytest.raises(TiltDomainError, match="coords"):
             covariance_profile(target, [1.0], [np.zeros(2)], inputs)
         # 2 lam / sigma^2 - 1 + 1/t = 0.2 - 1 + 0.1 < 0
@@ -303,7 +302,7 @@ class TestCovarianceProfile:
         # The profile applies its own tilts; a target that already carries
         # one would be tilted twice (y=0 once read 0.0800 for 0.0882).
         model = rescale_model(relu_preset())
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         target = TargetSpec(model, 1, TiltSpec(0.5, [[1.0]]))
         with pytest.raises(InvalidTargetError, match="tilt"):
             covariance_profile(target, [0.05, 0.5], [np.zeros(1)], inputs)
@@ -355,7 +354,7 @@ class TestReverseFlowMap:
         assert pushforward_w2(fm, mu) < 1e-6
         lip = lipschitz_estimate(fm)
         target = TargetSpec(rescale_model(relu_preset()), 1)
-        inputs = dataclasses.replace(model_constants(model), d_prox=1)
+        inputs = model_constants(model)
         ts = default_profile_times(inputs, n=40)
         prof = covariance_profile(target, ts, [np.array([0.0]),
                                             np.array([3.0]),

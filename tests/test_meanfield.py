@@ -11,7 +11,6 @@ from mflab.meanfield import (
     ProximalGibbsSystem,
     default_axes,
     proximal_residual,
-    rebuild_particle_densities,
     solve_self_consistent,
 )
 from mflab.measure import Axis, GridDensity, normalize_from_log_potential
@@ -120,7 +119,7 @@ class TestResidualAndStructure:
         wrong = ProximalGibbsSystem(
             per_particle=[shifted],
             mean_measure=shifted,
-            residual=0.0, iterations=0, alpha=system.alpha)
+            residual=0.0, iterations=0)
         exact = gaussian_on(axes, 0.0, 1.0)
         expected_gap = float(np.max(np.abs(shifted.weights - exact.weights)))
         got = proximal_residual(wrong, model)
@@ -136,7 +135,6 @@ class TestResidualAndStructure:
             mean_measure=system.mean_measure,
             residual=system.residual,
             iterations=system.iterations,
-            alpha=system.alpha,
             tilt=system.tilt)
         r0 = proximal_residual(system, model)
         r1 = proximal_residual(swapped, model)
@@ -154,7 +152,7 @@ class TestResidualAndStructure:
             first_variation(model, pibar, x))
         for p in system.per_particle:
             mask = p.weights > 1e-12 * p.weights.max()
-            resid = p.log_density[mask] + pot[mask]
+            resid = np.log(p.weights[mask]) + pot[mask]
             assert resid.max() - resid.min() < 1e-6
 
 

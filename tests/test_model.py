@@ -54,9 +54,12 @@ def random_grid_measure(rng):
 
 
 def mix(p, q, t):
-    w = (1.0 - t) * p.weights + t * q.weights
-    with np.errstate(divide="ignore"):
-        return GridDensity(p.axes, w, np.log(w))
+    return GridDensity(p.axes, (1.0 - t) * p.weights + t * q.weights)
+
+
+def feature_lipschitz(model):
+    """L_h = max_j ||x_j||, the Lipschitz constant of the feature map."""
+    return float(np.max(np.linalg.norm(model.data_x, axis=1), initial=0.0))
 
 
 class TestEnergy:
@@ -201,8 +204,9 @@ class TestSecondVariation:
 
 class TestModelConstants:
     def test_relu_unit_data(self):
-        consts = model_constants(relu_preset())
-        assert consts.L_h == 1.0
+        model = relu_preset()
+        consts = model_constants(model)
+        assert feature_lipschitz(model) == 1.0
         assert consts.beta_hat == 1.0
         assert consts.B == 1.0
 
@@ -216,13 +220,14 @@ class TestModelConstants:
         assert consts.beta_hat == pytest.approx(0.37, rel=1e-15)
 
     def test_logistic_constants(self):
-        consts = model_constants(logistic_preset())
-        assert consts.beta_ell == 0.25
-        assert consts.L_ell == 1.0
-        assert consts.L_h == 1.0
+        model = logistic_preset()
+        assert model.loss.beta_ell == 0.25
+        assert model.loss.L_ell == 1.0
+        assert feature_lipschitz(model) == 1.0
 
     # (beta_hat, B, L_h, L_ell, beta_ell) of every preset and of the
-    # kappa = 0 oracle, as reported before the zero and quadratic models
+    # kappa = 0 oracle: the bound inputs, the data's L_h and the loss's
+    # constants, as reported before the zero and quadratic models
     # were encoded as prediction-loss data.
     PINNED = {
         "standard_zero": (0.0, 0.0, 0.0, 0.0, 0.0),
@@ -255,11 +260,11 @@ class TestModelConstants:
     def test_constants_pinned(self, name):
         model = self._build(name)
         consts = model_constants(model)
-        got = (consts.beta_hat, consts.B, consts.L_h, consts.L_ell,
-               consts.beta_ell)
+        got = (consts.beta_hat, consts.B, feature_lipschitz(model),
+               model.loss.L_ell, model.loss.beta_ell)
         assert got == self.PINNED[name]
-        assert (consts.sigma, consts.lam, consts.d, consts.d_prox,
-                consts.rescaled) == (model.sigma, model.lam, 1, 1, False)
+        assert (consts.sigma, consts.lam, consts.d,
+                consts.rescaled) == (model.sigma, model.lam, 1, False)
 
     @pytest.mark.parametrize("name", sorted(PINNED_RESCALED))
     def test_rescaled_constants_pinned(self, name):
@@ -328,7 +333,7 @@ class TestStructuralProperties:
                                    np.full((2, 1), kappa * 5.0), rtol=1e-14)
         assert second_variation(quad, nu, [2.0], [-1.5]) == pytest.approx(
             kappa * 2.0 * -1.5, rel=1e-14)
-        assert model_constants(quad).L_ell == kappa * clip
+        assert quad.loss.L_ell == model_constants(quad).B == kappa * clip
 
 
 class TestLosses:
