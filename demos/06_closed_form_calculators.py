@@ -4,7 +4,7 @@
 Everything here is exact arithmetic: transport-map Lipschitz estimates,
 log-Sobolev constants under Lipschitz perturbations, the infinity-
 Wasserstein shift, the comparison bound from concurrent work, and the
-parameter substitution of the coordinate rescaling.  Asymptotic
+constants of the model after the coordinate rescaling.  Asymptotic
 estimates evaluate their unspecified universal constants as 1, which is
 a visible knob rather than a claim.
 """
@@ -14,11 +14,10 @@ from mflab.bounds import (
     lsi_pert_bound,
     lsi_pi_bound,
     main_bound,
-    rescale_parameters,
     songbo_bound,
     winf_bound,
 )
-from mflab.model import model_constants
+from mflab.model import model_constants, rescale_model
 from mflab.presets import relu_preset
 
 print(__doc__)
@@ -53,7 +52,7 @@ for n in (2, 8, 32, 128):
     val = songbo_bound(0.25, d=1, epsilon=0.3, rho=1.0, N=n)
     print(f"  N={n:<4d} -> {val:.4f}")
 
-scaled = rescale_parameters(consts)
+scaled = model_constants(rescale_model(model))
 print(f"\nrescaled parameters: beta_hat {consts.beta_hat} -> "
       f"{scaled.beta_hat}, B {consts.B} -> {scaled.B}, "
       f"lam {consts.lam} -> {scaled.lam}")

@@ -20,7 +20,6 @@ from .bounds import (
     lsi_pert_bound,
     lsi_pi_bound,
     main_bound,
-    rescale_parameters,
     songbo_bound,
     winf_bound,
 )

@@ -1,4 +1,5 @@
-"""Exact calculators for every closed-form constant used by the lab.
+"""Exact calculators for every closed-form constant used by the lab, and
+the zero-interaction Gaussian proxy that the grids and samplers start from.
 
 All functions are pure and total on their stated domains.  Asymptotic
 estimates that carry unspecified universal constants are evaluated with
@@ -10,9 +11,9 @@ assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import AlreadyRescaledError, CalculatorDomainError
+from .errors import CalculatorDomainError, InvalidTargetError
 
 
 def _exp(x: float) -> float:
@@ -37,7 +38,6 @@ class BoundInputs:
     beta_hat: float
     B: float
     d: int = 1
-    rescaled: bool = False
 
     def __post_init__(self):
         if self.sigma <= 0 or self.lam <= 0:
@@ -61,6 +61,23 @@ def tilted_alpha(params, t: float | None = None) -> float:
     if t is None:
         return base
     return base - 1.0 + 1.0 / t
+
+
+def gaussian_proxy(params, t: float | None = None, y=None):
+    """(center, sd) of the zero-interaction Gaussian proxy of `params`.
+
+    Untilted, N(0, 1/alpha); under the tilt (t, y), N(y/(1 + a t),
+    1/alpha_t) with a the profile offset.  InvalidTargetError when
+    alpha_t <= 0: the tilt is not normalizable.
+    """
+    alpha = tilted_alpha(params, t)
+    if alpha <= 0:
+        raise InvalidTargetError(
+            f"alpha_t = {alpha:.4g} <= 0: tilt not normalizable")
+    sd = 1.0 / math.sqrt(alpha)
+    if t is None:
+        return 0.0, sd
+    return y / (1.0 + tilted_alpha(params, math.inf) * t), sd
 
 
 def heatflow_lipschitz_bound(a: float, terms) -> float:
@@ -173,23 +190,3 @@ def winf_bound(alpha: float, L: float) -> float:
     if L < 0:
         raise CalculatorDomainError("L must be nonnegative")
     return L / alpha
-
-
-def rescale_parameters(inputs: BoundInputs) -> BoundInputs:
-    """Constants after the coordinate rescaling x -> (sqrt(lam)/sigma) x.
-
-    The substitution is beta_hat <- beta_hat sigma^2/lam, lam <- sigma^2,
-    B <- B sigma/sqrt(lam).  Applying it twice is meaningless, so rescaled
-    inputs are refused.
-    """
-    if inputs.rescaled:
-        raise AlreadyRescaledError("inputs are already rescaled")
-    s2 = inputs.sigma**2
-    scale = inputs.sigma / math.sqrt(inputs.lam)
-    return replace(
-        inputs,
-        beta_hat=inputs.beta_hat * s2 / inputs.lam,
-        lam=s2,
-        B=inputs.B * scale,
-        rescaled=True,
-    )

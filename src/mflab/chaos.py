@@ -24,6 +24,7 @@ from .errors import CalculatorDomainError, ConfigError, IntegrationFailureError
 from .meanfield import ProximalGibbsSystem, _feature_laws, solve_self_consistent
 from .measure import (
     BLOCK_ELEMENTS,
+    MAX_SPACING_SD,
     MIN_COVERAGE_SD,
     GridDensity,
     coverage_sd,
@@ -246,20 +247,28 @@ def chaos_sweep(model: ModelSpec, n_list, mcmc: McmcConfig | None = None,
 def _sweep(targets, seed: int, mcmc: McmcConfig, axes) -> list[ChaosReport]:
     """The report of targets[i] from seed + i; the targets share one model
     and tilt, so one solve serves them all, and a solved law its grid does
-    not cover is an IntegrationFailureError.  The MALA cross-check of the
-    first target of the smallest N runs in a forked child while the parent
-    takes every product side, that target's last."""
+    not cover or resolve is an IntegrationFailureError.  The MALA
+    cross-check of the first target of the smallest N runs in a forked
+    child while the parent takes every product side, that target's last."""
     if not targets:
         return []
     first = min(range(len(targets)), key=lambda i: targets[i].n_particles)
     t = targets[first]
     system = solve_self_consistent(t.model, tilt=t.tilt, axes=axes)
-    margin = min(coverage_sd(p.axes, p.mean(), p.covariance())
-                 for p in system.per_particle)
+    axes = system.mean_measure.axes
+    laws = [(p.mean(), p.covariance()) for p in system.per_particle]
+    margin = min(coverage_sd(axes, *law) for law in laws)
     if margin < MIN_COVERAGE_SD:
         raise IntegrationFailureError(
             f"a solved law's mean lies {margin:.3g} sd from a grid end "
             f"(at least {MIN_COVERAGE_SD:g} needed); the grid truncates it")
+    h = np.array([ax.spacing for ax in axes])
+    coarse = max(float(np.max(h / np.sqrt(np.diag(cov)))) for _, cov in laws)
+    if not coarse <= MAX_SPACING_SD:
+        raise IntegrationFailureError(
+            f"the {axes[0].n}-node grid's spacing is {coarse:.3g} sd of a "
+            f"solved law (at most {MAX_SPACING_SD:g} allowed); the grid is "
+            "too coarse to resolve it")
     with forked(_cross_check, t, system.mean_measure, mcmc,
                 seed + first) as cross_check:
         reports = [_estimate(u, seed + i, mcmc, system) if i != first

@@ -14,7 +14,8 @@ check, its margin in standard errors) and `all checks: yes/NO`.
 Exit codes: 0 every check passed, 1 ran but a check failed, 2
 configuration error, 3 numeric failure (nonconvergence, divergence
 guard, a grid too coarse for the transport map, a chaos grid that does
-not cover the solved law, or a tilt the profile grid cannot hold).
+not cover or does not resolve the solved law, or a tilt the profile grid
+cannot hold).
 """
 
 from __future__ import annotations
@@ -424,8 +425,7 @@ def _run_transport_map(cfg: dict, out_dir: str):
     model = rescale_model(build_model(cfg["model"]))
     gb = cfg["grid"]
     target = TargetSpec(model, 1)
-    sd0 = model.sigma / math.sqrt(2.0 * model.lam)
-    half = max(gb["span_sd"] * sd0, 8.5)
+    half = max(gb["span_sd"] * bounds_mod.gaussian_proxy(model)[1], 8.5)
     ax = Axis(-half, half, gb["n_nodes"])
     log_u = n_particle_log_density(target, ax.nodes()[:, None, None])
     mu = normalize_from_log_potential(log_u, (ax,))
@@ -528,7 +528,7 @@ def _run_mfld(cfg: dict, out_dir: str):
 def _run_bounds_table(cfg: dict, out_dir: str):
     model = build_model(cfg["model"])
     inputs = model_constants(model)
-    rescaled = bounds_mod.rescale_parameters(inputs)
+    rescaled = model_constants(rescale_model(model))
     alpha = bounds_mod.tilted_alpha(inputs)
     rows = {
         "main_bound_generic": bounds_mod.main_bound(inputs, "generic"),

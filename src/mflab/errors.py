@@ -58,7 +58,8 @@ class IntegrationFailureError(MflabError):
     """A grid fails the law on it: the transport map's grid resolves fewer
     than two CDF levels or its map is not strictly increasing, or a chaos
     sweep's grid does not cover a solved law (its mean lies within
-    MIN_COVERAGE_SD sd of a grid end)."""
+    MIN_COVERAGE_SD sd of a grid end) or does not resolve it (its node
+    spacing exceeds MAX_SPACING_SD of the law's sd)."""
 
 
 class CalculatorDomainError(MflabError):

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, heatflow_lipschitz_bound, tilted_alpha
+from .bounds import (
+    BoundInputs,
+    gaussian_proxy,
+    heatflow_lipschitz_bound,
+    tilted_alpha,
+)
 from .errors import (
     IntegrationFailureError,
     InvalidTargetError,
@@ -204,9 +209,9 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
                     inputs: BoundInputs, scans=None):
     """Mean and covariance of the tilt (t, y) of the target's N-particle
     Gibbs measure, by trapezoid quadrature on a grid centered at the tilted
-    mode with width set by 1/sqrt(alpha_t), doubled at most twice until it
-    covers the law (`coverage_sd`).  A grid with no width in float64 is a
-    TiltDomainError.
+    mode with width set by the Gaussian proxy's sd 1/sqrt(alpha_t), doubled
+    at most twice until it covers the law (`coverage_sd`).  A grid with no
+    width in float64, and alpha_t <= 0, are TiltDomainErrors.
 
     `scans` maps a coarse box to its nodes and untilted log density, so
     that tilts sharing a box evaluate it once (covariance_profile's store).
@@ -216,14 +221,12 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
     if y.size != dim:
         raise TiltDomainError(
             f"tilt center has {y.size} coords, target is {dim}-d")
-    a_t = tilted_alpha(inputs, t)
-    if a_t <= 0:
-        raise TiltDomainError(f"alpha_t = {a_t:.4g} <= 0: tilt not normalizable")
+    try:
+        center_proxy, sd_t = gaussian_proxy(inputs, t, y)
+    except InvalidTargetError as err:
+        raise TiltDomainError(str(err)) from None
     n_nodes = 2048 if dim == 1 else 192
-    sd_t = 1.0 / math.sqrt(a_t)
-    a = tilted_alpha(inputs, math.inf)
-    center_proxy = y / (1.0 + a * t)
-    base_sd = m.sigma / math.sqrt(2.0 * m.lam)
+    base_sd = gaussian_proxy(m)[1]
 
     def untilted_log(pts):
         return n_particle_log_density(target, pts.reshape(-1, n, m.d))
@@ -238,6 +241,10 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
                                   f"around {lo:g} no width in float64")
         return Axis(lo, hi, nodes)
 
+    half_width = 14.0 * sd_t
+    for c in center_proxy.tolist():  # before a coarse scan that would overflow
+        if not c + half_width > c - half_width:
+            axis(c - half_width, c + half_width, 2)  # raises
     # Coarse scan over a box that covers both the base measure and the
     # proxy tilt center, then a fine window around the located mode.
     box = tuple(axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
@@ -250,7 +257,6 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
     coarse_pts, coarse_log = scans[box]
     mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts, coarse_log)))]
 
-    half_width = 14.0 * sd_t
     for _ in range(3):
         axes = tuple(axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
                      for j in range(dim))

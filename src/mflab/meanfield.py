@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import tilted_alpha
+from .bounds import gaussian_proxy
 from .errors import InvalidTargetError, NonconvergenceError
 from .measure import (
     Axis,
@@ -52,28 +52,19 @@ class ProximalGibbsSystem:
 def default_axes(model: ModelSpec, tilt: TiltSpec | None = None,
                  n_nodes: int | None = None, span_sd: float = 10.0,
                  ) -> tuple[Axis, ...]:
-    """Grid extents from the zero-interaction Gaussian proxy.
-
-    Proxy variance 1/alpha; with tilts the proxy means y^i/(t alpha_t)
-    must all be covered.  A chaos sweep re-validates coverage after the
-    solve (:func:`~mflab.measure.coverage_sd`).
+    """Grid extents `span_sd` sd of the zero-interaction Gaussian proxy
+    (:func:`~mflab.bounds.gaussian_proxy`) beyond its centers, 0 untilted
+    and one per particle with tilts.  A chaos sweep re-validates coverage
+    and resolution after the solve.
     """
-    alpha = tilted_alpha(model, tilt.t if tilt else None)
-    if alpha <= 0:
-        raise InvalidTargetError(f"alpha = {alpha:.4g} <= 0: tilt not normalizable")
-    sd = 1.0 / math.sqrt(alpha)
-    if tilt is None:
-        centers = np.zeros((1, model.d))
-    else:
-        centers = tilt.y / (tilt.t * alpha)
+    center, sd = (gaussian_proxy(model) if tilt is None
+                  else gaussian_proxy(model, tilt.t, tilt.y))
+    centers = center + np.zeros((1, model.d))
     if n_nodes is None:
         n_nodes = 2048 if model.d == 1 else 256
-    axes = []
-    for j in range(model.d):
-        lo = float(centers[:, j].min() - span_sd * sd)
-        hi = float(centers[:, j].max() + span_sd * sd)
-        axes.append(Axis(lo, hi, n_nodes))
-    return tuple(axes)
+    reach = span_sd * sd
+    return tuple(Axis(float(lo), float(hi), n_nodes) for lo, hi in
+                 zip(centers.min(axis=0) - reach, centers.max(axis=0) + reach))
 
 
 def _feature_laws(model: ModelSpec, axes, tilt: TiltSpec | None):
@@ -126,11 +117,8 @@ def solve_self_consistent(model: ModelSpec, tilt: TiltSpec | None = None,
         raise InvalidTargetError(
             f"tilt centers have {tilt.y.shape[1]} columns, model d = {model.d}"
         )
-    alpha = tilted_alpha(model, tilt.t if tilt else None)
-    if alpha <= 0:
-        raise InvalidTargetError(f"alpha = {alpha:.4g} <= 0: tilt not normalizable")
-    laws_at = _feature_laws(
-        model, default_axes(model, tilt) if axes is None else axes, tilt)
+    proxy_axes = default_axes(model, tilt)  # refuses alpha_t <= 0
+    laws_at = _feature_laws(model, proxy_axes if axes is None else axes, tilt)
     m = np.zeros(model.data_p.size)
     laws, eh, cov = laws_at(m)
     trace = [float(np.max(np.abs(m - eh), initial=0.0))]

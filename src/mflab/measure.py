@@ -34,8 +34,11 @@ CDF_STEP_FLOOR = 1e-100
 # Pchip's index search: guide buckets per knot, forward passes from them.
 GUIDE_BUCKETS_PER_KNOT = 2
 GUIDE_PASSES = 1
-# A grid covers a law whose mean lies at least this many sd inside each end.
+# A grid covers a law whose mean lies at least this many sd inside each end,
+# and resolves one whose sd along each axis is at least 1/MAX_SPACING_SD
+# node spacings.
 MIN_COVERAGE_SD = 8.0
+MAX_SPACING_SD = 0.25
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,7 @@ def model_constants(model: ModelSpec) -> BoundInputs:
     return BoundInputs(
         sigma=model.sigma, lam=model.lam,
         beta_hat=l_h * l_h * model.loss.beta_ell, B=l_h * model.loss.L_ell,
-        d=model.d, rescaled=model.rescaled,
+        d=model.d,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import tilted_alpha
+from .bounds import gaussian_proxy
 from .errors import InvalidTargetError, SimulationDivergedError
 from .model import ModelSpec, loss_terms, particle_features
 
@@ -52,8 +52,9 @@ class TargetSpec:
 
     Untilted, the density is proportional to
     exp(-(2/sigma^2) [sum_i V(x^i) + N F0(rho_x)]); with a tilt the
-    per-particle quadratic reweighting is added on top.  Tilts are
-    integrable in general only for a model mapped by
+    per-particle quadratic reweighting is added on top.  A tilt is
+    refused unless its Gaussian proxy (:func:`~mflab.bounds.gaussian_proxy`)
+    is normalizable, which holds for every t > 0 for a model mapped by
     :func:`~mflab.model.rescale_model`.
     """
 
@@ -71,11 +72,7 @@ class TargetSpec:
                     f"tilt centers shape {y.shape} != (N, d) = "
                     f"({self.n_particles}, {self.model.d})"
                 )
-            alpha = tilted_alpha(self.model, self.tilt.t)
-            if alpha <= 0:
-                raise InvalidTargetError(
-                    f"tilted target is not normalizable: alpha_t = {alpha:.4g} <= 0"
-                )
+            gaussian_proxy(self.model, self.tilt.t, y)
 
 
 def _interaction_terms(model: ModelSpec, xb: np.ndarray, order=1):
@@ -258,12 +255,10 @@ def mala_sample(target: TargetSpec, n_samples: int, n_burnin: int,
     n, d = target.n_particles, m.d
     rngs = [_stream(seed, MALA_KEY_BASE + c) for c in range(n_chains)]
 
-    z = np.stack([g.standard_normal((n, d)) for g in rngs])
-    if target.tilt is None:
-        x = m.sigma / math.sqrt(2.0 * m.lam) * z
-    else:
-        a = tilted_alpha(m, target.tilt.t)
-        x = target.tilt.y / (target.tilt.t * a) + z / math.sqrt(a)
+    tilt = target.tilt
+    center, sd = (gaussian_proxy(m) if tilt is None
+                  else gaussian_proxy(m, tilt.t, tilt.y))
+    x = center + sd * np.stack([g.standard_normal((n, d)) for g in rngs])
     logp, grad = _log_density(target, x, with_grad=True)
     log_tau = np.full(n_chains, math.log(step_size))
 

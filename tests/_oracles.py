@@ -24,8 +24,12 @@ and its one loss kernel, `loss_terms`; the tests check identities between
 them (Gateaux derivative, finite differences, convexity, closed forms).
 `w2_distance_1d` is the quantile-coupling W2 through the library's
 `monotone_images`, which the tests check against Gaussian closed forms.
+`rescale_parameters` is the paper's substitution of the bound inputs
+under the coordinate rescaling, which `model_constants(rescale_model(m))`
+must reproduce.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -502,3 +506,13 @@ def w2_distance_1d(p, q):
     displacement = p.nodes() - monotone_images(p, q)
     w2sq = float(np.sum(p.quad_weights() * p.weights * displacement**2))
     return math.sqrt(max(w2sq, 0.0))
+
+
+def rescale_parameters(inputs):
+    """Bound inputs after the coordinate rescaling x -> (sqrt(lam)/sigma) x:
+    beta_hat <- beta_hat sigma^2/lam, lam <- sigma^2 and
+    B <- B sigma/sqrt(lam)."""
+    s2 = inputs.sigma**2
+    return dataclasses.replace(
+        inputs, beta_hat=inputs.beta_hat * s2 / inputs.lam, lam=s2,
+        B=inputs.B * inputs.sigma / math.sqrt(inputs.lam))

@@ -16,7 +16,6 @@ from mflab.bounds import (
     lsi_pert_bound,
     lsi_pi_bound,
     main_bound,
-    rescale_parameters,
     songbo_bound,
     winf_bound,
 )
@@ -44,6 +43,7 @@ from _oracles import (
     log_term_integral_quadrature,
     quadratic_kl_exact,
     quadratic_pi_moments,
+    rescale_parameters,
 )
 
 N_SWEEP = [2, 4, 8, 16]

@@ -12,13 +12,16 @@ from mflab.bounds import (
     lsi_pert_bound,
     lsi_pi_bound,
     main_bound,
-    rescale_parameters,
     songbo_bound,
     winf_bound,
 )
-from mflab.errors import AlreadyRescaledError, CalculatorDomainError
+from mflab.errors import CalculatorDomainError
 
-from _oracles import heat_flow_integral_quadrature, log_term_integral_quadrature
+from _oracles import (
+    heat_flow_integral_quadrature,
+    log_term_integral_quadrature,
+    rescale_parameters,
+)
 
 REL = 1e-12
 
@@ -188,7 +191,6 @@ class TestRescaleParameters:
         assert close(out.beta_hat, 0.7)
         assert close(out.lam, 1.0)
         assert close(out.B, 0.4)
-        assert out.rescaled
 
     def test_substitution(self):
         inputs = BoundInputs(sigma=1.0, lam=4.0, beta_hat=1.0, B=1.0)
@@ -196,11 +198,6 @@ class TestRescaleParameters:
         assert close(out.beta_hat, 0.25)
         assert close(out.lam, 1.0)
         assert close(out.B, 0.5)
-
-    def test_double_rescale_refused(self):
-        inputs = BoundInputs(sigma=1.0, lam=4.0, beta_hat=1.0, B=1.0)
-        with pytest.raises(AlreadyRescaledError):
-            rescale_parameters(rescale_parameters(inputs))
 
     def test_exponent_invariance(self):
         # The exponent of the transport estimate is invariant under the

@@ -16,12 +16,14 @@ from mflab.cli import (
     SCHEMA,
     SECTIONS_BY_EXPERIMENT,
     build_model,
-    load_config,
     main,
     validate_config,
 )
 from mflab.errors import ConfigError
+from mflab.model import model_constants, rescale_model
 from mflab.sampler import mfld_simulate, states_to_csv
+
+from _oracles import rescale_parameters
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -493,9 +495,25 @@ class TestRunCommand:
                      str(tmp_path / "x")]) == 3
         assert "sd from a grid end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_nodes", [9, 21])
+    def test_chaos_grid_too_coarse_for_the_law_exit_3(self, tmp_path, capsys,
+                                                      n_nodes):
+        # Both grids cover relu3's law by the 8-sd rule, but space their
+        # nodes 3.2 and 1.0 of its sd apart; the sweeps once exited 1 on
+        # wrong verdicts (at 9 nodes variance_step, mala_agrees and
+        # no_growth_in_n failed).
+        cfg = {**MINI_CHAOS, "model": {"preset": "relu3"},
+               "grid": {"n_nodes": n_nodes}}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "x")]) == 3
+        assert (f"the {n_nodes}-node grid's spacing"
+                in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tilt_center_past_float64_exit_3(self, tmp_path, capsys):
         # The window around the mode once had hi == lo and ended in Axis's
-        # ValueError (exit 1).
+        # ValueError (exit 1); later the coarse scan reached the center
+        # first and overflowed.
         cfg = {"experiment": "tilt_profile", "model": {"preset": "relu3"},
                "profile": {"tilt_centers": [1.0e+300], "n_times": 3}}
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
@@ -611,6 +629,26 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         rows = json.loads((out / "bounds.json").read_text())
         assert rows["main_bound_generic"] == pytest.approx(2.0**0.5)
+
+    def test_bounds_table_rescaled_rows_at_nonunit_sigma_lam(self, tmp_path):
+        # The rescaled rows are the rescaled model's constants, bit for
+        # bit, and the paper's substitution of the inputs.
+        cfg = {"experiment": "bounds_table", "model": {
+            "kind": "example_nn", "sigma": 1.3, "lam": 0.37,
+            "loss": {"type": "squared", "scale": 1.0, "clip_radius": 1.0},
+            "data": {"x": [[1.0], [-0.8], [0.6]], "y": [0.5, -0.3, 0.2],
+                     "weights": [0.4, 0.35, 0.25]}}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
+                     str(out)]) == 0
+        rows = json.loads((out / "bounds.json").read_text())
+        model = build_model(validate_config(cfg)["model"])
+        via_model = model_constants(rescale_model(model))
+        oracle = rescale_parameters(model_constants(model))
+        for key in ("beta_hat", "B", "lam"):
+            assert rows[f"rescaled_{key}"] == getattr(via_model, key)
+            assert rows[f"rescaled_{key}"] == pytest.approx(
+                getattr(oracle, key), rel=1e-12, abs=0.0)
 
     def test_zero_model_sweep_reports_zero_kl(self, tmp_path):
         cfg = dict(MINI_CHAOS)

@@ -9,7 +9,13 @@ from scipy.interpolate import PchipInterpolator
 
 import mflab.heatflow
 
-from mflab.bounds import heatflow_lipschitz_bound, main_bound, tilted_alpha
+from mflab.bounds import (
+    BoundInputs,
+    gaussian_proxy,
+    heatflow_lipschitz_bound,
+    main_bound,
+    tilted_alpha,
+)
 from mflab.errors import (
     IntegrationFailureError,
     InvalidTargetError,
@@ -117,6 +123,38 @@ def relu_profile():
     ts = default_profile_times(inputs, n=40)
     ys = [np.array([-3.0]), np.array([0.0]), np.array([3.0])]
     return covariance_profile(target, ts, ys, inputs), inputs
+
+
+class TestGaussianProxy:
+    @pytest.mark.parametrize("sigma, lam", [(1.0, 1.0), (1.3, 0.37)])
+    @pytest.mark.parametrize("t, y", [(0.01, 3.0), (0.5, -3.0), (20.0, 1.5)])
+    def test_is_the_zero_models_tilted_law(self, sigma, lam, t, y):
+        # Without interaction the tilt of the Gibbs measure is Gaussian, so
+        # the proxy is exact: mean y/(1 + a t) and variance 1/alpha_t.
+        model = rescale_model(zero_model(sigma=sigma, lam=lam))
+        inputs = model_constants(model)
+        yy = np.full(1, y)
+        mean, cov = _tilted_moments(TargetSpec(model, 1), t, yy, inputs)
+        center, sd = gaussian_proxy(inputs, t, yy)
+        a = tilted_alpha(inputs, math.inf)
+        assert center[0] == y / (1.0 + a * t)
+        assert sd**2 == pytest.approx(1.0 / tilted_alpha(inputs, t), rel=1e-15)
+        assert mean[0] == pytest.approx(center[0], rel=1e-9, abs=1e-12)
+        assert cov[0, 0] == pytest.approx(sd**2, rel=1e-9)
+
+    def test_untilted_is_the_stationary_gaussian(self):
+        center, sd = gaussian_proxy(zero_model(sigma=1.3, lam=0.37))
+        assert center == 0.0
+        assert sd == pytest.approx(1.3 / math.sqrt(2.0 * 0.37), rel=1e-15)
+
+    def test_refuses_a_tilt_that_is_not_normalizable(self):
+        # 2 lam / sigma^2 - 1 + 1/t = 0.2 - 1 + 0.1 < 0
+        low = BoundInputs(sigma=1.0, lam=0.1, beta_hat=0.0, B=0.0)
+        with pytest.raises(InvalidTargetError, match="alpha_t"):
+            gaussian_proxy(low, 10.0, np.zeros(1))
+        # at t = 1, alpha_t = 0.2
+        assert gaussian_proxy(low, 1.0, np.zeros(1))[1] == pytest.approx(
+            1.0 / math.sqrt(0.2), rel=1e-15)
 
 
 class TestCovarianceProfile:

@@ -1,7 +1,6 @@
 """Self-consistent solver against Gaussian closed forms."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from mflab.meanfield import (
     proximal_residual,
     solve_self_consistent,
 )
-from mflab.measure import Axis, GridDensity, normalize_from_log_potential
-from mflab.model import quadratic_oracle, rescale_model, zero_model
+from mflab.measure import normalize_from_log_potential
+from mflab.model import rescale_model, zero_model
 from mflab.presets import quadratic_preset, relu_preset
 from mflab.sampler import TiltSpec
 

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mflab.bounds import rescale_parameters
 from mflab.errors import AlreadyRescaledError, DimensionMismatchError
 from mflab.chaos import _bregman
 from mflab.measure import Axis, GridDensity, normalize_from_log_potential
 from mflab.model import (
-    IDENTITY,
     LogisticLoss,
     RELU,
     SquaredLoss,
@@ -34,6 +32,7 @@ from _oracles import (
     first_variation,
     gaussian_on_grid,
     loss_terms_two_pass,
+    rescale_parameters,
     second_variation,
     wasserstein_gradient,
 )
@@ -263,8 +262,8 @@ class TestModelConstants:
         got = (consts.beta_hat, consts.B, feature_lipschitz(model),
                model.loss.L_ell, model.loss.beta_ell)
         assert got == self.PINNED[name]
-        assert (consts.sigma, consts.lam, consts.d,
-                consts.rescaled) == (model.sigma, model.lam, 1, False)
+        assert (consts.sigma, consts.lam, consts.d) == (model.sigma,
+                                                        model.lam, 1)
 
     @pytest.mark.parametrize("name", sorted(PINNED_RESCALED))
     def test_rescaled_constants_pinned(self, name):
