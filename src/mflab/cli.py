@@ -12,10 +12,11 @@ ends with one line per check (value, limit, slack and, for a statistical
 check, its margin in standard errors) and `all checks: yes/NO`.
 
 Exit codes: 0 every check passed, 1 ran but a check failed, 2
-configuration error, 3 numeric failure (nonconvergence, divergence
-guard, a grid too coarse for the transport map, a chaos grid that does
-not cover or does not resolve the solved law, or a tilt the profile grid
-cannot hold).
+configuration error (an unknown key, or a value that its `Field` or a
+cross-field rule refuses, before anything runs), 3 numeric failure
+(nonconvergence, divergence guard, a grid too coarse for the transport
+map, a chaos grid that does not cover or does not resolve the solved law,
+or a tilt the profile grid cannot hold).
 """
 
 from __future__ import annotations
@@ -84,14 +85,40 @@ LIPSCHITZ_SLACK_PER_H2 = 0.02
 
 @dataclass(frozen=True)
 class Field:
+    """One config value and the bound `above` it must exceed.  A float
+    must be finite, a list nonempty, with each entry checked like its
+    default's entries; only a field whose default is None takes None."""
+
     type: type
     default: object
     rationale: str
-    above: float | None = None  # the value must exceed this, if given
+    above: float | None = None
+
+    def check(self, name: str, val):
+        """val, an int promoted for a float field, or a ConfigError."""
+        if val is None and self.default is None:
+            return val
+        if self.type is float and type(val) is int:  # past float64: inf
+            val = float(val) if abs(val) <= sys.float_info.max else math.inf
+        # YAML's true is an int to isinstance; no field takes a bool.
+        if isinstance(val, bool) or not isinstance(val, self.type):
+            raise ConfigError(f"{name} must be {self.type.__name__}")
+        if self.type is list:
+            if not val:
+                raise ConfigError(f"{name} must not be empty")
+            entry = Field(type(self.default[0]), self.default[0], "",
+                          self.above)
+            for v in val:  # checked; the list is kept as given
+                entry.check(f"{name} entries", v)
+        elif self.type is float and not math.isfinite(val):
+            raise ConfigError(f"{name} must be finite")
+        elif self.above is not None and not val > self.above:
+            raise ConfigError(f"{name} must be > {self.above:g}")
+        return val
 
 
 # Nested schema: section -> key -> Field.  `None` defaults mean required
-# (or conditionally required per experiment); a list may not be empty.
+# (or conditionally required per experiment).
 SCHEMA: dict[str, dict[str, Field]] = {
     "": {
         "experiment": Field(str, None, "one of " + ", ".join(EXPERIMENTS)),
@@ -132,20 +159,21 @@ SCHEMA: dict[str, dict[str, Field]] = {
     "sweep": {
         "n_particles": Field(list, [2**k for k in range(1, 11)],
                              "particle counts 2, 4, ..., 1024; a doubling "
-                             "sweep reveals any growth in N"),
+                             "sweep reveals any growth in N", 0),
     },
     "mcmc": {
-        "n_samples": Field(int, 16384, "MALA cross-check effort at the "
-                                       "smallest N (>= 1), split over chains"),
-        "n_burnin": Field(int, 2048, "step-size adaptation window; frozen "
-                                     "afterwards"),
-        "step_size0": Field(float, 0.3, "initial MALA step; adapted toward "
-                                        "57.4% acceptance during burn-in"),
-        "n_pi_samples": Field(int, 32768, "i.i.d. product draws (>= 2); "
-                                          "the whole KL by importance sampling"),
-        "n_chains": Field(int, 32, "lockstep MALA chains (>= 2) whose 32 "
-                                   "means give the CI; 32 chains step at "
-                                   "about the cost of a few"),
+        "n_samples": Field(int, McmcConfig.n_samples, "MALA cross-check "
+                           "effort at the smallest N, split over chains", 0),
+        "n_burnin": Field(int, McmcConfig.n_burnin, "step-size adaptation "
+                          "window, frozen afterwards; 0 adapts nothing", -1),
+        "step_size0": Field(float, McmcConfig.step_size0, "initial MALA "
+                            "step; adapted toward 57.4% acceptance", 0),
+        "n_pi_samples": Field(int, McmcConfig.n_pi_samples, "i.i.d. product "
+                              "draws, the whole KL by importance sampling; "
+                              "a half-width needs two", 1),
+        "n_chains": Field(int, McmcConfig.n_chains, "lockstep MALA chains; "
+                          "the CI needs two means, and 32 step at about "
+                          "the cost of a few", 1),
     },
     "grid": {
         "n_nodes": Field(int, 2048, "1-d grid resolution; trapezoid error "
@@ -231,21 +259,8 @@ def validate_config(raw: dict) -> dict:
         block = (raw.get(section) or {}) if section else raw
         out = resolved.setdefault(section, {}) if section else resolved
         for key, f in SCHEMA[section].items():
-            name = f"{section}.{key}" if section else key
-            val = block.get(key, f.default)
-            # YAML's true is an int to isinstance; no field takes a bool.
-            if val is not None and (isinstance(val, bool)
-                                    or not isinstance(val, f.type)):
-                if f.type is float and type(val) is int:
-                    val = float(val)
-                else:
-                    raise ConfigError(f"{name} must be {f.type.__name__}")
-            if f.above is not None and not (val is not None
-                                            and val > f.above):
-                raise ConfigError(f"{name} must be > {f.above:g}")
-            if f.type is list and not val:
-                raise ConfigError(f"{name} must not be empty")
-            out[key] = val
+            out[key] = f.check(f"{section}.{key}" if section else key,
+                               block.get(key, f.default))
     given = raw.get("model") or {}
     if given.get("preset") is not None:
         allowed = {"preset"}
@@ -263,18 +278,14 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"{experiment} works on a 1-d grid of one "
                           "particle's law; the model must have d = 1")
     if experiment == "chaos_sweep":
-        McmcConfig(**resolved["mcmc"])
         ns = resolved["sweep"]["n_particles"]
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                   for n in ns):
-            raise ConfigError("sweep.n_particles entries must be integers "
-                              ">= 1")
         if len(set(ns)) != len(ns):
             raise ConfigError("sweep.n_particles entries must be distinct")
-    if experiment == "mfld_run" and round(resolved["mfld"]["horizon"]
-                                          / resolved["mfld"]["step"]) == 0:
-        raise ConfigError("mfld.step must leave round(mfld.horizon / "
-                          "mfld.step) >= 1 steps to run")
+    if experiment == "mfld_run":
+        n_steps = resolved["mfld"]["horizon"] / resolved["mfld"]["step"]
+        if not (math.isfinite(n_steps) and round(n_steps) >= 1):
+            raise ConfigError("mfld.step must leave round(mfld.horizon / "
+                              "mfld.step) finite and >= 1 steps to run")
     if experiment == "tilt_profile":
         pb = resolved["profile"]
         if pb["n_particles"] * d > 2:
@@ -285,10 +296,6 @@ def validate_config(raw: dict) -> dict:
         if not np.isfinite(span):
             raise ConfigError("profile.decades_around must leave "
                               "10**decades_around finite")
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                   and math.isfinite(c) for c in pb["tilt_centers"]):
-            raise ConfigError("profile.tilt_centers entries must be finite "
-                              "numbers")
     return resolved
 
 
@@ -435,7 +442,7 @@ def _run_transport_map(cfg: dict, out_dir: str):
     lip = lipschitz_estimate(flow)
     w2 = pushforward_w2(flow, mu)
     consts = model_constants(model)  # in the map's rescaled coordinates
-    ts = default_profile_times(consts, n=40)
+    ts = default_profile_times(consts)
     ys = [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)]
     prof = covariance_profile(target, ts, ys, consts)
     fitted_bound, c_fit, k_fit = prof.fitted_lipschitz_bound()

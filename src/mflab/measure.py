@@ -112,8 +112,8 @@ class GridDensity:
     def dim(self) -> int:
         return len(self.axes)
 
-    def nodes(self, axis: int = 0) -> np.ndarray:
-        return self.axes[axis].nodes()
+    def nodes(self) -> np.ndarray:
+        return self.axes[0].nodes()
 
     def node_points(self) -> np.ndarray:
         """All grid nodes as an (M, dim) array in C order."""
@@ -124,9 +124,6 @@ class GridDensity:
         return grid_quad_weights(self.axes)
 
     # -- integrals ------------------------------------------------------
-
-    def mass(self) -> float:
-        return float(np.sum(self.quad_weights() * self.weights))
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:

@@ -54,8 +54,9 @@ class SquaredLoss:
     clip_radius: float = 10.0
 
     def __post_init__(self):
-        if self.scale <= 0 or self.clip_radius <= 0:
-            raise ValueError("scale and clip_radius must be positive")
+        if not (0 < self.scale < math.inf and 0 < self.clip_radius < math.inf):
+            raise ValueError("scale and clip_radius must be positive and "
+                             "finite")
 
     @property
     def beta_ell(self) -> float:
@@ -64,9 +65,6 @@ class SquaredLoss:
     @property
     def L_ell(self) -> float:
         return self.scale * self.clip_radius
-
-    def value(self, yhat, y):
-        return self.terms(yhat, y)[0]
 
     def terms(self, yhat, y):
         """(value, slope) from one residual r and r_c = clip(r): scale r_c
@@ -94,8 +92,10 @@ class UnclippedSquaredLoss(SquaredLoss):
     """
 
     def __post_init__(self):
-        if self.scale < 0 or self.clip_radius <= 0:
-            raise ValueError("scale must be nonnegative, clip_radius positive")
+        if not (0 <= self.scale < math.inf
+                and 0 < self.clip_radius < math.inf):
+            raise ValueError("scale must be nonnegative, clip_radius "
+                             "positive, both finite")
 
     def terms(self, yhat, y):
         r = np.asarray(yhat, dtype=float) - y
@@ -125,9 +125,6 @@ class LogisticLoss:
     @property
     def L_ell(self) -> float:
         return 1.0
-
-    def value(self, yhat, y):
-        return self.terms(yhat, y)[0]
 
     def terms(self, yhat, y):
         y = np.asarray(y)
@@ -209,8 +206,8 @@ class ModelSpec:
     rescaled: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.lam <= 0:
-            raise ValueError("sigma and lam must be positive")
+        if not (0 < self.sigma < math.inf and 0 < self.lam < math.inf):
+            raise ValueError("sigma and lam must be positive and finite")
         if self.d < 1:
             raise ValueError("d must be at least 1")
         x = np.atleast_2d(np.asarray(self.data_x, dtype=float))
@@ -222,7 +219,8 @@ class ModelSpec:
             raise ValueError("data arrays must share the leading length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("data must be finite")
-        if np.any(p < 0) or (p.size and abs(p.sum() - 1.0) > WEIGHT_SUM_TOL):
+        if not (np.all(p >= 0)
+                and (p.size == 0 or abs(p.sum() - 1.0) <= WEIGHT_SUM_TOL)):
             raise ValueError("data weights must be >= 0 and sum to 1 (1e-12)")
         if isinstance(self.loss, LogisticLoss) and not np.all(np.abs(y) == 1.0):
             raise ValueError("logistic labels must be +-1")

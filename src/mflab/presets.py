@@ -20,14 +20,14 @@ from .model import (
 )
 
 
-def standard_zero(sigma: float = 1.0, lam: float = 0.5, d: int = 1) -> ModelSpec:
+def standard_zero() -> ModelSpec:
     """Pure confinement whose stationary law is the standard Gaussian."""
-    return zero_model(sigma=sigma, lam=lam, d=d)
+    return zero_model(sigma=1.0, lam=0.5)
 
 
-def unit_zero(sigma: float = 1.0, lam: float = 1.0, d: int = 1) -> ModelSpec:
+def unit_zero() -> ModelSpec:
     """Pure confinement with stationary variance sigma^2/(2 lam) = 1/2."""
-    return zero_model(sigma=sigma, lam=lam, d=d)
+    return zero_model(sigma=1.0, lam=1.0)
 
 
 def quadratic_preset(kappa: float = 0.5, c: float = 0.3, sigma: float = 1.0,
@@ -53,11 +53,11 @@ def relu_preset(sigma: float = 1.0, lam: float = 1.0) -> ModelSpec:
     )
 
 
-def tanh_preset(sigma: float = 1.0, lam: float = 1.0) -> ModelSpec:
+def tanh_preset() -> ModelSpec:
     """Smooth-activation variant used where quadrature oracles need
     spectral accuracy."""
     return example_nn(
-        sigma=sigma, lam=lam,
+        sigma=1.0, lam=1.0,
         data_x=np.array([[0.9], [-0.7]]),
         data_y=np.array([0.4, -0.2]),
         weights=np.array([0.5, 0.5]),
@@ -66,10 +66,10 @@ def tanh_preset(sigma: float = 1.0, lam: float = 1.0) -> ModelSpec:
     )
 
 
-def logistic_preset(sigma: float = 1.0, lam: float = 1.0) -> ModelSpec:
+def logistic_preset() -> ModelSpec:
     """Classification variant: logistic loss, labels +-1."""
     return example_nn(
-        sigma=sigma, lam=lam,
+        sigma=1.0, lam=1.0,
         data_x=np.array([[1.0], [-0.9]]),
         data_y=np.array([1.0, -1.0]),
         weights=np.array([0.6, 0.4]),

@@ -320,7 +320,7 @@ def log_density_numpy_wrappers(target, xb, with_grad):
     sq = np.sum(xb * xb, axis=(1, 2))
     out = -(m.lam / m.sigma**2) * sq
     out -= ((2.0 * target.n_particles / m.sigma**2)
-            * (m.loss.value(eh, m.data_y) @ m.data_p))
+            * (loss_terms_two_pass(m.loss, eh, m.data_y)[0] @ m.data_p))
     if target.tilt is not None:
         diff = xb - target.tilt.y
         out -= np.sum(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)

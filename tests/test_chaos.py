@@ -39,7 +39,6 @@ from mflab.chaos import (
 import mflab.chaos
 from mflab.errors import (
     CalculatorDomainError,
-    ConfigError,
     MflabError,
     NonconvergenceError,
     SimulationDivergedError,
@@ -354,10 +353,6 @@ class TestChains:
         assert r2.mala_bregman_mean != r5.mala_bregman_mean
         assert (r2.sampler.n_chains, r2.sampler.n_samples) == (2, 200)
         assert (r5.sampler.n_chains, r5.sampler.n_samples) == (5, 80)
-
-    def test_one_chain_rejected(self):
-        with pytest.raises(ConfigError, match="n_chains"):
-            McmcConfig(n_chains=1)
 
 
 class TestEstimateKlRelu:

@@ -34,6 +34,8 @@ def write_config(tmp_path, payload, name="config.yaml"):
     return str(path)
 
 
+NN_DATA = {"x": [[1.0], [-0.5]], "y": [0.2, -0.1]}
+
 MINI_CHAOS = {
     "experiment": "chaos_sweep",
     "seed": 0,
@@ -120,6 +122,9 @@ class TestConfigValidation:
         # A window past float64 once ended in an OverflowError (exit 1).
         ("tilt_profile", "profile", "decades_around", 400.0),
         ("tilt_profile", "profile", "decades_around", float("inf")),
+        # An int past float64 once ended in an OverflowError (exit 1).
+        pytest.param("bounds_table", "model", "sigma", 10**400,
+                     id="bounds_table-model-sigma-10**400"),
         ("transport_map", "grid", "n_nodes", 1),
         ("chaos_sweep", "grid", "n_nodes", 0),
         ("transport_map", "grid", "span_sd", -1.0),
@@ -156,6 +161,45 @@ class TestConfigValidation:
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        # These once exited 0 with NaN results.
+        {"experiment": "bounds_table",
+         "model": {"kind": "zero", "lam": float("nan")}},
+        {"experiment": "bounds_table", "model": {
+            "kind": "example_nn", "data": NN_DATA,
+            "loss": {"type": "squared", "scale": float("nan")}}},
+        {"experiment": "bounds_table", "model": {
+            "kind": "example_nn", "data": NN_DATA,
+            "loss": {"type": "squared", "clip_radius": float("nan")}}},
+        {"experiment": "bounds_table", "model": {
+            "kind": "example_nn", "data": dict(NN_DATA,
+                                               weights=[float("nan"), 0.5])}},
+        {"experiment": "mfld_run",
+         "model": {"kind": "zero", "sigma": float("nan")}},
+        {"experiment": "bounds_table",
+         "model": {"kind": "quadratic_oracle", "kappa": float("nan")}},
+        # These once ended in a traceback (exit 1).
+        {"experiment": "mfld_run", "model": {"kind": "zero"},
+         "mfld": {"horizon": float("inf")}},
+        {"experiment": "mfld_run", "model": {"kind": "zero"},
+         "mfld": {"horizon": 1e300, "step": 1e-300}},
+        {"experiment": "transport_map", "model": {"preset": "relu3"},
+         "grid": {"span_sd": float("inf")}},
+        {"experiment": "chaos_sweep", "model": {"preset": "relu3"},
+         "grid": {"span_sd": float("inf")}},
+        {"experiment": "bounds_table", "model": {
+            "kind": "example_nn", "sigma": float("inf"), "data": NN_DATA}},
+    ], ids=["lam_nan", "loss_scale_nan", "loss_clip_radius_nan",
+            "weight_nan", "mfld_sigma_nan", "kappa_nan", "horizon_inf",
+            "steps_overflow", "transport_span_inf", "chaos_span_inf",
+            "sigma_inf"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, cfg):
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_duplicate_particle_counts_exit_2(self, tmp_path):
         # [2, 2] once ran N = 2 twice: the second report_N002.json replaced
