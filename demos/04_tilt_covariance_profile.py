@@ -36,7 +36,7 @@ t_star = regime_threshold(inputs)
 print(f"regime threshold t* = {t_star:.5f} "
       f"(small-t statistics below, large-t statistics above)")
 
-ts = default_profile_times(inputs, n=40)
+ts = default_profile_times(inputs, n=40, decades_around=2.0)
 ys = [np.array([-3.0]), np.array([0.0]), np.array([3.0])]
 prof = covariance_profile(TargetSpec(model, 1), ts, ys, inputs)
 

@@ -44,7 +44,7 @@ print(f"W2(T#gamma, mu) = {pushforward_w2(flow, mu):.2e}")
 lip = lipschitz_estimate(flow)
 inputs = model_constants(model)
 prof = covariance_profile(
-    target, default_profile_times(inputs, n=40),
+    target, default_profile_times(inputs, n=40, decades_around=2.0),
     [np.array([0.0]), np.array([3.0]), np.array([-3.0])], inputs)
 fitted, c_fit, k_fit = prof.fitted_lipschitz_bound()
 closed_form = main_bound(model_constants(relu_preset()), "generic")

@@ -213,12 +213,18 @@ MODEL_KEYS = {
     "example_nn": {"kind", "sigma", "lam", "clip_radius", "activation",
                    "loss", "data", "data_csv"},
 }
-LOSS_KEYS = {"squared": {"type", "scale", "clip_radius"}, "logistic": {"type"}}
+# The model.loss keys but `type`, per type, and the model.data keys.
+LOSS_FIELDS = {"logistic": {}, "squared": {
+    "scale": Field(float, SquaredLoss.scale, "curvature of the squared loss"),
+    "clip_radius": SCHEMA["model"]["clip_radius"]}}
+DATA_FIELDS = {"x": Field(list, [[0.0]], "rows of d inputs; required"),
+               "y": Field(list, [0.0], "one target per row; required"),
+               "weights": Field(list, [1.0], "one per row; uniform if absent")}
 
 SECTIONS_BY_EXPERIMENT = {
     "chaos_sweep": ("model", "sweep", "mcmc", "grid"),
     "tilt_profile": ("model", "profile"),
-    "transport_map": ("model", "grid"),
+    "transport_map": ("model", "profile", "grid"),
     "mfld_run": ("model", "mfld"),
     "bounds_table": ("model",),
 }
@@ -270,14 +276,12 @@ def validate_config(raw: dict) -> dict:
             allowed = allowed - {"clip_radius"}
     else:
         raise ConfigError("model block needs either 'preset' or 'kind'")
-    ignored = sorted(set(given) - allowed)
-    if ignored:
-        raise ConfigError(f"model keys {ignored} are ignored by this model")
+    _check_block("model", given, {k: SCHEMA["model"][k] for k in allowed})
     d = build_model(resolved["model"]).d
-    if experiment in ("chaos_sweep", "transport_map") and d != 1:
-        raise ConfigError(f"{experiment} works on a 1-d grid of one "
-                          "particle's law; the model must have d = 1")
     if experiment == "chaos_sweep":
+        if d != 1:
+            raise ConfigError("chaos_sweep works on a 1-d grid of one "
+                              "particle's law; the model must have d = 1")
         ns = resolved["sweep"]["n_particles"]
         if len(set(ns)) != len(ns):
             raise ConfigError("sweep.n_particles entries must be distinct")
@@ -286,8 +290,11 @@ def validate_config(raw: dict) -> dict:
         if not (math.isfinite(n_steps) and round(n_steps) >= 1):
             raise ConfigError("mfld.step must leave round(mfld.horizon / "
                               "mfld.step) finite and >= 1 steps to run")
-    if experiment == "tilt_profile":
+    if "profile" in resolved:
         pb = resolved["profile"]
+        if experiment == "transport_map" and pb["n_particles"] * d != 1:
+            raise ConfigError("transport_map maps one particle in d = 1: "
+                              "profile.n_particles must be 1, and d 1")
         if pb["n_particles"] * d > 2:
             raise ConfigError("profile total dimension n_particles * d must "
                               "be <= 2")
@@ -297,6 +304,16 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError("profile.decades_around must leave "
                               "10**decades_around finite")
     return resolved
+
+
+def _check_block(name: str, block: dict, fields: dict[str, Field]):
+    """Checks each value of a model block by its Field, keeping the block as
+    given; a key with no Field is one the model ignores, a config error."""
+    ignored = sorted(set(block) - set(fields))
+    if ignored:
+        raise ConfigError(f"{name} keys {ignored} are ignored by this model")
+    for key, val in block.items():
+        fields[key].check(f"{name}.{key}", val)
 
 
 def build_model(block: dict) -> ModelSpec:
@@ -326,16 +343,13 @@ def _construct_model(block: dict) -> ModelSpec:
                                 c=block["c"], d=block["d"],
                                 clip_radius=block["clip_radius"])
     if kind == "example_nn":
-        loss_block = block.get("loss") or {"type": "squared"}
-        loss_type = loss_block.get("type")
-        if loss_type not in LOSS_KEYS:
+        loss_block = dict(block.get("loss") or {"type": "squared"})
+        loss_type = loss_block.pop("type", None)
+        if loss_type not in LOSS_FIELDS:
             raise ConfigError(f"unknown loss type {loss_type!r}")
-        ignored = sorted(set(loss_block) - LOSS_KEYS[loss_type])
-        if ignored:
-            raise ConfigError(f"loss keys {ignored} are ignored by this loss")
+        _check_block("model.loss", loss_block, LOSS_FIELDS[loss_type])
         loss = LogisticLoss() if loss_type == "logistic" else SquaredLoss(
-            scale=loss_block.get("scale", 1.0),
-            clip_radius=loss_block.get("clip_radius", block["clip_radius"]))
+            **{"clip_radius": block["clip_radius"], **loss_block})
         if block.get("data") is not None and block.get("data_csv") is not None:
             raise ConfigError("give 'data' or 'data_csv', not both")
         if block.get("data_csv"):
@@ -345,14 +359,11 @@ def _construct_model(block: dict) -> ModelSpec:
             except (OSError, ValueError) as err:
                 raise ConfigError(f"cannot read data_csv "
                                   f"{block['data_csv']!r}: {err}") from err
-            x, y = raw[:, :-1], raw[:, -1]
-            weights = None
+            x, y, weights = raw[:, :-1], raw[:, -1], None
         elif block.get("data"):
             data = block["data"]
-            x = np.asarray(data["x"], dtype=float)
-            y = np.asarray(data["y"], dtype=float)
-            weights = (np.asarray(data["weights"], dtype=float)
-                       if "weights" in data else None)
+            _check_block("model.data", data, DATA_FIELDS)
+            x, y, weights = data["x"], data["y"], data.get("weights")
         else:
             raise ConfigError("example_nn needs 'data' or 'data_csv'")
         return example_nn(sigma=sigma, lam=lam, data_x=x, data_y=y,
@@ -394,16 +405,16 @@ def _run_chaos_sweep(cfg: dict, out_dir: str):
     return lines, checks + [c for c in [no_growth_in_n(reports)] if c]
 
 
-def _run_tilt_profile(cfg: dict, out_dir: str):
+def _tilt_profile(cfg: dict, out_dir: str):
+    """A whole `tilt_profile` run, which returns its profile first."""
     model = rescale_model(build_model(cfg["model"]))
     pb = cfg["profile"]
-    n_particles = pb["n_particles"]
     inputs = model_constants(model)
-    ts = default_profile_times(inputs, n=pb["n_times"],
-                               decades_around=pb["decades_around"])
-    dim = n_particles * model.d
-    ys = [np.full(dim, float(c)) for c in pb["tilt_centers"]]
-    prof = covariance_profile(TargetSpec(model, n_particles), ts, ys, inputs)
+    ts = default_profile_times(inputs, pb["n_times"], pb["decades_around"])
+    ys = [np.full(pb["n_particles"] * model.d, float(c))
+          for c in pb["tilt_centers"]]
+    prof = covariance_profile(TargetSpec(model, pb["n_particles"]), ts, ys,
+                              inputs)
     prof.to_csv(os.path.join(out_dir, "profile.csv"))
 
     ref = prof.reference()
@@ -422,17 +433,18 @@ def _run_tilt_profile(cfg: dict, out_dir: str):
                     zip(prof.y_labels, prof.fitted_small_constants())),
     ]
     limit = float(ref[t_worst])  # the worst entry's unit-constant envelope
-    return lines, [
+    return prof, lines, [
         Check("envelopes_hold", float(prof.opnorm[y_worst, t_worst]), limit,
               slack=ENVELOPE_REL_SLACK * limit),
         Check("ratio_stability_20pct", max(ratios) - min(ratios), 0.4 * mid)]
 
 
 def _run_transport_map(cfg: dict, out_dir: str):
-    model = rescale_model(build_model(cfg["model"]))
+    """A `tilt_profile` run, then the map of its one-particle target."""
+    prof, lines, checks = _tilt_profile(cfg, out_dir)
+    target, consts = prof.target, prof.inputs  # in the map's coordinates
     gb = cfg["grid"]
-    target = TargetSpec(model, 1)
-    half = max(gb["span_sd"] * bounds_mod.gaussian_proxy(model)[1], 8.5)
+    half = max(gb["span_sd"] * bounds_mod.gaussian_proxy(consts)[1], 8.5)
     ax = Axis(-half, half, gb["n_nodes"])
     log_u = n_particle_log_density(target, ax.nodes()[:, None, None])
     mu = normalize_from_log_potential(log_u, (ax,))
@@ -441,15 +453,11 @@ def _run_transport_map(cfg: dict, out_dir: str):
                [flow.source, flow.mapped])
     lip = lipschitz_estimate(flow)
     w2 = pushforward_w2(flow, mu)
-    consts = model_constants(model)  # in the map's rescaled coordinates
-    ts = default_profile_times(consts)
-    ys = [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)]
-    prof = covariance_profile(target, ts, ys, consts)
     fitted_bound, c_fit, k_fit = prof.fitted_lipschitz_bound()
     bound_gen = bounds_mod.main_bound(consts, "generic")
     bound_spec = bounds_mod.main_bound(consts, "specific",
                                        include_cross_term=False)
-    checks = [
+    map_checks = [
         Check("pushforward_w2", w2, 1e-3),
         Check("monotone", float(np.count_nonzero(~(np.diff(flow.mapped) > 0))),
               0.0),  # the count of steps along which T does not increase
@@ -465,15 +473,15 @@ def _run_transport_map(cfg: dict, out_dir: str):
         "fitted_envelope_k": k_fit,
         "main_bound_generic": bound_gen,
         "main_bound_specific": bound_spec,
-        "monotone": checks[1].passed,
+        "monotone": map_checks[1].passed,
         "implied_constants": 1.0,
     })
-    return [
+    return lines + [
         f"transport map: empirical L = {lip:.6f}",
         f"fitted envelope bound = {fitted_bound:.6f} "
         f"(C = {c_fit:.4f}, k = {k_fit})",
         f"closed-form bound (refined, unit constants) = {bound_spec:.4g}",
-    ], checks
+    ], checks + map_checks
 
 
 def _write_trajectory(read_fd, write_fd, path, steps, n: int, d: int):
@@ -561,7 +569,7 @@ def _run_bounds_table(cfg: dict, out_dir: str):
 # Each runner writes its artifacts and returns its summary lines and checks.
 RUNNERS = {
     "chaos_sweep": _run_chaos_sweep,
-    "tilt_profile": _run_tilt_profile,
+    "tilt_profile": lambda cfg, out_dir: _tilt_profile(cfg, out_dir)[1:],
     "transport_map": _run_transport_map,
     "mfld_run": _run_mfld,
     "bounds_table": _run_bounds_table,

@@ -56,7 +56,6 @@ from .measure import (
     monotone_images,
     normalize_from_log_potential,
     weighted_moments,
-    _as_axes,
     _write_csv,
 )
 from .sampler import TargetSpec, n_particle_log_density
@@ -119,6 +118,7 @@ class CovarianceProfile:
     t_star: float
     a: float
     inputs: BoundInputs
+    target: TargetSpec  # the untilted measure whose tilts these are
 
     def reference(self) -> np.ndarray:
         """The unit-constant envelope of each time's regime."""
@@ -168,15 +168,14 @@ class CovarianceProfile:
              np.tile(np.where(self.ts <= self.t_star, "small", "large"), n_y)])
 
 
-def default_profile_times(inputs: BoundInputs, n: int = 40,
-                          decades_around: float = 2.0) -> np.ndarray:
-    """Log-spaced times around the regime threshold (or around 1 if the
-    threshold is infinite)."""
+def default_profile_times(inputs: BoundInputs, n: int,
+                          decades_around: float) -> np.ndarray:
+    """n log-spaced times over decades_around decades either side of the
+    regime threshold (or of 1 if the threshold is infinite)."""
     t_star = regime_threshold(inputs)
     center = t_star if math.isfinite(t_star) else 1.0
-    lo = center / 10.0**decades_around
-    hi = center * 10.0**decades_around
-    return np.geomspace(lo, hi, n)
+    span = 10.0**decades_around
+    return np.geomspace(center / span, center * span, n)
 
 
 def covariance_profile(target: TargetSpec, t_list, y_list,
@@ -202,7 +201,8 @@ def covariance_profile(target: TargetSpec, t_list, y_list,
     labels = np.array(["y=" + "/".join(f"{v:g}" for v in y) for y in ys])
     return CovarianceProfile(ts, labels, opnorm, *per_t,
                              t_star=regime_threshold(inputs),
-                             a=tilted_alpha(inputs, math.inf), inputs=inputs)
+                             a=tilted_alpha(inputs, math.inf), inputs=inputs,
+                             target=target)
 
 
 def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
@@ -281,13 +281,10 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
         f"could not cover the tilted measure at t={t:g} within 3 widenings")
 
 
-def standard_gaussian_grid(axes) -> GridDensity:
-    """gamma restricted to the grid (unit-mass renormalized)."""
-    axes = _as_axes(axes)
-    pts = grid_points(axes)
-    log_u = -0.5 * np.sum(pts * pts, axis=1)
-    return normalize_from_log_potential(
-        log_u.reshape(tuple(ax.n for ax in axes)), axes)
+def standard_gaussian_grid(axis: Axis) -> GridDensity:
+    """gamma restricted to a 1-d grid (unit-mass renormalized)."""
+    x = axis.nodes()
+    return normalize_from_log_potential(-0.5 * (x * x), (axis,))
 
 
 # -- reverse flow map ---------------------------------------------------------
@@ -322,24 +319,18 @@ def reverse_flow_map(mu: GridDensity) -> FlowMap:
     mean = float(mu.mean()[0])
     sd = math.sqrt(float(mu.covariance()[0, 0]))
     mask = (x >= mean - 8.0 * sd) & (x <= mean + 8.0 * sd)
-    pts = x[mask]
-    s = monotone_images(mu, standard_gaussian_grid(mu.axes))[mask]
+    s = monotone_images(mu, standard_gaussian_grid(mu.axes[0]))[mask]
     if np.any(np.diff(s) <= 0):
         raise IntegrationFailureError("forward map is not strictly increasing")
 
-    src_lo = max(float(s[0]), -8.0)
-    src_hi = min(float(s[-1]), 8.0)
-    source = np.linspace(src_lo, src_hi, 2048)
-    return FlowMap(source=source, mapped=Pchip(s, pts)(source))
+    source = np.linspace(max(float(s[0]), -8.0), min(float(s[-1]), 8.0), 2048)
+    return FlowMap(source=source, mapped=Pchip(s, x[mask])(source))
 
 
 def lipschitz_estimate(flow: FlowMap) -> float:
     """Max adjacent difference ratio of T inside the central +-6 sd window."""
-    src = flow.source
-    mapped = flow.mapped
-    window = (src >= -LIPSCHITZ_WINDOW_SD) & (src <= LIPSCHITZ_WINDOW_SD)
-    s = src[window]
-    m = mapped[window]
+    window = np.abs(flow.source) <= LIPSCHITZ_WINDOW_SD
+    s, m = flow.source[window], flow.mapped[window]
     if s.size < 2:
         raise ValueError("flow map has fewer than 2 points in the window")
     return float(np.max(np.diff(m) / np.diff(s)))

@@ -223,7 +223,7 @@ class TestCriterion6TiltStability:
         model = rescale_model(relu_preset())
         target = TargetSpec(model, 1)
         inputs = model_constants(model)
-        ts = default_profile_times(inputs, n=40)
+        ts = default_profile_times(inputs, n=40, decades_around=2.0)
         prof = covariance_profile(target, ts, [np.zeros(1)], inputs)
         order = np.argsort(prof.ts)
         t_sorted, op_sorted = prof.ts[order], prof.opnorm[0, order]
@@ -276,7 +276,7 @@ class TestCriterion7TransportMap:
         lip = lipschitz_estimate(flow)
         inputs = model_constants(model)
         prof = covariance_profile(
-            target, default_profile_times(inputs, n=40),
+            target, default_profile_times(inputs, n=40, decades_around=2.0),
             [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)], inputs)
         fitted, c_fit, k_fit = prof.fitted_lipschitz_bound()
         if lip > fitted:

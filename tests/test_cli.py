@@ -122,6 +122,9 @@ class TestConfigValidation:
         # A window past float64 once ended in an OverflowError (exit 1).
         ("tilt_profile", "profile", "decades_around", 400.0),
         ("tilt_profile", "profile", "decades_around", float("inf")),
+        ("transport_map", "profile", "decades_around", 400.0),
+        # The map is built for one particle in d = 1.
+        ("transport_map", "profile", "n_particles", 2),
         # An int past float64 once ended in an OverflowError (exit 1).
         pytest.param("bounds_table", "model", "sigma", 10**400,
                      id="bounds_table-model-sigma-10**400"),
@@ -360,6 +363,37 @@ class TestConfigValidation:
         self._rejected_before_run(tmp_path, {
             "kind": "example_nn", "data_csv": str(csv)},
             re.escape(f"cannot read data_csv '{csv}'"))
+
+    @pytest.mark.parametrize("model, match", [
+        # YAML booleans in these blocks were once built as 1 and 0.
+        ({"loss": {"type": "squared", "scale": True}, "data": NN_DATA},
+         "model.loss.scale must be float"),
+        ({"loss": {"type": "squared", "clip_radius": True}, "data": NN_DATA},
+         "model.loss.clip_radius must be float"),
+        ({"data": dict(NN_DATA, weights=[True, False])},
+         "model.data.weights entries must be float"),
+        ({"data": {"x": [[True], [-0.5]], "y": [0.2, False]}},
+         "model.data.x entries entries must be float"),
+        ({"data": dict(NN_DATA, y=[0.2, False])},
+         "model.data.y entries must be float"),
+        ({"data": dict(NN_DATA, x=[1.0, -0.5])},
+         "model.data.x entries must be list"),
+        # A dataset key that nothing reads was once ignored.
+        ({"data": dict(NN_DATA, bias=[0.0, 0.0])},
+         r"model.data keys \['bias'\] are ignored"),
+    ], ids=["loss_scale_true", "loss_clip_radius_true", "weights_bool",
+            "x_and_y_bool", "y_bool", "x_flat", "data_key_unread"])
+    def test_loss_and_data_blocks_typed_exit_2(self, tmp_path, model, match):
+        self._rejected_before_run(tmp_path, dict(model, kind="example_nn"),
+                                  match)
+
+    def test_loss_and_data_blocks_kept_as_given(self):
+        model = {"kind": "example_nn", "loss": {"type": "squared", "scale": 2},
+                 "data": {"x": [[1], [-1]], "y": [1, 0], "weights": [1, 0]}}
+        resolved = validate_config({"experiment": "bounds_table",
+                                    "model": model})["model"]
+        for key in ("loss", "data"):
+            assert json.dumps(resolved[key]) == json.dumps(model[key])
 
     def test_logistic_and_squared_loss_keys_accepted(self):
         data = {"x": [[1.0], [-0.5]], "y": [1.0, -1.0]}
@@ -661,9 +695,45 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         rows = json.loads((out / "bounds.json").read_text())
         assert rows["implied_constants"] == 1.0
-        # The rows are written once: bounds.csv repeated them.
-        assert sorted(p.name for p in out.iterdir()) == [
-            "bounds.json", "manifest.json", "summary.txt"]
+
+    # The files of each kind's run directory, each artifact written once;
+    # transport_map writes the profile that it fits.
+    @pytest.mark.parametrize("experiment, effort, artifacts", [
+        ("chaos_sweep", {"sweep": {"n_particles": [2]},
+                         "mcmc": MINI_CHAOS["mcmc"]},
+         ["chaos_sweep.csv", "report_N002.json"]),
+        ("tilt_profile", {"profile": {"n_times": 4}}, ["profile.csv"]),
+        ("transport_map", {"profile": {"n_times": 4}},
+         ["flowmap.csv", "metrics.json", "profile.csv"]),
+        ("mfld_run", {"mfld": {"n_particles": 4, "horizon": 0.1,
+                               "step": 0.01}},
+         ["diagnostics.json", "trajectory.csv"]),
+        ("bounds_table", {}, ["bounds.json"])])
+    def test_run_directory_holds_each_artifact_once(self, tmp_path,
+                                                    experiment, effort,
+                                                    artifacts):
+        cfg = {"experiment": experiment, "model": {"preset": "quadratic"},
+               **effort}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            artifacts + ["manifest.json", "summary.txt"])
+
+    def test_transport_map_writes_the_tilt_profile(self, tmp_path):
+        # One profile path: the transport run's profile.csv is the
+        # tilt_profile run's at the same profile section.
+        profile = {"n_times": 8, "tilt_centers": [0.0, 2.0]}
+        outs = []
+        for experiment in ("tilt_profile", "transport_map"):
+            cfg = {"experiment": experiment, "model": {"preset": "relu3"},
+                   "profile": profile}
+            outs.append(tmp_path / experiment)
+            assert main(["run", "--config", write_config(tmp_path, cfg),
+                         "--out", str(outs[-1])]) == 0
+        tilt, transport = ((o / "profile.csv").read_bytes() for o in outs)
+        assert transport == tilt
+        assert tilt.count(b"\n") == 1 + 2 * 8
 
     def test_bounds_table_zero_model_is_prefactor_only(self, tmp_path):
         cfg = {"experiment": "bounds_table",

@@ -120,7 +120,7 @@ def relu_profile():
     model = rescale_model(relu_preset())
     target = TargetSpec(model, 1)
     inputs = model_constants(model)
-    ts = default_profile_times(inputs, n=40)
+    ts = default_profile_times(inputs, n=40, decades_around=2.0)
     ys = [np.array([-3.0]), np.array([0.0]), np.array([3.0])]
     return covariance_profile(target, ts, ys, inputs), inputs
 
@@ -238,7 +238,7 @@ class TestCovarianceProfile:
     def test_rows_equal_grid_density_reference(self, preset, n, n_times, ys):
         target = TargetSpec(rescale_model(PRESETS[preset]()), n)
         inputs = model_constants(target.model)
-        ts = default_profile_times(inputs, n=n_times)
+        ts = default_profile_times(inputs, n=n_times, decades_around=2.0)
         ys = [np.array(y) for y in ys]
         prof = covariance_profile(target, ts, ys, inputs)
         expected = [adapted_tilted_opnorm(target, float(t), y, inputs)
@@ -251,8 +251,8 @@ class TestCovarianceProfile:
         target = TargetSpec(rescale_model(relu_preset()), 2)
         inputs = model_constants(target.model)
         y = np.zeros(2)
-        prof = covariance_profile(target, default_profile_times(inputs, n=8),
-                                  [y], inputs)
+        ts = default_profile_times(inputs, n=8, decades_around=2.0)
+        prof = covariance_profile(target, ts, [y], inputs)
         for t, opnorm in zip(prof.ts, prof.opnorm[0]):
             exact = largest_eigenvalue_2x2(
                 _tilted_moments(target, t, y, inputs)[1])
@@ -393,7 +393,7 @@ class TestReverseFlowMap:
         lip = lipschitz_estimate(fm)
         target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = model_constants(model)
-        ts = default_profile_times(inputs, n=40)
+        ts = default_profile_times(inputs, n=40, decades_around=2.0)
         prof = covariance_profile(target, ts, [np.array([0.0]),
                                             np.array([3.0]),
                                             np.array([-3.0])], inputs)
