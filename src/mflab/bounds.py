@@ -11,7 +11,7 @@ assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CalculatorDomainError, InvalidTargetError
 
@@ -47,6 +47,12 @@ class BoundInputs:
                 raise ValueError(f"{name} must be nonnegative")
         if self.d < 1:
             raise ValueError("d must be at least 1")
+
+    @property
+    def pert_lipschitz(self) -> float:
+        """2B/sigma^2, the Lipschitz constant of the log-perturbation that
+        the interaction adds to each particle's confinement."""
+        return 2.0 * self.B / self.sigma**2
 
 
 def tilted_alpha(params, t: float | None = None) -> float:
@@ -102,21 +108,13 @@ def heatflow_lipschitz_bound(a: float, terms) -> float:
     return _exp(exponent) / math.sqrt(a + 1.0)
 
 
-def generic_exponent_terms(inputs: BoundInputs, d_prox: int | None = None) -> list[float]:
-    """The four exponent terms of the generic transport-map estimate.
-
-    With `d_prox=1` the third (cross) term is dominated by the others and
-    the simplified estimate drops it; both forms are exposed.
-    """
-    s2 = inputs.sigma**2
-    lam = inputs.lam
-    bh = inputs.beta_hat
-    b2 = inputs.B**2
-    dp = inputs.d if d_prox is None else d_prox
+def generic_exponent_terms(inputs: BoundInputs) -> list[float]:
+    """The four exponent terms of the generic transport-map estimate."""
+    s2, lam, bh, b2 = inputs.sigma**2, inputs.lam, inputs.beta_hat, inputs.B**2
     return [
-        bh * dp / lam,
+        bh * inputs.d / lam,
         b2 / (lam * s2),
-        bh * b2 * dp / (lam**2 * s2),
+        bh * b2 * inputs.d / (lam**2 * s2),
         bh * b2 * b2 / (lam**3 * s2 * s2),
     ]
 
@@ -126,13 +124,14 @@ def main_bound(inputs: BoundInputs, variant: str = "generic",
     """Transport-map Lipschitz estimate with implied constants set to 1.
 
     variant="generic" uses the dimension-dependent exponent; "specific"
-    uses the feature-map constants with d_prox = 1, where the cross term
-    is redundant and dropped unless `include_cross_term` is set.
+    uses the feature-map constants, the generic terms at d = 1, where the
+    cross (third) term is dominated by the others and dropped unless
+    `include_cross_term` is set.
     """
     if variant == "generic":
         terms = generic_exponent_terms(inputs)
     elif variant == "specific":
-        terms = generic_exponent_terms(inputs, d_prox=1)
+        terms = generic_exponent_terms(replace(inputs, d=1))
         if not include_cross_term:
             terms = [terms[0], terms[1], terms[3]]
     else:

@@ -310,9 +310,9 @@ def _estimate(target: TargetSpec, seed: int, mcmc: McmcConfig,
 
     alpha = tilted_alpha(eff, tilt.t if tilt else None)
     consts = model_constants(eff)
-    # Each pi^i is a (2B/sigma^2)-Lipschitz log-perturbation of an alpha-
-    # strongly log-concave base: its LSI bound bounds the Poincare constant.
-    cbar_pi = lsi_pert_bound(alpha, 2.0 * consts.B / eff.sigma**2)
+    # Each pi^i is a log-perturbation of an alpha-strongly log-concave base:
+    # its LSI bound bounds the Poincare constant.
+    cbar_pi = lsi_pert_bound(alpha, consts.pert_lipschitz)
     bound_generic = poc_bound(consts, cbar_pi, alpha, "generic")
     bound_nn = poc_bound(consts, cbar_pi, alpha, "example_nn")
     var_rhs = _variance_step_rhs(eff, system, n_particles)

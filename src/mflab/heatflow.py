@@ -20,9 +20,10 @@ one dimension: the flow
 with mu_t the Ornstein-Uhlenbeck evolution of mu, carries mu to mu_t
 monotonically, and in 1-d the monotone map is unique, so
 S_t = Q_{mu_t} o F_mu.  As t -> infinity mu_t -> gamma, and the flow's
-endpoint is S_inf = Phi^{-1} o F_mu in closed form.  The map from gamma
-is its inverse, Q_mu o Phi, and its accuracy W2(T_# gamma, mu) is its
-L^2(gamma) distance from that exact monotone map.
+endpoint is S_inf = Phi^{-1} o F_mu in closed form: Phi^{-1} is the AS241
+ndtri, and no grid holds gamma.  The map from gamma is its inverse,
+Q_mu o Phi, and its accuracy W2(T_# gamma, mu) is its L^2(gamma) distance
+from that exact monotone map, with Phi from erfc.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from .measure import (
     coverage_sd,
     grid_points,
     grid_quad_weights,
-    monotone_images,
-    normalize_from_log_potential,
+    logit_quantile,
     weighted_moments,
+    _logit_cdf,
     _write_csv,
 )
-from .sampler import TargetSpec, n_particle_log_density
+from .model import expit
+from .sampler import TargetSpec, n_particle_log_density, ndtri
 
 LIPSCHITZ_WINDOW_SD = 6.0
 
@@ -281,12 +283,6 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
         f"could not cover the tilted measure at t={t:g} within 3 widenings")
 
 
-def standard_gaussian_grid(axis: Axis) -> GridDensity:
-    """gamma restricted to a 1-d grid (unit-mass renormalized)."""
-    x = axis.nodes()
-    return normalize_from_log_potential(-0.5 * (x * x), (axis,))
-
-
 # -- reverse flow map ---------------------------------------------------------
 
 
@@ -305,10 +301,12 @@ class FlowMap:
 def reverse_flow_map(mu: GridDensity) -> FlowMap:
     """The endpoint of the 1-d reverse heat flow of Kim and Milman, inverted.
 
-    S_inf = Phi^{-1} o F_mu is the monotone coupling of mu to gamma,
-    evaluated on the nodes within 8 sd of the mean and inverted by
-    :class:`~mflab.measure.Pchip` at 2048 gamma-side points.  Fails loudly
-    if the forward map is not strictly increasing (mu has a gap in its mass).
+    S_inf = Phi^{-1} o F_mu, the monotone coupling of mu to gamma, is
+    -sign(L) ndtri(expit(-|L|)) with L the logit of F_mu, each tail taken
+    from its own side.  It is evaluated on the nodes within 8 sd of the mean
+    and inverted by :class:`~mflab.measure.Pchip` at 2048 gamma-side points.
+    Before ndtri runs, an L there that is not strictly increasing (mu has a
+    gap in its mass) or not finite, or fewer than two nodes, fail loudly.
     """
     if mu.dim != 1:
         raise UnsupportedDimensionError("flow maps are built in 1-d only")
@@ -316,12 +314,16 @@ def reverse_flow_map(mu: GridDensity) -> FlowMap:
     if np.any(mu.weights[1:-1] <= 0):
         raise ValueError("mu must be strictly positive on the grid interior")
 
-    mean = float(mu.mean()[0])
-    sd = math.sqrt(float(mu.covariance()[0, 0]))
+    mean, sd = float(mu.mean()[0]), math.sqrt(float(mu.covariance()[0, 0]))
     mask = (x >= mean - 8.0 * sd) & (x <= mean + 8.0 * sd)
-    s = monotone_images(mu, standard_gaussian_grid(mu.axes[0]))[mask]
-    if np.any(np.diff(s) <= 0):
+    logit = _logit_cdf(mu)[mask]
+    if not np.all(logit[1:] > logit[:-1]):  # false where F is 0 or 1 twice
         raise IntegrationFailureError("forward map is not strictly increasing")
+    if logit.size < 2 or not np.all(np.isfinite(logit)):
+        raise IntegrationFailureError(
+            f"a {x.size}-node grid resolves fewer than two CDF levels with "
+            f"finite logits within 8 sd of the mean; use a finer grid")
+    s = -np.sign(logit) * ndtri(expit(-np.abs(logit)))
 
     source = np.linspace(max(float(s[0]), -8.0), min(float(s[-1]), 8.0), 2048)
     return FlowMap(source=source, mapped=Pchip(s, x[mask])(source))
@@ -341,11 +343,16 @@ def pushforward_w2(flow: FlowMap, mu: GridDensity) -> float:
 
     For a monotone T this is ||T - Q_mu o Phi||_{L^2(gamma)} exactly: both
     maps push gamma forward monotonically, so their gamma-weighted RMS gap
-    on the map's own gamma-side grid is the quantile-coupling distance.
+    is the quantile-coupling distance.  Q_mu o Phi comes by a second route,
+    mu's :func:`~mflab.measure.logit_quantile` at logit Phi in closed form
+    (each tail from its own side by erfc), and the gap is weighted by the
+    trapezoid weights of the map's own gamma-side grid times phi.
     """
     src = flow.source
-    gamma = standard_gaussian_grid(Axis(float(src[0]), float(src[-1]),
-                                        src.size))
-    gap = flow.mapped - monotone_images(gamma, mu)
-    return float(np.sqrt(np.sum(gamma.quad_weights() * gamma.weights
-                                * gap * gap)))
+    quantile = logit_quantile(mu)
+    level = np.log([math.erfc(-z) / math.erfc(z)  # logit Phi(z sqrt(2))
+                    for z in (src / math.sqrt(2.0)).tolist()])
+    gap = flow.mapped - quantile(np.clip(level, quantile.x[0], quantile.x[-1]))
+    weights = (Axis(float(src[0]), float(src[-1]), src.size).quad_weights()
+               * np.exp(-0.5 * src * src) / math.sqrt(2.0 * math.pi))
+    return float(np.sqrt(np.sum(weights * gap * gap)))

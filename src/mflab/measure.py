@@ -298,27 +298,20 @@ def _logit_cdf(p: GridDensity) -> np.ndarray:
         return np.log(left) - np.log(right)
 
 
-def monotone_images(p: GridDensity, q: GridDensity) -> np.ndarray:
-    """The monotone coupling Q_q(F_p(x)) of p to q, at the nodes of p.
-
-    F_p and F_q are matched in the logit coordinate of :func:`_logit_cdf`
-    and q's nodes are interpolated monotonically (:class:`Pchip`) in it; images
-    beyond the range q resolves are clamped to its end nodes.  A grid that
-    resolves fewer than two CDF levels of q is an IntegrationFailureError.
-    """
-    if p.dim != 1 or q.dim != 1:
-        raise UnsupportedDimensionError("monotone_images needs 1-d densities")
-    u_q = _logit_cdf(q)
-    x = q.nodes()
-    finite = np.isfinite(u_q)
-    u_q, x = u_q[finite], x[finite]
-    keep = np.diff(u_q, prepend=-np.inf) > 0
-    u_q, x = u_q[keep], x[keep]
-    if u_q.size < 2:
+def logit_quantile(q: GridDensity) -> Pchip:
+    """Q_q in the logit coordinate of :func:`_logit_cdf`: q's nodes
+    interpolated (:class:`Pchip`) over the finite, strictly increasing
+    levels q resolves, for queries clamped to their range.  A grid that
+    resolves fewer than two is an IntegrationFailureError."""
+    if q.dim != 1:
+        raise UnsupportedDimensionError("logit_quantile needs a 1-d density")
+    u = _logit_cdf(q)
+    keep = np.isfinite(u) & (u > np.append(-np.inf, u[:-1]))
+    if np.count_nonzero(keep) < 2:
         raise IntegrationFailureError(
             f"a {q.axes[0].n}-node grid resolves fewer than two CDF levels; "
             f"use a finer grid")
-    return Pchip(u_q, x)(np.clip(_logit_cdf(p), u_q[0], u_q[-1]))
+    return Pchip(u[keep], q.nodes()[keep])
 
 
 def inverse_cdf(p: GridDensity) -> Pchip:

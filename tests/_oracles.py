@@ -22,8 +22,9 @@ paper's definitions, over a grid density or the empirical measure of an
 (N, d) particle array, evaluated through the library's expected features
 and its one loss kernel, `loss_terms`; the tests check identities between
 them (Gateaux derivative, finite differences, convexity, closed forms).
-`w2_distance_1d` is the quantile-coupling W2 through the library's
-`monotone_images`, which the tests check against Gaussian closed forms.
+`quantile_coupling` is the monotone coupling of two grid densities through
+the library's `logit_quantile`, and `w2_distance_1d` the W2 distance it
+gives; the tests check both against Gaussian closed forms.
 `rescale_parameters` is the paper's substitution of the bound inputs
 under the coordinate rescaling, which `model_constants(rescale_model(m))`
 must reproduce.
@@ -495,15 +496,23 @@ def grid_kl(p, q):
     return float(np.sum((p.quad_weights() * p.weights)[support] * ratio))
 
 
+def quantile_coupling(p, q):
+    """The monotone coupling Q_q(F_p(x)) of p to q at the nodes of p: q's
+    library logit_quantile at p's logit CDF, clamped to the levels q
+    resolves."""
+    from mflab.measure import _logit_cdf, logit_quantile
+
+    quantile = logit_quantile(q)
+    return quantile(np.clip(_logit_cdf(p), quantile.x[0], quantile.x[-1]))
+
+
 def w2_distance_1d(p, q):
     """Quantile-coupling W2 between 1-d grid densities, from
-    W2^2 = E_p[(x - Q_q(F_p(x)))^2] with the library's monotone_images;
-    0 for identical densities on one grid."""
-    from mflab.measure import monotone_images
-
+    W2^2 = E_p[(x - Q_q(F_p(x)))^2] with quantile_coupling; 0 for identical
+    densities on one grid."""
     if p.axes == q.axes and np.array_equal(p.weights, q.weights):
         return 0.0
-    displacement = p.nodes() - monotone_images(p, q)
+    displacement = p.nodes() - quantile_coupling(p, q)
     w2sq = float(np.sum(p.quad_weights() * p.weights * displacement**2))
     return math.sqrt(max(w2sq, 0.0))
 

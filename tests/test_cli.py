@@ -252,6 +252,23 @@ class TestConfigValidation:
         read = set().union(*SECTIONS_BY_EXPERIMENT.values())
         assert set(SCHEMA) - {""} <= read
 
+    @pytest.mark.parametrize("experiment, section, value", [
+        ("bounds_table", "grid", {"n_nodes": 5}),
+        ("tilt_profile", "mcmc", {}),
+        ("mfld_run", "profile", {"n_times": 8}),
+    ])
+    def test_section_the_experiment_does_not_read_exit_2(
+            self, tmp_path, experiment, section, value):
+        # Each once validated and was dropped from the resolved config.
+        cfg = {"experiment": experiment, "model": {"preset": "relu3"},
+               section: value}
+        with pytest.raises(ConfigError,
+                           match=f"{experiment} does not read section "
+                                 f"'{section}'"):
+            validate_config(cfg)
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_n_bootstrap_rejected_exit_2(self, tmp_path):
         cfg = dict(MINI_CHAOS, mcmc=dict(MINI_CHAOS["mcmc"], n_bootstrap=256))
         with pytest.raises(ConfigError, match="mcmc.n_bootstrap"):
@@ -551,10 +568,11 @@ class TestRunCommand:
                      str(tmp_path / "x")]) == 2
         assert "config parse error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_nodes", [2, 3])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 9])
     def test_grid_too_coarse_for_the_transport_map_exit_3(self, tmp_path,
                                                           capsys, n_nodes):
-        # Once an uncaught ValueError or IndexError (exit 1).
+        # Once an uncaught ValueError or IndexError (exit 1); at 9 nodes one
+        # node lies within 8 sd of the mean.
         cfg = {"experiment": "transport_map", "model": {"preset": "relu3"},
                "grid": {"n_nodes": n_nodes}}
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
@@ -784,9 +802,11 @@ class TestRunCommand:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             a, b = ((out / name).read_bytes() for out in outs)
-            if name == "manifest.json":
+            if name == "manifest.json":  # timings and process-lifetime peaks
                 a, b = (json.loads(m) for m in (a, b))
-                del a["wall_time_s"], b["wall_time_s"]
+                for key in ("wall_time_s", "peak_rss_mb",
+                            "peak_rss_children_mb"):
+                    del a[key], b[key]
             assert a == b, name
 
     def test_grid_section_reaches_the_solver(self, tmp_path, monkeypatch):

@@ -33,7 +33,6 @@ from mflab.heatflow import (
     regime_threshold,
     reverse_flow_map,
     small_regime_envelope,
-    standard_gaussian_grid,
 )
 from mflab.measure import (
     Axis,
@@ -304,7 +303,7 @@ class TestCovarianceProfile:
         assert built == []
         assert len(fine) == prof.opnorm.size
         assert 1 < len(set(coarse)) == len(coarse) < prof.opnorm.size
-        standard_gaussian_grid(AX)
+        grid_gaussian()
         assert built == [1]
 
     @pytest.mark.parametrize("log_density,error,match", [
@@ -401,6 +400,25 @@ class TestReverseFlowMap:
         assert lip <= bound
         assert lip <= main_bound(model_constants(relu_preset()), "generic")
 
+    def test_relu_preset_pushforward_below_1e_8(self):
+        # Phi^{-1} and Phi in closed form: the map's W2 once read 1.8e-7
+        # here, when both came from a grid of gamma.
+        mu, _ = relu_gibbs_density()
+        assert pushforward_w2(reverse_flow_map(mu), mu) < 1e-8
+
+    def test_zero_model_map_is_linear(self):
+        # mu = N(0, sigma^2 / 2 lam), so Q_mu o Phi is sigma/sqrt(2 lam) z.
+        # mu's own 10-sd grid reaches 8 sd of gamma only in closed form: with
+        # gamma on that grid the map once failed as not strictly increasing.
+        model = zero_model(sigma=1.0, lam=4.0)
+        ax = Axis(-3.6, 3.6, 2048)
+        log_u = n_particle_log_density(TargetSpec(model, 1),
+                                       ax.nodes()[:, None, None])
+        fm = reverse_flow_map(normalize_from_log_potential(log_u, (ax,)))
+        slope = 1.0 / math.sqrt(8.0)
+        assert np.max(np.abs(fm.mapped - slope * fm.source)) < 5e-8
+        assert abs(lipschitz_estimate(fm) / slope - 1.0) < 1e-8
+
     def test_non_monotone_from_mass_gap(self):
         # F is flat to 1e-29 between the modes, so the forward map is too.
         ax = Axis(-8.0, 8.0, 512)
@@ -418,11 +436,21 @@ class TestReverseFlowMap:
         with pytest.raises(UnsupportedDimensionError):
             reverse_flow_map(mu)
 
+    def test_infinite_logit_rejected_before_ndtri(self, monkeypatch):
+        # On 68 nodes the trapezoid 1 - F of the relu law reads 0 at the
+        # last node within 8 sd of the mean, where Phi^{-1} would be +inf.
+        calls = []
+        monkeypatch.setattr(mflab.heatflow, "ndtri", calls.append)
+        mu, _ = relu_gibbs_density(Axis(-8.5, 8.5, 68))
+        with pytest.raises(IntegrationFailureError, match="finite logits"):
+            reverse_flow_map(mu)
+        assert calls == []
+
 
     def test_interpolation_knots_match_scipy(self, monkeypatch):
-        # Every knot set and query the quantile sampler, the monotone
-        # coupling and the inverse flow map pass on the relu density: the
-        # in-house PCHIP equals scipy's bit for bit on each.
+        # Every knot set and query the quantile sampler and the inverse flow
+        # map pass on the relu density: the in-house PCHIP equals scipy's bit
+        # for bit on each.  The forward map takes no PCHIP: Phi^{-1} is ndtri.
         calls = []
         evaluate = Pchip.__call__
 
@@ -435,7 +463,7 @@ class TestReverseFlowMap:
         sample_from_grid(inverse_cdf(mu), 16, np.random.default_rng(0))
         reverse_flow_map(mu)
         monkeypatch.undo()
-        assert len(calls) == 3
+        assert len(calls) == 2
         for x, y, q in calls:
             q = np.concatenate([q, x, np.linspace(x[0], x[-1], 4097)])
             np.testing.assert_array_equal(Pchip(x, y)(q),
@@ -490,17 +518,18 @@ class TestPushforwardW2:
     SRC = np.linspace(-8.0, 8.0, 2048)
 
     def gamma(self):
-        return standard_gaussian_grid(Axis(-8.0, 8.0, 2048))
+        return grid_gaussian(axis=Axis(-8.0, 8.0, 2048))
 
     def test_identity_map_is_zero(self):
         fm = FlowMap(source=self.SRC, mapped=self.SRC.copy())
         assert pushforward_w2(fm, self.gamma()) < 1e-7
 
     def test_scaled_map_matches_closed_form(self):
-        # E z^2 under gamma truncated to [-8, 8]: 1 - 2 a phi(a) / (2 Phi(a) - 1).
+        # The weights are phi on [-a, a], a = 8, whose second moment is
+        # erf(a / sqrt 2) - 2 a phi(a).
         a = 8.0
         phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-        second_moment = 1.0 - 2.0 * a * phi / math.erf(a / math.sqrt(2.0))
+        second_moment = math.erf(a / math.sqrt(2.0)) - 2.0 * a * phi
         fm = FlowMap(source=self.SRC, mapped=1.1 * self.SRC)
         assert abs(pushforward_w2(fm, self.gamma())
                    - 0.1 * math.sqrt(second_moment)) < 1e-9

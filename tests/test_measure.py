@@ -12,6 +12,7 @@ from scipy.interpolate import PchipInterpolator
 from mflab.errors import (
     DimensionMismatchError,
     EmptyMeasureError,
+    IntegrationFailureError,
     UnsupportedDimensionError,
 )
 import mflab.measure
@@ -25,7 +26,7 @@ from mflab.measure import (
     _corrected_cdf,
     _write_csv,
     inverse_cdf,
-    monotone_images,
+    logit_quantile,
     normalize_from_log_potential,
     _search_right,
     sample_from_grid,
@@ -43,6 +44,7 @@ from _oracles import (
     grid_moments_two_pass,
     largest_eigenvalue_2x2,
     pchip_searchsorted,
+    quantile_coupling,
     sample_from_grid_searchsorted,
     w2_distance_1d,
 )
@@ -279,7 +281,7 @@ class TestW2:
         ax = Axis(-8.0, 8.0, 64)
         g = gaussian_on_grid((ax, ax), [0.0, 0.0], np.eye(2))
         with pytest.raises(UnsupportedDimensionError):
-            monotone_images(g, g)
+            logit_quantile(g)
 
 
 class TestSampling:
@@ -421,7 +423,7 @@ class TestMonotoneImages:
         x = AX.nodes()
         inside = np.abs(x - m_p) <= 5.0 * math.sqrt(v_p)
         exact = m_q + math.sqrt(v_q / v_p) * (x[inside] - m_p)
-        assert np.max(np.abs(monotone_images(p, q)[inside] - exact)) < 1e-6
+        assert np.max(np.abs(quantile_coupling(p, q)[inside] - exact)) < 1e-6
 
     @PROPERTY
     @given(GAUSSIANS, GAUSSIANS)
@@ -431,8 +433,8 @@ class TestMonotoneImages:
         q = grid_gaussian_1d(m_q, math.sqrt(v_q))
         x = AX.nodes()
         inside = np.abs(x - m_p) <= 5.0 * math.sqrt(v_p)
-        there = monotone_images(p, q)[inside]
-        back = np.interp(there, x, monotone_images(q, p))
+        there = quantile_coupling(p, q)[inside]
+        back = np.interp(there, x, quantile_coupling(q, p))
         assert np.max(np.abs(back - x[inside])) < 1e-7
 
     @PROPERTY
@@ -441,7 +443,15 @@ class TestMonotoneImages:
         (m_p, v_p), (m_q, v_q) = a, b
         p = grid_gaussian_1d(m_p, math.sqrt(v_p))
         q = grid_gaussian_1d(m_q, math.sqrt(v_q))
-        assert np.all(np.diff(monotone_images(p, q)) >= 0)
+        assert np.all(np.diff(quantile_coupling(p, q)) >= 0)
+
+
+    def test_unresolved_grid_rejected(self):
+        # Both nodes of a 2-node grid carry an infinite logit.
+        g = grid_gaussian_1d(axis=Axis(-1.0, 1.0, 2))
+        with pytest.raises(IntegrationFailureError,
+                           match="fewer than two CDF levels"):
+            logit_quantile(g)
 
 
 def assert_pchip_matches_scipy(x, y):
