@@ -75,12 +75,13 @@ from .sampler import (
 EXPERIMENTS = ("chaos_sweep", "tilt_profile", "transport_map", "mfld_run",
                "bounds_table")
 # Slack of two checks that the zero model meets with equality, sized from its
-# measured excess: its grid covariance reads up to 6.8e-16 relative above the
-# envelope (rounding), and the finite-difference slope of its map c h^2
-# relative above the fitted bound, c = 1.3e-5-0.0031 at node spacings h of
-# 0.008-0.13 (8.7e-10 on the default grid) and 0.010 at 0.236, the coarsest
-# grid its map is built on.
-ENVELOPE_REL_SLACK = 2e-15
+# measured excess: its grid covariance reads up to 2.0e-15 relative above the
+# envelope at N = 1 and 7.6e-15 at N = 2 (rounding; four zero models, eight
+# centres in [-7.5, 7.5], 8-128 times over 1-3 decades), and the
+# finite-difference slope of its map c h^2 relative above the fitted bound,
+# c = 1.3e-5-0.0031 at node spacings h of 0.008-0.13 (8.7e-10 on the default
+# grid) and 0.010 at 0.236, the coarsest grid its map is built on.
+ENVELOPE_REL_SLACK = 2e-14
 LIPSCHITZ_SLACK_PER_H2 = 0.02
 
 
@@ -275,8 +276,12 @@ def validate_config(raw: dict) -> dict:
         allowed = {"preset"}
     elif given.get("kind") is not None:
         allowed = MODEL_KEYS.get(given["kind"], set(given))
-        if (given.get("loss") or {}).get("type") == "logistic":
+        loss = given.get("loss") or {}
+        if loss.get("type") == "logistic":
             allowed = allowed - {"clip_radius"}
+        elif "clip_radius" in given and "clip_radius" in loss:
+            raise ConfigError("give 'clip_radius' or 'loss.clip_radius', "
+                              "not both")
     else:
         raise ConfigError("model block needs either 'preset' or 'kind'")
     _check_block("model", given, {k: SCHEMA["model"][k] for k in allowed})

@@ -185,18 +185,19 @@ def covariance_profile(target: TargetSpec, t_list, y_list,
     """Operator norms of tilted covariances against both reference envelopes.
 
     Each (t, y) of the target's untilted N-particle Gibbs measure gets its
-    moments on a grid adapted to the tilt width, which small-t asymptotics
-    require; the untilted log density is evaluated once per (t, y) and
-    once per distinct coarse box.  The envelopes are evaluated once per t.
+    moments on a grid adapted to the tilt width and centred at its Gaussian
+    proxy, which small-t asymptotics require; the untilted log density is
+    evaluated once per (t, y) and window.  The envelopes are evaluated once
+    per t.
     """
     if target.tilt is not None:
         raise InvalidTargetError("covariance_profile tilts the untilted "
                                  "Gibbs measure; the target has a tilt")
     ts = np.array(t_list, dtype=float)
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
-    times, scans = ts.tolist(), {}
+    times = ts.tolist()
     opnorm = np.array([
-        [covariance_opnorm(_tilted_moments(target, t, y, inputs, scans)[1])
+        [covariance_opnorm(_tilted_moments(target, t, y, inputs)[1])
          for t in times] for y in ys])
     per_t = np.array([[f(inputs, t) for t in times] for f in (
         tilted_alpha, small_regime_envelope, large_regime_envelope)])
@@ -208,15 +209,13 @@ def covariance_profile(target: TargetSpec, t_list, y_list,
 
 
 def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
-                    inputs: BoundInputs, scans=None):
+                    inputs: BoundInputs):
     """Mean and covariance of the tilt (t, y) of the target's N-particle
-    Gibbs measure, by trapezoid quadrature on a grid centered at the tilted
-    mode with width set by the Gaussian proxy's sd 1/sqrt(alpha_t), doubled
-    at most twice until it covers the law (`coverage_sd`).  A grid with no
-    width in float64, and alpha_t <= 0, are TiltDomainErrors.
-
-    `scans` maps a coarse box to its nodes and untilted log density, so
-    that tilts sharing a box evaluate it once (covariance_profile's store).
+    Gibbs measure, by trapezoid quadrature on a window of 14 proxy sds
+    1/sqrt(alpha_t) either side of the Gaussian proxy's center y/(1 + a t)
+    (`gaussian_proxy`), doubled at most twice, each time around the measured
+    mean, until it covers the law (`coverage_sd`).  A window with no width
+    in float64, and alpha_t <= 0, are TiltDomainErrors.
     """
     m, n = target.model, target.n_particles
     dim = n * m.d
@@ -224,46 +223,26 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
         raise TiltDomainError(
             f"tilt center has {y.size} coords, target is {dim}-d")
     try:
-        center_proxy, sd_t = gaussian_proxy(inputs, t, y)
+        center, sd_t = gaussian_proxy(inputs, t, y)
     except InvalidTargetError as err:
         raise TiltDomainError(str(err)) from None
     n_nodes = 2048 if dim == 1 else 192
-    base_sd = gaussian_proxy(m)[1]
 
-    def untilted_log(pts):
-        return n_particle_log_density(target, pts.reshape(-1, n, m.d))
-
-    def tilted_log(pts, untilted):  # column sums: a row sum's bits, faster
-        return (untilted - sum(c * c for c in (pts - y).T) / (2.0 * t)
-                + 0.5 * sum(c * c for c in pts.T))
-
-    def axis(lo, hi, nodes):  # far out or at tiny t, lo and hi can meet
+    def axis(c, half):  # far out or at tiny t, lo and hi can meet
+        lo, hi = c - half, c + half
         if not hi > lo:
             raise TiltDomainError(f"the tilt (t={t:g}, y={y}) leaves its grid "
                                   f"around {lo:g} no width in float64")
-        return Axis(lo, hi, nodes)
+        return Axis(lo, hi, n_nodes)
 
     half_width = 14.0 * sd_t
-    for c in center_proxy.tolist():  # before a coarse scan that would overflow
-        if not c + half_width > c - half_width:
-            axis(c - half_width, c + half_width, 2)  # raises
-    # Coarse scan over a box that covers both the base measure and the
-    # proxy tilt center, then a fine window around the located mode.
-    box = tuple(axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
-                     max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t),
-                     801 if dim == 1 else 121) for j in range(dim))
-    scans = {} if scans is None else scans
-    if box not in scans:
-        pts = grid_points(box)
-        scans[box] = pts, untilted_log(pts)
-    coarse_pts, coarse_log = scans[box]
-    mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts, coarse_log)))]
-
     for _ in range(3):
-        axes = tuple(axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
-                     for j in range(dim))
+        axes = tuple(axis(c, half_width) for c in center.tolist())
         pts = grid_points(axes)
-        log_u = tilted_log(pts, untilted_log(pts))
+        untilted = n_particle_log_density(target, pts.reshape(-1, n, m.d))
+        # column sums: a row sum's bits, faster
+        log_u = (untilted - sum(c * c for c in (pts - y).T) / (2.0 * t)
+                 + 0.5 * sum(c * c for c in pts.T))
         peak = np.argmax(log_u)  # the first NaN, if there is one
         if any(i in (0, n_nodes - 1)
                for i in np.unravel_index(peak, (n_nodes,) * dim)):
@@ -277,7 +256,7 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
         mean, cov = weighted_moments(pts, qw * (u / np.sum(qw * u)))
         if coverage_sd(axes, mean, cov) >= MIN_COVERAGE_SD:
             return mean, cov
-        mode = mean
+        center = mean
         half_width *= 2.0
     raise TiltDomainError(
         f"could not cover the tilted measure at t={t:g} within 3 widenings")
@@ -305,17 +284,17 @@ def reverse_flow_map(mu: GridDensity) -> FlowMap:
     -sign(L) ndtri(expit(-|L|)) with L the logit of F_mu, each tail taken
     from its own side.  It is evaluated on the nodes within 8 sd of the mean
     and inverted by :class:`~mflab.measure.Pchip` at 2048 gamma-side points.
-    Before ndtri runs, an L there that is not strictly increasing (mu has a
-    gap in its mass) or not finite, or fewer than two nodes, fail loudly.
+    Only those nodes are read: before ndtri runs, a zero of mu there, an L
+    there that is not strictly increasing (mu has a gap in its mass) or not
+    finite, or fewer than two nodes, fail loudly.
     """
     if mu.dim != 1:
         raise UnsupportedDimensionError("flow maps are built in 1-d only")
     x = mu.axes[0].nodes()
-    if np.any(mu.weights[1:-1] <= 0):
-        raise ValueError("mu must be strictly positive on the grid interior")
-
     mean, sd = float(mu.mean()[0]), math.sqrt(float(mu.covariance()[0, 0]))
     mask = (x >= mean - 8.0 * sd) & (x <= mean + 8.0 * sd)
+    if np.any(mu.weights[mask] <= 0):  # an isolated zero keeps L increasing
+        raise IntegrationFailureError("mu vanishes within 8 sd of its mean")
     logit = _logit_cdf(mu)[mask]
     if not np.all(logit[1:] > logit[:-1]):  # false where F is 0 or 1 twice
         raise IntegrationFailureError("forward map is not strictly increasing")

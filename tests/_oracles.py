@@ -16,7 +16,9 @@ density's mean and covariance as two separate passes, `tilted_measure`
 is the earlier Gaussian tilt of a grid density on its own grid, which the
 adapted-grid covariance profile replaced, and `adapted_tilted_opnorm` is
 that profile's row as it was when each row built a grid density, with its
-own `coverage_in_sd` and boundary check.  The energy, its first and
+own `coverage_in_sd` and boundary check, on a window centred at the
+Gaussian proxy; given a larger node count it is the fine-grid reference
+for the profile's accuracy.  The energy, its first and
 second variations, its Wasserstein gradient and the grid KL are the
 paper's definitions, over a grid density or the empirical measure of an
 (N, d) particle array, evaluated through the library's expected features
@@ -388,14 +390,17 @@ def tilted_measure(mu, t, y):
     return out
 
 
-def adapted_tilted_opnorm(target, t, y, inputs):
+def adapted_tilted_opnorm(target, t, y, inputs, n_nodes=None):
     """Covariance operator norm of one covariance-profile row, the tilt of
     the target's N-particle Gibbs measure normalized as a grid density on a
-    window of 14 tilt widths around the mode of a coarse scan, doubled at
-    most twice until the mean lies 8 sd inside it.  Raises as the profile
-    does: TiltDomainError for a y of the wrong size, alpha_t <= 0, a peak
-    on the window's edge or three windows too narrow; ValueError for NaN or
-    +inf in the exponent."""
+    window of 14 tilt widths around the Gaussian proxy's center
+    y/(1 + a t), doubled at most twice, each time around the mean, until
+    the mean lies 8 sd inside it.  `n_nodes` per axis defaults to the
+    profile's 2048 in 1-d and 192 in 2-d; a larger count gives a fine-grid
+    reference for the same row.  Raises as the profile does:
+    TiltDomainError for a y of the wrong size, alpha_t <= 0, a peak on the
+    window's edge or three windows too narrow; ValueError for NaN or +inf
+    in the exponent."""
     from mflab.bounds import tilted_alpha
     from mflab.errors import TiltDomainError
     from mflab.measure import Axis, grid_points, normalize_from_log_potential
@@ -410,10 +415,9 @@ def adapted_tilted_opnorm(target, t, y, inputs):
     if a_t <= 0:
         raise TiltDomainError(
             f"alpha_t = {a_t:.4g} <= 0: tilt not normalizable")
-    n_nodes = 2048 if dim == 1 else 192
+    n_nodes = n_nodes or (2048 if dim == 1 else 192)
     sd_t = 1.0 / math.sqrt(a_t)
-    center_proxy = y / (1.0 + tilted_alpha(inputs, math.inf) * t)
-    base_sd = m.sigma / math.sqrt(2.0 * m.lam)
+    center = y / (1.0 + tilted_alpha(inputs, math.inf) * t)
 
     def tilted_log(pts):
         untilted = n_particle_log_density(target, pts.reshape(-1, n, m.d))
@@ -421,22 +425,17 @@ def adapted_tilted_opnorm(target, t, y, inputs):
         return (untilted - np.add.reduce(diff * diff, axis=1) / (2.0 * t)
                 + 0.5 * np.add.reduce(pts * pts, axis=1))
 
-    box = tuple(Axis(min(-10.0 * base_sd, center_proxy[j] - 10.0 * sd_t),
-                     max(10.0 * base_sd, center_proxy[j] + 10.0 * sd_t),
-                     801 if dim == 1 else 121) for j in range(dim))
-    coarse_pts = grid_points(box)
-    mode = coarse_pts[int(np.argmax(tilted_log(coarse_pts)))]
     half_width = 14.0 * sd_t
     for _ in range(3):
-        axes = tuple(Axis(mode[j] - half_width, mode[j] + half_width, n_nodes)
-                     for j in range(dim))
+        axes = tuple(Axis(c - half_width, c + half_width, n_nodes)
+                     for c in center)
         log_u = tilted_log(grid_points(axes)).reshape(
             tuple(ax.n for ax in axes))
         _check_interior_peak(log_u)
         out = normalize_from_log_potential(log_u, axes)
         if coverage_in_sd(out) >= 8.0:
             return float(np.linalg.eigvalsh(out.covariance())[-1])
-        mode = out.mean()
+        center = out.mean()
         half_width *= 2.0
     raise TiltDomainError(
         f"could not cover the tilted measure at t={t:g} within 3 widenings")

@@ -368,6 +368,14 @@ class TestConfigValidation:
             "data": {"x": [[1.0], [-0.5]], "y": [0.2, -0.1]}},
             "not both")
 
+    def test_clip_radius_under_model_and_loss_exit_2(self, tmp_path):
+        # The loss block's value once won without a word, while the
+        # manifest recorded model.clip_radius.
+        self._rejected_before_run(tmp_path, {
+            "kind": "example_nn", "clip_radius": 5.0,
+            "loss": {"type": "squared", "clip_radius": 3.0}, "data": NN_DATA},
+            "not both")
+
     def test_missing_data_csv_exit_2(self, tmp_path):
         missing = tmp_path / "none.csv"
         self._rejected_before_run(tmp_path, {
@@ -679,6 +687,55 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0, (out / "summary.txt").read_text()
+
+    # relu3 with its squared loss scaled up: the regime threshold t* falls
+    # like 1/B^2, and a coarse scan for each tilt's mode, spaced wider than
+    # the tilt, once put the peak on the window's edge (exit 3).
+    @pytest.mark.parametrize("experiment, scale, n", [
+        ("tilt_profile", 64.0, 1), ("transport_map", 64.0, 1),
+        ("tilt_profile", 16.0, 2)])
+    def test_strong_interaction_passes_every_check(self, tmp_path,
+                                                   experiment, scale, n):
+        model = {"kind": "example_nn", "activation": "relu",
+                 "loss": {"type": "squared", "scale": scale,
+                          "clip_radius": 1.0},
+                 "data": {"x": [[1.0], [-0.8], [0.6]], "y": [0.5, -0.3, 0.2],
+                          "weights": [0.4, 0.35, 0.25]}}
+        cfg = {"experiment": experiment, "model": model,
+               "profile": {"n_particles": n}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0, (out / "summary.txt").read_text()
+
+    # The exit-code contract: a run returns 1 only after writing a summary
+    # whose last line is the failed verdict, and never by a traceback.
+    @pytest.mark.parametrize("cfg, code, failed", [
+        # Tail nodes that underflow to 0 once raised ValueError (exit 1).
+        ({"experiment": "transport_map", "model": {"preset": "relu3"},
+          "grid": {"span_sd": 40.0}}, 0, []),
+        # Zero models meet envelopes_hold to rounding; at N = 2 the excess
+        # once outgrew its slack (0.984216 <= 0.984216: NO).
+        ({"experiment": "tilt_profile", "model": {"preset": "unit_zero"},
+          "profile": {"n_particles": 2}}, 0, []),
+        ({"experiment": "tilt_profile", "model": {"preset": "standard_zero"},
+          "profile": {"n_particles": 2}}, 0, []),
+        ({"experiment": "chaos_sweep", "model": {"preset": "relu3"},
+          "mcmc": {"n_pi_samples": 2}}, 1, ["N=2 z_ess_ok"]),
+        ({"experiment": "chaos_sweep", "model": {"preset": "relu3"},
+          "sweep": {"n_particles": [2]},
+          "mcmc": {"n_samples": 1, "n_chains": 2, "n_burnin": 0}}, 1,
+         ["N=2 mala_agrees"]),
+    ], ids=["wide_transport_grid", "unit_zero_n2", "standard_zero_n2",
+            "z_ess_ok", "mala_agrees"])
+    def test_exit_1_only_with_a_failed_summary(self, tmp_path, cfg, code,
+                                               failed):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == code
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-1] == f"all checks: {'NO' if code else 'yes'}"
+        names = [line.split(":")[0] for line in lines if line.endswith(": NO")]
+        assert set(failed) <= set(names) and bool(names) == bool(code)
 
     def test_mfld_run(self, tmp_path):
         cfg = {
