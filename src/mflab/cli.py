@@ -277,11 +277,14 @@ def validate_config(raw: dict) -> dict:
     elif given.get("kind") is not None:
         allowed = MODEL_KEYS.get(given["kind"], set(given))
         loss = given.get("loss") or {}
-        if loss.get("type") == "logistic":
+        if loss.get("type") == "logistic":  # a loss without a clip radius
             allowed = allowed - {"clip_radius"}
+            del resolved["model"]["clip_radius"]
         elif "clip_radius" in given and "clip_radius" in loss:
             raise ConfigError("give 'clip_radius' or 'loss.clip_radius', "
                               "not both")
+        elif "clip_radius" in loss:  # typed by build_model below
+            resolved["model"]["clip_radius"] = loss["clip_radius"]
     else:
         raise ConfigError("model block needs either 'preset' or 'kind'")
     _check_block("model", given, {k: SCHEMA["model"][k] for k in allowed})

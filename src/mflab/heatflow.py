@@ -6,11 +6,11 @@ The central object is the Gaussian-tilted measure
     mu_{t,y}(dx) propto exp(-||x - y||^2 / 2t + ||x||^2 / 2) mu(dx),
 
 whose covariance operator norm as a function of (t, y) is what certifies
-a Lipschitz transport map from the standard Gaussian.  Profiles compare
-the measured operator norms against small-time and large-time reference
-envelopes; the unspecified universal constants in those envelopes are
-fitted from the data and only their boundedness and stability are ever
-asserted.
+a Lipschitz transport map from the standard Gaussian.  Profiles measure
+each (t, y) by one pass of the tilted log density over a grid window, and
+all the norms by one eigensolve, against small-time and large-time
+envelopes whose unspecified universal constants are fitted from the data;
+only their boundedness and stability are ever asserted.
 
 The transport map is the reverse heat flow of Kim and Milman reduced to
 one dimension: the flow
@@ -60,7 +60,7 @@ from .measure import (
     _write_csv,
 )
 from .model import expit
-from .sampler import TargetSpec, n_particle_log_density, ndtri
+from .sampler import TargetSpec, TiltSpec, _log_density, ndtri
 
 LIPSCHITZ_WINDOW_SD = 6.0
 
@@ -184,21 +184,23 @@ def covariance_profile(target: TargetSpec, t_list, y_list,
                        inputs: BoundInputs) -> CovarianceProfile:
     """Operator norms of tilted covariances against both reference envelopes.
 
-    Each (t, y) of the target's untilted N-particle Gibbs measure gets its
-    moments on a grid adapted to the tilt width and centred at its Gaussian
-    proxy, which small-t asymptotics require; the untilted log density is
-    evaluated once per (t, y) and window.  The envelopes are evaluated once
-    per t.
+    Each (t, y) of the target's untilted N-particle Gibbs measure, t > 0,
+    gets its moments on a grid adapted to the tilt width and centred at its
+    Gaussian proxy, which small-t asymptotics require, from one pass of the
+    sampler's tilted log density per window; one stacked eigensolve gives
+    every operator norm, and the envelopes are evaluated once per t.
     """
     if target.tilt is not None:
         raise InvalidTargetError("covariance_profile tilts the untilted "
                                  "Gibbs measure; the target has a tilt")
     ts = np.array(t_list, dtype=float)
+    if not np.all(ts > 0):  # NaN too
+        raise TiltDomainError(f"tilt times must be > 0, got {ts[~(ts > 0)]}")
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
-    times = ts.tolist()
-    opnorm = np.array([
-        [covariance_opnorm(_tilted_moments(target, t, y, inputs)[1])
-         for t in times] for y in ys])
+    times, dim = ts.tolist(), target.n_particles * target.model.d
+    opnorm = covariance_opnorm(np.reshape(
+        [[_tilted_moments(target, t, y, inputs)[1] for t in times]
+         for y in ys], (len(ys), ts.size, dim, dim)))
     per_t = np.array([[f(inputs, t) for t in times] for f in (
         tilted_alpha, small_regime_envelope, large_regime_envelope)])
     labels = np.array(["y=" + "/".join(f"{v:g}" for v in y) for y in ys])
@@ -239,10 +241,8 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
     for _ in range(3):
         axes = tuple(axis(c, half_width) for c in center.tolist())
         pts = grid_points(axes)
-        untilted = n_particle_log_density(target, pts.reshape(-1, n, m.d))
-        # column sums: a row sum's bits, faster
-        log_u = (untilted - sum(c * c for c in (pts - y).T) / (2.0 * t)
-                 + 0.5 * sum(c * c for c in pts.T))
+        log_u = _log_density(target, pts.reshape(-1, n, m.d), False,
+                             TiltSpec(t, y.reshape(n, m.d)))[0]
         peak = np.argmax(log_u)  # the first NaN, if there is one
         if any(i in (0, n_nodes - 1)
                for i in np.unravel_index(peak, (n_nodes,) * dim)):

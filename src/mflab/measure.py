@@ -196,13 +196,10 @@ def normalize_from_log_potential(log_u, axes) -> GridDensity:
     return GridDensity(axes, u / z)
 
 
-def covariance_opnorm(cov: np.ndarray) -> float:
-    """Operator norm of a covariance matrix, its largest eigenvalue.
-
-    The eigenvalue comes from the symmetric eigensolver, which returns
-    the entry itself for a 1x1 matrix.
-    """
-    return float(np.linalg.eigvalsh(cov)[-1])
+def covariance_opnorm(cov: np.ndarray):
+    """The operator norm, largest eigenvalue, of a covariance matrix or of
+    each in a stack (..., d, d), from one eigvalsh call (a 1x1 entry as is)."""
+    return np.linalg.eigvalsh(cov)[..., -1]
 
 
 def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:

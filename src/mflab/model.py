@@ -318,14 +318,14 @@ def expect_features(model: ModelSpec, nu: GridDensity) -> np.ndarray:
 def loss_terms(model: ModelSpec, eh: np.ndarray, order: int | tuple = 0):
     """The interaction kernel, evaluated at expected features eh (..., n_data).
 
-    order 0 gives the energy sum_j p_j loss(eh_j, y_j); order 1 the
-    slopes p_j loss'(eh_j, y_j) and order 2 the curvatures
-    p_j loss''(eh_j, y_j), one per datum; order (0, 1) gives the energy and
-    the slopes, both from the loss's one evaluation of the residual.
+    order 0 gives the energy sum_j p_j loss(eh_j, y_j), summed in C order
+    whatever eh's layout; order 1 the slopes p_j loss'(eh_j, y_j) and order
+    2 the curvatures p_j loss''(eh_j, y_j), one per datum; order (0, 1)
+    gives the energy and the slopes, both from one evaluation of the residual.
     """
     if order in (0, (0, 1)):
         value, slope = model.loss.terms(eh, model.data_y)
-        f0 = value @ model.data_p
+        f0 = np.ascontiguousarray(value) @ model.data_p
         return f0 if order == 0 else (f0, model.data_p * slope)
     if order == 1:
         return model.data_p * model.loss.d1(eh, model.data_y)

@@ -85,22 +85,42 @@ def _interaction_terms(model: ModelSpec, xb: np.ndarray, order=1):
     return lead, (w @ model.activation.deriv(pre)).swapaxes(1, 2)
 
 
-def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool):
-    """Unnormalized log density (S,) of states xb (S, N, d) and, if
-    with_grad, its gradient (S, N, d) from the same loss evaluation."""
-    m = target.model
+def _sum_last(a: np.ndarray, n_axes: int = 1) -> np.ndarray:
+    """np.add.reduce over the last n_axes axes of a, bit for bit; one term
+    or two take no add or one, in loops along the other axes."""
+    k = math.prod(a.shape[a.ndim - n_axes:])
+    flat = a.reshape(a.shape[:a.ndim - n_axes] + (k,))
+    return (flat[..., 0] if k == 1 else flat[..., 0] + flat[..., 1] if k == 2
+            else np.add.reduce(a, axis=tuple(range(a.ndim - n_axes, a.ndim))))
+
+
+def _energies(model: ModelSpec, xb: np.ndarray) -> np.ndarray:
+    """Energies F0 (S,) of states xb (S, N, d) from pre-activations (n_data,
+    S, N); at d > 1 by the stacked matmul, whose bits a flat one changes."""
+    s, n, d = xb.shape
+    pre = ((model.data_x @ xb.reshape(1, s * n)).reshape(-1, s, n) if d == 1
+           else (model.data_x @ xb.swapaxes(1, 2)).transpose(1, 0, 2))
+    eh = _sum_last(model.activation.value(pre))
+    return loss_terms(model, (eh / n if n > 1 else eh).T)  # x / 1 is x
+
+
+def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool,
+                 tilt: TiltSpec | None = None):
+    """Unnormalized log density (S,) of states xb (S, N, d) under `tilt` or
+    the target's own, and if with_grad its gradient from the same loss."""
+    m, tilt = target.model, tilt or target.tilt
     f0, rows = (_interaction_terms(m, xb, (0, 1)) if with_grad
-                else (loss_terms(m, particle_features(m, xb)[1]), None))
+                else (_energies(m, xb), None))
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
-    sq = np.add.reduce(xb * xb, axis=(1, 2))
+    sq = _sum_last(xb * xb, 2)
     out = -(m.lam / m.sigma**2) * sq
     out -= (2.0 * target.n_particles / m.sigma**2) * f0
-    if target.tilt is not None:
-        diff = xb - target.tilt.y
-        out -= np.add.reduce(diff * diff, axis=(1, 2)) / (2.0 * target.tilt.t)
+    if tilt is not None:
+        diff = xb - tilt.y
+        out -= _sum_last(diff * diff, 2) / (2.0 * tilt.t)
         out += 0.5 * sq
         if with_grad:
-            grad += -diff / target.tilt.t + xb
+            grad += -diff / tilt.t + xb
     return out, grad
 
 

@@ -400,11 +400,11 @@ def adapted_tilted_opnorm(target, t, y, inputs, n_nodes=None):
     reference for the same row.  Raises as the profile does:
     TiltDomainError for a y of the wrong size, alpha_t <= 0, a peak on the
     window's edge or three windows too narrow; ValueError for NaN or +inf
-    in the exponent."""
+    in the exponent.  The untilted density is `log_density_numpy_wrappers`'s,
+    which no change to the library's kernel moves."""
     from mflab.bounds import tilted_alpha
     from mflab.errors import TiltDomainError
     from mflab.measure import Axis, grid_points, normalize_from_log_potential
-    from mflab.sampler import n_particle_log_density
 
     m, n = target.model, target.n_particles
     dim = n * m.d
@@ -420,7 +420,8 @@ def adapted_tilted_opnorm(target, t, y, inputs, n_nodes=None):
     center = y / (1.0 + tilted_alpha(inputs, math.inf) * t)
 
     def tilted_log(pts):
-        untilted = n_particle_log_density(target, pts.reshape(-1, n, m.d))
+        untilted = log_density_numpy_wrappers(
+            target, pts.reshape(-1, n, m.d), False)[0]
         diff = pts - y
         return (untilted - np.add.reduce(diff * diff, axis=1) / (2.0 * t)
                 + 0.5 * np.add.reduce(pts * pts, axis=1))

@@ -17,6 +17,7 @@ from mflab.cli import (
     SECTIONS_BY_EXPERIMENT,
     build_model,
     main,
+    run_experiment,
     validate_config,
 )
 from mflab.errors import ConfigError
@@ -375,6 +376,23 @@ class TestConfigValidation:
             "kind": "example_nn", "clip_radius": 5.0,
             "loss": {"type": "squared", "clip_radius": 3.0}, "data": NN_DATA},
             "not both")
+
+    @pytest.mark.parametrize("loss, clip_radius", [
+        ({"type": "squared", "clip_radius": 3.0}, 3.0),
+        ({"type": "logistic"}, None)], ids=["squared", "logistic"])
+    def test_manifest_records_the_clip_radius_the_loss_reads(
+            self, tmp_path, loss, clip_radius):
+        # Both once recorded model.clip_radius 10.0, the default.
+        cfg = validate_config({"experiment": "bounds_table", "model": {
+            "kind": "example_nn", "loss": loss,
+            "data": {"x": [[1.0], [-0.5]], "y": [1.0, -1.0]}}})
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        model = json.loads((tmp_path / "manifest.json").read_text())[
+            "config"]["model"]
+        assert model.get("clip_radius", None) == clip_radius
+        assert ("clip_radius" in model) == (clip_radius is not None)
+        assert getattr(build_model(model).loss, "clip_radius",
+                       None) == clip_radius
 
     def test_missing_data_csv_exit_2(self, tmp_path):
         missing = tmp_path / "none.csv"

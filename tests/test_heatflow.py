@@ -232,7 +232,8 @@ class TestCovarianceProfile:
     @pytest.mark.parametrize("preset,n,n_times,ys", [
         *[(name, 1, 40, [[-3.0], [0.0], [3.0]])
           for name in ("relu3", "tanh2", "logistic2", "unit_zero")],
-        ("relu3", 2, 8, [[0.0, 0.0], [0.5, -0.5]]),
+        *[(name, 2, 8, [[0.0, 0.0], [0.5, -0.5]])
+          for name in ("relu3", "tanh2", "logistic2")],
     ])
     def test_rows_equal_grid_density_reference(self, preset, n, n_times, ys):
         target = TargetSpec(rescale_model(PRESETS[preset]()), n)
@@ -293,22 +294,21 @@ class TestCovarianceProfile:
             assert abs(opnorm - measured) < 1e-6
 
     def test_rows_build_no_grid_density(self, relu_profile, monkeypatch):
-        # Each row evaluates the untilted density once, on its 2048 fine
-        # nodes, and nowhere else (a coarse mode scan once evaluated it on
-        # 801 more per box); no row builds a GridDensity.
+        # Each row evaluates its tilted density once, on its 2048 fine
+        # nodes, and nowhere else (a coarse mode scan once evaluated the
+        # untilted one on 801 more per box); no row builds a GridDensity.
         prof, inputs = relu_profile
         target = TargetSpec(rescale_model(relu_preset()), 1)
         built, sizes = [], []
-        init, real = GridDensity.__post_init__, n_particle_log_density
+        init, real = GridDensity.__post_init__, mflab.heatflow._log_density
 
-        def recording(target, xb):
+        def recording(target, xb, with_grad, tilt):
             sizes.append(xb.shape[0])
-            return real(target, xb)
+            return real(target, xb, with_grad, tilt)
 
         monkeypatch.setattr(GridDensity, "__post_init__",
                             lambda self: built.append(1) or init(self))
-        monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
-                            recording)
+        monkeypatch.setattr(mflab.heatflow, "_log_density", recording)
         covariance_profile(target, prof.ts,
                            [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)],
                            inputs)
@@ -325,18 +325,19 @@ class TestCovarianceProfile:
     ])
     def test_bad_tilted_density_rejected(self, monkeypatch, log_density,
                                          error, match):
-        # At t = 1 and y = 0 the tilt cancels, so the row's tilted density
-        # is the patched untilted one: a ramp peaks on the fine grid's edge,
-        # a NaN band sits inside it, and a Laplace law of scale 100 reaches
-        # every window's edge.
+        # The patched kernel returns the row's tilted density: a ramp peaks
+        # on the fine grid's edge, a NaN band sits inside it, and a Laplace
+        # law of scale 100 reaches every window's edge.
         target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = model_constants(target.model)
-        monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
-                            lambda target, xb: log_density(xb[:, 0, 0]))
+        monkeypatch.setattr(
+            mflab.heatflow, "_log_density",
+            lambda target, xb, with_grad, tilt: (log_density(xb[:, 0, 0]),
+                                                 None))
         with pytest.raises(error, match=match):
             covariance_profile(target, [1.0], [np.zeros(1)], inputs)
 
-    def test_bad_tilt_rejected(self):
+    def test_bad_tilt_rejected(self, monkeypatch):
         target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = model_constants(target.model)
         with pytest.raises(TiltDomainError, match="coords"):
@@ -345,6 +346,12 @@ class TestCovarianceProfile:
         low = dataclasses.replace(inputs, lam=0.1, sigma=1.0)
         with pytest.raises(TiltDomainError, match="alpha_t"):
             covariance_profile(target, [10.0], [np.zeros(1)], low)
+        # t = 0 once ended in a ZeroDivisionError and t = -2 read 1.06;
+        # the times are refused before any row is evaluated.
+        monkeypatch.setattr(mflab.heatflow, "_tilted_moments", None)
+        for bad in (0.0, -2.0, math.nan):
+            with pytest.raises(TiltDomainError, match="> 0"):
+                covariance_profile(target, [0.5, bad], [np.zeros(1)], inputs)
 
     def test_tilted_target_rejected(self):
         # The profile applies its own tilts; a target that already carries

@@ -272,23 +272,36 @@ class TestInteractionKernel:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
     def test_public_log_density_equals_fused_kernel_bitwise(self, name):
+        # The value path runs data-major and the fused kernel particle-major,
+        # so only this test keeps their bits equal, at every batch size s and
+        # particle count N where their layouts differ.
         model = KERNEL_MODELS[name]
-        n = 16
         rng = np.random.default_rng(3)
-        tilt = TiltSpec(0.5, rng.normal(size=(n, model.d)))
-        xb = rng.normal(size=(32, n, model.d))
-        for target in (TargetSpec(model, n),
-                       TargetSpec(rescale_model(model), n, tilt=tilt)):
-            fused = _log_density(target, xb, with_grad=True)[0]
-            np.testing.assert_array_equal(n_particle_log_density(target, xb),
-                                          fused)
-            assert n_particle_log_density(target, xb[5]) == fused[5]
+        with np.errstate(invalid="ignore"):
+            for s in (1, 7, 32, 2048):
+                for n in (1, 2, 3, 16):
+                    tilt = TiltSpec(0.5, rng.normal(size=(n, model.d)))
+                    for target in (TargetSpec(model, n),
+                                   TargetSpec(rescale_model(model), n,
+                                              tilt=tilt)):
+                        for kind, xb in kernel_states(rng, s, n,
+                                                      model.d).items():
+                            where = (f"s={s}, N={n}, {kind} states, "
+                                     f"tilted: {target.tilt is not None}")
+                            fused = _log_density(target, xb, True)[0]
+                            assert_same_bits(
+                                n_particle_log_density(target, xb), fused,
+                                where)
+                            if s == 1:  # one (N, d) state, not a batch
+                                assert_same_bits(n_particle_log_density(
+                                    target, xb[0]), fused[0], where)
 
 
-def assert_same_bits(got, ref):
+def assert_same_bits(got, ref, where=""):
     """Equal values, NaN where NaN, and the same sign on every zero."""
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+    np.testing.assert_array_equal(got, ref, err_msg=where)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref),
+                                  err_msg=where)
 
 
 def kernel_states(rng, s, n, d):
