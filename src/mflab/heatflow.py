@@ -60,7 +60,7 @@ from .measure import (
     _write_csv,
 )
 from .model import expit
-from .sampler import TargetSpec, TiltSpec, _log_density, ndtri
+from .sampler import TargetSpec, TiltSpec, n_particle_log_density, ndtri
 
 LIPSCHITZ_WINDOW_SD = 6.0
 
@@ -241,8 +241,8 @@ def _tilted_moments(target: TargetSpec, t: float, y: np.ndarray,
     for _ in range(3):
         axes = tuple(axis(c, half_width) for c in center.tolist())
         pts = grid_points(axes)
-        log_u = _log_density(target, pts.reshape(-1, n, m.d), False,
-                             TiltSpec(t, y.reshape(n, m.d)))[0]
+        log_u = n_particle_log_density(target, pts.reshape(-1, n, m.d),
+                                       TiltSpec(t, y.reshape(n, m.d)))
         peak = np.argmax(log_u)  # the first NaN, if there is one
         if any(i in (0, n_nodes - 1)
                for i in np.unravel_index(peak, (n_nodes,) * dim)):

@@ -197,9 +197,9 @@ def normalize_from_log_potential(log_u, axes) -> GridDensity:
 
 
 def covariance_opnorm(cov: np.ndarray):
-    """The operator norm, largest eigenvalue, of a covariance matrix or of
-    each in a stack (..., d, d), from one eigvalsh call (a 1x1 entry as is)."""
-    return np.linalg.eigvalsh(cov)[..., -1]
+    """Largest eigenvalues, operator norms, of a covariance matrix (an
+    np.float64) or a stack (..., d, d) (an array) from one eigvalsh call."""
+    return np.linalg.eigvalsh(cov).max(axis=-1)
 
 
 def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:

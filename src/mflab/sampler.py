@@ -85,21 +85,20 @@ def _interaction_terms(model: ModelSpec, xb: np.ndarray, order=1):
     return lead, (w @ model.activation.deriv(pre)).swapaxes(1, 2)
 
 
-def _sum_last(a: np.ndarray, n_axes: int = 1) -> np.ndarray:
-    """np.add.reduce over the last n_axes axes of a, bit for bit; one term
-    or two take no add or one, in loops along the other axes."""
-    k = math.prod(a.shape[a.ndim - n_axes:])
-    flat = a.reshape(a.shape[:a.ndim - n_axes] + (k,))
-    return (flat[..., 0] if k == 1 else flat[..., 0] + flat[..., 1] if k == 2
-            else np.add.reduce(a, axis=tuple(range(a.ndim - n_axes, a.ndim))))
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, -1) bit for bit, in loops along the other axes."""
+    k = a.shape[-1]
+    return (a[..., 0] + a[..., 1] if k == 2 else
+            np.add.reduce(a, -1) if k > 2 else a[..., 0])
 
 
 def _energies(model: ModelSpec, xb: np.ndarray) -> np.ndarray:
-    """Energies F0 (S,) of states xb (S, N, d) from pre-activations (n_data,
-    S, N); at d > 1 by the stacked matmul, whose bits a flat one changes."""
+    """Energies F0 (S,) of states xb (S, N, d); at d = 1 from pre-activations
+    (n_data, S, N), data-major, else from the fused kernel's features."""
     s, n, d = xb.shape
-    pre = ((model.data_x @ xb.reshape(1, s * n)).reshape(-1, s, n) if d == 1
-           else (model.data_x @ xb.swapaxes(1, 2)).transpose(1, 0, 2))
+    if d > 1:
+        return loss_terms(model, particle_features(model, xb)[1])
+    pre = (model.data_x @ xb.reshape(1, s * n)).reshape(-1, s, n)
     eh = _sum_last(model.activation.value(pre))
     return loss_terms(model, (eh / n if n > 1 else eh).T)  # x / 1 is x
 
@@ -112,29 +111,30 @@ def _log_density(target: TargetSpec, xb: np.ndarray, with_grad: bool,
     f0, rows = (_interaction_terms(m, xb, (0, 1)) if with_grad
                 else (_energies(m, xb), None))
     grad = -(2.0 / m.sigma**2) * (m.lam * xb + rows) if with_grad else None
-    sq = _sum_last(xb * xb, 2)
+    sq = _sum_last((xb * xb).reshape(len(xb), -1))
     out = -(m.lam / m.sigma**2) * sq
     out -= (2.0 * target.n_particles / m.sigma**2) * f0
     if tilt is not None:
         diff = xb - tilt.y
-        out -= _sum_last(diff * diff, 2) / (2.0 * tilt.t)
+        out -= _sum_last((diff * diff).reshape(len(xb), -1)) / (2.0 * tilt.t)
         out += 0.5 * sq
         if with_grad:
             grad += -diff / tilt.t + xb
     return out, grad
 
 
-def n_particle_log_density(target: TargetSpec, x: np.ndarray):
-    """Unnormalized log density of the target at one state or a batch."""
+def n_particle_log_density(target: TargetSpec, x: np.ndarray,
+                           tilt: TiltSpec | None = None):
+    """Unnormalized log density of the target at one state or a batch, under
+    `tilt` in place of the target's own tilt if one is given."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 2
     xb = x[None] if single else x
     n, d = target.n_particles, target.model.d
-    if xb.shape[-2:] != (n, d):
-        raise InvalidTargetError(
-            f"state shape {x.shape} incompatible with (N, d) = ({n}, {d})"
-        )
-    out = _log_density(target, xb, with_grad=False)[0]
+    if xb.shape[-2:] != (n, d) or tilt and tilt.y.shape != (n, d):
+        raise InvalidTargetError(f"state shape {x.shape} or tilt centers "
+                                 f"incompatible with (N, d) = ({n}, {d})")
+    out = _log_density(target, xb, False, tilt)[0]
     return float(out[0]) if single else out
 
 

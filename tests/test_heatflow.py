@@ -300,15 +300,16 @@ class TestCovarianceProfile:
         prof, inputs = relu_profile
         target = TargetSpec(rescale_model(relu_preset()), 1)
         built, sizes = [], []
-        init, real = GridDensity.__post_init__, mflab.heatflow._log_density
+        init, real = GridDensity.__post_init__, n_particle_log_density
 
-        def recording(target, xb, with_grad, tilt):
+        def recording(target, xb, tilt):
             sizes.append(xb.shape[0])
-            return real(target, xb, with_grad, tilt)
+            return real(target, xb, tilt)
 
         monkeypatch.setattr(GridDensity, "__post_init__",
                             lambda self: built.append(1) or init(self))
-        monkeypatch.setattr(mflab.heatflow, "_log_density", recording)
+        monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
+                            recording)
         covariance_profile(target, prof.ts,
                            [np.zeros(1), np.full(1, 3.0), np.full(1, -3.0)],
                            inputs)
@@ -330,10 +331,8 @@ class TestCovarianceProfile:
         # law of scale 100 reaches every window's edge.
         target = TargetSpec(rescale_model(relu_preset()), 1)
         inputs = model_constants(target.model)
-        monkeypatch.setattr(
-            mflab.heatflow, "_log_density",
-            lambda target, xb, with_grad, tilt: (log_density(xb[:, 0, 0]),
-                                                 None))
+        monkeypatch.setattr(mflab.heatflow, "n_particle_log_density",
+                            lambda target, xb, tilt: log_density(xb[:, 0, 0]))
         with pytest.raises(error, match=match):
             covariance_profile(target, [1.0], [np.zeros(1)], inputs)
 

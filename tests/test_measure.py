@@ -236,6 +236,18 @@ class TestCovarianceOpnorm:
         opnorm = covariance_opnorm(g.covariance())
         assert abs(opnorm - max(v1, v2)) < 1e-6
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stack_equals_each_matrix(self, dim):
+        # A profile takes all its norms from one call on a (Y, T, d, d)
+        # stack; each equals the norm of its matrix alone, a float.
+        a = np.random.default_rng(dim).normal(size=(3, 4, dim, dim))
+        covs = a @ a.swapaxes(-1, -2)
+        got = covariance_opnorm(covs)
+        assert got.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            alone = covariance_opnorm(covs[idx])
+            assert isinstance(alone, float) and got[idx] == alone
+
 
 class TestW2:
     def test_identical(self):

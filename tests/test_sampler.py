@@ -103,6 +103,23 @@ class TestLogDensityGrad:
         extra = log_density_grad(tilted, x) - log_density_grad(plain, x)
         np.testing.assert_allclose(extra, -(x - y) / t + x, rtol=1e-12)
 
+    def test_tilt_argument_equals_tilted_target(self):
+        # The tilt argument takes the place of the target's own tilt, bit
+        # for bit; its centres must have the target's (N, d) shape.
+        model = rescale_model(relu_preset())
+        rng = np.random.default_rng(5)
+        tilt, other = (TiltSpec(t, rng.normal(size=(3, 1))) for t in (0.5, 2))
+        xb = rng.normal(size=(7, 3, 1))
+        for own in (None, other):
+            np.testing.assert_array_equal(
+                n_particle_log_density(TargetSpec(model, 3, own), xb, tilt),
+                n_particle_log_density(TargetSpec(model, 3, tilt), xb))
+        assert n_particle_log_density(TargetSpec(model, 3), xb[2], tilt) == (
+            n_particle_log_density(TargetSpec(model, 3, tilt), xb[2]))
+        with pytest.raises(InvalidTargetError, match="tilt centers"):
+            n_particle_log_density(TargetSpec(model, 3), xb,
+                                   TiltSpec(0.5, np.zeros((1, 1))))
+
     def test_non_normalizable_tilt_rejected(self):
         model = zero_model(sigma=1.0, lam=0.25)  # 2 lam/sigma^2 = 0.5 < 1
         with pytest.raises(InvalidTargetError):
@@ -276,6 +293,16 @@ class TestInteractionKernel:
         # so only this test keeps their bits equal, at every batch size s and
         # particle count N where their layouts differ.
         model = KERNEL_MODELS[name]
+        n = 16
+        rng = np.random.default_rng(3)
+        tilt = TiltSpec(0.5, rng.normal(size=(n, model.d)))
+        xb = rng.normal(size=(32, n, model.d))
+        for target in (TargetSpec(model, n),
+                       TargetSpec(rescale_model(model), n, tilt=tilt)):
+            fused = _log_density(target, xb, with_grad=True)[0]
+            np.testing.assert_array_equal(n_particle_log_density(target, xb),
+                                          fused)
+            assert n_particle_log_density(target, xb[5]) == fused[5]
         rng = np.random.default_rng(3)
         with np.errstate(invalid="ignore"):
             for s in (1, 7, 32, 2048):
